@@ -10,6 +10,7 @@ from .partitions import (
     dual,
     enumerate_partitions,
     induce_partition,
+    kostka_number,
     minimal_elements,
     scale_partition,
     sort_to_partition,
@@ -21,12 +22,14 @@ from .germ import (
     DimensionPolynomial,
     PositivityError,
     check_minimal_positivity,
+    closed_form_multiplicity_matrix,
     dim_fixed,
     dimension_polynomial,
     forward_multiplicities,
     gk_dimension,
     induce_maps,
     jl_transfer,
+    kostka_foulkes,
     lj_transfer,
     solve_from_multiplicities,
     square_integrable_top_coeff,

@@ -27,13 +27,17 @@ from .cosets import Family, SubgroupSpec, base_count, is_prime_power
 from .partitions import (
     Partition,
     canonical_order,
+    charge,
     d_of,
     dominance_leq,
     dominance_lt,
+    dual,
     enumerate_partitions,
     induce_partition,
+    kostka_number,
     minimal_elements,
     scale_partition,
+    semistandard_tableaux,
 )
 from .qpoly import QPoly
 
@@ -380,6 +384,59 @@ def solve_from_multiplicities(
         )
         values[lam] = m[lam] - correction
     return CoefficientMap(n, values)
+
+
+def kostka_foulkes(lam: Partition, mu: Partition) -> QPoly:
+    """The Kostka-Foulkes polynomial K_{lam mu}(t) = sum of t^charge(T).
+
+    T runs over the semistandard tableaux of shape lam and content mu,
+    so K_{lam mu}(1) is the Kostka number K_{lam mu}.
+    """
+    coeffs: dict[int, int] = {}
+    for tableau in semistandard_tableaux(lam, mu.parts):
+        k = charge(tableau)
+        coeffs[k] = coeffs.get(k, 0) + 1
+    return QPoly(coeffs.get(k, 0) for k in range(max(coeffs, default=-1) + 1))
+
+
+def closed_form_multiplicity_matrix(n: int, q: int) -> dict[Partition, dict[Partition, int]]:
+    """The depth-one multiplicity matrix from Kostka-Foulkes polynomials.
+
+    M[lam][mu] counts the flags of type mu that the block-shift matrix
+    A_lam (Jordan type lam' = dual(lam)) moves one step down.  In the
+    Hall algebra (Macdonald, Symmetric Functions and Hall Polynomials,
+    Ch. II-III) this is
+
+        M[lam][mu] = q^(n(lam') - sum_i C(mu_i, 2))
+                     * sum over nu of K_{nu' mu} * K_{nu lam'}(1/q),
+
+    with n(rho) = sum_i (i-1) rho_i, so n(lam') = sum_i C(lam_i, 2).
+    Each K_{nu lam'}(t) has degree at most n(lam'), and the final
+    division by q^(sum_i C(mu_i, 2)) is exact; a remainder is a bug.
+    This is the independent route that the exhaustive oracle
+    `oracle.multiplicity_matrix` is checked against.
+    """
+    if not is_prime_power(q):
+        raise ValueError(f"q must be a prime power >= 2, got {q}")
+    parts = enumerate_partitions(n)
+    kostka = {(nu, mu): kostka_number(dual(nu), mu) for nu in parts for mu in parts}
+    out: dict[Partition, dict[Partition, int]] = {}
+    for lam in parts:
+        top = sum(p * (p - 1) // 2 for p in lam)
+        # q^(n(lam')) * K_{nu lam'}(1/q), a polynomial in q
+        flipped = {
+            nu: sum(c * q ** (top - k) for k, c in enumerate(kostka_foulkes(nu, dual(lam)).coeffs))
+            for nu in parts
+        }
+        row = {}
+        for mu in parts:
+            total = sum(kostka[nu, mu] * flipped[nu] for nu in parts)
+            shift = q ** sum(p * (p - 1) // 2 for p in mu)
+            if total % shift:
+                raise ArithmeticError(f"closed form for ({lam}, {mu}) at q = {q} is not an integer")
+            row[mu] = total // shift
+        out[lam] = row
+    return out
 
 
 def whittaker_dims(c: CoefficientMap) -> dict[Partition, int]:

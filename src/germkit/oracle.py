@@ -33,10 +33,27 @@ package are checked against raw enumeration:
   constructed.  Verification at depths j >= 2 would require matrix
   groups over O/P^j and is out of scope.
 
+  The group is never enumerated.  Each X in the orbit of A_lam equals
+  k A_lam k^(-1) for exactly |Z_GL(A_lam)| elements k, so the count
+  above is #(n_mu(F_q) & orbit(A_lam)) * |Z_GL(A_lam)|.  The oracle
+  streams the q^(d_mu) elements of n_mu(F_q) once per mu, buckets them
+  by kernel-jump partition (the orbit of A_lam is the bucket lam), and
+  multiplies by the centralizer order
+
+      |Z_GL(A_lam)| = q^(sum_i lam_i^2 - sum_k m_k (m_k + 1) / 2)
+                      * prod_k prod_{i=1..m_k} (q^i - 1),
+
+  where m_k is the number of Jordan blocks of size k, i.e. the
+  multiplicity of k in dual(lam).  The independent cross-check is the
+  Kostka-Foulkes closed form `germ.closed_form_multiplicity_matrix`,
+  which `germkit oracle --check ximatrix` compares entry by entry.
+
 The oracle works over prime q only, so all arithmetic is plain modular
 integer arithmetic.  Every enumeration is bounded by an element cap
-(default 10**7) counting the items actually streamed: q^(n^2) matrices
-for group streaming, the orbit size for flag enumeration.
+(default 10**7) counting the items a call streams, checked before the
+first one: q^(n^2) matrices for the nilpotent census, the sum of
+q^(d_mu) over the nilradicals a multiplicity call streams, the orbit
+size for flag enumeration.
 """
 
 from __future__ import annotations
@@ -44,7 +61,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Iterator
 
-from .partitions import Partition, d_of, enumerate_partitions
+from .partitions import Partition, d_of, dual, enumerate_partitions
 
 DEFAULT_CAP = 10**7
 
@@ -73,27 +90,6 @@ def _mat_mul(a, b, q):
 
 def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _rank(rows, q):
-    mat = [list(r) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] % q), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], q - 2, q)
-        mat[rank] = [(x * inv) % q for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(x - f * y) % q for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
 
 
 def _det(rows, q):
@@ -153,6 +149,24 @@ def _rref(rows, q):
                 mat[r] = [(x - f * y) % q for x, y in zip(mat[r], mat[rank])]
         rank += 1
     return tuple(tuple(r) for r in mat[:rank])
+
+
+def _kernel_jumps(rows, q):
+    """The kernel-dimension jumps rank X^(i-1) - rank X^i of a square X, while positive.
+
+    They are weakly decreasing for every square matrix and sum to n
+    exactly when X is nilpotent; the walk stops once the rank of the
+    powers stops falling.
+    """
+    prev, acc, jumps = len(rows), rows, []
+    while True:
+        rank = len(_rref(acc, q))
+        if rank == prev:
+            return jumps
+        jumps.append(prev - rank)
+        if rank == 0:
+            return jumps
+        prev, acc = rank, _mat_mul(acc, rows, q)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +230,7 @@ class FqMatrix:
         return _det(self.rows, self.q)
 
     def rank(self) -> int:
-        return _rank(self.rows, self.q)
+        return len(_rref(self.rows, self.q))
 
     def inverse(self) -> "FqMatrix":
         self._require_square()
@@ -236,14 +250,7 @@ class FqMatrix:
 
     def is_nilpotent(self) -> bool:
         self._require_square()
-        n = self.nrows
-        acc = self.rows
-        zero = tuple((0,) * n for _ in range(n))
-        for _ in range(n - 1):
-            if acc == zero:
-                return True
-            acc = _mat_mul(acc, self.rows, self.q)
-        return acc == zero
+        return sum(_kernel_jumps(self.rows, self.q)) == self.nrows
 
 
 class ParabolicShape:
@@ -306,6 +313,21 @@ def parabolic_order(lam: Partition, q: int) -> int:
     return out
 
 
+def centralizer_order(lam: Partition, q: int) -> int:
+    """|Z_GL(A_lam)(F_q)| for the block-shift matrix of kernel-jump partition lam.
+
+    q^(sum_i lam_i^2 - sum_k m_k (m_k + 1) / 2) * prod_k prod_{i=1..m_k} (q^i - 1),
+    with m_k the multiplicity of k in dual(lam), the Jordan block sizes.
+    """
+    blocks = dual(lam).parts
+    mults = [blocks.count(k) for k in set(blocks)]
+    out = q ** (sum(p * p for p in lam) - sum(m * (m + 1) // 2 for m in mults))
+    for m in mults:
+        for i in range(1, m + 1):
+            out *= q**i - 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Jordan types
 
@@ -337,20 +359,10 @@ def nilpotent_partition(X: FqMatrix) -> Partition:
     Raises on non-nilpotent input.
     """
     X._require_square()
-    n = X.nrows
-    q = X.q
-    ranks = [n]
-    acc = _identity(n)
-    for _ in range(n):
-        acc = _mat_mul(acc, X.rows, q)
-        ranks.append(_rank(acc, q))
-    if ranks[-1] != 0:
+    jumps = _kernel_jumps(X.rows, X.q)
+    if sum(jumps) != X.nrows:
         raise ValueError("matrix is not nilpotent (X^n != 0)")
-    jumps = [ranks[i] - ranks[i + 1] for i in range(n) if ranks[i] - ranks[i + 1] > 0]
-    lam = Partition(jumps)
-    if lam.n != n:
-        raise OracleConsistencyError(f"kernel jumps {jumps} do not sum to {n}")
-    return lam
+    return Partition(jumps)
 
 
 # ---------------------------------------------------------------------------
@@ -398,32 +410,6 @@ def iter_matrices(n: int, q: int, cap: int = DEFAULT_CAP) -> Iterator[tuple]:
         )
     for flat in product(range(q), repeat=n * n):
         yield tuple(flat[i * n : (i + 1) * n] for i in range(n))
-
-
-_GL_CACHE: dict[tuple[int, int], list] = {}
-
-
-def _gl_with_inverses(n: int, q: int, cap: int) -> list:
-    """All of GL_n(F_q) with inverses, by rejection over M_n(F_q); cached."""
-    total = q ** (n * n)
-    if total > cap:
-        # checked before consulting the cache so the bound is a property
-        # of the inputs, not of what happened to be computed earlier
-        raise OracleBoundError(
-            f"enumerating M_{n}(F_{q}) needs {total} elements, above the cap {cap}"
-        )
-    key = (n, q)
-    if key not in _GL_CACHE:
-        elems = []
-        for rows in iter_matrices(n, q, cap):
-            if _det(rows, q) != 0:
-                elems.append((rows, _inverse(rows, q)))
-        if len(elems) != gl_order(n, q):
-            raise OracleConsistencyError(
-                f"streamed {len(elems)} invertible matrices, order formula says {gl_order(n, q)}"
-            )
-        _GL_CACHE[key] = elems
-    return _GL_CACHE[key]
 
 
 def flag_orbit_count(lam: Partition, q: int, cap: int = DEFAULT_CAP) -> int:
@@ -492,46 +478,68 @@ def count_parabolic_cosets(lam: Partition, n: int, q: int, cap: int = DEFAULT_CA
 # depth-one character multiplicities
 
 
+def _check_nilradical_cap(mus: list[Partition], q: int, cap: int) -> None:
+    total = sum(q ** d_of(mu) for mu in mus)
+    if total > cap:
+        raise OracleBoundError(
+            f"streaming the nilradicals n_mu(F_{q}) for mu in {', '.join(map(str, mus))} "
+            f"needs {total} elements, above the cap {cap}"
+        )
+
+
+def _xi_column(mu: Partition, q: int) -> dict[Partition, int]:
+    """{lam: m(lam, mu)} over the lam with a nonzero entry, from one pass over n_mu(F_q)."""
+    n = mu.n
+    shape = ParabolicShape(mu)
+    free = [(i, j) for i in range(n) for j in range(n) if shape.in_n(i, j)]
+    rows = [[0] * n for _ in range(n)]
+    census: dict[tuple, int] = {}
+    for values in product(range(q), repeat=len(free)):
+        for (i, j), v in zip(free, values):
+            rows[i][j] = v
+        key = tuple(_kernel_jumps(rows, q))
+        census[key] = census.get(key, 0) + 1
+    order_p = parabolic_order(mu, q)
+    column = {}
+    for jumps, count in census.items():
+        lam = Partition(jumps)
+        if lam.n != n:
+            raise OracleConsistencyError(f"an element of n_{mu}(F_{q}) is not nilpotent")
+        hits = count * centralizer_order(lam, q)
+        if hits % order_p != 0:
+            raise OracleConsistencyError(
+                f"condition-set size {hits} not divisible by |P_{mu}(F_{q})| = {order_p}"
+            )
+        column[lam] = hits // order_p
+    return column
+
+
 def xi_multiplicity(lam: Partition, mu: Partition, n: int, q: int, cap: int = DEFAULT_CAP) -> int:
     """Multiplicity of the depth-one character of shape lam in the P_mu-coset functions.
 
-    Counts k in GL_n(F_q) with k A_lam k^(-1) in n_mu(F_q) and divides
-    by |P_mu(F_q)|; the division is exact because the condition set is
-    a union of left P_mu(F_q)-cosets (P_mu normalizes n_mu).
+    #{k in GL_n(F_q) : k A_lam k^(-1) in n_mu(F_q)} / |P_mu(F_q)|, with
+    the numerator counted as #(n_mu(F_q) & orbit(A_lam)) * |Z_GL(A_lam)|
+    over the q^(d_mu) elements of n_mu(F_q); the division is exact
+    because the condition set is a union of left P_mu(F_q)-cosets.
     """
     if lam.n != n or mu.n != n:
         raise ValueError(f"{lam} and {mu} must both be partitions of n = {n}")
     _check_prime(q)
-    a_rows = build_A_lambda(lam, q).rows
-    shape = ParabolicShape(mu)
-    outside = [(i, j) for i in range(n) for j in range(n) if not shape.in_n(i, j)]
-    # column j of A_lam is either zero or a standard basis vector e_src
-    col_src = [None] * n
-    for i in range(n):
-        for j in range(n):
-            if a_rows[i][j]:
-                col_src[j] = i
-    hits = 0
-    for k, kinv in _gl_with_inverses(n, q, cap):
-        ka = tuple(
-            tuple(k[i][col_src[j]] if col_src[j] is not None else 0 for j in range(n))
-            for i in range(n)
-        )
-        conj = _mat_mul(ka, kinv, q)
-        if all(conj[i][j] == 0 for i, j in outside):
-            hits += 1
-    order_p = parabolic_order(mu, q)
-    if hits % order_p != 0:
-        raise OracleConsistencyError(
-            f"condition-set size {hits} not divisible by |P_{mu}(F_{q})| = {order_p}"
-        )
-    return hits // order_p
+    _check_nilradical_cap([mu], q, cap)
+    return _xi_column(mu, q).get(lam, 0)
 
 
 def multiplicity_matrix(n: int, q: int, cap: int = DEFAULT_CAP) -> dict[Partition, dict[Partition, int]]:
-    """M[lam][mu] = xi_multiplicity(lam, mu), rows and columns in canonical order."""
+    """M[lam][mu] = xi_multiplicity(lam, mu), rows and columns in canonical order.
+
+    Each nilradical is streamed once; the cap bounds the total,
+    sum over mu of q^(d_mu), and is checked before streaming starts.
+    """
     parts = enumerate_partitions(n)
-    return {lam: {mu: xi_multiplicity(lam, mu, n, q, cap) for mu in parts} for lam in parts}
+    _check_prime(q)
+    _check_nilradical_cap(parts, q, cap)
+    columns = {mu: _xi_column(mu, q) for mu in parts}
+    return {lam: {mu: columns[mu].get(lam, 0) for mu in parts} for lam in parts}
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +548,7 @@ def multiplicity_matrix(n: int, q: int, cap: int = DEFAULT_CAP) -> dict[Partitio
 
 def nilpotent_census(n: int, q: int, cap: int = DEFAULT_CAP) -> int:
     """Number of nilpotent matrices in M_n(F_q); the closed form is q^(n^2 - n)."""
-    count = 0
-    for rows in iter_matrices(n, q, cap):
-        if FqMatrix(q, rows).is_nilpotent():
-            count += 1
-    return count
+    return sum(1 for rows in iter_matrices(n, q, cap) if sum(_kernel_jumps(rows, q)) == n)
 
 
 def random_invertible(n: int, q: int, rng) -> FqMatrix:

@@ -89,16 +89,15 @@ def test_criterion_02_coset_counts_vs_oracle():
 
 
 def test_criterion_03_multiplicity_matrix_unitriangular():
-    """Dominance-unitriangularity of the depth-one multiplicity matrix, n in {2,3}, q in {2,3}."""
+    """Dominance-unitriangularity of the depth-one multiplicity matrix, n <= 4 and q in {2,3}, and n = 5, q = 2."""
     start = time.perf_counter()
-    for n in (2, 3):
-        for q in (2, 3):
-            M = multiplicity_matrix(n, q)
-            for lam in enumerate_partitions(n):
-                assert M[lam][lam] == 1
-                for mu in enumerate_partitions(n):
-                    if not dominance_leq(mu, lam):
-                        assert M[lam][mu] == 0
+    for n, q in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)):
+        M = multiplicity_matrix(n, q)
+        for lam in enumerate_partitions(n):
+            assert M[lam][lam] == 1
+            for mu in enumerate_partitions(n):
+                if not dominance_leq(mu, lam):
+                    assert M[lam][mu] == 0
     assert multiplicity_matrix(2, 2)[P(2)][P(1, 1)] == 3
     elapsed = time.perf_counter() - start
     assert elapsed < 10, f"took {elapsed:.1f}s, budget 10 s"

@@ -1,7 +1,9 @@
 import json
 from pathlib import Path
 
+from germkit import cli
 from germkit.cli import main
+from germkit.partitions import Partition
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -53,6 +55,12 @@ class TestGoldenOutputs:
         report = json.loads(out)
         assert report["pass"] is True
         assert len(report["items"]) == 9
+
+    def test_ximatrix_n4_json(self, capsys):
+        code, out, _ = run(capsys, "oracle", "--n", "4", "--q", "2", "--check", "ximatrix", "--json")
+        assert code == 0
+        assert out == golden("ximatrix_n4_q2.json")
+        assert len(json.loads(out)["items"]) == 25
 
     def test_qcount(self, capsys):
         code, out, _ = run(capsys, "qcount", "--partition", "2,1", "--q", "2")
@@ -122,6 +130,21 @@ class TestOracleCommand:
         assert report["pass"] is True
         counts = {tuple(i["partition"]): i["observed"] for i in report["items"]}
         assert counts == {(3,): 1, (2, 1): 7, (1, 1, 1): 21}
+
+    def test_ximatrix_check_fails_when_the_closed_form_disagrees(self, capsys, monkeypatch):
+        real = cli.closed_form_multiplicity_matrix
+
+        def skewed(n, q):
+            M = real(n, q)
+            M[Partition([2, 1])][Partition([1, 1, 1])] += 1
+            return M
+
+        monkeypatch.setattr(cli, "closed_form_multiplicity_matrix", skewed)
+        code, out, err = run(capsys, "oracle", "--n", "3", "--q", "2", "--check", "ximatrix", "--json")
+        assert code == 2
+        assert "failed" in err
+        failed = [i for i in json.loads(out)["items"] if not i["pass"]]
+        assert [(i["row"], i["col"]) for i in failed] == [([2, 1], [1, 1, 1])]
 
     def test_jordan_check_passes(self, capsys):
         code, out, _ = run(capsys, "oracle", "--n", "2", "--q", "3", "--check", "jordan", "--json")

@@ -7,20 +7,22 @@ from germkit.germ import (
     CoefficientMap,
     PositivityError,
     check_minimal_positivity,
+    closed_form_multiplicity_matrix,
     dim_fixed,
     dimension_polynomial,
     forward_multiplicities,
     gk_dimension,
     induce_maps,
     jl_transfer,
+    kostka_foulkes,
     lj_transfer,
     solve_from_multiplicities,
     square_integrable_top_coeff,
     whittaker_dims,
 )
 from germkit.oracle import multiplicity_matrix
-from germkit.partitions import Partition, enumerate_partitions
-from germkit.qpoly import QPoly
+from germkit.partitions import Partition, dominance_leq, enumerate_partitions, kostka_number
+from germkit.qpoly import QPoly, q_multinomial
 
 
 def P(*parts):
@@ -287,3 +289,56 @@ class TestWhittaker:
     def test_positivity_failure(self):
         with pytest.raises(PositivityError):
             whittaker_dims(CoefficientMap(2, {P(2): 1, P(1, 1): -1}))
+
+
+def n_of(rho):
+    return sum(i * p for i, p in enumerate(rho))
+
+
+class TestKostkaFoulkes:
+    def test_diagonal_is_one(self):
+        for n in range(1, 8):
+            for lam in enumerate_partitions(n):
+                assert kostka_foulkes(lam, lam) == QPoly.one()
+
+    def test_one_row_shape_is_a_monomial(self):
+        for n in range(1, 8):
+            for mu in enumerate_partitions(n):
+                assert kostka_foulkes(Partition([n]), mu) == QPoly.monomial(n_of(mu))
+
+    def test_value_at_one_is_the_kostka_number(self):
+        for n in range(1, 7):
+            for lam in enumerate_partitions(n):
+                for mu in enumerate_partitions(n):
+                    k = kostka_foulkes(lam, mu)
+                    assert k.eval_at(1) == kostka_number(lam, mu)
+                    # degree n(mu) - n(lam) wherever it is nonzero
+                    assert k.degree == (n_of(mu) - n_of(lam) if dominance_leq(mu, lam) else -1)
+
+    def test_examples(self):
+        assert kostka_foulkes(P(2, 1), P(1, 1, 1)) == QPoly([0, 1, 1])
+        assert kostka_foulkes(P(2, 2), P(2, 1, 1)) == QPoly([0, 1])
+        assert kostka_foulkes(P(3, 1), P(2, 1, 1)) == QPoly([0, 1, 1])
+
+
+class TestClosedFormMatrix:
+    def test_unitriangular(self):
+        for n in range(1, 7):
+            for q in (2, 3, 4):
+                M = closed_form_multiplicity_matrix(n, q)
+                for lam in enumerate_partitions(n):
+                    for mu in enumerate_partitions(n):
+                        expected = 1 if lam == mu else (0 if not dominance_leq(mu, lam) else None)
+                        assert expected is None or M[lam][mu] == expected
+
+    def test_zero_shape_row_counts_all_cosets(self):
+        # A_(n) = 0 fixes every flag, so its row holds the coset counts
+        for n in range(1, 7):
+            for q in (2, 3, 4, 9):
+                M = closed_form_multiplicity_matrix(n, q)
+                for mu in enumerate_partitions(n):
+                    assert M[Partition([n])][mu] == q_multinomial(mu).eval_at(q)
+
+    def test_rejects_non_prime_power(self):
+        with pytest.raises(ValueError):
+            closed_form_multiplicity_matrix(3, 6)

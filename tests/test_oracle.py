@@ -8,6 +8,7 @@ from germkit.oracle import (
     OracleBoundError,
     ParabolicShape,
     build_A_lambda,
+    centralizer_order,
     count_parabolic_cosets,
     flag_orbit_count,
     gl_order,
@@ -21,6 +22,7 @@ from germkit.oracle import (
     random_nilpotent,
     xi_multiplicity,
 )
+from germkit.germ import closed_form_multiplicity_matrix
 from germkit.partitions import Partition, d_of, dominance_leq, enumerate_partitions
 
 
@@ -252,12 +254,75 @@ class TestXiMultiplicities:
                             assert M[lam][mu] == 0
 
     def test_cap(self):
+        # n_(1^8) has 2^28 elements, above the default cap; n_(4) = {0} streams one
         with pytest.raises(OracleBoundError):
-            xi_multiplicity(P(2, 2), P(4), 4, 3)  # 3^16 candidates exceeds the default cap
+            xi_multiplicity(P(2, 2, 2, 2), Partition([1] * 8), 8, 2)
+        assert 2**28 > DEFAULT_CAP
+        assert xi_multiplicity(P(2, 2), P(4), 4, 3) == 0
+
+    def test_matrix_cap_counts_every_nilradical_before_streaming(self):
+        # n = 3, q = 2 streams 1 + 4 + 8 = 13 nilradical elements in all
+        with pytest.raises(OracleBoundError):
+            multiplicity_matrix(3, 2, cap=12)
+        assert multiplicity_matrix(3, 2, cap=13) == multiplicity_matrix(3, 2)
 
     def test_mismatched_n(self):
         with pytest.raises(ValueError):
             xi_multiplicity(P(2), P(2, 1), 2, 2)
+
+
+def _gl_reference_matrix(n, q):
+    """M[lam][mu] by the defining count over all of GL_n(F_q), for small n and q."""
+    from germkit.oracle import _det, _inverse, _mat_mul
+
+    parts = enumerate_partitions(n)
+    shapes = {mu: ParabolicShape(mu) for mu in parts}
+    a_rows = {lam: build_A_lambda(lam, q).rows for lam in parts}
+    hits = {(lam, mu): 0 for lam in parts for mu in parts}
+    for k in iter_matrices(n, q):
+        if _det(k, q) == 0:
+            continue
+        kinv = _inverse(k, q)
+        for lam in parts:
+            conj = FqMatrix(q, _mat_mul(_mat_mul(k, a_rows[lam], q), kinv, q))
+            for mu in parts:
+                if shapes[mu].nilradical_contains(conj):
+                    hits[lam, mu] += 1
+    out = {}
+    for (lam, mu), h in hits.items():
+        assert h % parabolic_order(mu, q) == 0
+        out.setdefault(lam, {})[mu] = h // parabolic_order(mu, q)
+    return out
+
+
+class TestMultiplicityRoutes:
+    @pytest.mark.parametrize("n,q", [(1, 2), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)])
+    def test_nilradical_route_equals_group_enumeration(self, n, q):
+        assert multiplicity_matrix(n, q) == _gl_reference_matrix(n, q)
+
+    @pytest.mark.parametrize("n,q", [(4, 3), (3, 5), (5, 2), (3, 7)])
+    def test_nilradical_route_equals_closed_form(self, n, q):
+        assert multiplicity_matrix(n, q) == closed_form_multiplicity_matrix(n, q)
+
+    def test_xi_multiplicity_is_a_matrix_entry(self):
+        M = multiplicity_matrix(4, 2)
+        for lam in enumerate_partitions(4):
+            for mu in enumerate_partitions(4):
+                assert xi_multiplicity(lam, mu, 4, 2) == M[lam][mu]
+
+    def test_centralizer_orders(self):
+        for n in range(1, 6):
+            for q in (2, 3, 5):
+                # A_(n) = 0 is centralized by everything
+                assert centralizer_order(Partition([n]), q) == gl_order(n, q)
+                # the orbits of the A_lam partition the q^(n^2 - n) nilpotents
+                orbits = 0
+                for lam in enumerate_partitions(n):
+                    assert gl_order(n, q) % centralizer_order(lam, q) == 0
+                    orbits += gl_order(n, q) // centralizer_order(lam, q)
+                assert orbits == q ** (n * n - n)
+        # one Jordan block: the centralizer is F_q[A]^x, of order q^(n-1) (q - 1)
+        assert centralizer_order(Partition([1] * 4), 3) == 3**3 * 2
 
 
 class TestCensus:
