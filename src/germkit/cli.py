@@ -1,8 +1,9 @@
 """Command-line front end with deterministic text/JSON output.
 
 Exit codes: 0 success, 1 validation error (bad flags, bad input files,
-enumeration above the cap), 2 invariant violation (a failed oracle
-check, or a positivity failure reported by `germ whittaker`).
+enumeration above the cap, stdout closed by the reader), 2 invariant
+violation (a failed oracle check, an inexact division in a closed form,
+or a positivity failure reported by `germ whittaker`).
 
 The oracle enumeration cap defaults to 10**7 streamed elements and can
 be overridden with the GERMKIT_ORACLE_CAP environment variable.  It
@@ -21,7 +22,7 @@ import os
 import sys
 
 from . import gl2, oracle
-from .cosets import Family, SubgroupSpec, count_at_depth
+from .cosets import Family, SubgroupSpec, count_at_depth, is_prime_power
 from .germ import (
     CoefficientMap,
     PositivityError,
@@ -137,6 +138,8 @@ def _cmd_partitions(args) -> int:
 
 def _cmd_qcount(args) -> int:
     lam = _parse_partition(args.partition)
+    if args.q is not None and not is_prime_power(args.q):
+        raise UsageError(f"q must be a prime power >= 2, got {args.q}")
     poly = q_multinomial(lam)
     if args.json:
         rec = {"partition": lam.to_json(), "poly": poly.to_json(), "pretty": poly.pretty("q")}
@@ -477,7 +480,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the final flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"germkit: error: {exc}", file=sys.stderr)
         return 1
@@ -487,7 +496,7 @@ def main(argv=None) -> int:
             return 2
         print(f"germkit: error: {exc}", file=sys.stderr)
         return 1
-    except (CheckFailure, OracleConsistencyError) as exc:
+    except (CheckFailure, OracleConsistencyError, ArithmeticError) as exc:
         print(f"germkit: {exc}", file=sys.stderr)
         return 2
 

@@ -33,16 +33,14 @@ from .partitions import Partition, d_of
 from .qpoly import QPoly, q_multinomial
 
 
+def is_prime(q: int) -> bool:
+    return q >= 2 and all(q % k for k in range(2, math.isqrt(q) + 1))
+
+
 def is_prime_power(q: int) -> bool:
     if q < 2:
         return False
-    p = q
-    for cand in range(2, q + 1):
-        if cand * cand > q:
-            break
-        if q % cand == 0:
-            p = cand
-            break
+    p = next((k for k in range(2, math.isqrt(q) + 1) if q % k == 0), q)
     while q % p == 0:
         q //= p
     return q == 1

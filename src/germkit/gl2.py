@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cosets import Family, is_prime_power
+from .cosets import Family, is_prime, is_prime_power
 from .germ import CoefficientMap
 from .partitions import Partition
 
@@ -208,7 +208,7 @@ def modp_supersingular_dims(twist_of_pi0: bool, family: Family, j: int, p: int) 
     I-half chain: -2 + 4 p^j; K chain: a' + 2(p+1) p^j with a' = -3 for
     twists of the base class and -4 otherwise.
     """
-    if p < 3 or p % 2 == 0 or any(p % k == 0 for k in range(3, int(p**0.5) + 1, 2)):
+    if p == 2 or not is_prime(p):
         raise ValueError(f"mod-p supersingular data requires an odd prime p, got {p}")
     if j < 0:
         raise ValueError(f"depth must be >= 0, got {j}")

@@ -6,7 +6,12 @@ package are checked against raw enumeration:
 
 * coset counts: the orbit of the standard flag of shape lam under
   GL_n(F_q) is enumerated exhaustively (every coset touched exactly
-  once) and compared with the group-order quotient |GL_n| / |P_lam|;
+  once) and compared with the group-order quotient |GL_n| / |P_lam|.
+  The search uses three generators, the n-cycle c, t = I + E_12 and
+  d = diag(g, 1, ..., 1) for a primitive root g, which generate GL_n(F_q)
+  because commutators of the c^k t c^-k = I + E_(i,i+1 mod n) give every
+  elementary transvection (so SL_n(F_q), q prime) and d every
+  determinant; each acts on a flag's basis rows as a column operation;
 
 * Jordan types: the partition of a nilpotent matrix is read off the
   kernel-dimension jumps rank X^(i-1) - rank X^i;
@@ -58,9 +63,10 @@ size for flag enumeration.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterable, Iterator
 
+from .cosets import is_prime
 from .partitions import Partition, d_of, dual, enumerate_partitions
 
 DEFAULT_CAP = 10**7
@@ -75,7 +81,7 @@ class OracleConsistencyError(RuntimeError):
 
 
 def _check_prime(q: int) -> None:
-    if q < 2 or any(q % k == 0 for k in range(2, int(q**0.5) + 1)):
+    if not is_prime(q):
         raise ValueError(f"the oracle works over prime fields only, got q = {q}")
 
 
@@ -113,20 +119,10 @@ def _det(rows, q):
 
 
 def _inverse(rows, q):
-    n = len(rows)
-    mat = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] % q), None)
-        if pivot is None:
-            return None
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv = pow(mat[col][col], q - 2, q)
-        mat[col] = [(x * inv) % q for x in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(x - f * y) % q for x, y in zip(mat[r], mat[col])]
-    return tuple(tuple(row[n:]) for row in mat)
+    """Inverse by reducing [A | I]; None when A is singular."""
+    n, ident = len(rows), _identity(len(rows))
+    red = _rref([tuple(r) + e for r, e in zip(rows, ident)], q)
+    return tuple(r[n:] for r in red) if all(r[:n] == e for r, e in zip(red, ident)) else None
 
 
 def _rref(rows, q):
@@ -382,22 +378,16 @@ def _primitive_root(q: int) -> int:
     raise ValueError(f"no primitive root mod {q}")
 
 
-def _gl_generators(n: int, q: int):
-    """Elementary transvections plus a primitive diagonal generate GL_n(F_q)."""
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            rows = [list(r) for r in _identity(n)]
-            rows[i][j] = 1
-            gens.append(tuple(tuple(r) for r in rows))
+def _column_ops(n: int, q: int) -> dict:
+    """{name: row -> row * G} for the generators c, t, d of `flag_orbit_count`."""
+    ops = {}
+    if n > 1:
+        ops["c"] = lambda row: row[-1:] + row[:-1]
+        ops["t"] = lambda row: (row[0], (row[0] + row[1]) % q) + row[2:]
     g = _primitive_root(q)
     if g != 1:
-        rows = [list(r) for r in _identity(n)]
-        rows[0][0] = g
-        gens.append(tuple(tuple(r) for r in rows))
-    return gens
+        ops["d"] = lambda row: ((g * row[0]) % q,) + row[1:]
+    return ops
 
 
 def iter_matrices(n: int, q: int, cap: int = DEFAULT_CAP) -> Iterator[tuple]:
@@ -415,26 +405,27 @@ def iter_matrices(n: int, q: int, cap: int = DEFAULT_CAP) -> Iterator[tuple]:
 def flag_orbit_count(lam: Partition, q: int, cap: int = DEFAULT_CAP) -> int:
     """Exhaustive count of flags of shape lam in F_q^n.
 
-    Breadth-first closure of the standard flag under generators of
-    GL_n(F_q); each flag is a tuple of reduced-row-echelon bases, so
-    every coset of the flag stabilizer is seen exactly once.
+    Breadth-first closure of the standard flag under the n-cycle c (ones
+    at (i, i+1 mod n)), t = I + E_12 and d = diag(g, 1, ..., 1) for a
+    primitive root g; d is dropped at q = 2, c and t at n = 1.  They
+    generate GL_n(F_q): commutators of the c^k t c^-k = I + E_(i,i+1 mod n)
+    give every elementary transvection, hence SL_n(F_q) for prime q, and
+    d adds every determinant.  Each acts on a flag's basis rows as a
+    column operation (rotate right, column 2 += column 1, scale column 1
+    by g) and the rows are re-reduced; each flag is a tuple of
+    reduced-row-echelon bases, so every coset of the flag stabilizer is
+    seen exactly once.
     """
     _check_prime(q)
-    n = lam.n
-    dims = []
-    acc = 0
-    for part in lam.parts[:-1]:
-        acc += part
-        dims.append(acc)
-    std = tuple(_identity(n)[:m] for m in dims)
-    gens = _gl_generators(n, q)
+    std = tuple(_identity(lam.n)[:m] for m in accumulate(lam.parts[:-1]))
+    ops = tuple(_column_ops(lam.n, q).values())
     seen = {std}
     frontier = [std]
     while frontier:
         fresh = []
         for flag in frontier:
-            for g in gens:
-                img = tuple(_rref(_mat_mul(sub, g, q), q) for sub in flag)
+            for op in ops:
+                img = tuple(_rref([op(row) for row in sub], q) for sub in flag)
                 if img not in seen:
                     seen.add(img)
                     if len(seen) > cap:

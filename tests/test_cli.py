@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from germkit import cli
@@ -131,6 +134,13 @@ class TestOracleCommand:
         counts = {tuple(i["partition"]): i["observed"] for i in report["items"]}
         assert counts == {(3,): 1, (2, 1): 7, (1, 1, 1): 21}
 
+    def test_cosets_check_reaches_n5_q2(self, capsys):
+        code, out, _ = run(capsys, "oracle", "--n", "5", "--q", "2", "--check", "cosets", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert len(report["items"]) == 7
+        assert report["pass"] is True and all(i["pass"] for i in report["items"])
+
     def test_ximatrix_check_fails_when_the_closed_form_disagrees(self, capsys, monkeypatch):
         real = cli.closed_form_multiplicity_matrix
 
@@ -205,3 +215,34 @@ class TestExitCodes:
         code, _, err = run(capsys, "gl2", "table", "--q", "3", "--d", "2", "--modp")
         assert code == 1
         assert "d = 1" in err
+
+    def test_qcount_rejects_q_that_is_not_a_prime_power(self, capsys):
+        code, out, err = run(capsys, "qcount", "--partition", "2,1", "--q", "6")
+        assert code == 1
+        assert out == "" and "prime power" in err
+        code, out, _ = run(capsys, "qcount", "--partition", "2,1", "--q", "4")
+        assert code == 0
+        assert "value at q=4: 21" in out
+
+    def test_arithmetic_error_is_exit_2(self, capsys, monkeypatch):
+        def inexact(n, q):
+            raise ArithmeticError("inexact division")
+
+        monkeypatch.setattr(cli, "closed_form_multiplicity_matrix", inexact)
+        code, _, err = run(capsys, "oracle", "--n", "2", "--q", "2", "--check", "ximatrix")
+        assert code == 2
+        assert err == "germkit: inexact division\n"
+
+    def test_closed_stdout_pipe_is_exit_1_without_traceback(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "germkit.cli", "partitions", "--n", "30", "--show", "d"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline().startswith(b"partition")
+        proc.stdout.close()  # the output is far larger than a pipe buffer, so later writes hit the closed pipe
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert b"Traceback" not in err

@@ -16,7 +16,6 @@ from germkit.oracle import (
     multiplicity_matrix,
     nilpotent_census,
     nilpotent_partition,
-    parabolic_coset_report,
     parabolic_order,
     random_invertible,
     random_nilpotent,
@@ -58,6 +57,8 @@ class TestFqMatrix:
                 assert g * g.inverse() == FqMatrix.identity(3, q)
         with pytest.raises(ZeroDivisionError):
             FqMatrix.zero(2, 3).inverse()
+        with pytest.raises(ZeroDivisionError):
+            FqMatrix(3, [[1, 0, 0], [0, 1, 0], [1, 2, 0]]).inverse()  # rank 2, two unit pivots
 
     def test_det_multiplicative(self):
         rng = random.Random(7)
@@ -179,11 +180,31 @@ class TestCosetCounts:
             assert count_parabolic_cosets(Partition([n]), n, 3) == 1
 
     def test_report_routes_agree(self):
-        for n in (2, 3, 4):
-            for q in (2, 3):
-                for lam in enumerate_partitions(n):
-                    observed, quotient = parabolic_coset_report(lam, n, q)
-                    assert observed == quotient
+        grid = [(n, 2) for n in range(1, 6)] + [(n, 3) for n in range(1, 5)]
+        grid += [(n, q) for n in range(1, 4) for q in (5, 7)]
+        for n, q in grid:
+            for lam in enumerate_partitions(n):
+                assert count_parabolic_cosets(lam, n, q) == gl_order(n, q) // parabolic_order(lam, q)
+
+    def test_column_ops_are_right_multiplication_by_the_generators(self):
+        from germkit.oracle import _column_ops, _mat_mul, _primitive_root
+
+        rng = random.Random(2024)
+        for n in (1, 2, 3, 4):
+            for q in (2, 3, 5):
+                g = _primitive_root(q)
+                c = tuple(tuple(int(j == (i + 1) % n) for j in range(n)) for i in range(n))
+                t = tuple(tuple(int(i == j or (i, j) == (0, 1)) for j in range(n)) for i in range(n))
+                d = tuple(tuple((g if i == 0 else 1) * int(i == j) for j in range(n)) for i in range(n))
+                gens = {"d": d} if n == 1 else {"c": c, "t": t, "d": d}
+                if q == 2:
+                    del gens["d"]
+                ops = _column_ops(n, q)
+                assert ops.keys() == gens.keys()
+                for _ in range(50):
+                    sub = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randint(1, n)))
+                    for name, op in ops.items():
+                        assert tuple(op(row) for row in sub) == _mat_mul(sub, gens[name], q)
 
     def test_against_literal_group_stream(self):
         # third route: map every group element to its flag and count distinct images
@@ -210,10 +231,11 @@ class TestCosetCounts:
             count_parabolic_cosets(P(2, 1), 4, 2)
 
     def test_cap(self):
-        with pytest.raises(OracleBoundError):
+        with pytest.raises(OracleBoundError, match="coset space"):
             count_parabolic_cosets(P(1, 1, 1), 3, 2, cap=5)
-        with pytest.raises(OracleBoundError):
+        with pytest.raises(OracleBoundError, match="flag orbit"):
             flag_orbit_count(P(1, 1, 1), 3, cap=5)
+        assert flag_orbit_count(P(1, 1, 1), 3, cap=52) == 52  # (1+3)(1+3+9) flags: a cap equal to the orbit passes
 
 
 class TestXiMultiplicities:
