@@ -156,6 +156,8 @@ def _cmd_qcount(args) -> int:
 
 
 def _cmd_cosets(args) -> int:
+    if args.j < 0:
+        raise UsageError(f"--j must be >= 0, got {args.j}")
     families = [Family.parse(args.family)] if args.family else list(Family)
     records = []
     for lam in enumerate_partitions(args.n):
@@ -350,10 +352,8 @@ def _cmd_gl2(args) -> int:
         a, b = gl2.ab_coefficients(rep, args.q)
         dims = {}
         for token, fam in chain:
-            try:
-                dims[token] = gl2.dim_invariants(rep, fam, args.j, args.q, args.d)
-            except ValueError:
-                dims[token] = None  # below the validity threshold at this depth
+            value = gl2.chain_dim_formula(a, b, fam, args.j, args.q, args.d)
+            dims[token] = value if value >= 0 else None  # below the class's validity threshold
         records.append({"label": label, "a": a, "b": b, "j": args.j, "dims": dims})
     if args.modp:
         if args.d != 1:

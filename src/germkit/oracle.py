@@ -14,7 +14,10 @@ package are checked against raw enumeration:
   determinant; each acts on a flag's basis rows as a column operation;
 
 * Jordan types: the partition of a nilpotent matrix is read off the
-  kernel-dimension jumps rank X^(i-1) - rank X^i;
+  kernel-dimension jumps rank X^(i-1) - rank X^i.  A stream of matrices
+  (the census of M_n(F_q), a nilradical) is walked row by row, each
+  prefix's echelon basis shared by its completions, and the ranks come
+  from rowspace(X^(i+1)) = rowspace(X^i) X without forming powers;
 
 * depth-one character multiplicities: for partitions lam, mu of n, the
   multiplicity m(lam, mu) of the depth-one congruence character
@@ -41,9 +44,9 @@ package are checked against raw enumeration:
   The group is never enumerated.  Each X in the orbit of A_lam equals
   k A_lam k^(-1) for exactly |Z_GL(A_lam)| elements k, so the count
   above is #(n_mu(F_q) & orbit(A_lam)) * |Z_GL(A_lam)|.  The oracle
-  streams the q^(d_mu) elements of n_mu(F_q) once per mu, buckets them
-  by kernel-jump partition (the orbit of A_lam is the bucket lam), and
-  multiplies by the centralizer order
+  streams the q^(d_mu) elements of n_mu(F_q) once per mu through that
+  row-by-row walk, buckets them by kernel-jump partition (the orbit of
+  A_lam is the bucket lam), and multiplies by the centralizer order
 
       |Z_GL(A_lam)| = q^(sum_i lam_i^2 - sum_k m_k (m_k + 1) / 2)
                       * prod_k prod_{i=1..m_k} (q^i - 1),
@@ -98,23 +101,38 @@ def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def _extend(basis, row, q):
+    """One forward-elimination step: a new list, basis plus the reduced row, or basis if row is in its span.
+
+    Entries are (pivot column, pivot inverse, row), each row zero before its
+    pivot and at the earlier pivots, so one pass in order zeroes row at all.
+    basis is never mutated, so prefixes of rows can share theirs.
+    """
+    for p, inv, b in basis:
+        x = row[p]
+        if x:
+            f = x * inv % q
+            row = [(a - f * c) % q for a, c in zip(row, b)]
+    for p, x in enumerate(row):
+        if x:
+            return basis + [(p, pow(x, -1, q), row)]
+    return basis
+
+
 def _det(rows, q):
-    mat = [list(r) for r in rows]
-    n = len(mat)
+    """Determinant from the rows forward-eliminated in order by `_extend`.
+
+    The reduced rows are triangular in pivot-column order, so det is the
+    product of the pivots times the sign of the row -> pivot-column permutation.
+    """
+    basis = []
+    for row in rows:
+        basis = _extend(basis, row, q)
+    if len(basis) < len(rows):
+        return 0
     det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] % q), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det = (det * mat[col][col]) % q
-        inv = pow(mat[col][col], q - 2, q)
-        for r in range(col + 1, n):
-            if mat[r][col]:
-                f = (mat[r][col] * inv) % q
-                mat[r] = [(x - f * y) % q for x, y in zip(mat[r], mat[col])]
+    for i, (p, _, b) in enumerate(basis):
+        det *= -b[p] if sum(e[0] > p for e in basis[:i]) % 2 else b[p]
     return det % q
 
 
@@ -127,42 +145,53 @@ def _inverse(rows, q):
 
 def _rref(rows, q):
     """Canonical reduced row echelon form; zero rows dropped."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return ()
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] % q), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], q - 2, q)
-        mat[rank] = [(x * inv) % q for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(x - f * y) % q for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return tuple(tuple(r) for r in mat[:rank])
+    basis = []
+    for row in rows:
+        basis = _extend(basis, row, q)
+    reduced = []  # back-substitution, last pivot first
+    for _, inv, b in sorted(basis, key=lambda e: -e[0]):
+        reduced = _extend(reduced, [x * inv % q for x in b], q)
+    return tuple(tuple(b) for _, _, b in reversed(reduced))
+
+
+def _jump_census(choices, q):
+    """{kernel jumps: count} over every square X whose row i runs over choices[i].
+
+    The kernel jumps rank X^(k-1) - rank X^k, while positive, are weakly
+    decreasing and sum to n exactly when X is nilpotent.  The rows are
+    walked depth first, each prefix's echelon basis shared by its
+    completions.  No power of X is formed: rowspace(X^(k+1)) =
+    rowspace(X^k) X, so each step multiplies the basis by X and re-reduces,
+    until the rank stops falling.  choices[0] may be an iterator.
+    """
+    n, X, census = len(choices), [None] * len(choices), {}
+
+    def walk(i, basis):
+        if i < n:
+            for row in choices[i]:
+                X[i] = row
+                walk(i + 1, _extend(basis, row, q))
+            return
+        jumps, prev = (), n
+        while len(basis) < prev:
+            jumps, prev, image = jumps + (prev - len(basis),), len(basis), []
+            for _, _, b in basis:
+                v = None
+                for x, r in zip(b, X):
+                    if x:
+                        v = [x * c for c in r] if v is None else [a + x * c for a, c in zip(v, r)]
+                image = _extend(image, [a % q for a in v], q)
+            basis = image
+        census[jumps] = census.get(jumps, 0) + 1
+
+    walk(0, [])
+    return census
 
 
 def _kernel_jumps(rows, q):
-    """The kernel-dimension jumps rank X^(i-1) - rank X^i of a square X, while positive.
-
-    They are weakly decreasing for every square matrix and sum to n
-    exactly when X is nilpotent; the walk stops once the rank of the
-    powers stops falling.
-    """
-    prev, acc, jumps = len(rows), rows, []
-    while True:
-        rank = len(_rref(acc, q))
-        if rank == prev:
-            return jumps
-        jumps.append(prev - rank)
-        if rank == 0:
-            return jumps
-        prev, acc = rank, _mat_mul(acc, rows, q)
+    """The kernel jumps rank X^(k-1) - rank X^k of one square matrix, while positive."""
+    (jumps,) = _jump_census([[r] for r in rows], q)
+    return jumps
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +419,18 @@ def _column_ops(n: int, q: int) -> dict:
     return ops
 
 
-def iter_matrices(n: int, q: int, cap: int = DEFAULT_CAP) -> Iterator[tuple]:
-    """Stream all of M_n(F_q) as row tuples; q^(n^2) items checked against the cap."""
+def _check_matrix_cap(n: int, q: int, cap: int) -> None:
     _check_prime(q)
     total = q ** (n * n)
     if total > cap:
         raise OracleBoundError(
             f"enumerating M_{n}(F_{q}) needs {total} elements, above the cap {cap}"
         )
+
+
+def iter_matrices(n: int, q: int, cap: int = DEFAULT_CAP) -> Iterator[tuple]:
+    """Stream all of M_n(F_q) as row tuples; q^(n^2) items checked against the cap."""
+    _check_matrix_cap(n, q, cap)
     for flat in product(range(q), repeat=n * n):
         yield tuple(flat[i * n : (i + 1) * n] for i in range(n))
 
@@ -479,17 +512,20 @@ def _check_nilradical_cap(mus: list[Partition], q: int, cap: int) -> None:
 
 
 def _xi_column(mu: Partition, q: int) -> dict[Partition, int]:
-    """{lam: m(lam, mu)} over the lam with a nonzero entry, from one pass over n_mu(F_q)."""
+    """{lam: m(lam, mu)} over the lam with a nonzero entry, from one pass over n_mu(F_q).
+
+    Row i of n_mu is free in a suffix of columns.  `_jump_census` streams
+    the product of those row patterns, sharing each prefix's echelon basis
+    and taking ranks from rowspace(X^(k+1)) = rowspace(X^k) X, and the
+    elements are bucketed by kernel-jump partition.
+    """
     n = mu.n
     shape = ParabolicShape(mu)
-    free = [(i, j) for i in range(n) for j in range(n) if shape.in_n(i, j)]
-    rows = [[0] * n for _ in range(n)]
-    census: dict[tuple, int] = {}
-    for values in product(range(q), repeat=len(free)):
-        for (i, j), v in zip(free, values):
-            rows[i][j] = v
-        key = tuple(_kernel_jumps(rows, q))
-        census[key] = census.get(key, 0) + 1
+    choices = []
+    for i in range(n):
+        fixed = n - sum(shape.in_n(i, j) for j in range(n))
+        choices.append([(0,) * fixed + tail for tail in product(range(q), repeat=n - fixed)])
+    census = _jump_census(choices, q)
     order_p = parabolic_order(mu, q)
     column = {}
     for jumps, count in census.items():
@@ -538,8 +574,18 @@ def multiplicity_matrix(n: int, q: int, cap: int = DEFAULT_CAP) -> dict[Partitio
 
 
 def nilpotent_census(n: int, q: int, cap: int = DEFAULT_CAP) -> int:
-    """Number of nilpotent matrices in M_n(F_q); the closed form is q^(n^2 - n)."""
-    return sum(1 for rows in iter_matrices(n, q, cap) if sum(_kernel_jumps(rows, q)) == n)
+    """Number of nilpotent matrices in M_n(F_q); the closed form is q^(n^2 - n).
+
+    All q^(n^2) matrices go through `_jump_census`, every row over F_q^n:
+    each prefix's echelon basis is shared by its completions, and ranks come
+    from rowspace(X^(k+1)) = rowspace(X^k) X.  The first row stays lazy, so
+    n = 1 holds no list of q rows.
+    """
+    _check_matrix_cap(n, q, cap)
+    first = [product(range(q), repeat=n)] if n > 0 else []
+    rest = [list(product(range(q), repeat=n))] * (n - 1) if n > 1 else []
+    census = _jump_census(first + rest, q)
+    return sum(count for jumps, count in census.items() if sum(jumps) == n)
 
 
 def random_invertible(n: int, q: int, rng) -> FqMatrix:

@@ -224,6 +224,21 @@ class TestExitCodes:
         assert code == 0
         assert "value at q=4: 21" in out
 
+    def test_gl2_table_rejects_negative_depth(self, capsys):
+        code, out, err = run(capsys, "gl2", "table", "--q", "3", "--d", "1", "--j", "-1")
+        assert code == 1
+        assert out == "" and err == "germkit: error: depth must be >= 0, got -1\n"
+
+    def test_gl2_table_rejects_d_below_one(self, capsys):
+        code, out, err = run(capsys, "gl2", "table", "--q", "9", "--d", "0")
+        assert code == 1
+        assert out == "" and err == "germkit: error: d must be >= 1, got 0\n"
+
+    def test_cosets_rejects_negative_depth(self, capsys):
+        code, out, err = run(capsys, "cosets", "--n", "2", "--q", "4", "--j", "-1")
+        assert code == 1
+        assert out == "" and err == "germkit: error: --j must be >= 0, got -1\n"
+
     def test_arithmetic_error_is_exit_2(self, capsys, monkeypatch):
         def inexact(n, q):
             raise ArithmeticError("inexact division")

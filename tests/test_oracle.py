@@ -1,6 +1,9 @@
 import random
+from collections import Counter
+from itertools import permutations, product, takewhile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germkit.oracle import (
     DEFAULT_CAP,
@@ -27,6 +30,46 @@ from germkit.partitions import Partition, d_of, dominance_leq, enumerate_partiti
 
 def P(*parts):
     return Partition(parts)
+
+
+def _leibniz_det(rows, q):
+    """det as the signed sum over permutations, independent of any elimination."""
+    n, total = len(rows), 0
+    for perm in permutations(range(n)):
+        term = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total % q
+
+
+def _gauss_jordan(rows, q):
+    """Textbook reduced row echelon form, column by column; zero rows dropped."""
+    mat, rank = [list(r) for r in rows], 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] % q), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], q - 2, q)
+        mat[rank] = [(x * inv) % q for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [(x - f * y) % q for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return tuple(tuple(r) for r in mat[:rank])
+
+
+def _reference_jumps(rows, q):
+    """Kernel jumps from the Gauss-Jordan rank of X^k for k = 0..n, with X^k formed by _mat_mul."""
+    from germkit.oracle import _identity, _mat_mul
+
+    ranks, power = [], _identity(len(rows))
+    for _ in range(len(rows) + 1):
+        ranks.append(len(_gauss_jordan(power, q)))
+        power = _mat_mul(power, rows, q)
+    return tuple(takewhile(lambda jump: jump > 0, (a - b for a, b in zip(ranks, ranks[1:]))))
 
 
 class TestFqMatrix:
@@ -66,6 +109,32 @@ class TestFqMatrix:
             a = random_invertible(3, 5, rng)
             b = random_invertible(3, 5, rng)
             assert (a * b).det() == (a.det() * b.det()) % 5
+
+    def test_det_against_leibniz(self):
+        from germkit.oracle import _det
+
+        for n, q in ((2, 3), (3, 2)):
+            for rows in iter_matrices(n, q):
+                assert _det(rows, q) == _leibniz_det(rows, q)
+        rng = random.Random(8)
+        for n in (4, 5):
+            for q in (3, 5, 7):
+                for _ in range(40):
+                    rows = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
+                    assert FqMatrix(q, rows).det() == _leibniz_det(rows, q)
+
+    def test_rref_against_gauss_jordan(self):
+        from germkit.oracle import _rref
+
+        for n, q in ((2, 3), (3, 2)):
+            for rows in iter_matrices(n, q):
+                assert _rref(rows, q) == _gauss_jordan(rows, q)
+        rng = random.Random(9)
+        for q in (2, 3, 5, 7):
+            for _ in range(200):
+                k, n = rng.randint(1, 6), rng.randint(1, 8)
+                rows = [tuple(rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(n)) for _ in range(k)]
+                assert _rref(rows, q) == _gauss_jordan(rows, q)
 
     def test_rank(self):
         assert FqMatrix.identity(3, 2).rank() == 3
@@ -156,6 +225,39 @@ class TestJordanTypes:
                     g = random_invertible(n, q, rng)
                     conj = g * build_A_lambda(lam, q) * g.inverse()
                     assert nilpotent_partition(conj) == lam
+
+    def test_kernel_jumps_equal_power_reference(self):
+        from germkit.oracle import _kernel_jumps
+
+        for n, q in ((3, 2), (2, 5)):
+            for rows in iter_matrices(n, q):
+                assert _kernel_jumps(rows, q) == _reference_jumps(rows, q)
+        rng = random.Random(4242)
+        for n in range(1, 7):
+            for q in (2, 3, 5, 7):
+                for _ in range(10):
+                    dense = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
+                    sparse = tuple(
+                        tuple(rng.randrange(q) if rng.random() < 0.2 else 0 for _ in range(n)) for _ in range(n)
+                    )
+                    nilpotent = random_nilpotent(n, q, rng).rows
+                    invertible = random_invertible(n, q, rng).rows
+                    for rows in (dense, sparse, nilpotent, invertible):
+                        assert _kernel_jumps(rows, q) == _reference_jumps(rows, q)
+
+    def test_jump_census_equals_per_matrix_census(self):
+        from germkit.oracle import _jump_census, _kernel_jumps
+
+        rng = random.Random(77)
+        for n, q in ((1, 5), (2, 3), (3, 2), (3, 3), (4, 2)):
+            every_row = list(product(range(q), repeat=n))
+            width = min(6, len(every_row))
+            grids = [[rng.sample(every_row, rng.randint(1, width)) for _ in range(n)] for _ in range(5)]
+            if q ** (n * n) <= 512:
+                grids.append([every_row] * n)
+            for choices in grids:
+                expected = Counter(_kernel_jumps(rows, q) for rows in product(*choices))
+                assert _jump_census(choices, q) == expected
 
     def test_random_nilpotents_give_valid_partitions(self):
         rng = random.Random(31337)
@@ -322,7 +424,7 @@ class TestMultiplicityRoutes:
     def test_nilradical_route_equals_group_enumeration(self, n, q):
         assert multiplicity_matrix(n, q) == _gl_reference_matrix(n, q)
 
-    @pytest.mark.parametrize("n,q", [(4, 3), (3, 5), (5, 2), (3, 7)])
+    @pytest.mark.parametrize("n,q", [(4, 3), (3, 5), (5, 2), (3, 7), (6, 2)])
     def test_nilradical_route_equals_closed_form(self, n, q):
         assert multiplicity_matrix(n, q) == closed_form_multiplicity_matrix(n, q)
 
@@ -352,8 +454,39 @@ class TestCensus:
         for n in (1, 2, 3):
             for q in (2, 3):
                 assert nilpotent_census(n, q) == q ** (n * n - n)
+        assert nilpotent_census(4, 2) == 2**12
+        assert nilpotent_census(1, 7) == nilpotent_census(0, 7) == 1
 
     def test_cap(self):
-        with pytest.raises(OracleBoundError):
+        with pytest.raises(OracleBoundError) as census_error:
             nilpotent_census(4, 3)
         assert 3 ** 16 > DEFAULT_CAP
+        with pytest.raises(OracleBoundError) as stream_error:
+            next(iter_matrices(4, 3))
+        assert str(census_error.value) == str(stream_error.value)
+
+
+@st.composite
+def _square_over_small_prime(draw):
+    """(rows, q, seed): a square X over prime q <= 7 with n <= 5, strictly upper triangular half the time."""
+    n = draw(st.integers(1, 5))
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    strict = draw(st.booleans())
+    entry = st.integers(0, q - 1)
+    rows = tuple(tuple(0 if strict and j <= i else draw(entry) for j in range(n)) for i in range(n))
+    return rows, q, draw(st.integers(0, 2**32))
+
+
+class TestKernelJumpProperties:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_square_over_small_prime())
+    def test_jump_laws(self, case):
+        from germkit.oracle import _kernel_jumps
+
+        rows, q, seed = case
+        n, X = len(rows), FqMatrix(q, rows)
+        jumps = _kernel_jumps(rows, q)
+        assert all(a >= b > 0 for a, b in zip(jumps, jumps[1:] + (1,)))
+        assert (sum(jumps) == n) == (X.power(n) == FqMatrix.zero(n, q))
+        g = random_invertible(n, q, random.Random(seed))
+        assert _kernel_jumps((g * X * g.inverse()).rows, q) == jumps
