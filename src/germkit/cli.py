@@ -22,7 +22,7 @@ import os
 import sys
 
 from . import gl2, oracle
-from .cosets import Family, SubgroupSpec, count_at_depth, is_prime_power
+from .cosets import _PRO_P_CHAINS, Family, SubgroupSpec, count_at_depth, is_prime_power
 from .germ import (
     CoefficientMap,
     PositivityError,
@@ -87,8 +87,11 @@ def _read_map(path: str) -> CoefficientMap:
 def _emit(args, text: str) -> None:
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc}")
     else:
         print(text)
 
@@ -222,6 +225,8 @@ def _cmd_germ_induce(args) -> int:
 
 
 def _cmd_germ_lj(args) -> int:
+    if args.d < 1:
+        raise UsageError(f"--d must be >= 1, got {args.d}")
     cmap = _read_map(args.infile)
     if cmap.n % args.d != 0:
         raise UsageError(f"map is on partitions of {cmap.n}, not divisible by d = {args.d}")
@@ -342,18 +347,13 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gl2(args) -> int:
-    chain = [
-        ("Ihalf", Family.PRO_P_IWAHORI_HALF),
-        ("K", Family.VERTEX_CONGRUENCE),
-        ("I", Family.IWAHORI_CONGRUENCE),
-    ]
     records = []
     for label, rep in gl2.catalog(args.q):
         a, b = gl2.ab_coefficients(rep, args.q)
         dims = {}
-        for token, fam in chain:
+        for fam in _PRO_P_CHAINS:
             value = gl2.chain_dim_formula(a, b, fam, args.j, args.q, args.d)
-            dims[token] = value if value >= 0 else None  # below the class's validity threshold
+            dims[fam.token] = value if value >= 0 else None  # below the class's validity threshold
         records.append({"label": label, "a": a, "b": b, "j": args.j, "dims": dims})
     if args.modp:
         if args.d != 1:
@@ -387,9 +387,10 @@ def _cmd_gl2(args) -> int:
 # parser
 
 
-def _add_out(p):
+def _add_out(p, table=True):
     p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
-    p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
+    if table:  # commands without a table always print JSON
+        p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
 
 
 def build_parser() -> _Parser:
@@ -430,25 +431,25 @@ def build_parser() -> _Parser:
 
     g = germ_sub.add_parser("induce", help="coefficient map of a parabolic induction")
     g.add_argument("--in", dest="infile", action="append", required=True, metavar="FILE")
-    _add_out(g)
+    _add_out(g, table=False)
     g.set_defaults(func=_cmd_germ_induce)
 
     g = germ_sub.add_parser("lj", help="transfer a map on partitions of d*n down to n")
     g.add_argument("--in", dest="infile", required=True, metavar="FILE")
     g.add_argument("--d", type=int, required=True)
-    _add_out(g)
+    _add_out(g, table=False)
     g.set_defaults(func=_cmd_germ_lj)
 
     g = germ_sub.add_parser("jl", help="transfer a map on partitions of n up to d*n")
     g.add_argument("--in", dest="infile", required=True, metavar="FILE")
     g.add_argument("--d", type=int, required=True)
-    _add_out(g)
+    _add_out(g, table=False)
     g.set_defaults(func=_cmd_germ_jl)
 
     g = germ_sub.add_parser("solve", help="recover a map from depth-one multiplicities")
     g.add_argument("--in", dest="infile", required=True, metavar="FILE")
     g.add_argument("--q", type=int, required=True, help="prime for the oracle matrix")
-    _add_out(g)
+    _add_out(g, table=False)
     g.set_defaults(func=_cmd_germ_solve)
 
     g = germ_sub.add_parser("whittaker", help="Whittaker dimensions at minimal support")

@@ -61,11 +61,7 @@ class Family(enum.Enum):
 
     @property
     def is_pro_p(self) -> bool:
-        return self in (
-            Family.VERTEX_CONGRUENCE,
-            Family.PRO_P_IWAHORI_HALF,
-            Family.IWAHORI_CONGRUENCE,
-        )
+        return self in _PRO_P_CHAINS
 
     @classmethod
     def parse(cls, token: str) -> "Family":
@@ -76,7 +72,8 @@ class Family(enum.Enum):
                          + ", ".join(f.value for f in cls))
 
 
-PRO_P_FAMILIES = (Family.VERTEX_CONGRUENCE, Family.PRO_P_IWAHORI_HALF, Family.IWAHORI_CONGRUENCE)
+# the three pro-p chains, in the column order of the GL_2 table
+_PRO_P_CHAINS = (Family.PRO_P_IWAHORI_HALF, Family.VERTEX_CONGRUENCE, Family.IWAHORI_CONGRUENCE)
 
 
 @dataclass(frozen=True)

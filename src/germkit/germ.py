@@ -30,7 +30,6 @@ from .partitions import (
     charge,
     d_of,
     dominance_leq,
-    dominance_lt,
     dual,
     enumerate_partitions,
     induce_partition,
@@ -147,13 +146,13 @@ class CoefficientMap:
         if not isinstance(data, dict) or "n" not in data or "entries" not in data:
             raise ValueError('a coefficient map serializes as {"n": int, "entries": [...]}')
         n = data["n"]
-        if not isinstance(n, int):
+        if type(n) is not int:  # JSON true decodes to bool, a subclass of int
             raise ValueError(f'"n" must be an integer, got {n!r}')
         entries = []
         for item in data["entries"]:
             if not isinstance(item, dict) or "partition" not in item or "value" not in item:
                 raise ValueError(f'each entry needs "partition" and "value", got {item!r}')
-            if not isinstance(item["value"], int):
+            if type(item["value"]) is not int:
                 raise ValueError(f'entry value must be an integer, got {item["value"]!r}')
             entries.append((Partition.from_json(item["partition"]), item["value"]))
         return cls(n, entries)
@@ -379,10 +378,8 @@ def solve_from_multiplicities(
     values: dict[Partition, int] = {}
     # reverse canonical order is a linear extension of dominance from below
     for lam in reversed(parts):
-        correction = sum(
-            values[mu] * M[lam].get(mu, 0) for mu in values if dominance_lt(mu, lam)
-        )
-        values[lam] = m[lam] - correction
+        # _check_unitriangular makes M[lam][mu] vanish unless mu < lam
+        values[lam] = m[lam] - sum(values[mu] * M[lam].get(mu, 0) for mu in values)
     return CoefficientMap(n, values)
 
 

@@ -66,10 +66,11 @@ class CuspidalSteinberg:
 
 
 @dataclass(frozen=True)
-class SpehPair:
-    """Speh constituent of a reducible induction; dim_pi2 is the transferred dimension.
+class _SplitPair:
+    """Fields shared by the Speh and essentially square-integrable classes.
 
-    b is the undetermined Whittaker split; None keeps it symbolic.
+    dim_pi2 is the transferred dimension and b the undetermined Whittaker
+    split; b = None keeps the split symbolic.
     """
 
     dim_pi2: int
@@ -82,18 +83,12 @@ class SpehPair:
             raise ValueError(f"a supplied b split must be >= 1, got {self.b}")
 
 
-@dataclass(frozen=True)
-class EssSquareIntegrablePair:
-    """Essentially square-integrable partner of a SpehPair; same conventions."""
+class SpehPair(_SplitPair):
+    """Speh constituent of a reducible induction, with a = dim_pi2."""
 
-    dim_pi2: int
-    b: int | None = None
 
-    def __post_init__(self):
-        if self.dim_pi2 < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dim_pi2}")
-        if self.b is not None and self.b < 1:
-            raise ValueError(f"a supplied b split must be >= 1, got {self.b}")
+class EssSquareIntegrablePair(_SplitPair):
+    """Essentially square-integrable partner of a SpehPair, with a = -dim_pi2."""
 
 
 @dataclass(frozen=True)
@@ -130,8 +125,6 @@ GL2Rep = (
     | SupercuspidalGL2F
 )
 
-_CHAIN_FAMILIES = (Family.PRO_P_IWAHORI_HALF, Family.VERTEX_CONGRUENCE, Family.IWAHORI_CONGRUENCE)
-
 
 def ab_coefficients(rep: GL2Rep, q: int) -> tuple[int, int]:
     """The pair (a, b) = (c((2)), c((1,1))) of the class.
@@ -148,14 +141,13 @@ def ab_coefficients(rep: GL2Rep, q: int) -> tuple[int, int]:
         return -1, 1
     if isinstance(rep, CuspidalSteinberg):
         return -2, 1
-    if isinstance(rep, SpehPair):
+    if isinstance(rep, _SplitPair):
+        speh = isinstance(rep, SpehPair)
         if rep.b is None:
-            raise ValueError("the b split of a Speh pair is undetermined; supply it explicitly")
-        return rep.dim_pi2, rep.b
-    if isinstance(rep, EssSquareIntegrablePair):
-        if rep.b is None:
-            raise ValueError("the b split of an essentially square-integrable pair is undetermined; supply it explicitly")
-        return -rep.dim_pi2, rep.b
+            pair = "a Speh pair" if speh else "an essentially square-integrable pair"
+            raise ValueError(f"the b split of {pair} is undetermined; supply it explicitly")
+        sign = 1 if speh else -1
+        return sign * rep.dim_pi2, rep.b
     if isinstance(rep, SupercuspidalGL2F):
         if not is_prime_power(q):
             raise ValueError(f"q must be a prime power >= 2, got {q}")
@@ -169,7 +161,7 @@ def ab_coefficients(rep: GL2Rep, q: int) -> tuple[int, int]:
 
 def chain_dim_formula(a: int, b: int, family: Family, j: int, q: int, d: int) -> int:
     """Raw value of the chain formula at depth j (may be negative below the validity threshold)."""
-    if family not in _CHAIN_FAMILIES:
+    if not family.is_pro_p:
         raise ValueError(f"chain formulas exist for the pro-p families only, got {family.token}")
     if j < 0:
         raise ValueError(f"depth must be >= 0, got {j}")

@@ -16,25 +16,27 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 
-class Partition:
-    """A weakly decreasing sequence of positive integers."""
+class _Parts:
+    """A nonempty tuple of positive parts, immutable and hashable.
+
+    Subclasses keep their own type: equal parts of different types are
+    unequal.  `_noun` names the type in error messages.
+    """
 
     __slots__ = ("parts",)
+    _noun: str
 
     def __init__(self, parts: Iterable[int]):
         parts = tuple(int(p) for p in parts)
         if not parts:
-            raise ValueError("empty partition is not allowed (n must be >= 1)")
+            raise ValueError(f"empty {self._noun} is not allowed (n must be >= 1)")
         for p in parts:
             if p < 1:
-                raise ValueError(f"partition parts must be >= 1, got {p}")
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
-                raise ValueError(f"partition parts must be weakly decreasing, got {parts}")
+                raise ValueError(f"{self._noun} parts must be >= 1, got {p}")
         object.__setattr__(self, "parts", parts)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def n(self) -> int:
@@ -50,68 +52,50 @@ class Partition:
         return iter(self.parts)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
+        return type(other) is type(self) and self.parts == other.parts
 
     def __hash__(self) -> int:
-        return hash(("Partition", self.parts))
+        return hash((type(self).__name__, self.parts))
 
     def __repr__(self) -> str:
-        return f"Partition({list(self.parts)})"
+        return f"{type(self).__name__}({list(self.parts)})"
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
+
+    @classmethod
+    def _from_int_array(cls, array, wire_form: str, data):
+        # JSON true/false decode to bool, a subclass of int, so test the exact type
+        if not isinstance(array, list) or not all(type(x) is int for x in array):
+            raise ValueError(f"a {cls._noun} serializes as {wire_form}, got {data!r}")
+        return cls(array)
+
+
+class Partition(_Parts):
+    """A weakly decreasing sequence of positive integers."""
+
+    __slots__ = ()
+    _noun = "partition"
+
+    def __init__(self, parts: Iterable[int]):
+        super().__init__(parts)
+        for a, b in zip(self.parts, self.parts[1:]):
+            if a < b:
+                raise ValueError(f"partition parts must be weakly decreasing, got {self.parts}")
 
     def to_json(self) -> list[int]:
         return list(self.parts)
 
     @classmethod
     def from_json(cls, data) -> "Partition":
-        if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
-            raise ValueError(f"a partition serializes as a JSON array of integers, got {data!r}")
-        return cls(data)
+        return cls._from_int_array(data, "a JSON array of integers", data)
 
 
-class Composition:
+class Composition(_Parts):
     """A sequence of positive integers in arbitrary order."""
 
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Iterable[int]):
-        parts = tuple(int(p) for p in parts)
-        if not parts:
-            raise ValueError("empty composition is not allowed (n must be >= 1)")
-        for p in parts:
-            if p < 1:
-                raise ValueError(f"composition parts must be >= 1, got {p}")
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Composition is immutable")
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.parts[i]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Composition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(("Composition", self.parts))
-
-    def __repr__(self) -> str:
-        return f"Composition({list(self.parts)})"
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
+    __slots__ = ()
+    _noun = "composition"
 
     def to_json(self) -> dict:
         # explicit wrapper keeps compositions distinct from partitions on the wire
@@ -119,9 +103,8 @@ class Composition:
 
     @classmethod
     def from_json(cls, data) -> "Composition":
-        if not isinstance(data, dict) or "composition" not in data:
-            raise ValueError('a composition serializes as {"composition": [ints]}, got %r' % (data,))
-        return cls(data["composition"])
+        array = data.get("composition") if isinstance(data, dict) else None
+        return cls._from_int_array(array, '{"composition": [ints]}', data)
 
 
 def enumerate_partitions(n: int) -> list[Partition]:

@@ -151,29 +151,23 @@ class QPoly:
 
     def pretty(self, var: str = "q") -> str:
         """Compact descending form, e.g. 'q^2+2q+1' or 't^2-2t+1'."""
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeff(k)
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else ("+" if pieces else "")
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                head = "" if mag == 1 else str(mag)
-                body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
-            pieces.append(sign + body)
-        return "".join(pieces)
+        return self._format(range(self.degree, -1, -1), var, "")
 
     def pretty_ascending(self, var: str = "X") -> str:
         """Spaced ascending form, e.g. '-1 + 4X' or '2X'."""
+        return self._format(range(len(self.coeffs)), var, " ")
+
+    def _format(self, exponents, var: str, sep: str) -> str:
+        """The nonzero terms in the order of `exponents`, joined by `sep`.
+
+        The first term carries only a leading '-' when negative; each
+        later term starts with '+' or '-' followed by `sep`.
+        """
         if not self.coeffs:
             return "0"
         pieces = []
-        for k, c in enumerate(self.coeffs):
+        for k in exponents:
+            c = self.coeffs[k]
             if c == 0:
                 continue
             mag = abs(c)
@@ -181,19 +175,21 @@ class QPoly:
                 body = str(mag)
             else:
                 head = "" if mag == 1 else str(mag)
-                body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
-            if not pieces:
-                pieces.append(("-" if c < 0 else "") + body)
+                power = var if k == 1 else f"{var}^{k}"
+                body = head + power
+            if pieces:
+                sign = ("-" if c < 0 else "+") + sep
             else:
-                pieces.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(pieces)
+                sign = "-" if c < 0 else ""
+            pieces.append(sign + body)
+        return sep.join(pieces)
 
     def to_json(self) -> list[int]:
         return list(self.coeffs)
 
     @classmethod
     def from_json(cls, data) -> "QPoly":
-        if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
+        if not isinstance(data, list) or not all(type(x) is int for x in data):  # excludes bool
             raise ValueError(f"a polynomial serializes as a JSON array of integers, got {data!r}")
         return cls(data)
 

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from germkit import cli
 from germkit.cli import main
 from germkit.partitions import Partition
@@ -43,6 +45,11 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, "gl2", "table", "--q", "3", "--d", "1", "--modp")
         assert code == 0
         assert out == golden("gl2_table_q3_d1_modp.txt")
+
+    def test_gl2_json_lists_chains_in_table_order(self, capsys):
+        code, out, _ = run(capsys, "gl2", "table", "--q", "3", "--j", "1", "--modp", "--json")
+        assert code == 0
+        assert all(list(row["dims"]) == ["Ihalf", "K", "I"] for row in json.loads(out)["rows"])
 
     def test_ximatrix_json(self, capsys):
         code, out, _ = run(capsys, "oracle", "--n", "2", "--q", "2", "--check", "ximatrix", "--json")
@@ -261,3 +268,40 @@ class TestExitCodes:
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 1
         assert b"Traceback" not in err
+
+    def test_lj_rejects_d_below_one(self, capsys):
+        code, out, err = run(capsys, "germ", "lj", "--in", STEINBERG, "--d", "0")
+        assert code == 1
+        assert out == "" and err == "germkit: error: --d must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["partitions", "--n", "3"],
+            ["qcount", "--partition", "2,1", "--json"],
+            ["germ", "jl", "--in", STEINBERG, "--d", "2"],
+            ["gl2", "table", "--q", "3"],
+        ],
+    )
+    def test_unwritable_out_is_exit_1(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"germkit: error: cannot write {target}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["germ", "induce", "--in", STEINBERG],
+            ["germ", "lj", "--in", STEINBERG, "--d", "1"],
+            ["germ", "jl", "--in", STEINBERG, "--d", "1"],
+            ["germ", "solve", "--in", STEINBERG, "--q", "2"],
+        ],
+    )
+    def test_json_flag_only_where_a_table_is_the_default(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["n"] == 2
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 1
+        assert out == "" and "unrecognized arguments: --json" in err

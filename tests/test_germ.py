@@ -75,6 +75,21 @@ class TestCoefficientMap:
         with pytest.raises(ValueError):
             CoefficientMap.from_json({"n": 2, "entries": [{"partition": [2], "value": "x"}]})
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"n": True, "entries": [{"partition": [1], "value": 1}]}, '"n" must be an integer, got True'),
+            ({"n": 2.0, "entries": []}, '"n" must be an integer, got 2.0'),
+            ({"n": 1, "entries": [{"partition": [True], "value": 1}]}, "a partition serializes as a JSON array of integers, got [True]"),
+            ({"n": 1, "entries": [{"partition": [1], "value": True}]}, "entry value must be an integer, got True"),
+            ({"n": 1, "entries": [{"partition": [1], "value": 1.0}]}, "entry value must be an integer, got 1.0"),
+        ],
+    )
+    def test_json_rejects_booleans_and_floats(self, data, message):
+        with pytest.raises(ValueError) as info:
+            CoefficientMap.from_json(data)
+        assert str(info.value) == message
+
     def test_arithmetic(self):
         triv = CoefficientMap.indicator(P(2))
         ind_b = triv + steinberg()

@@ -113,6 +113,14 @@ class TestDimInvariants:
                     a, b = ab_coefficients(rep, 3)
                     assert chain_dim_formula(a, b, fam, j, 3, 1) == dim_fixed(cmap, spec)
 
+    def test_chain_formula_only_on_pro_p_families(self):
+        pro_p = {fam for fam in Family if fam.is_pro_p}
+        assert pro_p == {Family.PRO_P_IWAHORI_HALF, Family.VERTEX_CONGRUENCE, Family.IWAHORI_CONGRUENCE}
+        for fam in set(Family) - pro_p:
+            with pytest.raises(ValueError) as info:
+                chain_dim_formula(1, 0, fam, 0, 3, 1)
+            assert str(info.value) == f"chain formulas exist for the pro-p families only, got {fam.token}"
+
 
 class TestModP:
     def test_frozen_values(self):
@@ -162,6 +170,32 @@ class TestSpehPairs:
             speh_ess_pair(2, 4, 0)
         with pytest.raises(ValueError):
             speh_ess_pair(2, 4, 4)
+
+    def test_pair_types_are_distinct(self):
+        speh, ess = SpehPair(2, b=1), EssSquareIntegrablePair(2, b=1)
+        assert not isinstance(speh, EssSquareIntegrablePair)
+        assert not isinstance(ess, SpehPair)
+        assert speh != ess and speh == SpehPair(2, 1)
+        assert (repr(speh), repr(ess)) == ("SpehPair(dim_pi2=2, b=1)", "EssSquareIntegrablePair(dim_pi2=2, b=1)")
+        with pytest.raises(AttributeError):
+            speh.b = 2
+
+    @pytest.mark.parametrize("cls", [SpehPair, EssSquareIntegrablePair])
+    def test_pair_validation(self, cls):
+        with pytest.raises(ValueError, match=r"^dimension must be >= 1, got 0$"):
+            cls(0)
+        with pytest.raises(ValueError, match=r"^a supplied b split must be >= 1, got 0$"):
+            cls(2, b=0)
+
+    def test_symbolic_b_messages(self):
+        with pytest.raises(ValueError) as info:
+            ab_coefficients(SpehPair(2), 3)
+        assert str(info.value) == "the b split of a Speh pair is undetermined; supply it explicitly"
+        with pytest.raises(ValueError) as info:
+            ab_coefficients(EssSquareIntegrablePair(2), 3)
+        assert str(info.value) == (
+            "the b split of an essentially square-integrable pair is undetermined; supply it explicitly"
+        )
 
     def test_catalog_is_concrete(self):
         labels = [label for label, _ in catalog(3)]

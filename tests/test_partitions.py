@@ -64,6 +64,53 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             Composition.from_json([1, 3, 2])
 
+    def test_partition_and_composition_stay_distinct_types(self):
+        lam, comp = P(3, 1), Composition([3, 1])
+        assert lam != comp and comp != lam
+        assert len({lam, comp}) == 2
+        assert (repr(lam), repr(comp)) == ("Partition([3, 1])", "Composition([3, 1])")
+        assert str(lam) == str(comp) == "(3,1)"
+        assert (lam.n, len(comp), comp[1], list(comp)) == (4, 2, 1, [3, 1])
+        with pytest.raises(AttributeError, match="^Composition is immutable$"):
+            comp.parts = (4,)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Partition([]), "empty partition is not allowed (n must be >= 1)"),
+            (lambda: Composition([]), "empty composition is not allowed (n must be >= 1)"),
+            (lambda: Partition([2, 0]), "partition parts must be >= 1, got 0"),
+            (lambda: Composition([1, -1]), "composition parts must be >= 1, got -1"),
+            (lambda: Partition([1, 2]), "partition parts must be weakly decreasing, got (1, 2)"),
+        ],
+    )
+    def test_error_messages_keep_their_nouns(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("data", [[True], [2, False], [1.0], [1.5, 2], ["1"], "12", None])
+    def test_partition_wire_format_rejects_non_integers(self, data):
+        with pytest.raises(ValueError) as info:
+            Partition.from_json(data)
+        assert str(info.value) == f"a partition serializes as a JSON array of integers, got {data!r}"
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"composition": [1.5, 2]},
+            {"composition": "12"},
+            {"composition": [True, 2]},
+            {"composition": None},
+            {"parts": [1, 2]},
+            [1, 2],
+        ],
+    )
+    def test_composition_wire_format_rejects_non_integers(self, data):
+        with pytest.raises(ValueError) as info:
+            Composition.from_json(data)
+        assert str(info.value) == 'a composition serializes as {"composition": [ints]}, got %r' % (data,)
+
 
 class TestEnumeration:
     def test_n2_complete(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -162,3 +163,57 @@ class TestPretty:
         assert QPoly([-1, 0, -3]).pretty_ascending("X") == "-1 - 3X^2"
         assert QPoly.zero().pretty_ascending("X") == "0"
         assert QPoly([0, 1]).pretty_ascending("X") == "X"
+
+    def test_printers_match_reference_on_small_polynomials(self):
+        # every coefficient tuple in -2..2 up to degree 3, against the two
+        # printers written out separately
+        def descending(coeffs, var):
+            pieces = []
+            for k in range(len(coeffs) - 1, -1, -1):
+                c = coeffs[k]
+                if c == 0:
+                    continue
+                sign = "-" if c < 0 else ("+" if pieces else "")
+                mag = abs(c)
+                if k == 0:
+                    body = str(mag)
+                else:
+                    head = "" if mag == 1 else str(mag)
+                    body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
+                pieces.append(sign + body)
+            return "".join(pieces) or "0"
+
+        def ascending(coeffs, var):
+            pieces = []
+            for k, c in enumerate(coeffs):
+                if c == 0:
+                    continue
+                mag = abs(c)
+                if k == 0:
+                    body = str(mag)
+                else:
+                    head = "" if mag == 1 else str(mag)
+                    body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
+                if not pieces:
+                    pieces.append(("-" if c < 0 else "") + body)
+                else:
+                    pieces.append(("- " if c < 0 else "+ ") + body)
+            return " ".join(pieces) or "0"
+
+        for coeffs in itertools.product(range(-2, 3), repeat=4):
+            poly = QPoly(coeffs)
+            for var in ("q", "t", "X"):
+                assert poly.pretty(var) == descending(coeffs, var)
+                assert poly.pretty_ascending(var) == ascending(coeffs, var)
+
+
+class TestWireFormat:
+    def test_round_trip(self):
+        poly = QPoly([-1, 0, 3])
+        assert QPoly.from_json(poly.to_json()) == poly
+
+    @pytest.mark.parametrize("data", [[True], [1, False], [1.0], ["1"], "12", None])
+    def test_rejects_non_integers(self, data):
+        with pytest.raises(ValueError) as info:
+            QPoly.from_json(data)
+        assert str(info.value) == f"a polynomial serializes as a JSON array of integers, got {data!r}"
