@@ -35,6 +35,7 @@ from .partitions import (
     induce_partition,
     kostka_number,
     minimal_elements,
+    require_int,
     scale_partition,
     semistandard_tableaux,
 )
@@ -64,7 +65,7 @@ class CoefficientMap:
                 raise ValueError(f"keys must be Partition, got {lam!r}")
             if lam.n != n:
                 raise ValueError(f"key {lam} is not a partition of n = {n}")
-            value = int(value)
+            value = require_int(value, "entry value")
             if value != 0:
                 store[lam] = store.get(lam, 0) + value
                 if store[lam] == 0:
@@ -145,15 +146,11 @@ class CoefficientMap:
     def from_json(cls, data) -> "CoefficientMap":
         if not isinstance(data, dict) or "n" not in data or "entries" not in data:
             raise ValueError('a coefficient map serializes as {"n": int, "entries": [...]}')
-        n = data["n"]
-        if type(n) is not int:  # JSON true decodes to bool, a subclass of int
-            raise ValueError(f'"n" must be an integer, got {n!r}')
+        n = require_int(data["n"], '"n"')
         entries = []
         for item in data["entries"]:
             if not isinstance(item, dict) or "partition" not in item or "value" not in item:
                 raise ValueError(f'each entry needs "partition" and "value", got {item!r}')
-            if type(item["value"]) is not int:
-                raise ValueError(f'entry value must be an integer, got {item["value"]!r}')
             entries.append((Partition.from_json(item["partition"]), item["value"]))
         return cls(n, entries)
 

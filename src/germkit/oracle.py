@@ -11,7 +11,9 @@ package are checked against raw enumeration:
   d = diag(g, 1, ..., 1) for a primitive root g, which generate GL_n(F_q)
   because commutators of the c^k t c^-k = I + E_(i,i+1 mod n) give every
   elementary transvection (so SL_n(F_q), q prime) and d every
-  determinant; each acts on a flag's basis rows as a column operation;
+  determinant.  Each acts as a column operation on one basis per flag,
+  kept in nested echelon form, and the seen-set stores each form packed
+  into one int of base-q digits;
 
 * Jordan types: the partition of a nilpotent matrix is read off the
   kernel-dimension jumps rank X^(i-1) - rank X^i.  A stream of matrices
@@ -66,7 +68,7 @@ size for flag enumeration.
 
 from __future__ import annotations
 
-from itertools import accumulate, product
+from itertools import accumulate, chain, pairwise, product
 from typing import Iterable, Iterator
 
 from .cosets import is_prime
@@ -143,15 +145,27 @@ def _inverse(rows, q):
     return tuple(r[n:] for r in red) if all(r[:n] == e for r, e in zip(red, ident)) else None
 
 
-def _rref(rows, q):
-    """Canonical reduced row echelon form; zero rows dropped."""
+def _rref(rows, q, blocks=None):
+    """Canonical reduced row echelon form; zero rows dropped.
+
+    Back-substitution runs within each block (start, stop) of the rows,
+    which must then be independent; one block by default.  `_flag_form`
+    passes the blocks of a flag.
+    """
     basis = []
     for row in rows:
         basis = _extend(basis, row, q)
-    reduced = []  # back-substitution, last pivot first
-    for _, inv, b in sorted(basis, key=lambda e: -e[0]):
-        reduced = _extend(reduced, [x * inv % q for x in b], q)
-    return tuple(tuple(b) for _, _, b in reversed(reduced))
+    form = []  # last block and last pivot first
+    for start, stop in reversed(blocks or ((0, len(basis)),)):
+        done = []  # (pivot, unit row)
+        for p, inv, row in sorted(basis[start:stop], reverse=True):
+            row = row if inv == 1 else [x * inv % q for x in row]
+            for c, r in done:
+                if x := row[c]:
+                    row = [(a - x * y) % q for a, y in zip(row, r)]
+            done.append((p, row))
+            form.append(tuple(row))
+    return tuple(reversed(form))
 
 
 def _jump_census(choices, q):
@@ -435,6 +449,18 @@ def iter_matrices(n: int, q: int, cap: int = DEFAULT_CAP) -> Iterator[tuple]:
         yield tuple(flat[i * n : (i + 1) * n] for i in range(n))
 
 
+def _flag_form(rows, blocks, q):
+    """(nested echelon form, its base-q digits as one int) of the flag spanned by the rows[:stop] of blocks.
+
+    Block i spans, in RREF, the vectors of the i-th subspace that vanish at
+    the pivots of the earlier blocks, so the form is a complete invariant.
+    """
+    form, key = _rref(rows, q, blocks), 0
+    for x in chain.from_iterable(form):
+        key = key * q + x
+    return form, key
+
+
 def flag_orbit_count(lam: Partition, q: int, cap: int = DEFAULT_CAP) -> int:
     """Exhaustive count of flags of shape lam in F_q^n.
 
@@ -443,24 +469,24 @@ def flag_orbit_count(lam: Partition, q: int, cap: int = DEFAULT_CAP) -> int:
     primitive root g; d is dropped at q = 2, c and t at n = 1.  They
     generate GL_n(F_q): commutators of the c^k t c^-k = I + E_(i,i+1 mod n)
     give every elementary transvection, hence SL_n(F_q) for prime q, and
-    d adds every determinant.  Each acts on a flag's basis rows as a
-    column operation (rotate right, column 2 += column 1, scale column 1
-    by g) and the rows are re-reduced; each flag is a tuple of
-    reduced-row-echelon bases, so every coset of the flag stabilizer is
-    seen exactly once.
+    d adds every determinant.  Each acts on a flag's basis rows in nested
+    echelon form (`_flag_form`) as a column operation (rotate right,
+    column 2 += column 1, scale column 1 by g) and the form is restored;
+    the seen-set holds each form packed into one int, so every coset of
+    the flag stabilizer is seen exactly once.
     """
     _check_prime(q)
-    std = tuple(_identity(lam.n)[:m] for m in accumulate(lam.parts[:-1]))
+    blocks = tuple(pairwise(accumulate(lam.parts[:-1], initial=0)))
     ops = tuple(_column_ops(lam.n, q).values())
-    seen = {std}
-    frontier = [std]
+    std = _identity(lam.n)[: lam.n - lam.parts[-1]]
+    seen, frontier = {_flag_form(std, blocks, q)[1]}, [std]
     while frontier:
         fresh = []
         for flag in frontier:
             for op in ops:
-                img = tuple(_rref([op(row) for row in sub], q) for sub in flag)
-                if img not in seen:
-                    seen.add(img)
+                img, key = _flag_form(map(op, flag), blocks, q)
+                if key not in seen:
+                    seen.add(key)
                     if len(seen) > cap:
                         raise OracleBoundError(
                             f"flag orbit for {lam} over F_{q} exceeds the cap {cap}"
@@ -570,7 +596,7 @@ def multiplicity_matrix(n: int, q: int, cap: int = DEFAULT_CAP) -> dict[Partitio
 
 
 # ---------------------------------------------------------------------------
-# census and sampling helpers
+# nilpotent census
 
 
 def nilpotent_census(n: int, q: int, cap: int = DEFAULT_CAP) -> int:
@@ -586,21 +612,3 @@ def nilpotent_census(n: int, q: int, cap: int = DEFAULT_CAP) -> int:
     rest = [list(product(range(q), repeat=n))] * (n - 1) if n > 1 else []
     census = _jump_census(first + rest, q)
     return sum(count for jumps, count in census.items() if sum(jumps) == n)
-
-
-def random_invertible(n: int, q: int, rng) -> FqMatrix:
-    """Uniform element of GL_n(F_q) by rejection sampling."""
-    _check_prime(q)
-    while True:
-        rows = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
-        if _det(rows, q) != 0:
-            return FqMatrix(q, rows)
-
-
-def random_nilpotent(n: int, q: int, rng) -> FqMatrix:
-    """Random nilpotent matrix: a random strictly upper triangular one, conjugated."""
-    upper = tuple(
-        tuple(rng.randrange(q) if j > i else 0 for j in range(n)) for i in range(n)
-    )
-    g = random_invertible(n, q, rng)
-    return g * FqMatrix(q, upper) * g.inverse()

@@ -16,6 +16,13 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 
+def require_int(x, what: str) -> int:
+    """x itself if it is an int; ValueError on a float, str or bool, as the wire formats do."""
+    if type(x) is not int:  # bool is a subclass of int
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 class _Parts:
     """A nonempty tuple of positive parts, immutable and hashable.
 
@@ -27,7 +34,7 @@ class _Parts:
     _noun: str
 
     def __init__(self, parts: Iterable[int]):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(require_int(p, f"a {self._noun} part") for p in parts)
         if not parts:
             raise ValueError(f"empty {self._noun} is not allowed (n must be >= 1)")
         for p in parts:

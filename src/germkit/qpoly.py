@@ -13,7 +13,7 @@ call instead of being assumed.
 
 from __future__ import annotations
 
-from .partitions import Partition
+from .partitions import Partition, require_int
 
 
 class QPoly:
@@ -27,7 +27,7 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = [int(c) for c in coeffs]
+        coeffs = [require_int(c, "a coefficient") for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))

@@ -51,6 +51,12 @@ class TestCoefficientMap:
         with pytest.raises(ValueError):
             CoefficientMap(0)
 
+    @pytest.mark.parametrize("value", [1.5, True, "1"])
+    def test_values_must_be_integers(self, value):
+        with pytest.raises(ValueError) as info:
+            CoefficientMap(2, {P(2): value})
+        assert str(info.value) == f"entry value must be an integer, got {value!r}"
+
     def test_items_in_canonical_order(self):
         c = CoefficientMap(3, {P(1, 1, 1): 1, P(3): 2, P(2, 1): -1})
         assert [lam for lam, _ in c.items()] == [P(3), P(2, 1), P(1, 1, 1)]

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import permutations, product, takewhile
+from itertools import accumulate, permutations, product, takewhile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +20,6 @@ from germkit.oracle import (
     nilpotent_census,
     nilpotent_partition,
     parabolic_order,
-    random_invertible,
-    random_nilpotent,
     xi_multiplicity,
 )
 from germkit.germ import closed_form_multiplicity_matrix
@@ -30,6 +28,23 @@ from germkit.partitions import Partition, d_of, dominance_leq, enumerate_partiti
 
 def P(*parts):
     return Partition(parts)
+
+
+def random_invertible(n, q, rng):
+    """Uniform element of GL_n(F_q) by rejection sampling."""
+    from germkit.oracle import _det
+
+    while True:
+        rows = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
+        if _det(rows, q) != 0:
+            return FqMatrix(q, rows)
+
+
+def random_nilpotent(n, q, rng):
+    """Random nilpotent matrix: a random strictly upper triangular one, conjugated."""
+    upper = tuple(tuple(rng.randrange(q) if j > i else 0 for j in range(n)) for i in range(n))
+    g = random_invertible(n, q, rng)
+    return g * FqMatrix(q, upper) * g.inverse()
 
 
 def _leibniz_det(rows, q):
@@ -310,7 +325,7 @@ class TestCosetCounts:
 
     def test_against_literal_group_stream(self):
         # third route: map every group element to its flag and count distinct images
-        for n, q in ((2, 2), (2, 3), (3, 2)):
+        for n, q in ((2, 2), (2, 3), (3, 2), (3, 3)):
             from germkit.oracle import _mat_mul, _rref, _identity
 
             for lam in enumerate_partitions(n):
@@ -338,6 +353,39 @@ class TestCosetCounts:
         with pytest.raises(OracleBoundError, match="flag orbit"):
             flag_orbit_count(P(1, 1, 1), 3, cap=5)
         assert flag_orbit_count(P(1, 1, 1), 3, cap=52) == 52  # (1+3)(1+3+9) flags: a cap equal to the orbit passes
+
+
+@st.composite
+def _shape_over_small_prime(draw):
+    """(lam, q, seed): a partition of n <= 5 and a prime q <= 7."""
+    lam = draw(st.sampled_from(enumerate_partitions(draw(st.integers(1, 5)))))
+    return lam, draw(st.sampled_from((2, 3, 5, 7))), draw(st.integers(0, 2**32))
+
+
+class TestFlagFormProperties:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_shape_over_small_prime())
+    def test_packed_key_is_a_complete_flag_invariant(self, case):
+        from germkit.oracle import _flag_form, _mat_mul, _rref
+
+        lam, q, seed = case
+        rng = random.Random(seed)
+        ends = list(accumulate(lam.parts[:-1]))
+        blocks = list(zip([0] + ends, ends))
+        m = sum(lam.parts[:-1])
+        rows = random_invertible(lam.n, q, rng).rows[:m]
+        form, key = _flag_form(rows, blocks, q)
+        assert _flag_form(form, blocks, q) == (form, key)
+        # an element of P_lam on the basis rows: invertible blocks on the diagonal, anything below them
+        mix = [[0] * m for _ in range(m)]
+        for a, b in blocks:
+            diag = random_invertible(b - a, q, rng).rows
+            for i in range(a, b):
+                mix[i][:b] = [rng.randrange(q) for _ in range(a)] + list(diag[i - a])
+        assert _flag_form(_mat_mul(mix, rows, q), blocks, q)[1] == key
+        other = random_invertible(lam.n, q, rng).rows[:m]
+        same_flag = all(_rref(rows[:e], q) == _rref(other[:e], q) for e in ends)
+        assert (_flag_form(other, blocks, q)[1] == key) == same_flag
 
 
 class TestXiMultiplicities:

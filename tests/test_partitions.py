@@ -2,6 +2,7 @@ import json
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germkit.partitions import (
     Composition,
@@ -89,6 +90,19 @@ class TestPartitionType:
             make()
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Partition([2.7, 1]), "a partition part must be an integer, got 2.7"),
+            (lambda: Partition([True]), "a partition part must be an integer, got True"),
+            (lambda: Composition(["3"]), "a composition part must be an integer, got '3'"),
+        ],
+    )
+    def test_constructors_reject_non_integers(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("data", [[True], [2, False], [1.0], [1.5, 2], ["1"], "12", None])
     def test_partition_wire_format_rejects_non_integers(self, data):
         with pytest.raises(ValueError) as info:
@@ -162,6 +176,23 @@ class TestDual:
             for mu in parts:
                 for lam in parts:
                     assert dominance_leq(mu, lam) == dominance_leq(dual(lam), dual(mu))
+
+
+@st.composite
+def _two_partitions(draw):
+    """Two partitions of one n <= 40, each sorted from a composition given by random cut points."""
+    n = draw(st.integers(1, 40))
+    cuts = st.sets(st.integers(1, n - 1)) if n > 1 else st.just(set())
+    return tuple(sort_to_partition(composition_from_subset(draw(cuts), n)) for _ in range(2))
+
+
+class TestDualProperties:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_two_partitions())
+    def test_dual_is_an_involution_that_reverses_dominance(self, pair):
+        mu, lam = pair
+        assert dual(dual(lam)) == lam and dual(lam).n == lam.n
+        assert dominance_leq(mu, lam) == dominance_leq(dual(lam), dual(mu))
 
 
 class TestDominance:

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germkit.oracle import gl_order, parabolic_order
 from germkit.partitions import Partition, enumerate_partitions
@@ -104,6 +105,21 @@ class TestExactDivision:
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
             QPoly([1]).exact_div(QPoly.zero())
+
+
+_coeffs = st.lists(st.integers(-50, 50), max_size=8)
+
+
+class TestExactDivisionProperties:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_coeffs, _coeffs, _coeffs)
+    def test_exact_div_inverts_multiplication(self, a, b, r):
+        quotient, divisor = QPoly(a), QPoly(b + [1])  # monic, degree len(b)
+        assert (quotient * divisor).exact_div(divisor) == quotient
+        remainder = QPoly(r[: divisor.degree])  # degree below the divisor's
+        if remainder:
+            with pytest.raises(ArithmeticError):
+                (quotient * divisor + remainder).exact_div(divisor)
 
 
 class TestQAnalogs:
@@ -211,6 +227,12 @@ class TestWireFormat:
     def test_round_trip(self):
         poly = QPoly([-1, 0, 3])
         assert QPoly.from_json(poly.to_json()) == poly
+
+    @pytest.mark.parametrize("coeffs, bad", [([1.9, True], "1.9"), ([1, True], "True"), (["2"], "'2'")])
+    def test_constructor_rejects_non_integers(self, coeffs, bad):
+        with pytest.raises(ValueError) as info:
+            QPoly(coeffs)
+        assert str(info.value) == f"a coefficient must be an integer, got {bad}"
 
     @pytest.mark.parametrize("data", [[True], [1, False], [1.0], ["1"], "12", None])
     def test_rejects_non_integers(self, data):
