@@ -22,7 +22,7 @@ import os
 import sys
 
 from . import gl2, oracle
-from .cosets import _PRO_P_CHAINS, Family, SubgroupSpec, count_at_depth, is_prime_power
+from .cosets import _PRO_P_CHAINS, Family, SubgroupSpec, count_at_depth, require_prime_power
 from .germ import (
     CoefficientMap,
     PositivityError,
@@ -34,8 +34,8 @@ from .germ import (
     solve_from_multiplicities,
     whittaker_dims,
 )
-from .oracle import OracleBoundError, OracleConsistencyError
-from .partitions import Partition, d_of, dominance_leq, dual, enumerate_partitions
+from .oracle import OracleConsistencyError
+from .partitions import Partition, d_of, dominance_leq, dual, enumerate_partitions, require_at_least
 from .qpoly import q_multinomial
 
 
@@ -68,9 +68,7 @@ def _oracle_cap() -> int:
         cap = int(raw)
     except ValueError:
         raise UsageError(f"GERMKIT_ORACLE_CAP must be an integer, got {raw!r}")
-    if cap < 1:
-        raise UsageError(f"GERMKIT_ORACLE_CAP must be >= 1, got {cap}")
-    return cap
+    return require_at_least(cap, 1, "GERMKIT_ORACLE_CAP")
 
 
 def _read_map(path: str) -> CoefficientMap:
@@ -112,37 +110,24 @@ def _table(rows: list[list[str]], header: list[str]) -> str:
 # subcommands
 
 
+_PARTITION_COLUMNS = {"d": d_of, "dual": dual}
+
+
 def _cmd_partitions(args) -> int:
-    shows = args.show or []
-    parts = enumerate_partitions(args.n)
+    header = ["partition"] + [c for c in _PARTITION_COLUMNS if c in (args.show or [])]
+    values = [[lam] + [_PARTITION_COLUMNS[c](lam) for c in header[1:]] for lam in enumerate_partitions(args.n)]
     if args.json:
-        records = []
-        for lam in parts:
-            rec = {"partition": lam.to_json()}
-            if "d" in shows:
-                rec["d"] = d_of(lam)
-            if "dual" in shows:
-                rec["dual"] = dual(lam).to_json()
-            records.append(rec)
+        records = [{h: v if isinstance(v, int) else v.to_json() for h, v in zip(header, row)} for row in values]
         _emit_json(args, records)
-        return 0
-    header = ["partition"] + [s for s in ("d", "dual") if s in shows]
-    rows = []
-    for lam in parts:
-        row = [str(lam)]
-        if "d" in shows:
-            row.append(str(d_of(lam)))
-        if "dual" in shows:
-            row.append(str(dual(lam)))
-        rows.append(row)
-    _emit(args, _table(rows, header))
+    else:
+        _emit(args, _table([[str(v) for v in row] for row in values], header))
     return 0
 
 
 def _cmd_qcount(args) -> int:
     lam = _parse_partition(args.partition)
-    if args.q is not None and not is_prime_power(args.q):
-        raise UsageError(f"q must be a prime power >= 2, got {args.q}")
+    if args.q is not None:
+        require_prime_power(args.q)
     poly = q_multinomial(lam)
     if args.json:
         rec = {"partition": lam.to_json(), "poly": poly.to_json(), "pretty": poly.pretty("q")}
@@ -159,8 +144,7 @@ def _cmd_qcount(args) -> int:
 
 
 def _cmd_cosets(args) -> int:
-    if args.j < 0:
-        raise UsageError(f"--j must be >= 0, got {args.j}")
+    require_at_least(args.j, 0, "--j")
     families = [Family.parse(args.family)] if args.family else list(Family)
     records = []
     for lam in enumerate_partitions(args.n):
@@ -225,8 +209,7 @@ def _cmd_germ_induce(args) -> int:
 
 
 def _cmd_germ_lj(args) -> int:
-    if args.d < 1:
-        raise UsageError(f"--d must be >= 1, got {args.d}")
+    require_at_least(args.d, 1, "--d")
     cmap = _read_map(args.infile)
     if cmap.n % args.d != 0:
         raise UsageError(f"map is on partitions of {cmap.n}, not divisible by d = {args.d}")
@@ -488,18 +471,12 @@ def main(argv=None) -> int:
         # the reader closed stdout; point it at devnull so the final flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except UsageError as exc:
-        print(f"germkit: error: {exc}", file=sys.stderr)
-        return 1
-    except (OracleBoundError, ValueError) as exc:
-        if isinstance(exc, PositivityError):
-            print(f"germkit: {exc}", file=sys.stderr)
-            return 2
-        print(f"germkit: error: {exc}", file=sys.stderr)
-        return 1
-    except (CheckFailure, OracleConsistencyError, ArithmeticError) as exc:
+    except (CheckFailure, OracleConsistencyError, ArithmeticError, PositivityError) as exc:
         print(f"germkit: {exc}", file=sys.stderr)
         return 2
+    except (UsageError, ValueError) as exc:  # OracleBoundError is a ValueError
+        print(f"germkit: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

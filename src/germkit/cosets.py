@@ -29,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .partitions import Partition, d_of
+from .partitions import Partition, d_of, require_at_least, require_int
 from .qpoly import QPoly, q_multinomial
 
 
@@ -44,6 +44,13 @@ def is_prime_power(q: int) -> bool:
     while q % p == 0:
         q //= p
     return q == 1
+
+
+def require_prime_power(q) -> int:
+    """q itself if it is an int prime power; ValueError otherwise."""
+    if not is_prime_power(require_int(q, "q")):
+        raise ValueError(f"q must be a prime power >= 2, got {q}")
+    return q
 
 
 class Family(enum.Enum):
@@ -90,14 +97,11 @@ class SubgroupSpec:
     d: int
 
     def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError(f"depth must be >= 0, got {self.depth}")
+        require_at_least(self.depth, 0, "depth")
         if not self.family.is_pro_p and self.depth != 0:
             raise ValueError(f"family {self.family.token} is depth-0 only, got depth {self.depth}")
-        if not is_prime_power(self.q):
-            raise ValueError(f"q must be a prime power >= 2, got {self.q}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+        require_prime_power(self.q)
+        require_at_least(self.d, 1, "d")
 
     @property
     def residue_size(self) -> int:
@@ -135,7 +139,7 @@ def count_at_depth(lam: Partition, spec: SubgroupSpec, base: int | None = None) 
     multiplies it by t^(d_lam).
     """
     t = spec.residue_size
-    b = base_count(lam, spec.family).eval_at(t) if base is None else int(base)
+    b = base_count(lam, spec.family).eval_at(t) if base is None else require_int(base, "base")
     return b * t ** (d_of(lam) * spec.depth)
 
 
@@ -145,10 +149,8 @@ def parabolic_index(lam: Partition, q: int, d: int) -> int:
     n^2 - d_lam is the block upper-triangular algebra's dimension over
     the division algebra; the full-group case lam = (n) gives q^(d*n^2).
     """
-    if not is_prime_power(q):
-        raise ValueError(f"q must be a prime power >= 2, got {q}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    require_prime_power(q)
+    require_at_least(d, 1, "d")
     n = lam.n
     return q ** (d * (n * n - d_of(lam)))
 
@@ -170,8 +172,7 @@ class ChainMember:
     def __post_init__(self):
         if self.kind not in ("K", "I", "Ihalf"):
             raise ValueError(f"chain member kind must be K, I or Ihalf, got {self.kind!r}")
-        if self.j < 0:
-            raise ValueError(f"chain level must be >= 0, got {self.j}")
+        require_at_least(self.j, 0, "chain level")
 
     @property
     def position(self) -> int:

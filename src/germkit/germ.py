@@ -21,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from itertools import product
-
-from .cosets import Family, SubgroupSpec, base_count, is_prime_power
+from .cosets import Family, SubgroupSpec, base_count, require_prime_power
 from .partitions import (
     Partition,
     canonical_order,
@@ -35,6 +33,7 @@ from .partitions import (
     induce_partition,
     kostka_number,
     minimal_elements,
+    require_at_least,
     require_int,
     scale_partition,
     semistandard_tableaux,
@@ -56,8 +55,7 @@ class CoefficientMap:
     __slots__ = ("n", "_entries")
 
     def __init__(self, n: int, entries: Mapping[Partition, int] | Iterable[tuple[Partition, int]] = ()):
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
+        require_at_least(n, 1, "n")
         items = entries.items() if isinstance(entries, Mapping) else entries
         store: dict[Partition, int] = {}
         for lam, value in items:
@@ -209,8 +207,7 @@ class DimensionPolynomial:
 
     def dim_at_depth(self, j: int) -> int:
         """Value at X = (q^d)^j, the depth-(base_depth + j) fixed-vector dimension."""
-        if j < 0:
-            raise ValueError(f"depth must be >= 0, got {j}")
+        require_at_least(j, 0, "depth")
         return self.poly.eval_at((self.q**self.d) ** j)
 
 
@@ -228,17 +225,14 @@ def dimension_polynomial(
     depth-base_depth integers) for subgroups outside the named families;
     a support partition with neither is an error.
     """
-    if base_depth < 0:
-        raise ValueError(f"base_depth must be >= 0, got {base_depth}")
-    if not is_prime_power(q):
-        raise ValueError(f"q must be a prime power >= 2, got {q}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    require_at_least(base_depth, 0, "base_depth")
+    require_prime_power(q)
+    require_at_least(d, 1, "d")
     t = q**d
     coeffs: dict[int, int] = {}
     for lam, value in c.items():
         if base_counts is not None and lam in base_counts:
-            count = int(base_counts[lam]) * t ** (d_of(lam) * base_depth)
+            count = require_int(base_counts[lam], f"the base count of {lam}") * t ** (d_of(lam) * base_depth)
         elif family is not None:
             count = base_count(lam, family).eval_at(t) * t ** (d_of(lam) * base_depth)
         else:
@@ -278,15 +272,16 @@ def induce_maps(maps: Sequence[CoefficientMap]) -> CoefficientMap:
     """
     if not maps:
         raise ValueError("induce_maps needs at least one map")
-    n = sum(m.n for m in maps)
-    acc: dict[Partition, int] = {}
-    for combo in product(*(m.items() for m in maps)):
-        lam = induce_partition([lam_i for lam_i, _ in combo])
-        coeff = 1
-        for _, v in combo:
-            coeff *= v
-        acc[lam] = acc.get(lam, 0) + coeff
-    return CoefficientMap(n, acc)
+    acc = maps[0]
+    # one pair at a time, so each partial product has at most p(n) entries
+    for m in maps[1:]:
+        step: dict[Partition, int] = {}
+        for lam, a in acc.items():
+            for mu, b in m.items():
+                nu = induce_partition([lam, mu])
+                step[nu] = step.get(nu, 0) + a * b
+        acc = CoefficientMap(acc.n + m.n, step)
+    return acc
 
 
 def lj_transfer(c: CoefficientMap, n: int, d: int) -> CoefficientMap:
@@ -296,8 +291,8 @@ def lj_transfer(c: CoefficientMap, n: int, d: int) -> CoefficientMap:
     the form d*lam are in the kernel and are dropped.  For d = 1 this is
     the identity.
     """
-    if d < 1 or n < 1:
-        raise ValueError(f"n and d must be >= 1, got n={n}, d={d}")
+    require_at_least(n, 1, "n")
+    require_at_least(d, 1, "d")
     if c.n != d * n:
         raise ValueError(f"expected a map on partitions of {d * n}, got n = {c.n}")
     sign = (-1) ** (d * n - n)
@@ -308,8 +303,7 @@ def lj_transfer(c: CoefficientMap, n: int, d: int) -> CoefficientMap:
 
 def jl_transfer(c: CoefficientMap, d: int) -> CoefficientMap:
     """Section of lj_transfer: c'(d*lam) = (-1)^(dn-n) * c(lam), zero elsewhere."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    require_at_least(d, 1, "d")
     n = c.n
     sign = (-1) ** (d * n - n)
     return CoefficientMap(
@@ -319,10 +313,8 @@ def jl_transfer(c: CoefficientMap, d: int) -> CoefficientMap:
 
 def square_integrable_top_coeff(dim_div_algebra_rep: int, n: int) -> int:
     """Value at (n) for a square-integrable class: (-1)^(n-1) times the transferred dimension."""
-    if dim_div_algebra_rep < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim_div_algebra_rep}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    require_at_least(dim_div_algebra_rep, 1, "dimension")
+    require_at_least(n, 1, "n")
     return (-1) ** (n - 1) * dim_div_algebra_rep
 
 
@@ -410,8 +402,7 @@ def closed_form_multiplicity_matrix(n: int, q: int) -> dict[Partition, dict[Part
     This is the independent route that the exhaustive oracle
     `oracle.multiplicity_matrix` is checked against.
     """
-    if not is_prime_power(q):
-        raise ValueError(f"q must be a prime power >= 2, got {q}")
+    require_prime_power(q)
     parts = enumerate_partitions(n)
     kostka = {(nu, mu): kostka_number(dual(nu), mu) for nu in parts for mu in parts}
     out: dict[Partition, dict[Partition, int]] = {}

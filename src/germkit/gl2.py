@@ -28,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cosets import Family, is_prime, is_prime_power
+from .cosets import Family, is_prime, require_prime_power
 from .germ import CoefficientMap
-from .partitions import Partition
+from .partitions import Partition, require_at_least, require_int
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,7 @@ class FiniteDim:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dim}")
+        require_at_least(self.dim, 1, "dimension")
 
 
 @dataclass(frozen=True)
@@ -51,8 +50,7 @@ class PrincipalSeries:
     dim_sigma: int
 
     def __post_init__(self):
-        if self.dim_sigma < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dim_sigma}")
+        require_at_least(self.dim_sigma, 1, "dimension")
 
 
 @dataclass(frozen=True)
@@ -77,10 +75,9 @@ class _SplitPair:
     b: int | None = None
 
     def __post_init__(self):
-        if self.dim_pi2 < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dim_pi2}")
-        if self.b is not None and self.b < 1:
-            raise ValueError(f"a supplied b split must be >= 1, got {self.b}")
+        require_at_least(self.dim_pi2, 1, "dimension")
+        if self.b is not None:
+            require_at_least(self.b, 1, "a supplied b split")
 
 
 class SpehPair(_SplitPair):
@@ -149,8 +146,7 @@ def ab_coefficients(rep: GL2Rep, q: int) -> tuple[int, int]:
         sign = 1 if speh else -1
         return sign * rep.dim_pi2, rep.b
     if isinstance(rep, SupercuspidalGL2F):
-        if not is_prime_power(q):
-            raise ValueError(f"q must be a prime power >= 2, got {q}")
+        require_prime_power(q)
         if rep.level.denominator == 1:
             return -2 * q ** int(rep.level), 1
         return -(q + 1) * q ** int(rep.level - Fraction(1, 2)), 1
@@ -163,12 +159,9 @@ def chain_dim_formula(a: int, b: int, family: Family, j: int, q: int, d: int) ->
     """Raw value of the chain formula at depth j (may be negative below the validity threshold)."""
     if not family.is_pro_p:
         raise ValueError(f"chain formulas exist for the pro-p families only, got {family.token}")
-    if j < 0:
-        raise ValueError(f"depth must be >= 0, got {j}")
-    if not is_prime_power(q):
-        raise ValueError(f"q must be a prime power >= 2, got {q}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    require_at_least(j, 0, "depth")
+    require_prime_power(q)
+    require_at_least(d, 1, "d")
     t = q**d
     if family is Family.PRO_P_IWAHORI_HALF:
         factor = 2
@@ -200,10 +193,9 @@ def modp_supersingular_dims(twist_of_pi0: bool, family: Family, j: int, p: int) 
     I-half chain: -2 + 4 p^j; K chain: a' + 2(p+1) p^j with a' = -3 for
     twists of the base class and -4 otherwise.
     """
-    if p == 2 or not is_prime(p):
+    if not is_prime(require_int(p, "p")) or p == 2:
         raise ValueError(f"mod-p supersingular data requires an odd prime p, got {p}")
-    if j < 0:
-        raise ValueError(f"depth must be >= 0, got {j}")
+    require_at_least(j, 0, "depth")
     if family is Family.PRO_P_IWAHORI_HALF:
         return -2 + 4 * p**j
     if family is Family.VERTEX_CONGRUENCE:
@@ -233,7 +225,7 @@ def speh_ess_pair(
     The split must satisfy b_speh + b_ess = dim_sigma with both parts
     >= 1; the sum constraint is the only thing known in general.
     """
-    b_ess = dim_sigma - b_speh
+    b_ess = require_int(dim_sigma, "dim_sigma") - require_int(b_speh, "b_speh")
     if b_speh < 1 or b_ess < 1:
         raise ValueError(
             f"both b splits must be >= 1 and sum to dim_sigma = {dim_sigma}; got {b_speh} + {b_ess}"

@@ -72,7 +72,7 @@ from itertools import accumulate, chain, pairwise, product
 from typing import Iterable, Iterator
 
 from .cosets import is_prime
-from .partitions import Partition, d_of, dual, enumerate_partitions
+from .partitions import Partition, d_of, dual, enumerate_partitions, require_int
 
 DEFAULT_CAP = 10**7
 
@@ -86,7 +86,7 @@ class OracleConsistencyError(RuntimeError):
 
 
 def _check_prime(q: int) -> None:
-    if not is_prime(q):
+    if not is_prime(require_int(q, "q")):
         raise ValueError(f"the oracle works over prime fields only, got q = {q}")
 
 
@@ -219,7 +219,7 @@ class FqMatrix:
 
     def __init__(self, q: int, rows: Iterable[Iterable[int]]):
         _check_prime(q)
-        rows = tuple(tuple(int(x) % q for x in row) for row in rows)
+        rows = tuple(tuple(require_int(x, "a matrix entry") % q for x in row) for row in rows)
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("matrix rows must be nonempty and of equal length")
         object.__setattr__(self, "q", q)
@@ -278,15 +278,6 @@ class FqMatrix:
             raise ZeroDivisionError("matrix is not invertible")
         return FqMatrix(self.q, inv)
 
-    def power(self, k: int) -> "FqMatrix":
-        self._require_square()
-        if k < 0:
-            raise ValueError("negative powers are not supported")
-        acc = _identity(self.nrows)
-        for _ in range(k):
-            acc = _mat_mul(acc, self.rows, self.q)
-        return FqMatrix(self.q, acc)
-
     def is_nilpotent(self) -> bool:
         self._require_square()
         return sum(_kernel_jumps(self.rows, self.q)) == self.nrows
@@ -312,12 +303,6 @@ class ParabolicShape:
     def __setattr__(self, name, value):
         raise AttributeError("ParabolicShape is immutable")
 
-    def block_of(self, i: int) -> int:
-        return self._block[i]
-
-    def in_p(self, i: int, j: int) -> bool:
-        return self._block[i] <= self._block[j]
-
     def in_n(self, i: int, j: int) -> bool:
         return self._block[i] < self._block[j]
 
@@ -325,11 +310,6 @@ class ParabolicShape:
     def nilradical_dim(self) -> int:
         n = self.lam.n
         return sum(1 for i in range(n) for j in range(n) if self.in_n(i, j))
-
-    def nilradical_contains(self, mat: FqMatrix) -> bool:
-        n = self.lam.n
-        rows = mat.rows
-        return all(rows[i][j] == 0 for i in range(n) for j in range(n) if not self.in_n(i, j))
 
 
 # ---------------------------------------------------------------------------

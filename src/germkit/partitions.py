@@ -13,6 +13,7 @@ this package lists partitions in that order.
 
 from __future__ import annotations
 
+from itertools import accumulate, zip_longest
 from typing import Iterable, Iterator, Sequence
 
 
@@ -20,6 +21,13 @@ def require_int(x, what: str) -> int:
     """x itself if it is an int; ValueError on a float, str or bool, as the wire formats do."""
     if type(x) is not int:  # bool is a subclass of int
         raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def require_at_least(x, low: int, what: str) -> int:
+    """x itself if it is an int >= low; ValueError otherwise."""
+    if require_int(x, what) < low:
+        raise ValueError(f"{what} must be >= {low}, got {x}")
     return x
 
 
@@ -38,8 +46,7 @@ class _Parts:
         if not parts:
             raise ValueError(f"empty {self._noun} is not allowed (n must be >= 1)")
         for p in parts:
-            if p < 1:
-                raise ValueError(f"{self._noun} parts must be >= 1, got {p}")
+            require_at_least(p, 1, f"{self._noun} parts")
         object.__setattr__(self, "parts", parts)
 
     def __setattr__(self, name, value):
@@ -120,9 +127,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
     The first entry is (n), the last is (1,...,1).  This order is the
     package-wide canonical order.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-
+    require_at_least(n, 1, "n")
     out: list[Partition] = []
 
     def rec(remaining: int, max_part: int, prefix: list[int]) -> None:
@@ -143,15 +148,6 @@ def dual(lam: Partition) -> Partition:
     return Partition(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))
 
 
-def _padded_prefix_sums(lam: Partition, length: int) -> list[int]:
-    sums, acc = [], 0
-    for i in range(length):
-        if i < len(lam):
-            acc += lam[i]
-        sums.append(acc)
-    return sums
-
-
 def dominance_leq(mu: Partition, lam: Partition) -> bool:
     """True iff mu <= lam in dominance order.
 
@@ -160,8 +156,7 @@ def dominance_leq(mu: Partition, lam: Partition) -> bool:
     """
     if mu.n != lam.n:
         raise ValueError(f"dominance compares partitions of the same n: {mu} vs {lam}")
-    length = max(len(mu), len(lam))
-    return all(a <= b for a, b in zip(_padded_prefix_sums(mu, length), _padded_prefix_sums(lam, length)))
+    return all(a <= b for a, b in zip_longest(accumulate(mu), accumulate(lam), fillvalue=mu.n))
 
 
 def dominance_lt(mu: Partition, lam: Partition) -> bool:
@@ -189,15 +184,11 @@ def dominance_compare(mu: Partition, lam: Partition) -> int | None:
 def d_of(lam: Partition) -> int:
     """d_lam = sum over i<j of lam[i]*lam[j], the block count above the diagonal.
 
-    This is the dimension of the strictly upper block-triangular algebra
-    of shape lam, and the growth exponent of coset counts along the
-    congruence filtrations.
+    It equals (n^2 - sum_i lam[i]^2) / 2.  This is the dimension of the
+    strictly upper block-triangular algebra of shape lam, and the growth
+    exponent of coset counts along the congruence filtrations.
     """
-    total = 0
-    for i in range(len(lam)):
-        for j in range(i + 1, len(lam)):
-            total += lam[i] * lam[j]
-    return total
+    return (lam.n**2 - sum(p * p for p in lam)) // 2
 
 
 def sort_to_partition(comp: Composition) -> Partition:
@@ -212,9 +203,8 @@ def composition_from_subset(subset: Iterable[int], n: int) -> Composition:
     (i_1, i_2-i_1, ..., n-i_r).  This is a bijection from subsets of
     {1,...,n-1} onto compositions of n.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    given = [int(i) for i in subset]
+    require_at_least(n, 1, "n")
+    given = [require_int(i, "a cut point") for i in subset]
     cuts = sorted(set(given))
     if len(cuts) != len(given):
         raise ValueError(f"cut points must be distinct, got {given}")
@@ -227,11 +217,7 @@ def composition_from_subset(subset: Iterable[int], n: int) -> Composition:
 
 def subset_from_composition(comp: Composition) -> tuple[int, ...]:
     """Inverse of composition_from_subset: the proper prefix sums."""
-    acc, cuts = 0, []
-    for p in comp.parts[:-1]:
-        acc += p
-        cuts.append(acc)
-    return tuple(cuts)
+    return tuple(accumulate(comp.parts[:-1]))
 
 
 def induce_partition(parts: Sequence[Partition]) -> Partition:
@@ -246,8 +232,7 @@ def induce_partition(parts: Sequence[Partition]) -> Partition:
 
 def scale_partition(lam: Partition, d: int) -> Partition:
     """Multiply every part by d >= 1, giving a partition of d*n."""
-    if d < 1:
-        raise ValueError(f"scale factor must be >= 1, got {d}")
+    require_at_least(d, 1, "scale factor")
     return Partition(d * p for p in lam)
 
 
@@ -277,7 +262,7 @@ def semistandard_tableaux(shape: Partition, content: Sequence[int]) -> Iterator[
     shape's size yields nothing.
     """
     parts = shape.parts
-    content = tuple(int(c) for c in content)
+    content = tuple(require_int(c, "a content entry") for c in content)
     if any(c < 0 for c in content):
         raise ValueError(f"content entries must be >= 0, got {content}")
     if sum(content) != shape.n:

@@ -13,7 +13,7 @@ call instead of being assumed.
 
 from __future__ import annotations
 
-from .partitions import Partition, require_int
+from .partitions import Partition, require_at_least, require_int
 
 
 class QPoly:
@@ -49,8 +49,7 @@ class QPoly:
 
     @classmethod
     def monomial(cls, exponent: int, coeff: int = 1) -> "QPoly":
-        if exponent < 0:
-            raise ValueError(f"exponent must be >= 0, got {exponent}")
+        require_at_least(exponent, 0, "exponent")
         return cls((0,) * exponent + (coeff,))
 
     @property
@@ -196,14 +195,14 @@ class QPoly:
 
 def q_int(m: int) -> QPoly:
     """[m]_q = 1 + q + ... + q^(m-1), for m >= 1."""
-    if m < 1:
+    if require_int(m, "m") < 1:
         raise ValueError(f"q_int requires m >= 1, got {m}")
     return QPoly((1,) * m)
 
 
 def q_factorial(n: int) -> QPoly:
     """[n!]_q = product of [m]_q for m = 1..n."""
-    if n < 1:
+    if require_int(n, "n") < 1:
         raise ValueError(f"q_factorial requires n >= 1, got {n}")
     acc = QPoly.one()
     for m in range(1, n + 1):

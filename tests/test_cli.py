@@ -88,6 +88,23 @@ class TestGoldenOutputs:
         }
 
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["partitions", "--n", "5", "--show", "dual", "--show", "d"], "partitions_n5_dual_d.txt"),
+            (["cosets", "--n", "3", "--q", "2", "--j", "1"], "cosets_n3_q2_j1.txt"),
+            (["germ", "whittaker", "--in", STEINBERG], "whittaker_steinberg2.txt"),
+            (["oracle", "--n", "3", "--q", "3", "--check", "jordan"], "oracle_jordan_n3_q3.txt"),
+            (["oracle", "--n", "3", "--q", "2", "--check", "cosets"], "oracle_cosets_n3_q2.txt"),
+            (["oracle", "--n", "3", "--q", "2", "--check", "ximatrix"], "oracle_ximatrix_n3_q2.txt"),
+        ],
+    )
+    def test_tables(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == golden(name)
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys):
         for argv in (

@@ -1,6 +1,9 @@
+import math
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germkit.cosets import Family, SubgroupSpec
 from germkit.germ import (
@@ -21,7 +24,7 @@ from germkit.germ import (
     whittaker_dims,
 )
 from germkit.oracle import multiplicity_matrix
-from germkit.partitions import Partition, dominance_leq, enumerate_partitions, kostka_number
+from germkit.partitions import Partition, dominance_leq, enumerate_partitions, induce_partition, kostka_number
 from germkit.qpoly import QPoly, q_multinomial
 
 
@@ -363,3 +366,57 @@ class TestClosedFormMatrix:
     def test_rejects_non_prime_power(self):
         with pytest.raises(ValueError):
             closed_form_multiplicity_matrix(3, 6)
+
+
+def _map_on(n):
+    """Coefficient maps on the partitions of n, values in -4..4."""
+    parts = enumerate_partitions(n)
+    values = st.lists(st.integers(-4, 4), min_size=len(parts), max_size=len(parts))
+    return values.map(lambda vs: CoefficientMap(n, zip(parts, vs)))
+
+
+def _maps(max_n=3):
+    return st.integers(1, max_n).flatmap(_map_on)
+
+
+def _induce_by_product(maps):
+    """induce_maps summed over every tuple of support entries at once."""
+    acc = {}
+    for combo in product(*(m.items() for m in maps)):
+        lam = induce_partition([lam_i for lam_i, _ in combo])
+        acc[lam] = acc.get(lam, 0) + math.prod(v for _, v in combo)
+    return CoefficientMap(sum(m.n for m in maps), acc)
+
+
+class TestLawsAsProperties:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(_maps(), min_size=1, max_size=4))
+    def test_induce_equals_the_product_route(self, maps):
+        assert induce_maps(maps) == _induce_by_product(maps)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(_maps(), min_size=1, max_size=4).flatmap(lambda ms: st.tuples(st.just(ms), st.permutations(ms))))
+    def test_induce_is_independent_of_argument_order(self, case):
+        maps, shuffled = case
+        assert induce_maps(shuffled) == induce_maps(maps)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(_maps(), min_size=1, max_size=3), st.data())
+    def test_induce_is_multilinear(self, maps, data):
+        i = data.draw(st.integers(0, len(maps) - 1))
+        other = data.draw(_map_on(maps[i].n))
+        k = data.draw(st.integers(-3, 3))
+        mixed = maps[:i] + [maps[i].scale(k) + other] + maps[i + 1 :]
+        swapped = maps[:i] + [other] + maps[i + 1 :]
+        assert induce_maps(mixed) == induce_maps(maps).scale(k) + induce_maps(swapped)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_maps(max_n=5), st.integers(1, 3))
+    def test_lj_after_jl_is_the_identity(self, c, d):
+        assert lj_transfer(jl_transfer(c, d), c.n, d) == c
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_maps(max_n=4), st.sampled_from((2, 3, 4, 5)))
+    def test_solve_after_forward_is_the_identity(self, c, q):
+        M = closed_form_multiplicity_matrix(c.n, q)
+        assert solve_from_multiplicities(forward_multiplicities(c, M), M) == c

@@ -4,6 +4,7 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from germkit import cosets, germ, gl2, oracle, qpoly
 from germkit.partitions import (
     Composition,
     Partition,
@@ -390,3 +391,74 @@ class TestTableaux:
             charge(((1, 2, 2),))
         with pytest.raises(ValueError):
             charge(((0, 1),))
+
+
+def _integer_entry_points():
+    """(id, call, good): call(x) takes one numeric argument, and call(good) succeeds.
+
+    The constructors' part, coefficient and value checks have their own tests.
+    """
+    K, Ihalf = cosets.Family.VERTEX_CONGRUENCE, cosets.Family.PRO_P_IWAHORI_HALF
+    steinberg = germ.CoefficientMap(2, {P(2): -1, P(1, 1): 1})
+    spec = cosets.SubgroupSpec(K, 1, 3, 1)
+    return [
+        ("enumerate_partitions n", enumerate_partitions, 2),
+        ("composition_from_subset n", lambda x: composition_from_subset([], x), 2),
+        ("composition_from_subset cut", lambda x: composition_from_subset([x], 3), 2),
+        ("scale_partition d", lambda x: scale_partition(P(2, 1), x), 2),
+        ("semistandard_tableaux content", lambda x: list(semistandard_tableaux(P(2, 1), [x, 1])), 2),
+        ("QPoly.monomial exponent", qpoly.QPoly.monomial, 2),
+        ("q_int m", qpoly.q_int, 2),
+        ("q_factorial n", qpoly.q_factorial, 2),
+        ("SubgroupSpec depth", lambda x: cosets.SubgroupSpec(K, x, 3, 1), 2),
+        ("SubgroupSpec q", lambda x: cosets.SubgroupSpec(K, 0, x, 1), 3),
+        ("SubgroupSpec d", lambda x: cosets.SubgroupSpec(K, 0, 3, x), 2),
+        ("count_at_depth base", lambda x: cosets.count_at_depth(P(1, 1), spec, base=x), 2),
+        ("parabolic_index q", lambda x: cosets.parabolic_index(P(1, 1), x, 1), 3),
+        ("parabolic_index d", lambda x: cosets.parabolic_index(P(1, 1), 3, x), 2),
+        ("ChainMember j", lambda x: cosets.ChainMember("K", x), 2),
+        ("CoefficientMap n", germ.CoefficientMap, 2),
+        ("dim_at_depth j", lambda x: germ.dimension_polynomial(steinberg, K, 3, 1).dim_at_depth(x), 2),
+        ("dimension_polynomial q", lambda x: germ.dimension_polynomial(steinberg, K, x, 1), 3),
+        ("dimension_polynomial d", lambda x: germ.dimension_polynomial(steinberg, K, 3, x), 2),
+        ("dimension_polynomial base_depth", lambda x: germ.dimension_polynomial(steinberg, K, 3, 1, base_depth=x), 2),
+        (
+            "dimension_polynomial base_counts",
+            lambda x: germ.dimension_polynomial(steinberg, None, 3, 1, base_counts={P(2): 1, P(1, 1): x}),
+            2,
+        ),
+        ("lj_transfer n", lambda x: germ.lj_transfer(steinberg, x, 1), 2),
+        ("lj_transfer d", lambda x: germ.lj_transfer(steinberg, 1, x), 2),
+        ("jl_transfer d", lambda x: germ.jl_transfer(steinberg, x), 2),
+        ("square_integrable_top_coeff dimension", lambda x: germ.square_integrable_top_coeff(x, 2), 2),
+        ("square_integrable_top_coeff n", lambda x: germ.square_integrable_top_coeff(1, x), 2),
+        ("closed_form_multiplicity_matrix q", lambda x: germ.closed_form_multiplicity_matrix(2, x), 3),
+        ("FiniteDim dim", gl2.FiniteDim, 2),
+        ("PrincipalSeries dim_sigma", gl2.PrincipalSeries, 2),
+        ("SpehPair dim_pi2", gl2.SpehPair, 2),
+        ("EssSquareIntegrablePair b", lambda x: gl2.EssSquareIntegrablePair(2, x), 2),
+        ("ab_coefficients q", lambda x: gl2.ab_coefficients(gl2.SupercuspidalGL2F(1), x), 3),
+        ("chain_dim_formula j", lambda x: gl2.chain_dim_formula(-1, 1, K, x, 3, 1), 2),
+        ("chain_dim_formula q", lambda x: gl2.chain_dim_formula(-1, 1, K, 0, x, 1), 3),
+        ("chain_dim_formula d", lambda x: gl2.chain_dim_formula(-1, 1, K, 0, 3, x), 2),
+        ("modp_supersingular_dims j", lambda x: gl2.modp_supersingular_dims(True, Ihalf, x, 3), 2),
+        ("modp_supersingular_dims p", lambda x: gl2.modp_supersingular_dims(True, Ihalf, 0, x), 3),
+        ("speh_ess_pair dim_sigma", lambda x: gl2.speh_ess_pair(2, x, 1), 2),
+        ("speh_ess_pair b_speh", lambda x: gl2.speh_ess_pair(2, 3, x), 2),
+        ("FqMatrix q", lambda x: oracle.FqMatrix(x, [[1]]), 3),
+        ("FqMatrix entry", lambda x: oracle.FqMatrix(3, [[x, 1]]), 2),
+        ("multiplicity_matrix q", lambda x: oracle.multiplicity_matrix(2, x), 3),
+        ("flag_orbit_count q", lambda x: oracle.flag_orbit_count(P(1, 1), x), 3),
+        ("nilpotent_census q", lambda x: oracle.nilpotent_census(2, x), 3),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["float", "bool", "numeric string"])
+@pytest.mark.parametrize("entry", _integer_entry_points(), ids=lambda e: e[0])
+def test_numeric_inputs_must_be_ints(entry, kind):
+    """Every numeric input goes through one integer check: a float, bool or numeric string is a ValueError."""
+    _, call, good = entry
+    call(good)
+    bad = {"float": float(good), "bool": True, "numeric string": str(good)}[kind]
+    with pytest.raises(ValueError, match="must be an integer, got "):
+        call(bad)
