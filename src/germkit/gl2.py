@@ -99,6 +99,8 @@ class SupercuspidalGL2F:
     level: Fraction
 
     def __post_init__(self):
+        if type(self.level) is not int and not isinstance(self.level, Fraction):  # bool is a subclass of int
+            raise ValueError(f"level must be an int or a Fraction, got {self.level!r}")
         level = Fraction(self.level)
         if level.denominator not in (1, 2) or level < Fraction(1, 2):
             raise ValueError(f"level must be a half-integer >= 1/2, got {self.level}")

@@ -13,13 +13,19 @@ package are checked against raw enumeration:
   elementary transvection (so SL_n(F_q), q prime) and d every
   determinant.  Each acts as a column operation on one basis per flag,
   kept in nested echelon form, and the seen-set stores each form packed
-  into one int of base-q digits;
+  into one int of base-q digits.  Only c needs a full Gauss-Jordan pass:
+  t and d change only the row with its pivot in column 1, so that one
+  row is re-reduced;
 
 * Jordan types: the partition of a nilpotent matrix is read off the
   kernel-dimension jumps rank X^(i-1) - rank X^i.  A stream of matrices
   (the census of M_n(F_q), a nilradical) is walked row by row, each
   prefix's echelon basis shared by its completions, and the ranks come
-  from rowspace(X^(i+1)) = rowspace(X^i) X without forming powers;
+  from rowspace(X^(i+1)) = rowspace(X^i) X without forming powers.  X and
+  cX have equal jumps, so one matrix per scalar class {cX : c in F_q^x}
+  is walked and weighted by q - 1.  In the census, the q^n - q^(n-1) last
+  rows that complete n - 1 independent rows to an invertible X are
+  counted at once; every singular X is still walked;
 
 * depth-one character multiplicities: for partitions lam, mu of n, the
   multiplicity m(lam, mu) of the depth-one congruence character
@@ -68,11 +74,12 @@ size for flag enumeration.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, pairwise, product
+from bisect import bisect
+from itertools import accumulate, chain, islice, pairwise, product
 from typing import Iterable, Iterator
 
 from .cosets import is_prime
-from .partitions import Partition, d_of, dual, enumerate_partitions, require_int
+from .partitions import Partition, d_of, dual, enumerate_partitions, require_at_least, require_int
 
 DEFAULT_CAP = 10**7
 
@@ -145,30 +152,44 @@ def _inverse(rows, q):
     return tuple(r[n:] for r in red) if all(r[:n] == e for r, e in zip(red, ident)) else None
 
 
-def _rref(rows, q, blocks=None):
-    """Canonical reduced row echelon form; zero rows dropped.
+def _rref(rows, q):
+    """Canonical reduced row echelon form; zero rows dropped."""
+    rows = tuple(rows)
+    return _echelon(rows, ((0, len(rows)),), q)
 
-    Back-substitution runs within each block (start, stop) of the rows,
-    which must then be independent; one block by default.  `_flag_form`
-    passes the blocks of a flag.
+
+def _echelon(rows, blocks, q):
+    """Nested echelon form of rows cut into blocks (start, stop): one Gauss-Jordan pass, zero rows dropped.
+
+    Each row, as it arrives, is cleared at the pivots so far, in order, so
+    the earlier blocks come first; then it is normalised, back-substituted
+    into the rows of its own block only and put among them in pivot order.
+    So block i is, in RREF, the vectors of the span of blocks 0..i that
+    vanish at the pivots of the earlier blocks, and the earlier blocks keep
+    their entries at its pivots.  rows may be an iterator.
     """
-    basis = []
-    for row in rows:
-        basis = _extend(basis, row, q)
-    form = []  # last block and last pivot first
-    for start, stop in reversed(blocks or ((0, len(basis)),)):
-        done = []  # (pivot, unit row)
-        for p, inv, row in sorted(basis[start:stop], reverse=True):
-            row = row if inv == 1 else [x * inv % q for x in row]
-            for c, r in done:
-                if x := row[c]:
-                    row = [(a - x * y) % q for a, y in zip(row, r)]
-            done.append((p, row))
-            form.append(tuple(row))
-    return tuple(reversed(form))
+    rows, form, pivots = iter(rows), [], []
+    for start, stop in blocks:
+        first = len(form)
+        for row in islice(rows, stop - start):
+            for p, b in zip(pivots, form):
+                if x := row[p]:
+                    row = [(a - x * c) % q for a, c in zip(row, b)]
+            if x := next(filter(None, row), 0):
+                p = row.index(x)
+                if x != 1:
+                    inv = pow(x, -1, q)
+                    row = [a * inv % q for a in row]
+                for i in range(first, len(form)):
+                    if y := form[i][p]:
+                        form[i] = [(a - y * c) % q for a, c in zip(form[i], row)]
+                i = bisect(pivots, p, first)
+                form.insert(i, row)
+                pivots.insert(i, p)
+    return tuple(map(tuple, form))
 
 
-def _jump_census(choices, q):
+def _jump_census(choices, q, complete=False):
     """{kernel jumps: count} over every square X whose row i runs over choices[i].
 
     The kernel jumps rank X^(k-1) - rank X^k, while positive, are weakly
@@ -176,12 +197,23 @@ def _jump_census(choices, q):
     walked depth first, each prefix's echelon basis shared by its
     completions.  No power of X is formed: rowspace(X^(k+1)) =
     rowspace(X^k) X, so each step multiplies the basis by X and re-reduces,
-    until the rank stops falling.  choices[0] may be an iterator.
+    until the rank stops falling.
+
+    complete says that choices[-1] is all of F_q^n.  Then, below each
+    prefix of n - 1 independent rows, the q^n - q^(n-1) last rows off its
+    span each make X invertible, with no jumps, and are counted at once;
+    only the q^(n-1) rows in the span are walked.
     """
     n, X, census = len(choices), [None] * len(choices), {}
 
     def walk(i, basis):
         if i < n:
+            if complete and i == n - 1 == len(basis):
+                census[()] = census.get((), 0) + q**n - q**i
+                for row in _span(basis, n, q):
+                    X[i] = row
+                    walk(n, basis)
+                return
             for row in choices[i]:
                 X[i] = row
                 walk(i + 1, _extend(basis, row, q))
@@ -199,6 +231,45 @@ def _jump_census(choices, q):
         census[jumps] = census.get(jumps, 0) + 1
 
     walk(0, [])
+    return census
+
+
+def _span(basis, n, q):
+    """Every row of F_q^n in the span of the basis rows of `_extend`."""
+    span = [[0] * n]
+    for _, _, b in basis:
+        span = [[(a + c * x) % q for a, x in zip(v, b)] for v in span for c in range(q)]
+    return span
+
+
+def _class_census(tails, q):
+    """`_jump_census` over the n x n X zero but for the last tails[i] entries of each row i, one X per scalar class.
+
+    X and cX, c in F_q^x, have equal kernel jumps, and each row set is a
+    subspace, so it is closed under scaling.  The zero matrix is counted
+    once.  Every other X is cX' for exactly q - 1 scalars c and one X'
+    whose first nonzero row k has first nonzero entry 1.  So for each k
+    the rows before k are zero, row k runs over those normalised rows and
+    the rows after it are free, and each X' counts q - 1 times.  When the
+    last row is free in all n columns, `_jump_census` counts the
+    invertible completions at once.  Over F_2 each class is one matrix,
+    so the rows are walked as they are.
+    """
+    n = len(tails)
+    complete = tails[-1:] == [n]
+    # over F_2 every row is walked as it is; otherwise row 0 only ever
+    # leads, so the n = 1 census builds no list of q rows
+    walked = tails if q == 2 else tails[1:]
+    free = {m: [(0,) * (n - m) + t for t in product(range(q), repeat=m)] for m in set(walked)}
+    if q == 2:
+        return _jump_census([free[m] for m in tails], q, complete)
+    census = {(n,) if n else (): 1}
+    for k, m in enumerate(tails):
+        lead = [(0,) * (n - m + a) + (1,) + t for a in range(m) for t in product(range(q), repeat=m - a - 1)]
+        if lead:
+            choices = [[(0,) * n]] * k + [lead] + [free[rest] for rest in tails[k + 1 :]]
+            for jumps, count in _jump_census(choices, q, complete and k < n - 1).items():
+                census[jumps] = census.get(jumps, 0) + (q - 1) * count
     return census
 
 
@@ -318,6 +389,8 @@ class ParabolicShape:
 
 def gl_order(n: int, q: int) -> int:
     """|GL_n(F_q)| = prod_{i=0}^{n-1} (q^n - q^i)."""
+    require_at_least(n, 0, "n")
+    require_at_least(q, 2, "q")
     out = 1
     for i in range(n):
         out *= q**n - q**i
@@ -326,7 +399,7 @@ def gl_order(n: int, q: int) -> int:
 
 def parabolic_order(lam: Partition, q: int) -> int:
     """|P_lam(F_q)| = q^(d_lam) * prod_i |GL_{lam_i}(F_q)|."""
-    out = q ** d_of(lam)
+    out = require_at_least(q, 2, "q") ** d_of(lam)
     for part in lam:
         out *= gl_order(part, q)
     return out
@@ -338,6 +411,7 @@ def centralizer_order(lam: Partition, q: int) -> int:
     q^(sum_i lam_i^2 - sum_k m_k (m_k + 1) / 2) * prod_k prod_{i=1..m_k} (q^i - 1),
     with m_k the multiplicity of k in dual(lam), the Jordan block sizes.
     """
+    require_at_least(q, 2, "q")
     blocks = dual(lam).parts
     mults = [blocks.count(k) for k in set(blocks)]
     out = q ** (sum(p * p for p in lam) - sum(m * (m + 1) // 2 for m in mults))
@@ -414,7 +488,9 @@ def _column_ops(n: int, q: int) -> dict:
 
 
 def _check_matrix_cap(n: int, q: int, cap: int) -> None:
+    require_at_least(n, 0, "n")
     _check_prime(q)
+    require_int(cap, "cap")
     total = q ** (n * n)
     if total > cap:
         raise OracleBoundError(
@@ -429,16 +505,42 @@ def iter_matrices(n: int, q: int, cap: int = DEFAULT_CAP) -> Iterator[tuple]:
         yield tuple(flat[i * n : (i + 1) * n] for i in range(n))
 
 
-def _flag_form(rows, blocks, q):
-    """(nested echelon form, its base-q digits as one int) of the flag spanned by the rows[:stop] of blocks.
-
-    Block i spans, in RREF, the vectors of the i-th subspace that vanish at
-    the pivots of the earlier blocks, so the form is a complete invariant.
-    """
-    form, key = _rref(rows, q, blocks), 0
+def _pack(form, q):
+    """The entries of the form as the base-q digits of one int."""
+    key = 0
     for x in chain.from_iterable(form):
         key = key * q + x
-    return form, key
+    return key
+
+
+def _flag_form(rows, blocks, q):
+    """(nested echelon form, its packed key) of the flag spanned by the independent rows[:stop] of blocks.
+
+    Block i spans, in RREF, the vectors of the i-th subspace that vanish at
+    the pivots of the earlier blocks (`_echelon`), so the form is a
+    complete invariant.
+    """
+    form = _echelon(rows, blocks, q)
+    return form, _pack(form, q)
+
+
+def _reduce_lead_row(form, i, stop, row, q):
+    """(form, key) after form[i], the row with its pivot in column 1, becomes row = form[i] G for G = t or d.
+
+    Every other row of the form is zero in column 1, so G leaves it as it
+    is, and the pivots do not move.  Only the new row is re-reduced: it is
+    cleared at the pivots of the earlier blocks and of the rest of its own
+    block, form[:i] and form[i+1:stop] (it comes first in its block), and
+    normalised.  A normalised row's pivot is its first 1.
+    """
+    for b in chain(form[:i], form[i + 1 : stop]):
+        if x := row[b.index(1)]:
+            row = [(a - x * c) % q for a, c in zip(row, b)]
+    if row[0] != 1:
+        inv = pow(row[0], -1, q)
+        row = [a * inv % q for a in row]
+    form = form[:i] + (tuple(row),) + form[i + 1 :]
+    return form, _pack(form, q)
 
 
 def flag_orbit_count(lam: Partition, q: int, cap: int = DEFAULT_CAP) -> int:
@@ -451,20 +553,30 @@ def flag_orbit_count(lam: Partition, q: int, cap: int = DEFAULT_CAP) -> int:
     give every elementary transvection, hence SL_n(F_q) for prime q, and
     d adds every determinant.  Each acts on a flag's basis rows in nested
     echelon form (`_flag_form`) as a column operation (rotate right,
-    column 2 += column 1, scale column 1 by g) and the form is restored;
-    the seen-set holds each form packed into one int, so every coset of
-    the flag stabilizer is seen exactly once.
+    column 2 += column 1, scale column 1 by g) and the form is restored:
+    by a full pass after c, and after t and d by re-reducing the one row
+    with its pivot in column 1 (`_reduce_lead_row`).  That row has a 1 in
+    column 1 and every other row a 0; a flag with no such row is fixed by
+    t and d.  The seen-set holds each form packed into one int, so every
+    coset of the flag stabilizer is seen exactly once.
     """
     _check_prime(q)
+    require_int(cap, "cap")
     blocks = tuple(pairwise(accumulate(lam.parts[:-1], initial=0)))
-    ops = tuple(_column_ops(lam.n, q).values())
+    stops = [stop for start, stop in blocks for _ in range(start, stop)]
+    ops = _column_ops(lam.n, q)
+    rotate = ops.pop("c", None)
     std = _identity(lam.n)[: lam.n - lam.parts[-1]]
-    seen, frontier = {_flag_form(std, blocks, q)[1]}, [std]
+    seen, frontier = {_pack(std, q)}, [std]
     while frontier:
         fresh = []
         for flag in frontier:
-            for op in ops:
-                img, key = _flag_form(map(op, flag), blocks, q)
+            images = [_flag_form(map(rotate, flag), blocks, q)] if rotate else []
+            column = [row[0] for row in flag]
+            if 1 in column:
+                i = column.index(1)
+                images += [_reduce_lead_row(flag, i, stops[i], op(flag[i]), q) for op in ops.values()]
+            for img, key in images:
                 if key not in seen:
                     seen.add(key)
                     if len(seen) > cap:
@@ -481,6 +593,7 @@ def parabolic_coset_report(lam: Partition, n: int, q: int, cap: int = DEFAULT_CA
     if lam.n != n:
         raise ValueError(f"{lam} is not a partition of n = {n}")
     _check_prime(q)
+    require_int(cap, "cap")
     order_g = gl_order(n, q)
     order_p = parabolic_order(lam, q)
     if order_g % order_p != 0:
@@ -509,6 +622,7 @@ def count_parabolic_cosets(lam: Partition, n: int, q: int, cap: int = DEFAULT_CA
 
 
 def _check_nilradical_cap(mus: list[Partition], q: int, cap: int) -> None:
+    require_int(cap, "cap")
     total = sum(q ** d_of(mu) for mu in mus)
     if total > cap:
         raise OracleBoundError(
@@ -520,18 +634,15 @@ def _check_nilradical_cap(mus: list[Partition], q: int, cap: int) -> None:
 def _xi_column(mu: Partition, q: int) -> dict[Partition, int]:
     """{lam: m(lam, mu)} over the lam with a nonzero entry, from one pass over n_mu(F_q).
 
-    Row i of n_mu is free in a suffix of columns.  `_jump_census` streams
-    the product of those row patterns, sharing each prefix's echelon basis
-    and taking ranks from rowspace(X^(k+1)) = rowspace(X^k) X, and the
-    elements are bucketed by kernel-jump partition.
+    Row i of n_mu is free in a suffix of columns.  `_class_census` streams
+    one element per scalar class of the product of those row patterns
+    through `_jump_census`, which shares each prefix's echelon basis and
+    takes ranks from rowspace(X^(k+1)) = rowspace(X^k) X, and the elements
+    are bucketed by kernel-jump partition.
     """
     n = mu.n
     shape = ParabolicShape(mu)
-    choices = []
-    for i in range(n):
-        fixed = n - sum(shape.in_n(i, j) for j in range(n))
-        choices.append([(0,) * fixed + tail for tail in product(range(q), repeat=n - fixed)])
-    census = _jump_census(choices, q)
+    census = _class_census([sum(shape.in_n(i, j) for j in range(n)) for i in range(n)], q)
     order_p = parabolic_order(mu, q)
     column = {}
     for jumps, count in census.items():
@@ -582,13 +693,13 @@ def multiplicity_matrix(n: int, q: int, cap: int = DEFAULT_CAP) -> dict[Partitio
 def nilpotent_census(n: int, q: int, cap: int = DEFAULT_CAP) -> int:
     """Number of nilpotent matrices in M_n(F_q); the closed form is q^(n^2 - n).
 
-    All q^(n^2) matrices go through `_jump_census`, every row over F_q^n:
-    each prefix's echelon basis is shared by its completions, and ranks come
-    from rowspace(X^(k+1)) = rowspace(X^k) X.  The first row stays lazy, so
-    n = 1 holds no list of q rows.
+    `_class_census` walks one matrix per scalar class {cX : c in F_q^x}
+    through `_jump_census`, every row over F_q^n: each prefix's echelon
+    basis is shared by its completions, the invertible completions of
+    n - 1 independent rows are counted at once, and ranks come from
+    rowspace(X^(k+1)) = rowspace(X^k) X.  Every singular X is visited.
+    The cap is charged for all q^(n^2) matrices.
     """
     _check_matrix_cap(n, q, cap)
-    first = [product(range(q), repeat=n)] if n > 0 else []
-    rest = [list(product(range(q), repeat=n))] * (n - 1) if n > 1 else []
-    census = _jump_census(first + rest, q)
+    census = _class_census([n] * n, q)
     return sum(count for jumps, count in census.items() if sum(jumps) == n)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germkit.cosets import (
     ChainMember,
@@ -94,6 +95,18 @@ class TestCountAtDepth:
                     base = count_at_depth(lam, SubgroupSpec(fam, 0, 3, 2))
                     for j in range(1, 6):
                         assert count_at_depth(lam, SubgroupSpec(fam, j, 3, 2)) == base * t ** (d_of(lam) * j)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        st.integers(1, 6).flatmap(lambda n: st.sampled_from(enumerate_partitions(n))),
+        st.sampled_from((2, 3, 4, 5, 7, 8, 9)),
+        st.integers(1, 3),
+        st.integers(0, 5),
+        st.sampled_from((Family.PRO_P_IWAHORI_HALF, Family.VERTEX_CONGRUENCE, Family.IWAHORI_CONGRUENCE)),
+    )
+    def test_scaling_law_property(self, lam, q, d, j, fam):
+        deeper = count_at_depth(lam, SubgroupSpec(fam, j + 1, q, d))
+        assert deeper == count_at_depth(lam, SubgroupSpec(fam, j, q, d)) * (q**d) ** d_of(lam)
 
     def test_user_supplied_base(self):
         lam = P(2, 1)

@@ -63,6 +63,13 @@ class TestABCoefficients:
         with pytest.raises(ValueError):
             SupercuspidalGL2F(Fraction(0))
 
+    def test_level_must_be_int_or_fraction(self):
+        for level in ("3/2", 1.5, True, "1"):
+            with pytest.raises(ValueError, match="level must be an int or a Fraction, got "):
+                SupercuspidalGL2F(level)
+        assert SupercuspidalGL2F(1).level == Fraction(1)
+        assert SupercuspidalGL2F(Fraction(3, 2)).level == Fraction(3, 2)
+
     def test_additivity_row(self):
         a_triv, b_triv = ab_coefficients(FiniteDim(1), 2)
         a_st, b_st = ab_coefficients(SteinbergTwist(), 2)

@@ -223,6 +223,17 @@ class TestOrders:
         assert parabolic_order(P(2, 1), 2) == 24
         assert parabolic_order(P(3), 2) == 168
 
+    def test_orders_reject_out_of_range_ints(self):
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            gl_order(-1, 2)
+        with pytest.raises(ValueError, match="q must be >= 2, got 1"):
+            gl_order(2, 1)
+        with pytest.raises(ValueError, match="q must be >= 2, got 0"):
+            centralizer_order(P(1, 1), 0)
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            nilpotent_census(-1, 2)
+        assert gl_order(0, 2) == 1
+
     def test_gl_equals_full_parabolic(self):
         for n in range(1, 5):
             for q in (2, 3):
@@ -295,6 +306,33 @@ class TestJordanTypes:
             for choices in grids:
                 expected = Counter(_kernel_jumps(rows, q) for rows in product(*choices))
                 assert _jump_census(choices, q) == expected
+
+    def test_invertible_completions_counted_at_once(self):
+        from germkit.oracle import _jump_census
+
+        rng = random.Random(78)
+        for n, q in ((1, 2), (1, 5), (2, 3), (2, 5), (3, 2), (3, 3), (3, 5), (4, 2), (4, 3)):
+            every_row = list(product(range(q), repeat=n))
+            for _ in range(4):
+                choices = [rng.sample(every_row, rng.randint(1, min(6, len(every_row)))) for _ in range(n - 1)]
+                choices.append(every_row)
+                assert _jump_census(choices, q, complete=True) == _jump_census(choices, q)
+
+    def test_scalar_class_census_equals_plain_census(self):
+        # every nilradical grid, and every full grid with q^(n^2) <= 65536 (the plain walk streams them all)
+        from germkit.oracle import _class_census, _jump_census
+
+        for n in (1, 2, 3, 4):
+            for q in (2, 3, 5):
+                grids = []
+                for mu in enumerate_partitions(n):
+                    shape = ParabolicShape(mu)
+                    grids.append([sum(shape.in_n(i, j) for j in range(n)) for i in range(n)])
+                if q ** (n * n) <= 65536:
+                    grids.append([n] * n)
+                for tails in grids:
+                    rows = [[(0,) * (n - m) + t for t in product(range(q), repeat=m)] for m in tails]
+                    assert _class_census(tails, q) == _jump_census(rows, q)
 
     def test_random_nilpotents_give_valid_partitions(self):
         rng = random.Random(31337)
@@ -408,6 +446,31 @@ class TestFlagFormProperties:
         other = random_invertible(lam.n, q, rng).rows[:m]
         same_flag = all(_rref(rows[:e], q) == _rref(other[:e], q) for e in ends)
         assert (_flag_form(other, blocks, q)[1] == key) == same_flag
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_shape_over_small_prime())
+    def test_one_row_t_and_d_images_equal_the_literal_images(self, case):
+        from germkit.oracle import _flag_form, _mat_mul, _primitive_root, _reduce_lead_row
+
+        lam, q, seed = case
+        n, rng = lam.n, random.Random(seed)
+        ends = list(accumulate(lam.parts[:-1]))
+        blocks = list(zip([0] + ends, ends))
+        stops = [b for a, b in blocks for _ in range(a, b)]
+        form, key = _flag_form(random_invertible(n, q, rng).rows[: sum(lam.parts[:-1])], blocks, q)
+        g = _primitive_root(q)
+        gens = [tuple(tuple((g if i == 0 else 1) * int(i == j) for j in range(n)) for i in range(n))]
+        if n > 1:
+            gens.append(tuple(tuple(int(i == j or (i, j) == (0, 1)) for j in range(n)) for i in range(n)))
+        lead = [i for i, row in enumerate(form) if row[0]]
+        assert len(lead) <= 1
+        for G in gens:
+            literal = _flag_form(_mat_mul(form, G, q), blocks, q)
+            if lead:
+                (i,) = lead
+                assert _reduce_lead_row(form, i, stops[i], _mat_mul(form[i : i + 1], G, q)[0], q) == literal
+            else:
+                assert literal == (form, key)
 
 
 class TestXiMultiplicities:

@@ -450,6 +450,16 @@ def _integer_entry_points():
         ("multiplicity_matrix q", lambda x: oracle.multiplicity_matrix(2, x), 3),
         ("flag_orbit_count q", lambda x: oracle.flag_orbit_count(P(1, 1), x), 3),
         ("nilpotent_census q", lambda x: oracle.nilpotent_census(2, x), 3),
+        ("nilpotent_census n", lambda x: oracle.nilpotent_census(x, 2), 2),
+        ("nilpotent_census cap", lambda x: oracle.nilpotent_census(2, 2, cap=x), 16),
+        ("iter_matrices n", lambda x: next(oracle.iter_matrices(x, 2)), 2),
+        ("multiplicity_matrix cap", lambda x: oracle.multiplicity_matrix(2, 2, cap=x), 3),
+        ("flag_orbit_count cap", lambda x: oracle.flag_orbit_count(P(1, 1), 2, cap=x), 3),
+        ("count_parabolic_cosets cap", lambda x: oracle.count_parabolic_cosets(P(1, 1), 2, 2, cap=x), 3),
+        ("gl_order n", lambda x: oracle.gl_order(x, 3), 2),
+        ("gl_order q", lambda x: oracle.gl_order(2, x), 3),
+        ("parabolic_order q", lambda x: oracle.parabolic_order(P(1, 1), x), 3),
+        ("centralizer_order q", lambda x: oracle.centralizer_order(P(1, 1), x), 3),
     ]
 
 
