@@ -59,10 +59,11 @@ package are checked against raw enumeration:
       |Z_GL(A_lam)| = q^(sum_i lam_i^2 - sum_k m_k (m_k + 1) / 2)
                       * prod_k prod_{i=1..m_k} (q^i - 1),
 
-  where m_k is the number of Jordan blocks of size k, i.e. the
-  multiplicity of k in dual(lam).  The independent cross-check is the
-  Kostka-Foulkes closed form `germ.closed_form_multiplicity_matrix`,
-  which `germkit oracle --check ximatrix` compares entry by entry.
+  where m_k = lam_k - lam_(k+1) is the number of Jordan blocks of size
+  k, i.e. the multiplicity of k in dual(lam).  The independent
+  cross-check is the Kostka-Foulkes closed form
+  `germ.closed_form_multiplicity_matrix`, which `germkit oracle --check
+  ximatrix` compares entry by entry.
 
 The oracle works over prime q only, so all arithmetic is plain modular
 integer arithmetic.  Every enumeration is bounded by an element cap
@@ -79,7 +80,7 @@ from itertools import accumulate, chain, islice, pairwise, product
 from typing import Iterable, Iterator
 
 from .cosets import is_prime
-from .partitions import Partition, d_of, dual, enumerate_partitions, require_at_least, require_int
+from .partitions import Partition, d_of, enumerate_partitions, require_at_least, require_int
 
 DEFAULT_CAP = 10**7
 
@@ -189,7 +190,7 @@ def _echelon(rows, blocks, q):
     return tuple(map(tuple, form))
 
 
-def _jump_census(choices, q, complete=False):
+def _jump_census(choices, q):
     """{kernel jumps: count} over every square X whose row i runs over choices[i].
 
     The kernel jumps rank X^(k-1) - rank X^k, while positive, are weakly
@@ -199,12 +200,13 @@ def _jump_census(choices, q, complete=False):
     rowspace(X^k) X, so each step multiplies the basis by X and re-reduces,
     until the rank stops falling.
 
-    complete says that choices[-1] is all of F_q^n.  Then, below each
-    prefix of n - 1 independent rows, the q^n - q^(n-1) last rows off its
-    span each make X invertible, with no jumps, and are counted at once;
-    only the q^(n-1) rows in the span are walked.
+    When the last row runs over all of F_q^n, then below each prefix of
+    n - 1 independent rows the q^n - q^(n-1) last rows off its span each
+    make X invertible, with no jumps, and are counted at once; only the
+    q^(n-1) rows in the span are walked.
     """
     n, X, census = len(choices), [None] * len(choices), {}
+    complete = n > 0 and len(choices[-1]) == q**n == len(set(choices[-1]))
 
     def walk(i, basis):
         if i < n:
@@ -252,23 +254,16 @@ def _class_census(tails, q):
     the rows before k are zero, row k runs over those normalised rows and
     the rows after it are free, and each X' counts q - 1 times.  When the
     last row is free in all n columns, `_jump_census` counts the
-    invertible completions at once.  Over F_2 each class is one matrix,
-    so the rows are walked as they are.
+    invertible completions at once.
     """
     n = len(tails)
-    complete = tails[-1:] == [n]
-    # over F_2 every row is walked as it is; otherwise row 0 only ever
-    # leads, so the n = 1 census builds no list of q rows
-    walked = tails if q == 2 else tails[1:]
-    free = {m: [(0,) * (n - m) + t for t in product(range(q), repeat=m)] for m in set(walked)}
-    if q == 2:
-        return _jump_census([free[m] for m in tails], q, complete)
+    free = {m: [(0,) * (n - m) + t for t in product(range(q), repeat=m)] for m in set(tails[1:])}
     census = {(n,) if n else (): 1}
     for k, m in enumerate(tails):
         lead = [(0,) * (n - m + a) + (1,) + t for a in range(m) for t in product(range(q), repeat=m - a - 1)]
         if lead:
             choices = [[(0,) * n]] * k + [lead] + [free[rest] for rest in tails[k + 1 :]]
-            for jumps, count in _jump_census(choices, q, complete and k < n - 1).items():
+            for jumps, count in _jump_census(choices, q).items():
                 census[jumps] = census.get(jumps, 0) + (q - 1) * count
     return census
 
@@ -409,11 +404,11 @@ def centralizer_order(lam: Partition, q: int) -> int:
     """|Z_GL(A_lam)(F_q)| for the block-shift matrix of kernel-jump partition lam.
 
     q^(sum_i lam_i^2 - sum_k m_k (m_k + 1) / 2) * prod_k prod_{i=1..m_k} (q^i - 1),
-    with m_k the multiplicity of k in dual(lam), the Jordan block sizes.
+    with m_k = lam_k - lam_(k+1) the number of Jordan blocks of size k
+    (lam_i counts the blocks of size >= i).
     """
     require_at_least(q, 2, "q")
-    blocks = dual(lam).parts
-    mults = [blocks.count(k) for k in set(blocks)]
+    mults = [a - b for a, b in pairwise(lam.parts + (0,)) if a > b]
     out = q ** (sum(p * p for p in lam) - sum(m * (m + 1) // 2 for m in mults))
     for m in mults:
         for i in range(1, m + 1):
@@ -634,15 +629,15 @@ def _check_nilradical_cap(mus: list[Partition], q: int, cap: int) -> None:
 def _xi_column(mu: Partition, q: int) -> dict[Partition, int]:
     """{lam: m(lam, mu)} over the lam with a nonzero entry, from one pass over n_mu(F_q).
 
-    Row i of n_mu is free in a suffix of columns.  `_class_census` streams
-    one element per scalar class of the product of those row patterns
-    through `_jump_census`, which shares each prefix's echelon basis and
-    takes ranks from rowspace(X^(k+1)) = rowspace(X^k) X, and the elements
-    are bucketed by kernel-jump partition.
+    A row of n_mu in a block that ends at column stop is free in the last
+    n - stop columns.  `_class_census` streams one element per scalar
+    class of the product of those row patterns through `_jump_census`,
+    which shares each prefix's echelon basis and takes ranks from
+    rowspace(X^(k+1)) = rowspace(X^k) X, and the elements are bucketed by
+    kernel-jump partition.
     """
     n = mu.n
-    shape = ParabolicShape(mu)
-    census = _class_census([sum(shape.in_n(i, j) for j in range(n)) for i in range(n)], q)
+    census = _class_census([n - stop for part, stop in zip(mu, accumulate(mu)) for _ in range(part)], q)
     order_p = parabolic_order(mu, q)
     column = {}
     for jumps, count in census.items():
