@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -23,6 +24,49 @@ def run(capsys, *argv):
 
 def golden(name):
     return (GOLDEN / name).read_text()
+
+
+# Every file in tests/golden, by name, with the command whose stdout it holds.
+GOLDENS = {
+    "partitions_n5_dual_d.txt": ["partitions", "--n", "5", "--show", "dual", "--show", "d"],
+    "cosets_n3_q2_j1.txt": ["cosets", "--n", "3", "--q", "2", "--j", "1"],
+    "whittaker_steinberg2.txt": ["germ", "whittaker", "--in", STEINBERG],
+    "oracle_jordan_n3_q3.txt": ["oracle", "--n", "3", "--q", "3", "--check", "jordan"],
+    "oracle_cosets_n3_q2.txt": ["oracle", "--n", "3", "--q", "2", "--check", "cosets"],
+    "oracle_ximatrix_n3_q2.txt": ["oracle", "--n", "3", "--q", "2", "--check", "ximatrix"],
+    "partitions_n6_d.txt": ["partitions", "--n", "6", "--show", "d"],
+    "partitions_n5_dual_d.json": ["partitions", "--n", "5", "--show", "dual", "--show", "d", "--json"],
+    "qcount_21_q2.txt": ["qcount", "--partition", "2,1", "--q", "2"],
+    "qcount_21_q2.json": ["qcount", "--partition", "2,1", "--q", "2", "--json"],
+    "cosets_n2_q3_j1.json": ["cosets", "--n", "2", "--q", "3", "--j", "1", "--json"],
+    "dimpoly_steinberg.txt": ["germ", "dimpoly", "--in", STEINBERG, "--family", "K", "--q", "3", "--d", "1"],
+    "dimpoly_steinberg.json": [
+        "germ", "dimpoly", "--in", STEINBERG, "--family", "K", "--q", "3", "--d", "1", "--json"
+    ],
+    "whittaker_steinberg2.json": ["germ", "whittaker", "--in", STEINBERG, "--json"],
+    "induce_steinberg2_x2.json": ["germ", "induce", "--in", STEINBERG, "--in", STEINBERG],
+    "jl_steinberg2_d2.json": ["germ", "jl", "--in", STEINBERG, "--d", "2"],
+    "lj_steinberg2_d2.json": ["germ", "lj", "--in", STEINBERG, "--d", "2"],
+    "solve_steinberg2_q2.json": ["germ", "solve", "--in", STEINBERG, "--q", "2"],
+    "oracle_jordan_n3_q3.json": ["oracle", "--n", "3", "--q", "3", "--check", "jordan", "--json"],
+    "oracle_cosets_n3_q2.json": ["oracle", "--n", "3", "--q", "2", "--check", "cosets", "--json"],
+    "ximatrix_n2_q2.json": ["oracle", "--n", "2", "--q", "2", "--check", "ximatrix", "--json"],
+    "ximatrix_n3_q2.json": ["oracle", "--n", "3", "--q", "2", "--check", "ximatrix", "--json"],
+    "ximatrix_n4_q2.json": ["oracle", "--n", "4", "--q", "2", "--check", "ximatrix", "--json"],
+    "gl2_table_q3_d1_modp.txt": ["gl2", "table", "--q", "3", "--d", "1", "--modp"],
+    "gl2_table_q3_d1_modp.json": ["gl2", "table", "--q", "3", "--d", "1", "--modp", "--json"],
+}
+GOLDEN_CASES = [(argv, name) for name, argv in GOLDENS.items()]
+
+
+def leaf_commands(parser, path=()):
+    """(command path, parser) for each subcommand that takes no further subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from leaf_commands(sub, path + (name,))
 
 
 class TestGoldenOutputs:
@@ -88,21 +132,31 @@ class TestGoldenOutputs:
         }
 
 
-    @pytest.mark.parametrize(
-        "argv, name",
-        [
-            (["partitions", "--n", "5", "--show", "dual", "--show", "d"], "partitions_n5_dual_d.txt"),
-            (["cosets", "--n", "3", "--q", "2", "--j", "1"], "cosets_n3_q2_j1.txt"),
-            (["germ", "whittaker", "--in", STEINBERG], "whittaker_steinberg2.txt"),
-            (["oracle", "--n", "3", "--q", "3", "--check", "jordan"], "oracle_jordan_n3_q3.txt"),
-            (["oracle", "--n", "3", "--q", "2", "--check", "cosets"], "oracle_cosets_n3_q2.txt"),
-            (["oracle", "--n", "3", "--q", "2", "--check", "ximatrix"], "oracle_ximatrix_n3_q2.txt"),
-        ],
-    )
+    @pytest.mark.parametrize("argv, name", GOLDEN_CASES)
     def test_tables(self, capsys, argv, name):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert out == golden(name)
+
+    @pytest.mark.parametrize("argv, name", GOLDEN_CASES)
+    def test_out_file_holds_what_stdout_prints(self, capsys, tmp_path, argv, name):
+        target = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert (code, out, err) == (0, "", "")
+        assert target.read_text() == golden(name)
+
+    def test_every_output_form_has_a_golden(self):
+        leaves = dict(leaf_commands(cli.build_parser()))
+        forms = {
+            path: ("text", "json") if "--json" in p._option_string_actions else ("json",)
+            for path, p in leaves.items()
+        }
+        covered = set()
+        for argv in GOLDENS.values():
+            path = next(path for path in leaves if tuple(argv[: len(path)]) == path)
+            covered.add((path, "json" if "--json" in argv or forms[path] == ("json",) else "text"))
+        assert {(path, form) for path, fs in forms.items() for form in fs} - covered == set()
+        assert sorted(GOLDENS) == sorted(p.name for p in GOLDEN.iterdir())
 
 
 class TestDeterminism:
