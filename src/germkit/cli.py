@@ -1,9 +1,10 @@
 """Command-line front end with deterministic text/JSON output.
 
 Exit codes: 0 success, 1 validation error (bad flags, bad input files,
-enumeration above the cap, stdout closed by the reader), 2 invariant
-violation (a failed oracle check, an inexact division in a closed form,
-or a positivity failure reported by `germ whittaker`).
+enumeration above the cap, an output that cannot be written, stdout
+closed by the reader), 2 invariant violation (a failed oracle check, an
+inexact division in a closed form, or a positivity failure reported by
+`germ whittaker`).
 
 The oracle enumeration cap defaults to 10**7 streamed elements and can
 be overridden with the GERMKIT_ORACLE_CAP environment variable.  It
@@ -79,206 +80,169 @@ def _read_map(path: str) -> CoefficientMap:
         raise UsageError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise UsageError(f"{path} is nested too deeply to read")
     return CoefficientMap.from_json(data)
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, record, text) -> None:
+    """Write the record as JSON under --json or when text is None, else text(), to --out or stdout."""
+    body = json.dumps(record, indent=2) if text is None or args.json else text()
     out = getattr(args, "out", None)
-    if out:
-        try:
+    try:
+        if out:
             with open(out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
+                fh.write(body + "\n")
+        else:
+            print(body)
+            sys.stdout.flush()
+    except OSError as exc:
+        if out:
             raise UsageError(f"cannot write {out}: {exc}")
-    else:
-        print(text)
+        # point stdout at devnull so the final flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            raise  # the reader closed stdout: exit 1 without a message
+        raise UsageError(f"cannot write stdout: {exc}")
 
 
-def _emit_json(args, obj) -> None:
-    _emit(args, json.dumps(obj, indent=2))
-
-
-def _table(rows: list[list[str]], header: list[str]) -> str:
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+def _table(rows, header: list[str]) -> str:
+    """Left-aligned columns two spaces apart, each cell printed with str()."""
+    cells = [header] + [[str(c) for c in row] for row in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each builds its JSON record once and ends with one _emit
 
 
 _PARTITION_COLUMNS = {"d": d_of, "dual": dual}
 
 
-def _cmd_partitions(args) -> int:
+def _cmd_partitions(args) -> None:
     header = ["partition"] + [c for c in _PARTITION_COLUMNS if c in (args.show or [])]
     values = [[lam] + [_PARTITION_COLUMNS[c](lam) for c in header[1:]] for lam in enumerate_partitions(args.n)]
-    if args.json:
-        records = [{h: v if isinstance(v, int) else v.to_json() for h, v in zip(header, row)} for row in values]
-        _emit_json(args, records)
-    else:
-        _emit(args, _table([[str(v) for v in row] for row in values], header))
-    return 0
+    records = [{h: v if isinstance(v, int) else v.to_json() for h, v in zip(header, row)} for row in values]
+    _emit(args, records, lambda: _table(values, header))
 
 
-def _cmd_qcount(args) -> int:
+def _cmd_qcount(args) -> None:
     lam = _parse_partition(args.partition)
     if args.q is not None:
         require_prime_power(args.q)
     poly = q_multinomial(lam)
-    if args.json:
-        rec = {"partition": lam.to_json(), "poly": poly.to_json(), "pretty": poly.pretty("q")}
-        if args.q is not None:
-            rec["q"] = args.q
-            rec["value"] = poly.eval_at(args.q)
-        _emit_json(args, rec)
-        return 0
-    lines = [f"q-multinomial for {lam}: {poly.pretty('q')}"]
+    rec = {"partition": lam.to_json(), "poly": poly.to_json(), "pretty": poly.pretty("q")}
+    lines = [f"q-multinomial for {lam}: {rec['pretty']}"]
     if args.q is not None:
-        lines.append(f"value at q={args.q}: {poly.eval_at(args.q)}")
-    _emit(args, "\n".join(lines))
-    return 0
+        rec["q"] = args.q
+        rec["value"] = poly.eval_at(args.q)
+        lines.append(f"value at q={args.q}: {rec['value']}")
+    _emit(args, rec, lambda: "\n".join(lines))
 
 
-def _cmd_cosets(args) -> int:
+def _cmd_cosets(args) -> None:
     require_at_least(args.j, 0, "--j")
     families = [Family.parse(args.family)] if args.family else list(Family)
-    records = []
+    rows = []
     for lam in enumerate_partitions(args.n):
         for fam in families:
-            depths = range(args.j + 1) if fam.is_pro_p else [0]
-            for j in depths:
-                spec = SubgroupSpec(fam, j, args.q, args.d)
-                records.append(
-                    {
-                        "partition": lam.to_json(),
-                        "family": fam.token,
-                        "depth": j,
-                        "q": args.q,
-                        "d": args.d,
-                        "count": count_at_depth(lam, spec),
-                    }
-                )
-    if args.json:
-        _emit_json(args, records)
-        return 0
-    rows = [
-        [
-            str(Partition(r["partition"])),
-            r["family"],
-            str(r["depth"]),
-            str(r["count"]),
-        ]
-        for r in records
+            for j in range(args.j + 1) if fam.is_pro_p else [0]:
+                rows.append((lam, fam.token, j, count_at_depth(lam, SubgroupSpec(fam, j, args.q, args.d))))
+    records = [
+        {
+            "partition": lam.to_json(),
+            "family": token,
+            "depth": j,
+            "q": args.q,
+            "d": args.d,
+            "count": count,
+        }
+        for lam, token, j, count in rows
     ]
-    _emit(args, _table(rows, ["partition", "family", "depth", "count"]))
-    return 0
+    _emit(args, records, lambda: _table(rows, ["partition", "family", "depth", "count"]))
 
 
-def _cmd_germ_dimpoly(args) -> int:
+def _cmd_germ_dimpoly(args) -> None:
     cmap = _read_map(args.infile)
     fam = Family.parse(args.family)
     dp = dimension_polynomial(cmap, fam, args.q, args.d)
-    if args.json:
-        _emit_json(
-            args,
-            {
-                "n": cmap.n,
-                "family": fam.token,
-                "q": args.q,
-                "d": args.d,
-                "poly": dp.poly.to_json(),
-                "pretty": dp.poly.pretty_ascending("X"),
-                "degree": dp.degree,
-                "formal_degree": dp.formal_degree,
-                "formal_leading": dp.formal_leading,
-            },
-        )
-        return 0
-    _emit(args, dp.poly.pretty_ascending("X"))
-    return 0
+    rec = {
+        "n": cmap.n,
+        "family": fam.token,
+        "q": args.q,
+        "d": args.d,
+        "poly": dp.poly.to_json(),
+        "pretty": dp.poly.pretty_ascending("X"),
+        "degree": dp.degree,
+        "formal_degree": dp.formal_degree,
+        "formal_leading": dp.formal_leading,
+    }
+    _emit(args, rec, lambda: rec["pretty"])
 
 
-def _cmd_germ_induce(args) -> int:
-    maps = [_read_map(p) for p in args.infile]
-    _emit_json(args, induce_maps(maps).to_json())
-    return 0
+def _cmd_germ_induce(args) -> None:
+    _emit(args, induce_maps([_read_map(p) for p in args.infile]).to_json(), None)
 
 
-def _cmd_germ_lj(args) -> int:
+def _cmd_germ_lj(args) -> None:
     require_at_least(args.d, 1, "--d")
     cmap = _read_map(args.infile)
     if cmap.n % args.d != 0:
         raise UsageError(f"map is on partitions of {cmap.n}, not divisible by d = {args.d}")
-    _emit_json(args, lj_transfer(cmap, cmap.n // args.d, args.d).to_json())
-    return 0
+    _emit(args, lj_transfer(cmap, cmap.n // args.d, args.d).to_json(), None)
 
 
-def _cmd_germ_jl(args) -> int:
-    cmap = _read_map(args.infile)
-    _emit_json(args, jl_transfer(cmap, args.d).to_json())
-    return 0
+def _cmd_germ_jl(args) -> None:
+    _emit(args, jl_transfer(_read_map(args.infile), args.d).to_json(), None)
 
 
-def _cmd_germ_solve(args) -> int:
+def _cmd_germ_solve(args) -> None:
     data = _read_map(args.infile)  # multiplicities share the coefficient-map schema
     mults = {lam: data.value(lam) for lam in enumerate_partitions(data.n)}
     M = oracle.multiplicity_matrix(data.n, args.q, cap=_oracle_cap())
-    _emit_json(args, solve_from_multiplicities(mults, M).to_json())
-    return 0
+    _emit(args, solve_from_multiplicities(mults, M).to_json(), None)
 
 
-def _cmd_germ_whittaker(args) -> int:
+def _cmd_germ_whittaker(args) -> None:
     cmap = _read_map(args.infile)
-    dims = whittaker_dims(cmap)
-    ordered = [(lam, dims[lam]) for lam in sorted(dims, key=lambda p: p.parts, reverse=True)]
-    if args.json:
-        _emit_json(args, {"n": cmap.n, "dims": [{"partition": lam.to_json(), "value": v} for lam, v in ordered]})
-        return 0
-    _emit(args, _table([[str(lam), str(v)] for lam, v in ordered], ["partition", "dim"]))
-    return 0
+    dims = whittaker_dims(cmap)  # in canonical order
+    rec = {"n": cmap.n, "dims": [{"partition": lam.to_json(), "value": v} for lam, v in dims.items()]}
+    _emit(args, rec, lambda: _table(dims.items(), ["partition", "dim"]))
 
 
-def _oracle_report(args) -> dict:
+def _oracle_items(args):
+    """(label, item) for each entry of the oracle report."""
     cap = _oracle_cap()
     n, q = args.n, args.q
-    items = []
     if args.check == "cosets":
         for lam in enumerate_partitions(n):
             observed, quotient = oracle.parabolic_coset_report(lam, n, q, cap)
             expected = q_multinomial(lam).eval_at(q)
-            items.append(
-                {
-                    "partition": lam.to_json(),
-                    "expected": expected,
-                    "observed": observed,
-                    "order_quotient": quotient,
-                    "pass": observed == expected == quotient,
-                }
-            )
+            yield lam, {
+                "partition": lam.to_json(),
+                "expected": expected,
+                "observed": observed,
+                "order_quotient": quotient,
+                "pass": observed == expected == quotient,
+            }
     elif args.check == "jordan":
         for lam in enumerate_partitions(n):
             observed = oracle.nilpotent_partition(oracle.build_A_lambda(lam, q))
-            items.append(
-                {
-                    "partition": lam.to_json(),
-                    "expected": lam.to_json(),
-                    "observed": observed.to_json(),
-                    "pass": observed == lam,
-                }
-            )
-        census = oracle.nilpotent_census(n, q, cap)
-        items.append(
-            {
-                "census": f"nilpotents in M_{n}(F_{q})",
-                "expected": q ** (n * n - n),
-                "observed": census,
-                "pass": census == q ** (n * n - n),
+            yield lam, {
+                "partition": lam.to_json(),
+                "expected": lam.to_json(),
+                "observed": observed.to_json(),
+                "pass": observed == lam,
             }
-        )
+        census = oracle.nilpotent_census(n, q, cap)
+        label = f"nilpotents in M_{n}(F_{q})"
+        yield label, {
+            "census": label,
+            "expected": q ** (n * n - n),
+            "observed": census,
+            "pass": census == q ** (n * n - n),
+        }
     else:  # ximatrix
         M = oracle.multiplicity_matrix(n, q, cap)
         closed = closed_form_multiplicity_matrix(n, q)
@@ -291,45 +255,33 @@ def _oracle_report(args) -> dict:
                     expected = 0
                 else:
                     expected = None  # no closed form imposed off the pattern
-                items.append(
-                    {
-                        "row": lam.to_json(),
-                        "col": mu.to_json(),
-                        "expected": expected,
-                        "observed": observed,
-                        "pass": observed == closed[lam][mu] and (expected is None or observed == expected),
-                    }
-                )
-    return {"check": args.check, "n": n, "q": q, "items": items, "pass": all(i["pass"] for i in items)}
+                yield f"{lam} x {mu}", {
+                    "row": lam.to_json(),
+                    "col": mu.to_json(),
+                    "expected": expected,
+                    "observed": observed,
+                    "pass": observed == closed[lam][mu] and (expected is None or observed == expected),
+                }
 
 
-def _cmd_oracle(args) -> int:
-    report = _oracle_report(args)
-    if args.json:
-        _emit_json(args, report)
-    else:
-        rows = []
-        for item in report["items"]:
-            label = item.get("census") or str(
-                Partition(item["partition"]) if "partition" in item else (
-                    f"{Partition(item['row'])} x {Partition(item['col'])}"
-                )
-            )
-            rows.append(
-                [
-                    label,
-                    "-" if item["expected"] is None else str(item["expected"]),
-                    str(item["observed"]),
-                    "pass" if item["pass"] else "FAIL",
-                ]
-            )
-        _emit(args, _table(rows, ["item", "expected", "observed", "status"]))
+def _cmd_oracle(args) -> None:
+    labels, items = zip(*_oracle_items(args))
+    report = {"check": args.check, "n": args.n, "q": args.q, "items": list(items)}
+    report["pass"] = all(i["pass"] for i in items)
+
+    def text():
+        rows = [
+            [label, "-" if i["expected"] is None else i["expected"], i["observed"], "pass" if i["pass"] else "FAIL"]
+            for label, i in zip(labels, items)
+        ]
+        return _table(rows, ["item", "expected", "observed", "status"])
+
+    _emit(args, report, text)
     if not report["pass"]:
         raise CheckFailure(f"oracle check {args.check} failed for n={args.n}, q={args.q}")
-    return 0
 
 
-def _cmd_gl2(args) -> int:
+def _cmd_gl2(args) -> None:
     records = []
     for label, rep in gl2.catalog(args.q):
         a, b = gl2.ab_coefficients(rep, args.q)
@@ -343,27 +295,19 @@ def _cmd_gl2(args) -> int:
             raise UsageError("mod-p supersingular rows require d = 1")
         for twist in (True, False):
             label = "modp-supersingular(" + ("twist" if twist else "non-twist") + ")"
+            a, b, a_prime = gl2.modp_supersingular_coefficients(twist)
             dims = {
                 "Ihalf": gl2.modp_supersingular_dims(twist, Family.PRO_P_IWAHORI_HALF, args.j, args.q),
                 "K": gl2.modp_supersingular_dims(twist, Family.VERTEX_CONGRUENCE, args.j, args.q),
                 "I": None,
             }
-            records.append(
-                {"label": label, "a": -2, "b": 2, "a_prime": -3 if twist else -4, "j": args.j, "dims": dims}
-            )
-    if args.json:
-        _emit_json(args, {"q": args.q, "d": args.d, "rows": records})
-        return 0
+            records.append({"label": label, "a": a, "b": b, "a_prime": a_prime, "j": args.j, "dims": dims})
 
-    def show(v):
-        return "n/a" if v is None else str(v)
+    def text():
+        rows = [[r["label"], r["a"], r["b"]] + ["n/a" if v is None else v for v in r["dims"].values()] for r in records]
+        return _table(rows, ["class", "a", "b", f"dim I{2 * args.j + 1}/2", f"dim K{args.j + 1}", f"dim I{args.j + 1}"])
 
-    rows = [
-        [r["label"], str(r["a"]), str(r["b"]), show(r["dims"]["Ihalf"]), show(r["dims"]["K"]), show(r["dims"]["I"])]
-        for r in records
-    ]
-    _emit(args, _table(rows, ["class", "a", "b", f"dim I{2 * args.j + 1}/2", f"dim K{args.j + 1}", f"dim I{args.j + 1}"]))
-    return 0
+    _emit(args, {"q": args.q, "d": args.d, "rows": records}, text)
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +408,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # the reader closed stdout; point it at devnull so the final flush at exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        args.func(args)
+        return 0
+    except BrokenPipeError:  # the reader closed stdout
         return 1
     except (CheckFailure, OracleConsistencyError, ArithmeticError, PositivityError) as exc:
         print(f"germkit: {exc}", file=sys.stderr)

@@ -189,20 +189,25 @@ def dim_invariants(rep: GL2Rep, family: Family, j: int, q: int, d: int) -> int:
     return value
 
 
+def modp_supersingular_coefficients(twist_of_pi0: bool) -> tuple[int, int, int]:
+    """(a, b, a') of a supersingular class: a' = -3 for twists of the base class, -4 otherwise."""
+    return -2, 2, -3 if twist_of_pi0 else -4
+
+
 def modp_supersingular_dims(twist_of_pi0: bool, family: Family, j: int, p: int) -> int:
     """Supersingular fixed-vector dimensions in coefficient characteristic p (p odd, j >= 0).
 
-    I-half chain: -2 + 4 p^j; K chain: a' + 2(p+1) p^j with a' = -3 for
-    twists of the base class and -4 otherwise.
+    I-half chain: a + 2b p^j; K chain: a' + (p+1) b p^j, the chain
+    formulas at t = p with a' in place of a on the K chain.
     """
     if not is_prime(require_int(p, "p")) or p == 2:
         raise ValueError(f"mod-p supersingular data requires an odd prime p, got {p}")
     require_at_least(j, 0, "depth")
+    a, b, a_prime = modp_supersingular_coefficients(twist_of_pi0)
     if family is Family.PRO_P_IWAHORI_HALF:
-        return -2 + 4 * p**j
+        return chain_dim_formula(a, b, family, j, p, 1)
     if family is Family.VERTEX_CONGRUENCE:
-        a_prime = -3 if twist_of_pi0 else -4
-        return a_prime + 2 * (p + 1) * p**j
+        return chain_dim_formula(a_prime, b, family, j, p, 1)
     raise ValueError(
         f"mod-p supersingular dimensions are tabulated for the I-half and K chains only, got {family.token}"
     )

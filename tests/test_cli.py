@@ -22,6 +22,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env():
+    return dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+
 def golden(name):
     return (GOLDEN / name).read_text()
 
@@ -327,18 +331,38 @@ class TestExitCodes:
         assert err == "germkit: inexact division\n"
 
     def test_closed_stdout_pipe_is_exit_1_without_traceback(self):
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "germkit.cli", "partitions", "--n", "30", "--show", "d"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env=child_env(),
         )
         assert proc.stdout.readline().startswith(b"partition")
         proc.stdout.close()  # the output is far larger than a pipe buffer, so later writes hit the closed pipe
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 1
         assert b"Traceback" not in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+    @pytest.mark.parametrize("n", ["3", "30"])  # the error comes from the final flush, or from print itself
+    def test_full_stdout_is_exit_1_with_one_line(self, n):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "germkit.cli", "partitions", "--n", n, "--show", "d"],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                env=child_env(),
+                timeout=60,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr == b"germkit: error: cannot write stdout: [Errno 28] No space left on device\n"
+
+    def test_deeply_nested_input_is_exit_1(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        code, out, err = run(capsys, "germ", "whittaker", "--in", str(deep))
+        assert (code, out) == (1, "")
+        assert err == f"germkit: error: {deep} is nested too deeply to read\n"
 
     def test_lj_rejects_d_below_one(self, capsys):
         code, out, err = run(capsys, "germ", "lj", "--in", STEINBERG, "--d", "0")
