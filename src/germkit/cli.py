@@ -88,7 +88,7 @@ def _read_map(path: str) -> CoefficientMap:
 def _emit(args, record, text) -> None:
     """Write the record as JSON under --json or when text is None, else text(), to --out or stdout."""
     body = json.dumps(record, indent=2) if text is None or args.json else text()
-    out = getattr(args, "out", None)
+    out = args.out
     try:
         if out:
             with open(out, "w") as fh:
