@@ -18,6 +18,7 @@ Kostka-Foulkes closed form.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -404,10 +405,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of this process, built on the first call of main; parse_args leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         args.func(args)
         return 0
     except BrokenPipeError:  # the reader closed stdout

@@ -49,6 +49,13 @@ class _Parts:
             require_at_least(p, 1, f"{self._noun} parts")
         object.__setattr__(self, "parts", parts)
 
+    @classmethod
+    def _derived(cls, parts: Iterable[int]):
+        """A value whose parts the package derived from a valid one, stored unchecked."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "parts", tuple(parts))
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -132,7 +139,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
 
     def rec(remaining: int, max_part: int, prefix: list[int]) -> None:
         if remaining == 0:
-            out.append(Partition(prefix))
+            out.append(Partition._derived(prefix))
             return
         for k in range(min(remaining, max_part), 0, -1):
             prefix.append(k)
@@ -145,7 +152,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
 
 def dual(lam: Partition) -> Partition:
     """The dual (conjugate) partition: dual(lam)[i] = #{j : lam[j] >= i+1}."""
-    return Partition(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))
+    return Partition._derived(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))
 
 
 def dominance_leq(mu: Partition, lam: Partition) -> bool:

@@ -7,11 +7,21 @@ the variable name is purely presentational.
 
 The q-multinomial is computed by exact polynomial long division (the
 divisors are monic), with a hard error on a nonzero remainder, so the
-divisibility that makes the count a polynomial is exercised on every
-call instead of being assumed.
+divisibility that makes the count a polynomial is checked on every value
+the process computes instead of being assumed.  q-factorials and
+q-multinomials are memoised per process behind the checks of their
+arguments.  The q-multinomial memo keeps at most 1024 partitions: about
+0.85 MB once every partition of n <= 14 has passed through it, and 6 MB
+once every partition of n <= 20 has (tracemalloc, both memos counted).
+
+Polynomials the package derives from checked ones (sums, products,
+quotients, q-integers) skip the coefficient check of the public
+constructor and only drop trailing zeros.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .partitions import Partition, require_at_least, require_int
 
@@ -27,10 +37,19 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = [require_int(c, "a coefficient") for c in coeffs]
+        self._store([require_int(c, "a coefficient") for c in coeffs])
+
+    def _store(self, coeffs: list) -> None:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
+
+    @classmethod
+    def _derived(cls, coeffs) -> "QPoly":
+        """A polynomial whose int coefficients the package computed from checked values."""
+        poly = object.__new__(cls)
+        poly._store(list(coeffs))
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
@@ -76,16 +95,16 @@ class QPoly:
         if not isinstance(other, QPoly):
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly(self.coeff(k) + other.coeff(k) for k in range(n))
+        return QPoly._derived(self.coeff(k) + other.coeff(k) for k in range(n))
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         if not isinstance(other, QPoly):
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly(self.coeff(k) - other.coeff(k) for k in range(n))
+        return QPoly._derived(self.coeff(k) - other.coeff(k) for k in range(n))
 
     def __neg__(self) -> "QPoly":
-        return QPoly(-c for c in self.coeffs)
+        return QPoly._derived(-c for c in self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -100,7 +119,7 @@ class QPoly:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return QPoly(out)
+        return QPoly._derived(out)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -116,7 +135,8 @@ class QPoly:
 
     def substitute(self, scale: int) -> "QPoly":
         """The polynomial p(scale * X): coefficient k is multiplied by scale**k."""
-        return QPoly(c * scale**k for k, c in enumerate(self.coeffs))
+        require_int(scale, "scale")
+        return QPoly._derived(c * scale**k for k, c in enumerate(self.coeffs))
 
     def exact_div(self, divisor: "QPoly") -> "QPoly":
         """Exact quotient self / divisor; nonzero remainder is an error.
@@ -146,7 +166,7 @@ class QPoly:
                 rem[k + i] -= c * b
         if any(rem):
             raise ArithmeticError(f"inexact polynomial division: {self!r} by {divisor!r}")
-        return QPoly(quot)
+        return QPoly._derived(quot)
 
     def pretty(self, var: str = "q") -> str:
         """Compact descending form, e.g. 'q^2+2q+1' or 't^2-2t+1'."""
@@ -197,13 +217,18 @@ def q_int(m: int) -> QPoly:
     """[m]_q = 1 + q + ... + q^(m-1), for m >= 1."""
     if require_int(m, "m") < 1:
         raise ValueError(f"q_int requires m >= 1, got {m}")
-    return QPoly((1,) * m)
+    return QPoly._derived((1,) * m)
 
 
 def q_factorial(n: int) -> QPoly:
     """[n!]_q = product of [m]_q for m = 1..n."""
     if require_int(n, "n") < 1:
         raise ValueError(f"q_factorial requires n >= 1, got {n}")
+    return _q_factorial(n)
+
+
+@functools.cache
+def _q_factorial(n: int) -> QPoly:
     acc = QPoly.one()
     for m in range(1, n + 1):
         acc = acc * q_int(m)
@@ -216,7 +241,14 @@ def q_multinomial(lam: Partition) -> QPoly:
     Evaluated at a prime power q this is the number of cosets of the
     block upper-triangular subgroup of shape lam in GL_n(F_q).
     """
-    num = q_factorial(lam.n)
+    if not isinstance(lam, Partition):
+        raise ValueError(f"q_multinomial needs a Partition, got {lam!r}")
+    return _q_multinomial(lam)
+
+
+@functools.lru_cache(maxsize=1024)
+def _q_multinomial(lam: Partition) -> QPoly:
+    num = _q_factorial(lam.n)
     for part in lam:
-        num = num.exact_div(q_factorial(part))
+        num = num.exact_div(_q_factorial(part))
     return num

@@ -176,6 +176,40 @@ class TestDeterminism:
             assert first == second
 
 
+class TestParserReuse:
+    """main builds its parser once per process; no call may see another call's flags."""
+
+    def test_main_reuses_one_parser(self, capsys):
+        run(capsys, "partitions", "--n", "2")
+        first = cli._parser()
+        run(capsys, "partitions", "--n", "3")
+        assert cli._parser() is first
+
+    def test_append_flag_does_not_carry_over(self, capsys):
+        code, out, _ = run(capsys, "partitions", "--n", "3", "--show", "d", "--json")
+        assert code == 0 and all("d" in row for row in json.loads(out))
+        code, out, _ = run(capsys, "partitions", "--n", "3", "--json")
+        assert code == 0 and all(set(row) == {"partition"} for row in json.loads(out))
+
+    def test_usage_error_between_good_calls_changes_neither(self, capsys):
+        argv = ["cosets", "--n", "3", "--q", "2", "--j", "1"]
+        code, before, _ = run(capsys, *argv)
+        assert code == 0
+        for bad in (["cosets", "--n", "3", "--q", "2", "--j", "1", "--bogus"], ["cosets", "--q", "2"]):
+            code, out, err = run(capsys, *bad)
+            assert code == 1 and out == "" and err.startswith("germkit: error:")
+            code, after, _ = run(capsys, *argv)
+            assert code == 0 and after == before == golden("cosets_n3_q2_j1.txt")
+
+    def test_out_does_not_leak_into_the_next_call(self, capsys, tmp_path):
+        target = tmp_path / "out.txt"
+        code, out, _ = run(capsys, "partitions", "--n", "6", "--show", "d", "--out", str(target))
+        assert code == 0 and out == "" and target.read_text() == golden("partitions_n6_d.txt")
+        code, out, _ = run(capsys, "qcount", "--partition", "2,1", "--q", "2")
+        assert code == 0 and out == golden("qcount_21_q2.txt")
+        assert target.read_text() == golden("partitions_n6_d.txt")
+
+
 class TestGermRoundTrips:
     def test_map_output_is_accepted_as_input(self, capsys, tmp_path):
         out_file = tmp_path / "induced.json"

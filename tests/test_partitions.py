@@ -159,6 +159,16 @@ class TestEnumeration:
         assert canonical_order(shuffled) == parts
 
 
+class TestDerivedPartitions:
+    def test_enumeration_and_dual_match_the_checked_constructor(self):
+        # both build their partitions without the constructor's checks
+        for n in range(1, 13):
+            for lam in enumerate_partitions(n):
+                for value in (lam, dual(lam)):
+                    assert type(value) is Partition and value == Partition(list(value))
+                    assert all(type(p) is int for p in value)
+
+
 class TestDual:
     def test_examples(self):
         assert dual(P(4)) == P(1, 1, 1, 1)

@@ -1,12 +1,14 @@
+import functools
 import itertools
 import math
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from germkit.oracle import gl_order, parabolic_order
-from germkit.partitions import Partition, enumerate_partitions
+from germkit.partitions import Composition, Partition, enumerate_partitions
 from germkit.qpoly import QPoly, q_factorial, q_int, q_multinomial
 
 
@@ -162,6 +164,66 @@ class TestQAnalogs:
             for q in (2, 3):
                 for lam in enumerate_partitions(n):
                     assert q_multinomial(lam).eval_at(q) == gl_order(n, q) // parabolic_order(lam, q)
+
+
+def _fresh_multinomial(lam):
+    """[n!]_q / prod [lam_i!]_q from products of q-integers, through no memo."""
+    def factorial(n):
+        return functools.reduce(operator.mul, (q_int(m) for m in range(1, n + 1)), QPoly.one())
+
+    return functools.reduce(QPoly.exact_div, (factorial(p) for p in lam), factorial(lam.n))
+
+
+_small_partitions = st.integers(1, 9).flatmap(lambda n: st.sampled_from(enumerate_partitions(n)))
+
+
+class TestMemo:
+    def test_memo_sits_behind_the_checks(self):
+        # a bad argument raises whatever the memo holds (functools keys True and 1.0 alike)
+        assert q_factorial(1) == QPoly.one() and q_multinomial(Partition([1])) == QPoly.one()
+        for bad in (True, 1.0):
+            with pytest.raises(ValueError):
+                q_factorial(bad)
+        for bad in ([1], (1,), Composition([1])):
+            with pytest.raises(ValueError):
+                q_multinomial(bad)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_small_partitions)
+    def test_memoised_equals_a_fresh_fold(self, lam):
+        expected = _fresh_multinomial(lam)
+        assert q_multinomial(lam) == expected
+        assert q_multinomial(Partition(list(lam))) == expected  # an equal key built anew
+
+
+def _assert_canonical(poly):
+    assert all(type(c) is int for c in poly.coeffs)
+    assert not poly.coeffs or poly.coeffs[-1] != 0
+    assert poly == QPoly(list(poly.coeffs))
+
+
+class TestDerivedValues:
+    """Arithmetic builds its results unchecked; they must still be what the checked constructor builds."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_coeffs, _coeffs, _coeffs, st.integers(-5, 5), st.integers(1, 12))
+    def test_arithmetic_results_are_canonical(self, a, b, m, k, width):
+        p, r, monic = QPoly(a), QPoly(b), QPoly(m + [1])
+        for result in (p + r, p - r, r - r, -p, p * r, p * QPoly.zero(), p * k, k * p,
+                       (p * monic).exact_div(monic), QPoly.zero().exact_div(monic),
+                       p.substitute(k), q_int(width)):
+            _assert_canonical(result)
+
+    def test_q_analogs_are_canonical(self):
+        for n in range(1, 10):
+            _assert_canonical(q_factorial(n))
+            for lam in enumerate_partitions(n):
+                _assert_canonical(q_multinomial(lam))
+
+    def test_substitute_checks_its_scale(self):
+        for bad in (1.5, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="scale must be an integer"):
+                QPoly((1, 2)).substitute(bad)
 
 
 class TestPretty:
