@@ -31,6 +31,7 @@ from .germ import (
     jl_transfer,
     kostka_foulkes,
     lj_transfer,
+    multiplicity_polynomials,
     solve_from_multiplicities,
     square_integrable_top_coeff,
     whittaker_dims,

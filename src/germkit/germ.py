@@ -18,6 +18,7 @@ standard classes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -386,7 +387,19 @@ def kostka_foulkes(lam: Partition, mu: Partition) -> QPoly:
 
 
 def closed_form_multiplicity_matrix(n: int, q: int) -> dict[Partition, dict[Partition, int]]:
-    """The depth-one multiplicity matrix from Kostka-Foulkes polynomials.
+    """The depth-one multiplicity matrix from Kostka-Foulkes polynomials, at q.
+
+    A fresh int matrix: `multiplicity_polynomials(n)` evaluated at the
+    prime power q.  This is the independent route that the exhaustive
+    oracle `oracle.multiplicity_matrix` is checked against.
+    """
+    require_prime_power(q)
+    rows = multiplicity_polynomials(n)
+    return {lam: {mu: poly.eval_at(q) for mu, poly in row.items()} for lam, row in rows.items()}
+
+
+def multiplicity_polynomials(n: int) -> dict[Partition, dict[Partition, QPoly]]:
+    """The depth-one multiplicity matrix as polynomials in q, from Kostka-Foulkes polynomials.
 
     M[lam][mu] counts the flags of type mu that the block-shift matrix
     A_lam (Jordan type lam' = dual(lam)) moves one step down.  In the
@@ -397,29 +410,39 @@ def closed_form_multiplicity_matrix(n: int, q: int) -> dict[Partition, dict[Part
                      * sum over nu of K_{nu' mu} * K_{nu lam'}(1/q),
 
     with n(rho) = sum_i (i-1) rho_i, so n(lam') = sum_i C(lam_i, 2).
-    Each K_{nu lam'}(t) has degree at most n(lam'), and the final
-    division by q^(sum_i C(mu_i, 2)) is exact; a remainder is a bug.
-    This is the independent route that the exhaustive oracle
-    `oracle.multiplicity_matrix` is checked against.
+    Each K_{nu lam'}(t) has degree at most n(lam'), so the sum times
+    q^(n(lam')) is a polynomial.  Its division by q^(sum_i C(mu_i, 2))
+    is exact at every prime power, hence exact as a polynomial: a
+    nonzero coefficient below that power is a bug (ArithmeticError).
+
+    Built once per n and process; each call returns a fresh matrix, so
+    no caller can change what the next one reads.
     """
-    require_prime_power(q)
+    return {lam: dict(row) for lam, row in _multiplicity_polynomials(require_at_least(n, 1, "n")).items()}
+
+
+@functools.cache
+def _multiplicity_polynomials(n: int) -> dict[Partition, dict[Partition, QPoly]]:
+    """The memo behind `multiplicity_polynomials`; its rows are never handed out."""
     parts = enumerate_partitions(n)
     kostka = {(nu, mu): kostka_number(dual(nu), mu) for nu in parts for mu in parts}
-    out: dict[Partition, dict[Partition, int]] = {}
+    out: dict[Partition, dict[Partition, QPoly]] = {}
     for lam in parts:
         top = sum(p * (p - 1) // 2 for p in lam)
-        # q^(n(lam')) * K_{nu lam'}(1/q), a polynomial in q
-        flipped = {
-            nu: sum(c * q ** (top - k) for k, c in enumerate(kostka_foulkes(nu, dual(lam)).coeffs))
-            for nu in parts
-        }
+        # q^(n(lam')) * K_{nu lam'}(1/q): coefficient k of K moves to q^(top - k)
+        flipped = {nu: kostka_foulkes(nu, dual(lam)).coeffs for nu in parts}
         row = {}
         for mu in parts:
-            total = sum(kostka[nu, mu] * flipped[nu] for nu in parts)
-            shift = q ** sum(p * (p - 1) // 2 for p in mu)
-            if total % shift:
-                raise ArithmeticError(f"closed form for ({lam}, {mu}) at q = {q} is not an integer")
-            row[mu] = total // shift
+            total = [0] * (top + 1)
+            for nu in parts:
+                weight = kostka[nu, mu]
+                if weight:
+                    for k, c in enumerate(flipped[nu]):
+                        total[top - k] += weight * c
+            shift = sum(p * (p - 1) // 2 for p in mu)
+            if any(total[:shift]):
+                raise ArithmeticError(f"closed form for ({lam}, {mu}) is not divisible by q^{shift}")
+            row[mu] = QPoly(total[shift:])
         out[lam] = row
     return out
 

@@ -89,9 +89,9 @@ def test_criterion_02_coset_counts_vs_oracle():
 
 
 def test_criterion_03_multiplicity_matrix_unitriangular():
-    """Dominance-unitriangularity of the depth-one multiplicity matrix, n <= 4 and q in {2,3}, and n = 5, q = 2."""
+    """Dominance-unitriangularity of the depth-one multiplicity matrix, n <= 4 and q in {2,3}, and n in {5, 6}, q = 2."""
     start = time.perf_counter()
-    for n, q in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)):
+    for n, q in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (6, 2)):
         M = multiplicity_matrix(n, q)
         for lam in enumerate_partitions(n):
             assert M[lam][lam] == 1

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 from germkit import cli
 from germkit.cli import main
-from germkit.partitions import Partition
+from germkit.germ import CoefficientMap, closed_form_multiplicity_matrix, forward_multiplicities
+from germkit.partitions import Partition, enumerate_partitions
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -59,6 +61,7 @@ GOLDENS = {
     "ximatrix_n4_q2.json": ["oracle", "--n", "4", "--q", "2", "--check", "ximatrix", "--json"],
     "gl2_table_q3_d1_modp.txt": ["gl2", "table", "--q", "3", "--d", "1", "--modp"],
     "gl2_table_q3_d1_modp.json": ["gl2", "table", "--q", "3", "--d", "1", "--modp", "--json"],
+    "solve_steinberg2_q4.json": ["germ", "solve", "--in", STEINBERG, "--q", "4"],
 }
 GOLDEN_CASES = [(argv, name) for name, argv in GOLDENS.items()]
 
@@ -240,6 +243,18 @@ class TestGermRoundTrips:
         assert code == 0
         assert json.loads(out) == json.loads(Path(STEINBERG).read_text())
 
+    @pytest.mark.parametrize("q", [4, 8, 9])
+    def test_solve_round_trips_at_prime_powers(self, capsys, tmp_path, q):
+        rng = random.Random(q)
+        for n in (2, 3, 5, cli.SOLVE_MAX_N):
+            c = CoefficientMap(n, {lam: rng.randint(-9, 9) for lam in enumerate_partitions(n)})
+            m = forward_multiplicities(c, closed_form_multiplicity_matrix(n, q))
+            m_file = tmp_path / f"mult{n}.json"
+            m_file.write_text(json.dumps(CoefficientMap(n, m).to_json()))
+            code, out, err = run(capsys, "germ", "solve", "--in", str(m_file), "--q", str(q))
+            assert (code, err) == (0, "")
+            assert CoefficientMap.from_json(json.loads(out)) == c
+
 
 class TestOracleCommand:
     def test_cosets_check_passes(self, capsys):
@@ -339,6 +354,19 @@ class TestExitCodes:
         code, out, _ = run(capsys, "qcount", "--partition", "2,1", "--q", "4")
         assert code == 0
         assert "value at q=4: 21" in out
+
+    def test_solve_rejects_q_that_is_not_a_prime_power(self, capsys):
+        code, out, err = run(capsys, "germ", "solve", "--in", STEINBERG, "--q", "6")
+        assert (code, out) == (1, "")
+        assert err == "germkit: error: q must be a prime power >= 2, got 6\n"
+
+    def test_solve_refuses_n_above_its_bound(self, capsys, tmp_path):
+        big = tmp_path / "n11.json"
+        big.write_text(json.dumps({"n": 11, "entries": [{"partition": [11], "value": 1}]}))
+        code, out, err = run(capsys, "germ", "solve", "--in", str(big), "--q", "4")
+        assert (code, out) == (1, "")
+        assert err == f"germkit: error: germ solve supports n <= {cli.SOLVE_MAX_N}, got n = 11\n"
+        assert cli.SOLVE_MAX_N == 10
 
     def test_gl2_table_rejects_negative_depth(self, capsys):
         code, out, err = run(capsys, "gl2", "table", "--q", "3", "--d", "1", "--j", "-1")

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from germkit import germ
 from germkit.cosets import Family, SubgroupSpec
 from germkit.germ import (
     CoefficientMap,
@@ -19,6 +20,7 @@ from germkit.germ import (
     jl_transfer,
     kostka_foulkes,
     lj_transfer,
+    multiplicity_polynomials,
     solve_from_multiplicities,
     square_integrable_top_coeff,
     whittaker_dims,
@@ -366,6 +368,33 @@ class TestClosedFormMatrix:
     def test_rejects_non_prime_power(self):
         with pytest.raises(ValueError):
             closed_form_multiplicity_matrix(3, 6)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_polynomials_unitriangular_in_dominance_order(self, n):
+        M = multiplicity_polynomials(n)
+        for lam in enumerate_partitions(n):
+            assert M[lam][lam] == QPoly.one()
+            for mu in enumerate_partitions(n):
+                if not dominance_leq(mu, lam):
+                    assert M[lam][mu] == QPoly.zero()
+
+    def test_polynomials_are_memoised_and_handed_out_fresh(self):
+        first, second = multiplicity_polynomials(4), multiplicity_polynomials(4)
+        assert first == second and first is not second
+        assert all(first[lam][mu] is second[lam][mu] for lam in first for mu in first[lam])  # built once
+        first[P(4)][P(1, 1, 1, 1)] = QPoly.zero()
+        first[P(2, 2)].clear()
+        del first[P(3, 1)]
+        assert multiplicity_polynomials(4) == second
+        M = closed_form_multiplicity_matrix(4, 3)
+        M[P(4)][P(1, 1, 1, 1)] += 1
+        assert closed_form_multiplicity_matrix(4, 3)[P(4)][P(1, 1, 1, 1)] == q_multinomial(P(1, 1, 1, 1)).eval_at(3)
+
+    def test_inexact_division_is_an_arithmetic_error(self, monkeypatch):
+        # a constant term in every K_{nu lam'} leaves q^0 terms that q^(sum C(mu_i, 2)) cannot divide
+        monkeypatch.setattr(germ, "kostka_foulkes", lambda nu, lam: QPoly.one())
+        with pytest.raises(ArithmeticError, match="not divisible by q"):
+            germ._multiplicity_polynomials.__wrapped__(2)  # the unmemoised build
 
 
 def _map_on(n):

@@ -550,7 +550,9 @@ class TestMultiplicityRoutes:
     def test_nilradical_route_equals_group_enumeration(self, n, q):
         assert multiplicity_matrix(n, q) == _gl_reference_matrix(n, q)
 
-    @pytest.mark.parametrize("n,q", [(4, 3), (3, 5), (5, 2), (3, 7), (6, 2)])
+    @pytest.mark.parametrize(
+        "n,q", sorted({(n, q) for n in (1, 2, 3, 4) for q in (2, 3, 5)} | {(5, 3), (5, 2), (3, 7), (6, 2)})
+    )
     def test_nilradical_route_equals_closed_form(self, n, q):
         assert multiplicity_matrix(n, q) == closed_form_multiplicity_matrix(n, q)
 

@@ -443,6 +443,8 @@ def _integer_entry_points():
         ("square_integrable_top_coeff dimension", lambda x: germ.square_integrable_top_coeff(x, 2), 2),
         ("square_integrable_top_coeff n", lambda x: germ.square_integrable_top_coeff(1, x), 2),
         ("closed_form_multiplicity_matrix q", lambda x: germ.closed_form_multiplicity_matrix(2, x), 3),
+        ("closed_form_multiplicity_matrix n", lambda x: germ.closed_form_multiplicity_matrix(x, 2), 2),
+        ("multiplicity_polynomials n", germ.multiplicity_polynomials, 2),
         ("FiniteDim dim", gl2.FiniteDim, 2),
         ("PrincipalSeries dim_sigma", gl2.PrincipalSeries, 2),
         ("SpehPair dim_pi2", gl2.SpehPair, 2),
