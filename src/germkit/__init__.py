@@ -39,7 +39,6 @@ from .germ import (
 from .oracle import (
     FqMatrix,
     OracleBoundError,
-    ParabolicShape,
     build_A_lambda,
     count_parabolic_cosets,
     multiplicity_matrix,

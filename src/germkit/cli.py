@@ -210,8 +210,8 @@ def _cmd_germ_solve(args) -> None:
     data = _read_map(args.infile)  # multiplicities share the coefficient-map schema
     if data.n > SOLVE_MAX_N:
         raise UsageError(f"germ solve supports n <= {SOLVE_MAX_N}, got n = {data.n}")
-    mults = {lam: data.value(lam) for lam in enumerate_partitions(data.n)}
     M = closed_form_multiplicity_matrix(data.n, args.q)
+    mults = {lam: data.value(lam) for lam in M}  # the rows of M: every partition of n, in canonical order
     _emit(args, solve_from_multiplicities(mults, M).to_json(), None)
 
 
@@ -238,6 +238,7 @@ def _oracle_items(args):
                 "pass": observed == expected == quotient,
             }
     elif args.check == "jordan":
+        census = oracle.nilpotent_census(n, q, cap)  # charges the cap before any A_lam is built
         for lam in enumerate_partitions(n):
             observed = oracle.nilpotent_partition(oracle.build_A_lambda(lam, q))
             yield lam, {
@@ -246,7 +247,6 @@ def _oracle_items(args):
                 "observed": observed.to_json(),
                 "pass": observed == lam,
             }
-        census = oracle.nilpotent_census(n, q, cap)
         label = f"nilpotents in M_{n}(F_{q})"
         yield label, {
             "census": label,

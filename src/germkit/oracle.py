@@ -102,11 +102,6 @@ def _check_prime(q: int) -> None:
 # raw matrix kernels (rows are tuples of ints reduced mod q)
 
 
-def _mat_mul(a, b, q):
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % q for col in bt) for row in a)
-
-
 def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -127,36 +122,6 @@ def _extend(basis, row, q):
         if x:
             return basis + [(p, pow(x, -1, q), row)]
     return basis
-
-
-def _det(rows, q):
-    """Determinant from the rows forward-eliminated in order by `_extend`.
-
-    The reduced rows are triangular in pivot-column order, so det is the
-    product of the pivots times the sign of the row -> pivot-column permutation.
-    """
-    basis = []
-    for row in rows:
-        basis = _extend(basis, row, q)
-    if len(basis) < len(rows):
-        return 0
-    det = 1
-    for i, (p, _, b) in enumerate(basis):
-        det *= -b[p] if sum(e[0] > p for e in basis[:i]) % 2 else b[p]
-    return det % q
-
-
-def _inverse(rows, q):
-    """Inverse by reducing [A | I]; None when A is singular."""
-    n, ident = len(rows), _identity(len(rows))
-    red = _rref([tuple(r) + e for r, e in zip(rows, ident)], q)
-    return tuple(r[n:] for r in red) if all(r[:n] == e for r, e in zip(red, ident)) else None
-
-
-def _rref(rows, q):
-    """Canonical reduced row echelon form; zero rows dropped."""
-    rows = tuple(rows)
-    return _echelon(rows, ((0, len(rows)),), q)
 
 
 def _echelon(rows, blocks, q):
@@ -279,7 +244,11 @@ def _kernel_jumps(rows, q):
 
 
 class FqMatrix:
-    """A dense matrix over the prime field F_q, entries reduced mod q."""
+    """A dense matrix over the prime field F_q, entries reduced mod q: a validated, immutable value.
+
+    `build_A_lambda` returns one and `nilpotent_partition` reads one.  It
+    has no arithmetic; the routes work on its row tuples.
+    """
 
     __slots__ = ("q", "rows")
 
@@ -310,10 +279,6 @@ class FqMatrix:
     def ncols(self) -> int:
         return len(self.rows[0])
 
-    def _require_square(self) -> None:
-        if self.nrows != self.ncols:
-            raise ValueError("operation requires a square matrix")
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FqMatrix) and self.q == other.q and self.rows == other.rows
 
@@ -322,60 +287,6 @@ class FqMatrix:
 
     def __repr__(self) -> str:
         return f"FqMatrix(q={self.q}, rows={[list(r) for r in self.rows]})"
-
-    def __mul__(self, other: "FqMatrix") -> "FqMatrix":
-        if not isinstance(other, FqMatrix):
-            return NotImplemented
-        if self.q != other.q or self.ncols != other.nrows:
-            raise ValueError("incompatible matrices")
-        return FqMatrix(self.q, _mat_mul(self.rows, other.rows, self.q))
-
-    def det(self) -> int:
-        self._require_square()
-        return _det(self.rows, self.q)
-
-    def rank(self) -> int:
-        return len(_rref(self.rows, self.q))
-
-    def inverse(self) -> "FqMatrix":
-        self._require_square()
-        inv = _inverse(self.rows, self.q)
-        if inv is None:
-            raise ZeroDivisionError("matrix is not invertible")
-        return FqMatrix(self.q, inv)
-
-    def is_nilpotent(self) -> bool:
-        self._require_square()
-        return sum(_kernel_jumps(self.rows, self.q)) == self.nrows
-
-
-class ParabolicShape:
-    """Index predicates for the block triangular algebras of shape lam.
-
-    Position (i, j), zero-based, lies in p_lam when block(i) <= block(j)
-    and in the nilradical n_lam when block(i) < block(j); the remaining
-    positions form the opposite nilradical.
-    """
-
-    __slots__ = ("lam", "_block")
-
-    def __init__(self, lam: Partition):
-        block = []
-        for b, size in enumerate(lam):
-            block.extend([b] * size)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "_block", tuple(block))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ParabolicShape is immutable")
-
-    def in_n(self, i: int, j: int) -> bool:
-        return self._block[i] < self._block[j]
-
-    @property
-    def nilradical_dim(self) -> int:
-        n = self.lam.n
-        return sum(1 for i in range(n) for j in range(n) if self.in_n(i, j))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +357,8 @@ def nilpotent_partition(X: FqMatrix) -> Partition:
     lam_i = dim Ker X^i - dim Ker X^(i-1) = rank X^(i-1) - rank X^i.
     Raises on non-nilpotent input.
     """
-    X._require_square()
+    if X.nrows != X.ncols:
+        raise ValueError("a nilpotent matrix must be square")
     jumps = _kernel_jumps(X.rows, X.q)
     if sum(jumps) != X.nrows:
         raise ValueError("matrix is not nilpotent (X^n != 0)")
@@ -617,12 +529,13 @@ def count_parabolic_cosets(lam: Partition, n: int, q: int, cap: int = DEFAULT_CA
 
 
 def _check_nilradical_cap(mus: list[Partition], q: int, cap: int) -> None:
+    """Charge sum q^(d_mu) over mus against the cap; the message names mu, or counts the partitions of n."""
     require_int(cap, "cap")
     total = sum(q ** d_of(mu) for mu in mus)
     if total > cap:
+        which = f"mu = {mus[0]}" if len(mus) == 1 else f"the {len(mus)} partitions of n = {mus[0].n}"
         raise OracleBoundError(
-            f"streaming the nilradicals n_mu(F_{q}) for mu in {', '.join(map(str, mus))} "
-            f"needs {total} elements, above the cap {cap}"
+            f"streaming the nilradicals n_mu(F_{q}) for {which} needs {total} elements, above the cap {cap}"
         )
 
 

@@ -331,11 +331,30 @@ class TestExitCodes:
         assert code == 2
         assert "minimal support value must be positive" in err
 
-    def test_oracle_bound_is_exit_1(self, capsys, monkeypatch):
-        monkeypatch.setenv("GERMKIT_ORACLE_CAP", "10")
-        code, _, err = run(capsys, "oracle", "--n", "3", "--q", "2", "--check", "ximatrix")
-        assert code == 1
-        assert "cap" in err
+    @pytest.mark.parametrize(
+        "check,n,cap,message",
+        [
+            ("ximatrix", 3, "10", "for the 3 partitions of n = 3 needs 13 elements, above the cap 10"),
+            ("ximatrix", 20, None, "for the 627 partitions of n = 20 needs "),
+            ("jordan", 30, None, "enumerating M_30(F_2) needs "),
+        ],
+        ids=["ximatrix-cap10", "ximatrix-n20", "jordan-n30"],
+    )
+    def test_oracle_bound_is_exit_1(self, capsys, monkeypatch, check, n, cap, message):
+        if cap is None:
+            monkeypatch.delenv("GERMKIT_ORACLE_CAP", raising=False)
+        else:
+            monkeypatch.setenv("GERMKIT_ORACLE_CAP", cap)
+
+        def unreachable(lam, q):
+            raise AssertionError("the cap is charged before any A_lam is built")
+
+        monkeypatch.setattr("germkit.oracle.build_A_lambda", unreachable)
+        code, out, err = run(capsys, "oracle", "--n", str(n), "--q", "2", "--check", check)
+        assert (code, out) == (1, "")
+        assert err.startswith("germkit: error: ") and err.count("\n") == 1 and message in err
+        if check == "ximatrix":  # the line counts the partitions of n instead of listing them
+            assert len(err.encode()) < 200
 
     def test_bad_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("GERMKIT_ORACLE_CAP", "lots")
