@@ -33,17 +33,29 @@ from .partitions import Partition, d_of, require_at_least, require_int
 from .qpoly import QPoly, q_multinomial
 
 
+def _least_factor(q: int) -> int:
+    """The least prime factor of q >= 2."""
+    return next((k for k in range(2, math.isqrt(q) + 1) if q % k == 0), q)
+
+
 def is_prime(q: int) -> bool:
-    return q >= 2 and all(q % k for k in range(2, math.isqrt(q) + 1))
+    return q >= 2 and _least_factor(q) == q
 
 
 def is_prime_power(q: int) -> bool:
     if q < 2:
         return False
-    p = next((k for k in range(2, math.isqrt(q) + 1) if q % k == 0), q)
+    p = _least_factor(q)
     while q % p == 0:
         q //= p
     return q == 1
+
+
+def require_prime(q, what: str) -> int:
+    """q itself if it is an int prime; ValueError naming it `what` otherwise."""
+    if not is_prime(require_int(q, what)):
+        raise ValueError(f"{what} must be a prime, got {q}")
+    return q
 
 
 def require_prime_power(q) -> int:

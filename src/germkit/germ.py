@@ -32,7 +32,6 @@ from .partitions import (
     dual,
     enumerate_partitions,
     induce_partition,
-    kostka_number,
     minimal_elements,
     require_at_least,
     require_int,
@@ -423,14 +422,19 @@ def multiplicity_polynomials(n: int) -> dict[Partition, dict[Partition, QPoly]]:
 
 @functools.cache
 def _multiplicity_polynomials(n: int) -> dict[Partition, dict[Partition, QPoly]]:
-    """The memo behind `multiplicity_polynomials`; its rows are never handed out."""
+    """The memo behind `multiplicity_polynomials`; its rows are never handed out.
+
+    Each K_{a b}(t) is built once, into one table; K_{nu' mu} is read
+    from it at t = 1.
+    """
     parts = enumerate_partitions(n)
-    kostka = {(nu, mu): kostka_number(dual(nu), mu) for nu in parts for mu in parts}
+    table = {(a, b): kostka_foulkes(a, b).coeffs for a in parts for b in parts}
+    kostka = {(nu, mu): sum(table[dual(nu), mu]) for nu in parts for mu in parts}
     out: dict[Partition, dict[Partition, QPoly]] = {}
     for lam in parts:
         top = sum(p * (p - 1) // 2 for p in lam)
         # q^(n(lam')) * K_{nu lam'}(1/q): coefficient k of K moves to q^(top - k)
-        flipped = {nu: kostka_foulkes(nu, dual(lam)).coeffs for nu in parts}
+        flipped = {nu: table[nu, dual(lam)] for nu in parts}
         row = {}
         for mu in parts:
             total = [0] * (top + 1)

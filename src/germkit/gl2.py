@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cosets import Family, is_prime, require_prime_power
+from .cosets import Family, require_prime, require_prime_power
 from .germ import CoefficientMap
 from .partitions import Partition, require_at_least, require_int
 
@@ -200,7 +200,7 @@ def modp_supersingular_dims(twist_of_pi0: bool, family: Family, j: int, p: int) 
     I-half chain: a + 2b p^j; K chain: a' + (p+1) b p^j, the chain
     formulas at t = p with a' in place of a on the K chain.
     """
-    if not is_prime(require_int(p, "p")) or p == 2:
+    if require_prime(p, "p") == 2:
         raise ValueError(f"mod-p supersingular data requires an odd prime p, got {p}")
     require_at_least(j, 0, "depth")
     a, b, a_prime = modp_supersingular_coefficients(twist_of_pi0)

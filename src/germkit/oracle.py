@@ -66,7 +66,11 @@ package are checked against raw enumeration:
   ximatrix` compares entry by entry.
 
 The oracle works over prime q only, so all arithmetic is plain modular
-integer arithmetic.  Every enumeration is bounded by an element cap
+integer arithmetic.  Every elimination goes through one kernel,
+`_clear`, which clears a row at a basis's pivots, in order, and scales
+its leading entry to 1: `_extend` (the census and nilradical walk),
+`_echelon` (the flag forms) and `_reduce_lead_row` (t and d) call it.
+Every enumeration is bounded by an element cap
 (default 10**7) counting the items a call streams, checked before the
 first one: q^(n^2) matrices for the nilpotent census, the sum of
 q^(d_mu) over the nilradicals a multiplicity call streams, the orbit
@@ -75,11 +79,11 @@ size for flag enumeration.
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import insort
 from itertools import accumulate, chain, islice, pairwise, product
 from typing import Iterable, Iterator
 
-from .cosets import is_prime
+from .cosets import require_prime
 from .partitions import Partition, d_of, enumerate_partitions, require_at_least, require_int
 
 DEFAULT_CAP = 10**7
@@ -93,11 +97,6 @@ class OracleConsistencyError(RuntimeError):
     """Two independent routes disagreed; this signals a bug, not bad input."""
 
 
-def _check_prime(q: int) -> None:
-    if not is_prime(require_int(q, "q")):
-        raise ValueError(f"the oracle works over prime fields only, got q = {q}")
-
-
 # ---------------------------------------------------------------------------
 # raw matrix kernels (rows are tuples of ints reduced mod q)
 
@@ -106,53 +105,58 @@ def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _extend(basis, row, q):
-    """One forward-elimination step: a new list, basis plus the reduced row, or basis if row is in its span.
+def _clear(row, basis, q):
+    """(pivot, row): row cleared at the pivots of basis, in order, then scaled to a leading 1; None if it clears to 0.
 
-    Entries are (pivot column, pivot inverse, row), each row zero before its
-    pivot and at the earlier pivots, so one pass in order zeroes row at all.
-    basis is never mutated, so prefixes of rows can share theirs.
+    The one row-reduction kernel of the oracle.  basis is (pivot, row)
+    pairs, each row 1 at its pivot; the caller keeps each zero at the
+    pivots before it, so one pass in order zeroes row at all of them.
     """
-    for p, inv, b in basis:
-        x = row[p]
-        if x:
-            f = x * inv % q
-            row = [(a - f * c) % q for a, c in zip(row, b)]
-    for p, x in enumerate(row):
-        if x:
-            return basis + [(p, pow(x, -1, q), row)]
-    return basis
+    for p, b in basis:
+        if x := row[p]:
+            row = [(a - x * c) % q for a, c in zip(row, b)]
+    if x := next(filter(None, row), 0):
+        if x != 1:
+            inv = pow(x, -1, q)
+            row = [a * inv % q for a in row]
+        return row.index(1), row
+    return None
+
+
+def _extend(basis, row, q):
+    """One forward-elimination step: a new list, basis plus the `_clear`ed row, or basis if row is in its span.
+
+    Entries are (pivot, row) pairs, each row normalised and zero at the
+    earlier pivots, as `_clear` needs.  basis is never mutated, so
+    prefixes of rows can share theirs.
+    """
+    lead = _clear(row, basis, q)
+    return basis + [lead] if lead else basis
 
 
 def _echelon(rows, blocks, q):
     """Nested echelon form of rows cut into blocks (start, stop): one Gauss-Jordan pass, zero rows dropped.
 
-    Each row, as it arrives, is cleared at the pivots so far, in order, so
-    the earlier blocks come first; then it is normalised, back-substituted
-    into the rows of its own block only and put among them in pivot order.
-    So block i is, in RREF, the vectors of the span of blocks 0..i that
-    vanish at the pivots of the earlier blocks, and the earlier blocks keep
-    their entries at its pivots.  rows may be an iterator.
+    Each row, as it arrives, is `_clear`ed at the pivots so far, in order,
+    so the earlier blocks come first; its pivot is then cleared out of
+    the rows of its own block only, by `_clear` too, and it is put among
+    them in pivot order.  So block i is, in RREF, the vectors of the span
+    of blocks 0..i that vanish at the pivots of the earlier blocks, and
+    the earlier blocks keep their entries at its pivots.  The form is a
+    complete invariant of the flag that the blocks span.  rows may be an
+    iterator.
     """
-    rows, form, pivots = iter(rows), [], []
+    rows, form = iter(rows), []
     for start, stop in blocks:
         first = len(form)
         for row in islice(rows, stop - start):
-            for p, b in zip(pivots, form):
-                if x := row[p]:
-                    row = [(a - x * c) % q for a, c in zip(row, b)]
-            if x := next(filter(None, row), 0):
-                p = row.index(x)
-                if x != 1:
-                    inv = pow(x, -1, q)
-                    row = [a * inv % q for a in row]
+            if lead := _clear(row, form, q):
+                p = lead[0]
                 for i in range(first, len(form)):
-                    if y := form[i][p]:
-                        form[i] = [(a - y * c) % q for a, c in zip(form[i], row)]
-                i = bisect(pivots, p, first)
-                form.insert(i, row)
-                pivots.insert(i, p)
-    return tuple(map(tuple, form))
+                    if form[i][1][p]:
+                        form[i] = _clear(form[i][1], [lead], q)
+                insort(form, lead, first)  # pivots are distinct, so only they are compared
+    return tuple([tuple(b) for _, b in form])
 
 
 def _jump_census(choices, q):
@@ -188,7 +192,7 @@ def _jump_census(choices, q):
         jumps, prev = (), n
         while len(basis) < prev:
             jumps, prev, image = jumps + (prev - len(basis),), len(basis), []
-            for _, _, b in basis:
+            for _, b in basis:
                 v = None
                 for x, r in zip(b, X):
                     if x:
@@ -204,7 +208,7 @@ def _jump_census(choices, q):
 def _span(basis, n, q):
     """Every row of F_q^n in the span of the basis rows of `_extend`."""
     span = [[0] * n]
-    for _, _, b in basis:
+    for _, b in basis:
         span = [[(a + c * x) % q for a, x in zip(v, b)] for v in span for c in range(q)]
     return span
 
@@ -253,7 +257,7 @@ class FqMatrix:
     __slots__ = ("q", "rows")
 
     def __init__(self, q: int, rows: Iterable[Iterable[int]]):
-        _check_prime(q)
+        require_prime(q, "the oracle's q")
         rows = tuple(tuple(require_int(x, "a matrix entry") % q for x in row) for row in rows)
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("matrix rows must be nonempty and of equal length")
@@ -262,14 +266,6 @@ class FqMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("FqMatrix is immutable")
-
-    @classmethod
-    def zero(cls, n: int, q: int) -> "FqMatrix":
-        return cls(q, ((0,) * n for _ in range(n)))
-
-    @classmethod
-    def identity(cls, n: int, q: int) -> "FqMatrix":
-        return cls(q, _identity(n))
 
     @property
     def nrows(self) -> int:
@@ -370,16 +366,8 @@ def nilpotent_partition(X: FqMatrix) -> Partition:
 
 
 def _primitive_root(q: int) -> int:
-    if q == 2:
-        return 1
-    for g in range(2, q):
-        seen, x = set(), 1
-        for _ in range(q - 1):
-            x = (x * g) % q
-            seen.add(x)
-        if len(seen) == q - 1:
-            return g
-    raise ValueError(f"no primitive root mod {q}")
+    """The least g whose powers run over all of F_q^x (g = 1 at q = 2)."""
+    return next(g for g in range(1, q) if len({pow(g, k, q) for k in range(q - 1)}) == q - 1)
 
 
 def _column_ops(n: int, q: int) -> dict:
@@ -396,12 +384,11 @@ def _column_ops(n: int, q: int) -> dict:
 
 def _check_matrix_cap(n: int, q: int, cap: int) -> None:
     require_at_least(n, 0, "n")
-    _check_prime(q)
+    require_prime(q, "the oracle's q")
     require_int(cap, "cap")
-    total = q ** (n * n)
-    if total > cap:
+    if q ** (n * n) > cap:
         raise OracleBoundError(
-            f"enumerating M_{n}(F_{q}) needs {total} elements, above the cap {cap}"
+            f"enumerating M_{n}(F_{q}) needs {q}^{n * n} elements, above the cap {cap}"
         )
 
 
@@ -420,34 +407,17 @@ def _pack(form, q):
     return key
 
 
-def _flag_form(rows, blocks, q):
-    """(nested echelon form, its packed key) of the flag spanned by the independent rows[:stop] of blocks.
-
-    Block i spans, in RREF, the vectors of the i-th subspace that vanish at
-    the pivots of the earlier blocks (`_echelon`), so the form is a
-    complete invariant.
-    """
-    form = _echelon(rows, blocks, q)
-    return form, _pack(form, q)
-
-
 def _reduce_lead_row(form, i, stop, row, q):
-    """(form, key) after form[i], the row with its pivot in column 1, becomes row = form[i] G for G = t or d.
+    """The form after form[i], the row with its pivot in column 1, becomes row = form[i] G for G = t or d.
 
     Every other row of the form is zero in column 1, so G leaves it as it
-    is, and the pivots do not move.  Only the new row is re-reduced: it is
-    cleared at the pivots of the earlier blocks and of the rest of its own
-    block, form[:i] and form[i+1:stop] (it comes first in its block), and
-    normalised.  A normalised row's pivot is its first 1.
+    is, and the pivots do not move.  Only the new row is re-reduced, by
+    `_clear`: at the pivots of the earlier blocks and of the rest of its
+    own block, form[:i] and form[i+1:stop] (it comes first in its block).
+    A normalised row's pivot is its first 1.
     """
-    for b in chain(form[:i], form[i + 1 : stop]):
-        if x := row[b.index(1)]:
-            row = [(a - x * c) % q for a, c in zip(row, b)]
-    if row[0] != 1:
-        inv = pow(row[0], -1, q)
-        row = [a * inv % q for a in row]
-    form = form[:i] + (tuple(row),) + form[i + 1 :]
-    return form, _pack(form, q)
+    _, row = _clear(row, [(b.index(1), b) for b in chain(form[:i], form[i + 1 : stop])], q)
+    return form[:i] + (tuple(row),) + form[i + 1 :]
 
 
 def flag_orbit_count(lam: Partition, q: int, cap: int = DEFAULT_CAP) -> int:
@@ -459,7 +429,7 @@ def flag_orbit_count(lam: Partition, q: int, cap: int = DEFAULT_CAP) -> int:
     generate GL_n(F_q): commutators of the c^k t c^-k = I + E_(i,i+1 mod n)
     give every elementary transvection, hence SL_n(F_q) for prime q, and
     d adds every determinant.  Each acts on a flag's basis rows in nested
-    echelon form (`_flag_form`) as a column operation (rotate right,
+    echelon form (`_echelon`) as a column operation (rotate right,
     column 2 += column 1, scale column 1 by g) and the form is restored:
     by a full pass after c, and after t and d by re-reducing the one row
     with its pivot in column 1 (`_reduce_lead_row`).  That row has a 1 in
@@ -467,7 +437,7 @@ def flag_orbit_count(lam: Partition, q: int, cap: int = DEFAULT_CAP) -> int:
     t and d.  The seen-set holds each form packed into one int, so every
     coset of the flag stabilizer is seen exactly once.
     """
-    _check_prime(q)
+    require_prime(q, "the oracle's q")
     require_int(cap, "cap")
     blocks = tuple(pairwise(accumulate(lam.parts[:-1], initial=0)))
     stops = [stop for start, stop in blocks for _ in range(start, stop)]
@@ -478,13 +448,13 @@ def flag_orbit_count(lam: Partition, q: int, cap: int = DEFAULT_CAP) -> int:
     while frontier:
         fresh = []
         for flag in frontier:
-            images = [_flag_form(map(rotate, flag), blocks, q)] if rotate else []
+            images = [_echelon(map(rotate, flag), blocks, q)] if rotate else []
             column = [row[0] for row in flag]
             if 1 in column:
                 i = column.index(1)
                 images += [_reduce_lead_row(flag, i, stops[i], op(flag[i]), q) for op in ops.values()]
-            for img, key in images:
-                if key not in seen:
+            for img in images:
+                if (key := _pack(img, q)) not in seen:
                     seen.add(key)
                     if len(seen) > cap:
                         raise OracleBoundError(
@@ -495,11 +465,11 @@ def flag_orbit_count(lam: Partition, q: int, cap: int = DEFAULT_CAP) -> int:
     return len(seen)
 
 
-def parabolic_coset_report(lam: Partition, n: int, q: int, cap: int = DEFAULT_CAP) -> tuple[int, int]:
-    """(exhaustive flag-orbit count, group-order quotient) for P_lam cosets in GL_n(F_q)."""
+def _coset_quotient(lam: Partition, n: int, q: int, cap: int) -> int:
+    """|GL_n(F_q)| / |P_lam(F_q)|, the size of the flag orbit of shape lam, refused above the cap."""
     if lam.n != n:
         raise ValueError(f"{lam} is not a partition of n = {n}")
-    _check_prime(q)
+    require_prime(q, "the oracle's q")
     require_int(cap, "cap")
     order_g = gl_order(n, q)
     order_p = parabolic_order(lam, q)
@@ -510,8 +480,13 @@ def parabolic_coset_report(lam: Partition, n: int, q: int, cap: int = DEFAULT_CA
         raise OracleBoundError(
             f"coset space for {lam} over F_{q} has {quotient} elements, above the cap {cap}"
         )
-    observed = flag_orbit_count(lam, q, cap)
-    return observed, quotient
+    return quotient
+
+
+def parabolic_coset_report(lam: Partition, n: int, q: int, cap: int = DEFAULT_CAP) -> tuple[int, int]:
+    """(exhaustive flag-orbit count, group-order quotient) for P_lam cosets in GL_n(F_q)."""
+    quotient = _coset_quotient(lam, n, q, cap)
+    return flag_orbit_count(lam, q, cap), quotient
 
 
 def count_parabolic_cosets(lam: Partition, n: int, q: int, cap: int = DEFAULT_CAP) -> int:
@@ -576,7 +551,7 @@ def xi_multiplicity(lam: Partition, mu: Partition, n: int, q: int, cap: int = DE
     """
     if lam.n != n or mu.n != n:
         raise ValueError(f"{lam} and {mu} must both be partitions of n = {n}")
-    _check_prime(q)
+    require_prime(q, "the oracle's q")
     _check_nilradical_cap([mu], q, cap)
     return _xi_column(mu, q).get(lam, 0)
 
@@ -588,7 +563,7 @@ def multiplicity_matrix(n: int, q: int, cap: int = DEFAULT_CAP) -> dict[Partitio
     sum over mu of q^(d_mu), and is checked before streaming starts.
     """
     parts = enumerate_partitions(n)
-    _check_prime(q)
+    require_prime(q, "the oracle's q")
     _check_nilradical_cap(parts, q, cap)
     columns = {mu: _xi_column(mu, q) for mu in parts}
     return {lam: {mu: columns[mu].get(lam, 0) for mu in parts} for lam in parts}

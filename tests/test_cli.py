@@ -336,9 +336,10 @@ class TestExitCodes:
         [
             ("ximatrix", 3, "10", "for the 3 partitions of n = 3 needs 13 elements, above the cap 10"),
             ("ximatrix", 20, None, "for the 627 partitions of n = 20 needs "),
-            ("jordan", 30, None, "enumerating M_30(F_2) needs "),
+            ("jordan", 30, None, "enumerating M_30(F_2) needs 2^900 elements, above the cap 10000000"),
+            ("cosets", 7, None, "coset space for (1,1,1,1,1,1,1) over F_2 has 78129765 elements"),
         ],
-        ids=["ximatrix-cap10", "ximatrix-n20", "jordan-n30"],
+        ids=["ximatrix-cap10", "ximatrix-n20", "jordan-n30", "cosets-n7"],
     )
     def test_oracle_bound_is_exit_1(self, capsys, monkeypatch, check, n, cap, message):
         if cap is None:
@@ -346,15 +347,16 @@ class TestExitCodes:
         else:
             monkeypatch.setenv("GERMKIT_ORACLE_CAP", cap)
 
-        def unreachable(lam, q):
-            raise AssertionError("the cap is charged before any A_lam is built")
+        def unreachable(lam, q, cap=None):
+            raise AssertionError("the cap is charged before any A_lam is built or any flag is searched")
 
         monkeypatch.setattr("germkit.oracle.build_A_lambda", unreachable)
+        monkeypatch.setattr("germkit.oracle.flag_orbit_count", unreachable)
         code, out, err = run(capsys, "oracle", "--n", str(n), "--q", "2", "--check", check)
         assert (code, out) == (1, "")
         assert err.startswith("germkit: error: ") and err.count("\n") == 1 and message in err
-        if check == "ximatrix":  # the line counts the partitions of n instead of listing them
-            assert len(err.encode()) < 200
+        # ximatrix counts the partitions of n instead of listing them, jordan prints q^(n^2) as a power
+        assert len(err.encode()) < 200
 
     def test_bad_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("GERMKIT_ORACLE_CAP", "lots")

@@ -205,7 +205,7 @@ class TestFqMatrix:
 
         a = build_A_lambda(P(1, 1, 1), 3).rows
         assert _power(a, 0, 3) == _identity(3)
-        assert _power(a, 3, 3) == FqMatrix.zero(3, 3).rows
+        assert _power(a, 3, 3) == ((0,) * 3,) * 3
         assert sum(_kernel_jumps(a, 3)) == 3
         assert _kernel_jumps(_identity(2), 3) == ()
 
@@ -267,13 +267,13 @@ class TestOrders:
 
 class TestJordanTypes:
     def test_a_lambda_entries(self):
-        assert build_A_lambda(P(3), 2) == FqMatrix.zero(3, 2)
+        assert build_A_lambda(P(3), 2) == FqMatrix(2, [[0] * 3] * 3)
         assert build_A_lambda(P(1, 1), 2).rows == ((0, 1), (0, 0))
         assert build_A_lambda(P(2, 1), 2).rows == ((0, 0, 1), (0, 0, 0), (0, 0, 0))
 
     def test_zero_matrix_has_full_block_type(self):
         for n in range(1, 5):
-            assert nilpotent_partition(FqMatrix.zero(n, 2)) == Partition([n])
+            assert nilpotent_partition(FqMatrix(2, [[0] * n] * n)) == Partition([n])
 
     def test_single_jordan_block(self):
         # the shift of shape (1,...,1) is one Jordan block of size n
@@ -288,7 +288,7 @@ class TestJordanTypes:
 
     def test_non_nilpotent_rejected(self):
         with pytest.raises(ValueError):
-            nilpotent_partition(FqMatrix.identity(3, 2))
+            nilpotent_partition(FqMatrix(2, _identity(3)))
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="must be square"):
@@ -442,7 +442,7 @@ class TestFlagFormProperties:
     @settings(max_examples=300, deadline=None, database=None)
     @given(_shape_over_small_prime())
     def test_packed_key_is_a_complete_flag_invariant(self, case):
-        from germkit.oracle import _flag_form
+        from germkit.oracle import _pack
 
         lam, q, seed = case
         rng = random.Random(seed)
@@ -450,30 +450,31 @@ class TestFlagFormProperties:
         blocks = list(zip([0] + ends, ends))
         m = sum(lam.parts[:-1])
         rows = random_invertible(lam.n, q, rng)[:m]
-        form, key = _flag_form(rows, blocks, q)
-        assert _flag_form(form, blocks, q) == (form, key)
+        form = _echelon(rows, blocks, q)
+        key = _pack(form, q)
+        assert _echelon(form, blocks, q) == form
         # an element of P_lam on the basis rows: invertible blocks on the diagonal, anything below them
         mix = [[0] * m for _ in range(m)]
         for a, b in blocks:
             diag = random_invertible(b - a, q, rng)
             for i in range(a, b):
                 mix[i][:b] = [rng.randrange(q) for _ in range(a)] + list(diag[i - a])
-        assert _flag_form(_mat_mul(mix, rows, q), blocks, q)[1] == key
+        assert _pack(_echelon(_mat_mul(mix, rows, q), blocks, q), q) == key
         other = random_invertible(lam.n, q, rng)[:m]
         same_flag = all(_gauss_jordan(rows[:e], q) == _gauss_jordan(other[:e], q) for e in ends)
-        assert (_flag_form(other, blocks, q)[1] == key) == same_flag
+        assert (_pack(_echelon(other, blocks, q), q) == key) == same_flag
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(_shape_over_small_prime())
     def test_one_row_t_and_d_images_equal_the_literal_images(self, case):
-        from germkit.oracle import _flag_form, _primitive_root, _reduce_lead_row
+        from germkit.oracle import _primitive_root, _reduce_lead_row
 
         lam, q, seed = case
         n, rng = lam.n, random.Random(seed)
         ends = list(accumulate(lam.parts[:-1]))
         blocks = list(zip([0] + ends, ends))
         stops = [b for a, b in blocks for _ in range(a, b)]
-        form, key = _flag_form(random_invertible(n, q, rng)[: sum(lam.parts[:-1])], blocks, q)
+        form = _echelon(random_invertible(n, q, rng)[: sum(lam.parts[:-1])], blocks, q)
         g = _primitive_root(q)
         gens = [tuple(tuple((g if i == 0 else 1) * int(i == j) for j in range(n)) for i in range(n))]
         if n > 1:
@@ -481,12 +482,12 @@ class TestFlagFormProperties:
         lead = [i for i, row in enumerate(form) if row[0]]
         assert len(lead) <= 1
         for G in gens:
-            literal = _flag_form(_mat_mul(form, G, q), blocks, q)
+            literal = _echelon(_mat_mul(form, G, q), blocks, q)
             if lead:
                 (i,) = lead
                 assert _reduce_lead_row(form, i, stops[i], _mat_mul(form[i : i + 1], G, q)[0], q) == literal
             else:
-                assert literal == (form, key)
+                assert literal == form
 
 
 class TestXiMultiplicities:
@@ -614,6 +615,33 @@ class TestCensus:
 
 
 @st.composite
+def _rows_over_small_prime(draw):
+    """(rows, q): up to 6 rows of length n <= 6 over prime q <= 7, with many zero entries."""
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    entry = st.one_of(st.just(0), st.integers(0, q - 1))
+    return draw(st.lists(st.tuples(*[entry] * draw(st.integers(1, 6))), max_size=6)), q
+
+
+class TestEliminationKernelProperties:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_rows_over_small_prime())
+    def test_extend_basis_is_normalised_and_has_the_rank(self, case):
+        from germkit.oracle import _extend
+
+        rows, q = case
+        basis = []
+        for row in rows:
+            prev, snapshot = basis, list(basis)
+            basis = _extend(prev, row, q)
+            assert prev == snapshot and basis[: len(prev)] == prev  # a prefix's basis is shared, never changed
+        for k, (p, b) in enumerate(basis):
+            # forward elimination only: each row is cleared at the pivots before it, not after
+            assert b[p] == 1 and not any(b[:p]) and not any(b[e] for e, _ in basis[:k])
+        assert len(basis) == len(_gauss_jordan(rows, q))
+        assert _gauss_jordan([b for _, b in basis], q) == _gauss_jordan(rows, q)
+
+
+@st.composite
 def _square_over_small_prime(draw):
     """(rows, q, seed): a square X over prime q <= 7 with n <= 5, strictly upper triangular half the time."""
     n = draw(st.integers(1, 5))
@@ -634,6 +662,6 @@ class TestKernelJumpProperties:
         n = len(rows)
         jumps = _kernel_jumps(rows, q)
         assert all(a >= b > 0 for a, b in zip(jumps, jumps[1:] + (1,)))
-        assert (sum(jumps) == n) == (_power(rows, n, q) == FqMatrix.zero(n, q).rows)
+        assert (sum(jumps) == n) == (_power(rows, n, q) == ((0,) * n,) * n)
         g = random_invertible(n, q, random.Random(seed))
         assert _kernel_jumps(_conjugate(g, rows, q), q) == jumps
