@@ -9,10 +9,14 @@ inexact division in a closed form, or a positivity failure reported by
 The oracle enumeration cap defaults to 10**7 streamed elements and can
 be overridden with the GERMKIT_ORACLE_CAP environment variable.  It
 counts q^(n^2) matrices for `oracle --check jordan`, the flags of each
-orbit for `--check cosets` (the largest orbit, the full flags, charged
-before any search), and for `--check ximatrix` the sum of q^(d_mu) over
-the nilradicals n_mu streamed.  `--check ximatrix` passes
-only where the oracle matrix also equals the Kostka-Foulkes closed form.
+orbit for `--check cosets` (every orbit charged before any search, the
+largest, the full flags, first), and for `--check ximatrix` the sum of
+q^(d_mu) over the nilradicals n_mu streamed.  Every stream is charged
+before its first element, and a refusal is one line that prints a size
+of more than 20 digits as a power of q (q^e, or "more than q^e").  A
+flag search that finds more flags than the orbit's group-order quotient
+is an invariant violation.  `--check ximatrix` passes only where the
+oracle matrix also equals the Kostka-Foulkes closed form.
 
 `germ solve` streams nothing and ignores the cap.  It reads the closed
 form, built once per n and process as polynomials in q, at any prime
@@ -229,9 +233,10 @@ def _oracle_items(args):
     n, q = args.n, args.q
     if args.check == "cosets":
         parts = enumerate_partitions(n)
-        oracle._coset_quotient(Partition([1] * n), n, q, cap)  # the full flags, the largest orbit, before any search
+        # every orbit charged before any search, the full flags (1^n), the largest, first
+        quotients = {lam: oracle.flag_orbit_size(lam, n, q, cap) for lam in reversed(parts)}
         for lam in parts:
-            observed, quotient = oracle.parabolic_coset_report(lam, n, q, cap)
+            observed, quotient = oracle.flag_orbit_count(lam, q, cap), quotients[lam]
             expected = q_multinomial(lam).eval_at(q)
             yield lam, {
                 "partition": lam.to_json(),
@@ -318,7 +323,7 @@ def _cmd_gl2(args) -> None:
 
     def text():
         rows = [[r["label"], r["a"], r["b"]] + ["n/a" if v is None else v for v in r["dims"].values()] for r in records]
-        return _table(rows, ["class", "a", "b", f"dim I{2 * args.j + 1}/2", f"dim K{args.j + 1}", f"dim I{args.j + 1}"])
+        return _table(rows, ["class", "a", "b"] + [f"dim {fam.label(args.j)}" for fam in _PRO_P_CHAINS])
 
     _emit(args, {"q": args.q, "d": args.d, "rows": records}, text)
 

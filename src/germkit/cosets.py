@@ -82,6 +82,16 @@ class Family(enum.Enum):
     def is_pro_p(self) -> bool:
         return self in _PRO_P_CHAINS
 
+    def label(self, depth: int) -> str:
+        """The member's name in the n=2 chain K0 > I0 > I1/2 > K1 > I1 > I3/2 > K2 > ...
+
+        At depth j the pro-p chains give I_{j+1/2}, K_{1+j} and I_{1+j};
+        the parahorics K0 and I0 exist at depth 0 only.
+        """
+        if self is Family.PRO_P_IWAHORI_HALF:
+            return f"I{2 * depth + 1}/2"
+        return f"{self.value}{depth + 1}" if self.is_pro_p else self.value
+
     @classmethod
     def parse(cls, token: str) -> "Family":
         for fam in cls:
@@ -170,60 +180,28 @@ def parabolic_index(lam: Partition, q: int, d: int) -> int:
 _CHAIN_RE = re.compile(r"^(K|I)(\d+)(/2)?$")
 
 
-@dataclass(frozen=True)
-class ChainMember:
-    """A member of the n=2 subgroup chain K0 > I0 > I1/2 > K1 > I1 > I3/2 > K2 > ...
-
-    kind is "K" (vertex chain K_j), "I" (Iwahori chain I_j) or "Ihalf"
-    (I_{j+1/2}); j is the integer chain level.
-    """
-
-    kind: str
-    j: int
-
-    def __post_init__(self):
-        if self.kind not in ("K", "I", "Ihalf"):
-            raise ValueError(f"chain member kind must be K, I or Ihalf, got {self.kind!r}")
-        require_at_least(self.j, 0, "chain level")
-
-    @property
-    def position(self) -> int:
-        """Index in the descending chain; adjacent members differ by 1."""
-        return {"K": 0, "I": 1, "Ihalf": 2}[self.kind] + 3 * self.j
-
-    @property
-    def label(self) -> str:
-        if self.kind == "Ihalf":
-            return f"I{2 * self.j + 1}/2"
-        return f"{self.kind}{self.j}"
-
-
-def parse_chain_member(label: str) -> ChainMember:
+def _chain_position(label: str) -> int:
+    """Index of K<j>, I<j> or I<odd>/2 in the descending n=2 chain; adjacent members differ by 1."""
     m = _CHAIN_RE.match(label.strip())
     if not m:
         raise ValueError(f"cannot parse chain member {label!r}; expected K<j>, I<j> or I<odd>/2")
     kind, num, half = m.group(1), int(m.group(2)), m.group(3)
-    if half:
-        if kind != "I" or num % 2 == 0:
-            raise ValueError(f"half-integer levels exist only for I<odd>/2, got {label!r}")
-        return ChainMember("Ihalf", (num - 1) // 2)
-    return ChainMember(kind, num)
+    if half and (kind != "I" or num % 2 == 0):
+        raise ValueError(f"half-integer levels exist only for I<odd>/2, got {label!r}")
+    return 3 * (num // 2) + 2 if half else 3 * num + (kind == "I")
 
 
-def gl2_chain_index(upper: ChainMember | str, lower: ChainMember | str) -> QPoly:
+def gl2_chain_index(upper: str, lower: str) -> QPoly:
     """Index [upper : lower] between adjacent members of the n=2 chain, in t = q^d.
 
-    The tabulated values: [K0:I0] = t+1, [I0:I1/2] = (t-1)^2,
-    [I1/2:K1] = t, then periodically [K_j:I_j] = t, [I_j:I_{j+1/2}] = t^2,
-    [I_{j+1/2}:K_{j+1}] = t for j >= 1.
+    The members are named as `Family.label` names them: K0 > I0 > I1/2 >
+    K1 > I1 > I3/2 > K2 > ...  The tabulated values: [K0:I0] = t+1,
+    [I0:I1/2] = (t-1)^2, [I1/2:K1] = t, then periodically [K_j:I_j] = t,
+    [I_j:I_{j+1/2}] = t^2, [I_{j+1/2}:K_{j+1}] = t for j >= 1.
     """
-    if isinstance(upper, str):
-        upper = parse_chain_member(upper)
-    if isinstance(lower, str):
-        lower = parse_chain_member(lower)
-    p = upper.position
-    if lower.position != p + 1:
-        raise ValueError(f"{upper.label} and {lower.label} are not adjacent (in that order) in the chain")
+    p = _chain_position(upper)
+    if _chain_position(lower) != p + 1:
+        raise ValueError(f"{upper} and {lower} are not adjacent (in that order) in the chain")
     if p == 0:
         return QPoly((1, 1))
     if p == 1:

@@ -239,14 +239,9 @@ def dimension_polynomial(
             raise ValueError(f"missing base count for {lam}: no family and no user count")
         k = d_of(lam)
         coeffs[k] = coeffs.get(k, 0) + count * value
-    deg = max(coeffs) if coeffs else -1
-    poly = QPoly(coeffs.get(k, 0) for k in range(deg + 1))
-    if c.is_zero():
-        formal_degree, formal_leading = None, None
-    else:
-        formal_degree = max(d_of(lam) for lam in c.support())
-        formal_leading = coeffs.get(formal_degree, 0)
-    return DimensionPolynomial(poly, family, q, d, base_depth, formal_degree, formal_leading)
+    formal_degree = max(coeffs, default=None)  # every support partition added its key d_lam
+    poly = QPoly(coeffs.get(k, 0) for k in range(formal_degree + 1 if coeffs else 0))
+    return DimensionPolynomial(poly, family, q, d, base_depth, formal_degree, coeffs.get(formal_degree))
 
 
 def dim_fixed(

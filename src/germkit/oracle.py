@@ -71,14 +71,21 @@ integer arithmetic.  Every elimination goes through one kernel,
 its leading entry to 1: `_extend` (the census and nilradical walk),
 `_echelon` (the flag forms) and `_reduce_lead_row` (t and d) call it.
 Every enumeration is bounded by an element cap
-(default 10**7) counting the items a call streams, checked before the
-first one: q^(n^2) matrices for the nilpotent census, the sum of
-q^(d_mu) over the nilradicals a multiplicity call streams, the orbit
-size for flag enumeration.
+(default 10**7) counting the items a call streams.  One function,
+`_charge`, charges a stream's whole size before its first element and
+raises the one `OracleBoundError`: q^(n^2) matrices for the nilpotent
+census, the sum of q^(d_mu) over the nilradicals a multiplicity call
+streams, and the orbit size |GL_n(F_q)| / |P_lam(F_q)| for a flag
+search, a direct `flag_orbit_count` call included.  Its one-line
+message prints a size of up to 20 digits in full and a longer one as a
+power of q: q^e when it is one, else "more than q^e".  The flag search
+then never needs the cap again: finding more flags than the quotient
+means a flag key is not canonical, an `OracleConsistencyError`.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 from itertools import accumulate, chain, islice, pairwise, product
 from typing import Iterable, Iterator
@@ -382,14 +389,28 @@ def _column_ops(n: int, q: int) -> dict:
     return ops
 
 
+def _charge(stream: str, size: int, q: int, cap: int) -> int:
+    """size, the whole of a stream over F_q, if it is within the cap; else the oracle's one `OracleBoundError`.
+
+    It reads "<stream> <size> elements, above the cap <cap>", stream
+    ending in its verb and size printed as the module docstring says.
+    """
+    require_int(cap, "cap")
+    if size > cap:
+        text = size
+        if size >= 10**20:
+            e = int(math.log(size, q)) - 1  # the float log may be one too high
+            while q ** (e + 1) <= size:
+                e += 1
+            text = f"{q}^{e}" if q**e == size else f"more than {q}^{e}"
+        raise OracleBoundError(f"{stream} {text} elements, above the cap {cap}")
+    return size
+
+
 def _check_matrix_cap(n: int, q: int, cap: int) -> None:
     require_at_least(n, 0, "n")
     require_prime(q, "the oracle's q")
-    require_int(cap, "cap")
-    if q ** (n * n) > cap:
-        raise OracleBoundError(
-            f"enumerating M_{n}(F_{q}) needs {q}^{n * n} elements, above the cap {cap}"
-        )
+    _charge(f"enumerating M_{n}(F_{q}) needs", q ** (n * n), q, cap)
 
 
 def iter_matrices(n: int, q: int, cap: int = DEFAULT_CAP) -> Iterator[tuple]:
@@ -435,10 +456,10 @@ def flag_orbit_count(lam: Partition, q: int, cap: int = DEFAULT_CAP) -> int:
     with its pivot in column 1 (`_reduce_lead_row`).  That row has a 1 in
     column 1 and every other row a 0; a flag with no such row is fixed by
     t and d.  The seen-set holds each form packed into one int, so every
-    coset of the flag stabilizer is seen exactly once.
+    coset of the flag stabilizer is seen exactly once.  The whole orbit
+    (`flag_orbit_size`) is charged against the cap before the first flag.
     """
-    require_prime(q, "the oracle's q")
-    require_int(cap, "cap")
+    size = flag_orbit_size(lam, lam.n, q, cap)
     blocks = tuple(pairwise(accumulate(lam.parts[:-1], initial=0)))
     stops = [stop for start, stop in blocks for _ in range(start, stop)]
     ops = _column_ops(lam.n, q)
@@ -456,42 +477,31 @@ def flag_orbit_count(lam: Partition, q: int, cap: int = DEFAULT_CAP) -> int:
             for img in images:
                 if (key := _pack(img, q)) not in seen:
                     seen.add(key)
-                    if len(seen) > cap:
-                        raise OracleBoundError(
-                            f"flag orbit for {lam} over F_{q} exceeds the cap {cap}"
+                    if len(seen) > size:
+                        raise OracleConsistencyError(
+                            f"the flag search for {lam} over F_{q} found more than the {size} flags of the orbit"
                         )
                     fresh.append(img)
         frontier = fresh
     return len(seen)
 
 
-def _coset_quotient(lam: Partition, n: int, q: int, cap: int) -> int:
-    """|GL_n(F_q)| / |P_lam(F_q)|, the size of the flag orbit of shape lam, refused above the cap."""
+def flag_orbit_size(lam: Partition, n: int, q: int, cap: int = DEFAULT_CAP) -> int:
+    """|GL_n(F_q)| / |P_lam(F_q)|, the number of flags of shape lam in F_q^n, charged against the cap."""
     if lam.n != n:
         raise ValueError(f"{lam} is not a partition of n = {n}")
     require_prime(q, "the oracle's q")
-    require_int(cap, "cap")
     order_g = gl_order(n, q)
     order_p = parabolic_order(lam, q)
     if order_g % order_p != 0:
         raise OracleConsistencyError(f"|GL_{n}(F_{q})| not divisible by |P_{lam}(F_{q})|")
-    quotient = order_g // order_p
-    if quotient > cap:
-        raise OracleBoundError(
-            f"coset space for {lam} over F_{q} has {quotient} elements, above the cap {cap}"
-        )
-    return quotient
-
-
-def parabolic_coset_report(lam: Partition, n: int, q: int, cap: int = DEFAULT_CAP) -> tuple[int, int]:
-    """(exhaustive flag-orbit count, group-order quotient) for P_lam cosets in GL_n(F_q)."""
-    quotient = _coset_quotient(lam, n, q, cap)
-    return flag_orbit_count(lam, q, cap), quotient
+    return _charge(f"flag orbit: coset space for {lam} over F_{q} has", order_g // order_p, q, cap)
 
 
 def count_parabolic_cosets(lam: Partition, n: int, q: int, cap: int = DEFAULT_CAP) -> int:
     """|P_lam(F_q) \\ GL_n(F_q)|, exhaustively counted and order-checked."""
-    observed, quotient = parabolic_coset_report(lam, n, q, cap)
+    quotient = flag_orbit_size(lam, n, q, cap)
+    observed = flag_orbit_count(lam, q, cap)
     if observed != quotient:
         raise OracleConsistencyError(
             f"flag orbit count {observed} != order quotient {quotient} for {lam}, q={q}"
@@ -501,17 +511,6 @@ def count_parabolic_cosets(lam: Partition, n: int, q: int, cap: int = DEFAULT_CA
 
 # ---------------------------------------------------------------------------
 # depth-one character multiplicities
-
-
-def _check_nilradical_cap(mus: list[Partition], q: int, cap: int) -> None:
-    """Charge sum q^(d_mu) over mus against the cap; the message names mu, or counts the partitions of n."""
-    require_int(cap, "cap")
-    total = sum(q ** d_of(mu) for mu in mus)
-    if total > cap:
-        which = f"mu = {mus[0]}" if len(mus) == 1 else f"the {len(mus)} partitions of n = {mus[0].n}"
-        raise OracleBoundError(
-            f"streaming the nilradicals n_mu(F_{q}) for {which} needs {total} elements, above the cap {cap}"
-        )
 
 
 def _xi_column(mu: Partition, q: int) -> dict[Partition, int]:
@@ -552,7 +551,7 @@ def xi_multiplicity(lam: Partition, mu: Partition, n: int, q: int, cap: int = DE
     if lam.n != n or mu.n != n:
         raise ValueError(f"{lam} and {mu} must both be partitions of n = {n}")
     require_prime(q, "the oracle's q")
-    _check_nilradical_cap([mu], q, cap)
+    _charge(f"streaming the nilradical n_mu(F_{q}) for mu = {mu} needs", q ** d_of(mu), q, cap)
     return _xi_column(mu, q).get(lam, 0)
 
 
@@ -564,7 +563,8 @@ def multiplicity_matrix(n: int, q: int, cap: int = DEFAULT_CAP) -> dict[Partitio
     """
     parts = enumerate_partitions(n)
     require_prime(q, "the oracle's q")
-    _check_nilradical_cap(parts, q, cap)
+    total = sum(q ** d_of(mu) for mu in parts)
+    _charge(f"streaming the nilradicals n_mu(F_{q}) for the {len(parts)} partitions of n = {n} needs", total, q, cap)
     columns = {mu: _xi_column(mu, q) for mu in parts}
     return {lam: {mu: columns[mu].get(lam, 0) for mu in parts} for lam in parts}
 

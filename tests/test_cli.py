@@ -311,6 +311,23 @@ class TestExitCodes:
         assert code == 1
         assert "n must be >= 1" in err
 
+    @pytest.mark.parametrize(
+        "argv, content, message",
+        [
+            (["qcount", "--partition", "a,b"], None, "cannot parse partition 'a,b'"),
+            (["germ", "whittaker", "--in", "{file}"], "not json", "is not valid JSON"),
+            (["germ", "lj", "--in", "{file}", "--d", "2"], '{"n": 3, "entries": []}', "not divisible by d = 2"),
+        ],
+        ids=["qcount-partition", "in-not-json", "lj-odd-n"],
+    )
+    def test_bad_input_is_exit_1_with_one_line(self, capsys, tmp_path, argv, content, message):
+        infile = tmp_path / "in.json"
+        if content is not None:
+            infile.write_text(content)
+        code, out, err = run(capsys, *[a.replace("{file}", str(infile)) for a in argv])
+        assert (code, out) == (1, "")
+        assert err.startswith("germkit: error: ") and err.count("\n") == 1 and message in err
+
     def test_schema_violation(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"entries": []}')
@@ -338,8 +355,9 @@ class TestExitCodes:
             ("ximatrix", 20, None, "for the 627 partitions of n = 20 needs "),
             ("jordan", 30, None, "enumerating M_30(F_2) needs 2^900 elements, above the cap 10000000"),
             ("cosets", 7, None, "coset space for (1,1,1,1,1,1,1) over F_2 has 78129765 elements"),
+            ("cosets", 30, None, "over F_2 has more than 2^463 elements, above the cap 10000000"),
         ],
-        ids=["ximatrix-cap10", "ximatrix-n20", "jordan-n30", "cosets-n7"],
+        ids=["ximatrix-cap10", "ximatrix-n20", "jordan-n30", "cosets-n7", "cosets-n30"],
     )
     def test_oracle_bound_is_exit_1(self, capsys, monkeypatch, check, n, cap, message):
         if cap is None:
@@ -355,7 +373,7 @@ class TestExitCodes:
         code, out, err = run(capsys, "oracle", "--n", str(n), "--q", "2", "--check", check)
         assert (code, out) == (1, "")
         assert err.startswith("germkit: error: ") and err.count("\n") == 1 and message in err
-        # ximatrix counts the partitions of n instead of listing them, jordan prints q^(n^2) as a power
+        # ximatrix counts the partitions of n instead of listing them; a size of more than 20 digits is a power of q
         assert len(err.encode()) < 200
 
     def test_bad_cap_env(self, capsys, monkeypatch):

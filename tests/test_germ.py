@@ -55,6 +55,15 @@ class TestCoefficientMap:
             CoefficientMap(2, {P(3): 1})
         with pytest.raises(ValueError):
             CoefficientMap(0)
+        with pytest.raises(ValueError, match="keys must be Partition"):
+            CoefficientMap(2, {(2,): 1})
+
+    def test_immutable_hashable_and_printed(self):
+        c = steinberg()
+        with pytest.raises(AttributeError):
+            c.n = 3
+        assert len({c, steinberg(), -c}) == 2
+        assert repr(c) == "CoefficientMap(n=2, {(2): -1, (1,1): 1})"
 
     @pytest.mark.parametrize("value", [1.5, True, "1"])
     def test_values_must_be_integers(self, value):
@@ -111,6 +120,15 @@ class TestCoefficientMap:
         assert c.scale(-2) == CoefficientMap(2, {P(2): 2, P(1, 1): -2})
         with pytest.raises(ValueError):
             steinberg() + CoefficientMap.indicator(P(3))
+        assert triv - steinberg() == CoefficientMap(2, {P(2): 2, P(1, 1): -1})
+        assert (c - c).is_zero()
+        with pytest.raises(ValueError):
+            c - CoefficientMap.indicator(P(3))
+        for other in (1, P(2)):
+            with pytest.raises(TypeError):
+                c + other
+            with pytest.raises(TypeError):
+                c - other
 
 
 class TestSupport:
@@ -222,6 +240,10 @@ class TestInduction:
         c = random_map(4, rng)
         assert induce_maps([c]) == c
 
+    def test_no_argument_rejected(self):
+        with pytest.raises(ValueError, match="at least one map"):
+            induce_maps([])
+
 
 class TestTransfer:
     def test_d1_is_identity(self):
@@ -292,6 +314,9 @@ class TestSolve:
         bad_zero = {P(2): {P(2): 1, P(1, 1): 0}, P(1, 1): {P(2): 5, P(1, 1): 1}}
         with pytest.raises(ValueError):
             solve_from_multiplicities({P(2): 0, P(1, 1): 0}, bad_zero)
+        missing_row = {P(2): {P(2): 1, P(1, 1): 0}}
+        with pytest.raises(ValueError, match=r"missing the row \(1,1\)"):
+            solve_from_multiplicities({P(2): 0, P(1, 1): 0}, missing_row)
 
     def test_missing_data(self):
         M = multiplicity_matrix(2, 2)
@@ -299,6 +324,8 @@ class TestSolve:
             solve_from_multiplicities({P(2): 1}, M)
         with pytest.raises(ValueError):
             solve_from_multiplicities({}, M)
+        with pytest.raises(ValueError, match=r"partitions of one n, got \[1, 2\]"):
+            solve_from_multiplicities({P(2): 1, P(1, 1): 0, P(1): 1}, M)
 
 
 class TestWhittaker:

@@ -9,6 +9,7 @@ from germkit.oracle import (
     DEFAULT_CAP,
     FqMatrix,
     OracleBoundError,
+    OracleConsistencyError,
     _echelon,
     _identity,
     build_A_lambda,
@@ -148,6 +149,18 @@ class TestFqMatrix:
     def test_entries_reduced(self):
         m = FqMatrix(3, [[4, -1], [3, 5]])
         assert m.rows == ((1, 2), (0, 2))
+
+    def test_shape_checked(self):
+        for rows in ([], [[1, 2], [3]]):
+            with pytest.raises(ValueError, match="nonempty and of equal length"):
+                FqMatrix(3, rows)
+
+    def test_immutable_hashable_and_printed(self):
+        m = FqMatrix(3, [[4, -1], [3, 5]])
+        with pytest.raises(AttributeError):
+            m.q = 5
+        assert len({m, FqMatrix(3, [[1, 2], [0, 2]]), FqMatrix(5, [[1, 2], [0, 2]])}) == 2
+        assert repr(m) == "FqMatrix(q=3, rows=[[1, 2], [0, 2]])"
 
     def test_mul_identity(self):
         rng = random.Random(5)
@@ -429,6 +442,22 @@ class TestCosetCounts:
         with pytest.raises(OracleBoundError, match="flag orbit"):
             flag_orbit_count(P(1, 1, 1), 3, cap=5)
         assert flag_orbit_count(P(1, 1, 1), 3, cap=52) == 52  # (1+3)(1+3+9) flags: a cap equal to the orbit passes
+
+    def test_direct_search_is_charged_before_its_first_flag(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("a flag was searched")
+
+        for step in ("_column_ops", "_echelon", "_reduce_lead_row"):
+            monkeypatch.setattr(f"germkit.oracle.{step}", no_search)
+        # the (1^6) orbit over F_2 has 615,195 flags
+        with pytest.raises(OracleBoundError, match="has 615195 elements, above the cap 200000"):
+            flag_orbit_count(Partition([1] * 6), 2, cap=200_000)
+
+    def test_non_canonical_keys_are_an_invariant_violation(self, monkeypatch):
+        keys = iter(range(10**6))
+        monkeypatch.setattr("germkit.oracle._pack", lambda form, q: next(keys))  # every image looks new
+        with pytest.raises(OracleConsistencyError, match="found more than the 7 flags"):
+            flag_orbit_count(P(2, 1), 2)
 
 
 @st.composite

@@ -426,7 +426,6 @@ def _integer_entry_points():
         ("count_at_depth base", lambda x: cosets.count_at_depth(P(1, 1), spec, base=x), 2),
         ("parabolic_index q", lambda x: cosets.parabolic_index(P(1, 1), x, 1), 3),
         ("parabolic_index d", lambda x: cosets.parabolic_index(P(1, 1), 3, x), 2),
-        ("ChainMember j", lambda x: cosets.ChainMember("K", x), 2),
         ("CoefficientMap n", germ.CoefficientMap, 2),
         ("dim_at_depth j", lambda x: germ.dimension_polynomial(steinberg, K, 3, 1).dim_at_depth(x), 2),
         ("dimension_polynomial q", lambda x: germ.dimension_polynomial(steinberg, K, x, 1), 3),

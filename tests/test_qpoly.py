@@ -64,6 +64,18 @@ class TestArithmetic:
         assert 3 * p == QPoly([3, 6]) == p * 3
         assert 0 * p == QPoly.zero()
 
+    @pytest.mark.parametrize("other", [1, 1.5, "q", [1, 2]])
+    def test_other_operands_are_a_type_error(self, other):
+        p = QPoly([1, 2])
+        for op in (operator.add, operator.sub):
+            for args in ((p, other), (other, p)):
+                with pytest.raises(TypeError):
+                    op(*args)
+        if not isinstance(other, int):  # an int is a scalar
+            for args in ((p, other), (other, p)):
+                with pytest.raises(TypeError):
+                    operator.mul(*args)
+
     def test_ring_axioms_randomized(self):
         rng = random.Random(20240)
         for _ in range(200):
