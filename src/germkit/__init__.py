@@ -10,7 +10,6 @@ from .partitions import (
     dual,
     enumerate_partitions,
     induce_partition,
-    kostka_number,
     minimal_elements,
     scale_partition,
     sort_to_partition,
@@ -29,7 +28,6 @@ from .germ import (
     gk_dimension,
     induce_maps,
     jl_transfer,
-    kostka_foulkes,
     lj_transfer,
     multiplicity_polynomials,
     solve_from_multiplicities,

@@ -16,7 +16,7 @@ before its first element, and a refusal is one line that prints a size
 of more than 20 digits as a power of q (q^e, or "more than q^e").  A
 flag search that finds more flags than the orbit's group-order quotient
 is an invariant violation.  `--check ximatrix` passes only where the
-oracle matrix also equals the Kostka-Foulkes closed form.
+oracle matrix also equals the Hall-polynomial closed form.
 
 `germ solve` streams nothing and ignores the cap.  It reads the closed
 form, built once per n and process as polynomials in q, at any prime
@@ -32,7 +32,7 @@ import os
 import sys
 
 from . import gl2, oracle
-from .cosets import _PRO_P_CHAINS, Family, SubgroupSpec, count_at_depth, require_prime_power
+from .cosets import _PRO_P_CHAINS, Family, SubgroupSpec, count_at_depth, is_prime, require_prime_power
 from .germ import (
     CoefficientMap,
     PositivityError,
@@ -207,7 +207,8 @@ def _cmd_germ_jl(args) -> None:
 
 
 # The closed form's cost grows with n and not with q: on a 2-vCPU Xeon,
-# building it takes about 1.6 s at n = 10 and 6 s at n = 11.
+# Python 3.11, a cold build takes about 0.05 s at n = 9, 0.12 s at
+# n = 10 and 0.25 s at n = 11.
 SOLVE_MAX_N = 10
 
 
@@ -311,6 +312,8 @@ def _cmd_gl2(args) -> None:
     if args.modp:
         if args.d != 1:
             raise UsageError("mod-p supersingular rows require d = 1")
+        if args.q == 2 or not is_prime(args.q):
+            raise UsageError(f"--q must be an odd prime with --modp, got {args.q}")
         for twist in (True, False):
             label = "modp-supersingular(" + ("twist" if twist else "non-twist") + ")"
             a, b, a_prime = gl2.modp_supersingular_coefficients(twist)

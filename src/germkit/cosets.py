@@ -33,22 +33,52 @@ from .partitions import Partition, d_of, require_at_least, require_int
 from .qpoly import QPoly, q_multinomial
 
 
-def _least_factor(q: int) -> int:
-    """The least prime factor of q >= 2."""
-    return next((k for k in range(2, math.isqrt(q) + 1) if q % k == 0), q)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with every base in _SMALL_PRIMES is exact below this bound
+PRIME_CHECK_BOUND = 3317044064679887385961981
 
 
 def is_prime(q: int) -> bool:
-    return q >= 2 and _least_factor(q) == q
+    """Exact: trial division by the primes up to 37, then Miller-Rabin with them as bases.
+
+    A q that needs Miller-Rabin at or above PRIME_CHECK_BOUND is a ValueError.
+    """
+    if q < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if q % p == 0:
+            return q == p
+    if q < 41 * 41:  # no prime factor below 41 and none above sqrt(q)
+        return True
+    if q >= PRIME_CHECK_BOUND:
+        raise ValueError(f"cannot test {q} for primality exactly: the test stops below {PRIME_CHECK_BOUND}")
+    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = d * 2^s with d odd
+    for a in _SMALL_PRIMES:
+        x = pow(a, (q - 1) >> s, q)
+        if x != 1 and all(pow(x, 1 << i, q) != q - 1 for i in range(s)):
+            return False  # a witnesses that q is composite
+    return True
+
+
+def _root(q: int, k: int) -> int:
+    """floor(q^(1/k)) for q >= 1, by Newton's method on ints from above."""
+    r = 1 << -(-q.bit_length() // k)
+    while (s := ((k - 1) * r + q // r ** (k - 1)) // k) < r:
+        r = s
+    return r
 
 
 def is_prime_power(q: int) -> bool:
     if q < 2:
         return False
-    p = _least_factor(q)
-    while q % p == 0:
-        q //= p
-    return q == 1
+    for p in _SMALL_PRIMES:
+        if q % p == 0:
+            while q % p == 0:
+                q //= p
+            return q == 1
+    # q = r^k with k as large as possible is a prime power iff r is prime; here r >= 41 > 2^5
+    k = next((k for k in range(q.bit_length() // 5, 1, -1) if _root(q, k) ** k == q), 1)
+    return is_prime(_root(q, k))
 
 
 def require_prime(q, what: str) -> int:

@@ -20,25 +20,23 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import pairwise, product
 from typing import Iterable, Mapping, Sequence
 
 from .cosets import Family, SubgroupSpec, base_count, require_prime_power
 from .partitions import (
     Partition,
     canonical_order,
-    charge,
     d_of,
     dominance_leq,
-    dual,
     enumerate_partitions,
     induce_partition,
     minimal_elements,
     require_at_least,
     require_int,
     scale_partition,
-    semistandard_tableaux,
 )
-from .qpoly import QPoly
+from .qpoly import QPoly, q_multinomial
 
 
 class PositivityError(ValueError):
@@ -367,47 +365,35 @@ def solve_from_multiplicities(
     return CoefficientMap(n, values)
 
 
-def kostka_foulkes(lam: Partition, mu: Partition) -> QPoly:
-    """The Kostka-Foulkes polynomial K_{lam mu}(t) = sum of t^charge(T).
-
-    T runs over the semistandard tableaux of shape lam and content mu,
-    so K_{lam mu}(1) is the Kostka number K_{lam mu}.
-    """
-    coeffs: dict[int, int] = {}
-    for tableau in semistandard_tableaux(lam, mu.parts):
-        k = charge(tableau)
-        coeffs[k] = coeffs.get(k, 0) + 1
-    return QPoly(coeffs.get(k, 0) for k in range(max(coeffs, default=-1) + 1))
-
-
 def closed_form_multiplicity_matrix(n: int, q: int) -> dict[Partition, dict[Partition, int]]:
-    """The depth-one multiplicity matrix from Kostka-Foulkes polynomials, at q.
+    """The depth-one multiplicity matrix from Hall polynomials, at q.
 
     A fresh int matrix: `multiplicity_polynomials(n)` evaluated at the
     prime power q.  This is the independent route that the exhaustive
     oracle `oracle.multiplicity_matrix` is checked against.
     """
     require_prime_power(q)
-    rows = multiplicity_polynomials(n)
-    return {lam: {mu: poly.eval_at(q) for mu, poly in row.items()} for lam, row in rows.items()}
+    return {lam: {mu: p.eval_at(q) for mu, p in row.items()} for lam, row in multiplicity_polynomials(n).items()}
 
 
 def multiplicity_polynomials(n: int) -> dict[Partition, dict[Partition, QPoly]]:
-    """The depth-one multiplicity matrix as polynomials in q, from Kostka-Foulkes polynomials.
+    """The depth-one multiplicity matrix as polynomials in q, from Hall polynomials.
 
     M[lam][mu] counts the flags of type mu that the block-shift matrix
-    A_lam (Jordan type lam' = dual(lam)) moves one step down.  In the
-    Hall algebra (Macdonald, Symmetric Functions and Hall Polynomials,
-    Ch. II-III) this is
+    A_lam (Jordan type lam' = dual(lam)) moves one step down.  Peeling
+    off one step at a time gives M[lam][mu] = f(lam', mu), f(empty, ()) = 1,
 
-        M[lam][mu] = q^(n(lam') - sum_i C(mu_i, 2))
-                     * sum over nu of K_{nu' mu} * K_{nu lam'}(1/q),
+        f(rho, (m, rest)) = sum over nu of g^rho_{nu,(1^m)}(q) * f(nu, rest)
 
-    with n(rho) = sum_i (i-1) rho_i, so n(lam') = sum_i C(lam_i, 2).
-    Each K_{nu lam'}(t) has degree at most n(lam'), so the sum times
-    q^(n(lam')) is a polynomial.  Its division by q^(sum_i C(mu_i, 2))
-    is exact at every prime power, hence exact as a polynomial: a
-    nonzero coefficient below that power is a bug (ArithmeticError).
+    over the nu with rho/nu a vertical m-strip, where (Macdonald,
+    Symmetric Functions and Hall Polynomials, II (4.6))
+
+        g^rho_{nu,(1^m)}(q) = q^(n(rho) - n(nu) - n(1^m))
+                              * prod_i [rho'_i - rho'_(i+1) choose rho'_i - nu'_i]_(1/q),
+
+    n(rho) = sum_i (i-1) rho_i and [a choose b]_(1/q) = q^(-b(a-b)) [a choose b]_q,
+    the q-binomials coming from `q_multinomial`.  Every total power of q
+    is >= 0, so a negative one is a bug (ArithmeticError).
 
     Built once per n and process; each call returns a fresh matrix, so
     no caller can change what the next one reads.
@@ -415,35 +401,42 @@ def multiplicity_polynomials(n: int) -> dict[Partition, dict[Partition, QPoly]]:
     return {lam: dict(row) for lam, row in _multiplicity_polynomials(require_at_least(n, 1, "n")).items()}
 
 
+def _n_from_dual(parts: tuple[int, ...]) -> int:
+    """n(rho) = sum_i C(rho'_i, 2), read off the parts of rho'."""
+    return sum(p * (p - 1) // 2 for p in parts)
+
+
 @functools.cache
 def _multiplicity_polynomials(n: int) -> dict[Partition, dict[Partition, QPoly]]:
     """The memo behind `multiplicity_polynomials`; its rows are never handed out.
 
-    Each K_{a b}(t) is built once, into one table; K_{nu' mu} is read
-    from it at t = 1.
+    f runs on rho' in place of rho, so no partition is dualised, and is
+    memoised within this build only.
     """
+    memo = {((), ()): QPoly.one()}
+
+    def f(dual_rho: tuple[int, ...], mu: tuple[int, ...]) -> QPoly:
+        if (dual_rho, mu) not in memo:
+            m, padded, total = mu[0], dual_rho + (0,), QPoly.zero()
+            # rho/nu is a vertical m-strip iff rho'_(i+1) <= nu'_i <= rho'_i and |nu| = |rho| - m
+            for dual_nu in product(*(range(low, high + 1) for high, low in pairwise(padded))):
+                if sum(dual_nu) != sum(dual_rho) - m:
+                    continue
+                e = _n_from_dual(dual_rho) - _n_from_dual(dual_nu) - m * (m - 1) // 2
+                term = f(tuple(t for t in dual_nu if t), mu[1:])
+                for high, low, t in zip(padded, padded[1:], dual_nu):
+                    a, b = high - low, high - t
+                    e -= b * (a - b)
+                    if 0 < b < a:
+                        term = term * q_multinomial(Partition(sorted((b, a - b), reverse=True)))
+                if e < 0:
+                    raise ArithmeticError(f"Hall polynomial at rho' = {dual_rho}, nu' = {dual_nu} has q^{e}")
+                total = total + QPoly.monomial(e) * term
+            memo[dual_rho, mu] = total
+        return memo[dual_rho, mu]
+
     parts = enumerate_partitions(n)
-    table = {(a, b): kostka_foulkes(a, b).coeffs for a in parts for b in parts}
-    kostka = {(nu, mu): sum(table[dual(nu), mu]) for nu in parts for mu in parts}
-    out: dict[Partition, dict[Partition, QPoly]] = {}
-    for lam in parts:
-        top = sum(p * (p - 1) // 2 for p in lam)
-        # q^(n(lam')) * K_{nu lam'}(1/q): coefficient k of K moves to q^(top - k)
-        flipped = {nu: table[nu, dual(lam)] for nu in parts}
-        row = {}
-        for mu in parts:
-            total = [0] * (top + 1)
-            for nu in parts:
-                weight = kostka[nu, mu]
-                if weight:
-                    for k, c in enumerate(flipped[nu]):
-                        total[top - k] += weight * c
-            shift = sum(p * (p - 1) // 2 for p in mu)
-            if any(total[:shift]):
-                raise ArithmeticError(f"closed form for ({lam}, {mu}) is not divisible by q^{shift}")
-            row[mu] = QPoly(total[shift:])
-        out[lam] = row
-    return out
+    return {lam: {mu: f(lam.parts, mu.parts) for mu in parts} for lam in parts}
 
 
 def whittaker_dims(c: CoefficientMap) -> dict[Partition, int]:

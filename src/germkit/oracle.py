@@ -61,7 +61,7 @@ package are checked against raw enumeration:
 
   where m_k = lam_k - lam_(k+1) is the number of Jordan blocks of size
   k, i.e. the multiplicity of k in dual(lam).  The independent
-  cross-check is the Kostka-Foulkes closed form
+  cross-check is the Hall-polynomial closed form
   `germ.closed_form_multiplicity_matrix`, which `germkit oracle --check
   ximatrix` compares entry by entry.
 

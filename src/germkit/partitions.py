@@ -257,77 +257,3 @@ def minimal_elements(partitions: Iterable[Partition]) -> set[Partition]:
 def canonical_order(partitions: Iterable[Partition]) -> list[Partition]:
     """Sort partitions into the canonical (lexicographically decreasing) order."""
     return sorted(partitions, key=lambda p: p.parts, reverse=True)
-
-
-def semistandard_tableaux(shape: Partition, content: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Semistandard Young tableaux of a shape and content, as tuples of rows.
-
-    content[i] is the number of entries equal to i+1.  The entries <= i
-    fill a partition shape, and the entries equal to i+1 add a
-    horizontal strip to it (at most one box per column), so tableaux are
-    built one letter at a time.  A content that does not sum to the
-    shape's size yields nothing.
-    """
-    parts = shape.parts
-    content = tuple(require_int(c, "a content entry") for c in content)
-    if any(c < 0 for c in content):
-        raise ValueError(f"content entries must be >= 0, got {content}")
-    if sum(content) != shape.n:
-        return
-
-    def strips(cur, i, left):
-        # ways to add `left` boxes to rows i, i+1, ... as a horizontal strip
-        if i == len(parts):
-            if left == 0:
-                yield ()
-            return
-        top = parts[i] if i == 0 else min(parts[i], cur[i - 1])
-        for add in range(min(left, top - cur[i]), -1, -1):
-            for rest in strips(cur, i + 1, left - add):
-                yield (add,) + rest
-
-    def fill(letter, rows):
-        if letter == len(content):
-            yield rows
-            return
-        cur = [len(r) for r in rows]
-        for adds in strips(cur, 0, content[letter]):
-            yield from fill(letter + 1, tuple(r + (letter + 1,) * a for r, a in zip(rows, adds)))
-
-    yield from fill(0, tuple(() for _ in parts))
-
-
-def kostka_number(lam: Partition, mu: Partition) -> int:
-    """K_{lam mu}: the number of semistandard tableaux of shape lam and content mu."""
-    return sum(1 for _ in semistandard_tableaux(lam, mu.parts))
-
-
-def charge(tableau: Sequence[Sequence[int]]) -> int:
-    """Lascoux-Schutzenberger charge of a tableau whose content is a partition.
-
-    The word is read row by row from the bottom row up.  Standard
-    subwords are extracted until the word is empty: start at the
-    rightmost 1 and move leftwards, cyclically, to the next 2, 3, ... up
-    to the largest letter left.  The index of 1 is 0; the index of r+1
-    is that of r, plus one when r+1 lies to the right of r (the scan
-    wrapped round).  The charge is the sum of all indices.
-    """
-    word = [a for row in reversed(tableau) for a in row]
-    counts = [word.count(r) for r in range(1, max(word, default=0) + 1)]
-    if any(a < 1 for a in word) or any(a < b for a, b in zip(counts, counts[1:])):
-        raise ValueError(f"charge needs a word whose content is a partition, got {word}")
-    total = 0
-    while any(word):
-        pos = max(i for i, a in enumerate(word) if a == 1)
-        word[pos] = 0
-        index = 0
-        for r in range(2, max(word) + 1):
-            left = [i for i in range(pos - 1, -1, -1) if word[i] == r]
-            if left:
-                pos = left[0]
-            else:
-                index += 1
-                pos = max(i for i, a in enumerate(word) if a == r)
-            word[pos] = 0
-            total += index
-    return total

@@ -4,12 +4,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from germkit import cli
 from germkit.cli import main
+from germkit.cosets import PRIME_CHECK_BOUND
 from germkit.germ import CoefficientMap, closed_form_multiplicity_matrix, forward_multiplicities
 from germkit.partitions import Partition, enumerate_partitions
 
@@ -385,6 +387,22 @@ class TestExitCodes:
         code, _, err = run(capsys, "gl2", "table", "--q", "3", "--d", "2", "--modp")
         assert code == 1
         assert "d = 1" in err
+
+    @pytest.mark.parametrize("q", ["4", "2"])
+    def test_modp_requires_an_odd_prime_q(self, capsys, q):
+        code, out, err = run(capsys, "gl2", "table", "--q", q, "--modp")
+        assert (code, out) == (1, "")
+        assert err == f"germkit: error: --q must be an odd prime with --modp, got {q}\n"
+
+    def test_qcount_checks_a_large_q_exactly_and_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "qcount", "--partition", "1,1", "--q", "1000000000000000003")
+        assert code == 0 and time.perf_counter() - start < 1
+        assert "value at q=1000000000000000003: 1000000000000000004" in out
+        big = 2**89 - 1  # a prime
+        code, out, err = run(capsys, "qcount", "--partition", "1,1", "--q", str(big))
+        assert (code, out) == (1, "")
+        assert err == f"germkit: error: cannot test {big} for primality exactly: the test stops below {PRIME_CHECK_BOUND}\n"
 
     def test_qcount_rejects_q_that_is_not_a_prime_power(self, capsys):
         code, out, err = run(capsys, "qcount", "--partition", "2,1", "--q", "6")

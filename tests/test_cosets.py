@@ -2,12 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germkit.cosets import (
+    PRIME_CHECK_BOUND,
     Family,
     SubgroupSpec,
     _chain_position,
     base_count,
     count_at_depth,
     gl2_chain_index,
+    is_prime,
     is_prime_power,
     multinomial,
     parabolic_index,
@@ -25,6 +27,27 @@ class TestSpecValidation:
     def test_prime_power(self):
         assert is_prime_power(2) and is_prime_power(9) and is_prime_power(8)
         assert not is_prime_power(1) and not is_prime_power(6) and not is_prime_power(12)
+
+    def test_prime_checks_equal_trial_division(self):
+        least = list(range(10**5))  # least prime factors: trial division by every k <= 316, as a sieve
+        for k in range(2, 317):
+            for j in range(k * k, 10**5, k):
+                least[j] = min(least[j], k)
+        for q in range(10**5):
+            r = q
+            while r > 1 and r % least[q] == 0:
+                r //= least[q]
+            assert is_prime(q) == (q >= 2 and least[q] == q), q
+            assert is_prime_power(q) == (q >= 2 and r == 1), q
+
+    def test_prime_checks_on_large_q(self):
+        for q in (561, 2047, 3215031751):  # a Carmichael number and two strong pseudoprimes
+            assert not is_prime(q) and not is_prime_power(q)
+        for q in (2**61, 3**40, (10**9 + 7) ** 2):
+            assert is_prime_power(q) and not is_prime(q)
+        assert is_prime(10**18 + 3) and is_prime_power((2**61 - 1) ** 3)
+        with pytest.raises(ValueError, match=f"stops below {PRIME_CHECK_BOUND}"):
+            is_prime_power(2**89 - 1)
 
     def test_depth_zero_only_families(self):
         SubgroupSpec(Family.VERTEX_MAX, 0, 2, 1)

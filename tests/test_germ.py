@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from germkit import germ
+from germkit import cli, germ
 from germkit.cosets import Family, SubgroupSpec
 from germkit.germ import (
     CoefficientMap,
@@ -18,15 +18,14 @@ from germkit.germ import (
     gk_dimension,
     induce_maps,
     jl_transfer,
-    kostka_foulkes,
     lj_transfer,
     multiplicity_polynomials,
     solve_from_multiplicities,
     square_integrable_top_coeff,
     whittaker_dims,
 )
-from germkit.oracle import multiplicity_matrix
-from germkit.partitions import Partition, dominance_leq, enumerate_partitions, induce_partition, kostka_number
+from germkit.oracle import centralizer_order, gl_order, multiplicity_matrix
+from germkit.partitions import Partition, d_of, dominance_leq, enumerate_partitions, induce_partition
 from germkit.qpoly import QPoly, q_multinomial
 
 
@@ -344,36 +343,6 @@ class TestWhittaker:
             whittaker_dims(CoefficientMap(2, {P(2): 1, P(1, 1): -1}))
 
 
-def n_of(rho):
-    return sum(i * p for i, p in enumerate(rho))
-
-
-class TestKostkaFoulkes:
-    def test_diagonal_is_one(self):
-        for n in range(1, 8):
-            for lam in enumerate_partitions(n):
-                assert kostka_foulkes(lam, lam) == QPoly.one()
-
-    def test_one_row_shape_is_a_monomial(self):
-        for n in range(1, 8):
-            for mu in enumerate_partitions(n):
-                assert kostka_foulkes(Partition([n]), mu) == QPoly.monomial(n_of(mu))
-
-    def test_value_at_one_is_the_kostka_number(self):
-        for n in range(1, 7):
-            for lam in enumerate_partitions(n):
-                for mu in enumerate_partitions(n):
-                    k = kostka_foulkes(lam, mu)
-                    assert k.eval_at(1) == kostka_number(lam, mu)
-                    # degree n(mu) - n(lam) wherever it is nonzero
-                    assert k.degree == (n_of(mu) - n_of(lam) if dominance_leq(mu, lam) else -1)
-
-    def test_examples(self):
-        assert kostka_foulkes(P(2, 1), P(1, 1, 1)) == QPoly([0, 1, 1])
-        assert kostka_foulkes(P(2, 2), P(2, 1, 1)) == QPoly([0, 1])
-        assert kostka_foulkes(P(3, 1), P(2, 1, 1)) == QPoly([0, 1, 1])
-
-
 class TestClosedFormMatrix:
     def test_unitriangular(self):
         for n in range(1, 7):
@@ -417,10 +386,28 @@ class TestClosedFormMatrix:
         M[P(4)][P(1, 1, 1, 1)] += 1
         assert closed_form_multiplicity_matrix(4, 3)[P(4)][P(1, 1, 1, 1)] == q_multinomial(P(1, 1, 1, 1)).eval_at(3)
 
-    def test_inexact_division_is_an_arithmetic_error(self, monkeypatch):
-        # a constant term in every K_{nu lam'} leaves q^0 terms that q^(sum C(mu_i, 2)) cannot divide
-        monkeypatch.setattr(germ, "kostka_foulkes", lambda nu, lam: QPoly.one())
-        with pytest.raises(ArithmeticError, match="not divisible by q"):
+    @staticmethod
+    def _assert_column_sums(n, q):
+        # each element of n_mu(F_q) is nilpotent and lies in the orbit of exactly one A_lam
+        M = closed_form_multiplicity_matrix(n, q)
+        for mu in M:
+            orbits = sum(M[lam][mu] * (gl_order(n, q) // centralizer_order(lam, q)) for lam in M)
+            assert orbits == q ** d_of(mu) * q_multinomial(mu).eval_at(q), (n, q, mu)
+
+    @pytest.mark.parametrize("n", range(1, cli.SOLVE_MAX_N + 1))
+    def test_column_sums_count_the_nilradicals(self, n):
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            self._assert_column_sums(n, q)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.integers(1, 8), st.sampled_from((2, 3, 5, 7, 11, 13, 101, 65537, 10**9 + 7)), st.integers(1, 4))
+    def test_column_sums_at_random_prime_powers(self, n, p, k):
+        self._assert_column_sums(n, p**k)
+
+    def test_negative_hall_exponent_is_an_arithmetic_error(self, monkeypatch):
+        # with n(rho) read as 0, the strip of (1,1) to the empty partition gets q^(-1)
+        monkeypatch.setattr(germ, "_n_from_dual", lambda parts: 0)
+        with pytest.raises(ArithmeticError, match=r"has q\^-1"):
             germ._multiplicity_polynomials.__wrapped__(2)  # the unmemoised build
 
 

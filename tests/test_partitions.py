@@ -1,5 +1,4 @@
 import json
-from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +8,6 @@ from germkit.partitions import (
     Composition,
     Partition,
     canonical_order,
-    charge,
     composition_from_subset,
     d_of,
     dominance_compare,
@@ -18,10 +16,8 @@ from germkit.partitions import (
     dual,
     enumerate_partitions,
     induce_partition,
-    kostka_number,
     minimal_elements,
     scale_partition,
-    semistandard_tableaux,
     sort_to_partition,
     subset_from_composition,
 )
@@ -348,61 +344,6 @@ class TestInduceScaleMinimal:
         assert minimal_elements(subset) == expected
 
 
-class TestTableaux:
-    def test_tableaux_are_semistandard_with_the_given_content(self):
-        for n in range(1, 7):
-            for lam in enumerate_partitions(n):
-                for mu in enumerate_partitions(n):
-                    for t in semistandard_tableaux(lam, mu.parts):
-                        assert tuple(len(row) for row in t) == lam.parts
-                        assert all(a <= b for row in t for a, b in zip(row, row[1:]))
-                        assert all(a < b for r1, r2 in zip(t, t[1:]) for a, b in zip(r1, r2))
-                        flat = [a for row in t for a in row]
-                        assert [flat.count(i + 1) for i in range(len(mu))] == list(mu.parts)
-
-    def test_standard_tableaux_follow_the_hook_length_formula(self):
-        for n in range(1, 8):
-            for lam in enumerate_partitions(n):
-                conj = dual(lam)
-                hooks = prod(lam[i] - j + conj[j] - i - 1 for i in range(len(lam)) for j in range(lam[i]))
-                assert kostka_number(lam, Partition([1] * n)) == factorial(n) // hooks
-
-    def test_kostka_numbers(self):
-        assert kostka_number(P(3, 2), P(2, 2, 1)) == 2
-        assert kostka_number(P(2, 2), P(3, 1)) == 0
-        for n in range(1, 7):
-            parts = enumerate_partitions(n)
-            for lam in parts:
-                assert kostka_number(lam, lam) == 1
-                for mu in parts:
-                    assert (kostka_number(lam, mu) > 0) == dominance_leq(mu, lam)
-            # RSK: sum over lam of K_{lam mu} f^lam counts the words of content mu
-            ones = Partition([1] * n)
-            for mu in parts:
-                words = factorial(n) // prod(factorial(m) for m in mu)
-                assert sum(kostka_number(lam, mu) * kostka_number(lam, ones) for lam in parts) == words
-
-    def test_content_must_match_the_size(self):
-        assert list(semistandard_tableaux(P(2, 1), (1, 1))) == []
-        with pytest.raises(ValueError):
-            list(semistandard_tableaux(P(2, 1), (2, -1, 2)))
-
-    def test_charge_examples(self):
-        # reading words 312 and 213 carry charge 2 and 1
-        assert charge(((1, 2), (3,))) == 2
-        assert charge(((1, 3), (2,))) == 1
-        assert charge(((1, 1, 2, 2),)) == 2
-        assert charge(((1, 1), (2, 2))) == 0
-
-    def test_charge_needs_partition_content(self):
-        with pytest.raises(ValueError):
-            charge(((1, 3),))
-        with pytest.raises(ValueError):
-            charge(((1, 2, 2),))
-        with pytest.raises(ValueError):
-            charge(((0, 1),))
-
-
 def _integer_entry_points():
     """(id, call, good): call(x) takes one numeric argument, and call(good) succeeds.
 
@@ -416,7 +357,6 @@ def _integer_entry_points():
         ("composition_from_subset n", lambda x: composition_from_subset([], x), 2),
         ("composition_from_subset cut", lambda x: composition_from_subset([x], 3), 2),
         ("scale_partition d", lambda x: scale_partition(P(2, 1), x), 2),
-        ("semistandard_tableaux content", lambda x: list(semistandard_tableaux(P(2, 1), [x, 1])), 2),
         ("QPoly.monomial exponent", qpoly.QPoly.monomial, 2),
         ("q_int m", qpoly.q_int, 2),
         ("q_factorial n", qpoly.q_factorial, 2),
