@@ -32,7 +32,7 @@ import os
 import sys
 
 from . import gl2, oracle
-from .cosets import _PRO_P_CHAINS, Family, SubgroupSpec, count_at_depth, is_prime, require_prime_power
+from .cosets import _PRO_P_CHAINS, Family, SubgroupSpec, count_at_depth, require_prime_power
 from .germ import (
     CoefficientMap,
     PositivityError,
@@ -312,14 +312,12 @@ def _cmd_gl2(args) -> None:
     if args.modp:
         if args.d != 1:
             raise UsageError("mod-p supersingular rows require d = 1")
-        if args.q == 2 or not is_prime(args.q):
-            raise UsageError(f"--q must be an odd prime with --modp, got {args.q}")
         for twist in (True, False):
             label = "modp-supersingular(" + ("twist" if twist else "non-twist") + ")"
             a, b, a_prime = gl2.modp_supersingular_coefficients(twist)
             dims = {
-                "Ihalf": gl2.modp_supersingular_dims(twist, Family.PRO_P_IWAHORI_HALF, args.j, args.q),
-                "K": gl2.modp_supersingular_dims(twist, Family.VERTEX_CONGRUENCE, args.j, args.q),
+                "Ihalf": gl2.modp_supersingular_dims(twist, Family.PRO_P_IWAHORI_HALF, args.j, args.q, "--q"),
+                "K": gl2.modp_supersingular_dims(twist, Family.VERTEX_CONGRUENCE, args.j, args.q, "--q"),
                 "I": None,
             }
             records.append({"label": label, "a": a, "b": b, "a_prime": a_prime, "j": args.j, "dims": dims})

@@ -33,13 +33,13 @@ from .partitions import Partition, d_of, require_at_least, require_int
 from .qpoly import QPoly, q_multinomial
 
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Miller-Rabin with every base in _SMALL_PRIMES is exact below this bound
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with every base in _SMALL_PRIMES is exact below this bound (OEIS A014233)
 PRIME_CHECK_BOUND = 3317044064679887385961981
 
 
 def is_prime(q: int) -> bool:
-    """Exact: trial division by the primes up to 37, then Miller-Rabin with them as bases.
+    """Exact: trial division by the primes up to 41, then Miller-Rabin with them as bases.
 
     A q that needs Miller-Rabin at or above PRIME_CHECK_BOUND is a ValueError.
     """
@@ -48,7 +48,7 @@ def is_prime(q: int) -> bool:
     for p in _SMALL_PRIMES:
         if q % p == 0:
             return q == p
-    if q < 41 * 41:  # no prime factor below 41 and none above sqrt(q)
+    if q < 43 * 43:  # no prime factor below 43 and none above sqrt(q)
         return True
     if q >= PRIME_CHECK_BOUND:
         raise ValueError(f"cannot test {q} for primality exactly: the test stops below {PRIME_CHECK_BOUND}")
@@ -76,7 +76,7 @@ def is_prime_power(q: int) -> bool:
             while q % p == 0:
                 q //= p
             return q == 1
-    # q = r^k with k as large as possible is a prime power iff r is prime; here r >= 41 > 2^5
+    # q = r^k with k as large as possible is a prime power iff r is prime; here r >= 43 > 2^5
     k = next((k for k in range(q.bit_length() // 5, 1, -1) if _root(q, k) ** k == q), 1)
     return is_prime(_root(q, k))
 

@@ -194,14 +194,15 @@ def modp_supersingular_coefficients(twist_of_pi0: bool) -> tuple[int, int, int]:
     return -2, 2, -3 if twist_of_pi0 else -4
 
 
-def modp_supersingular_dims(twist_of_pi0: bool, family: Family, j: int, p: int) -> int:
+def modp_supersingular_dims(twist_of_pi0: bool, family: Family, j: int, p: int, what: str = "p") -> int:
     """Supersingular fixed-vector dimensions in coefficient characteristic p (p odd, j >= 0).
 
     I-half chain: a + 2b p^j; K chain: a' + (p+1) b p^j, the chain
-    formulas at t = p with a' in place of a on the K chain.
+    formulas at t = p with a' in place of a on the K chain.  An error
+    about p names it `what` (the CLI passes "--q").
     """
-    if require_prime(p, "p") == 2:
-        raise ValueError(f"mod-p supersingular data requires an odd prime p, got {p}")
+    if require_prime(p, what) == 2:
+        raise ValueError(f"mod-p supersingular data requires an odd prime {what}, got {p}")
     require_at_least(j, 0, "depth")
     a, b, a_prime = modp_supersingular_coefficients(twist_of_pi0)
     if family is Family.PRO_P_IWAHORI_HALF:

@@ -3,12 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to get one pass/fail
 line per criterion (plus an explicit PASS print from each).  Every
 comparison is exact integer or polynomial equality; the stated time
-budgets are asserted where they are meaningful.
-
-Each budget was set on a 2-vCPU Xeon under Python 3.11, where the best
-of three runs of `_reference_loop` takes REFERENCE_S (the median over 40
-processes).  A test scales its budget by that loop's time in the same
-test, so a slower host or a line tracer slows both sides alike.
+budgets are asserted where they are meaningful, scaled to the host's
+speed by the `within_budget` fixture (tests/conftest.py).
 """
 
 import random
@@ -38,33 +34,13 @@ from germkit.partitions import (
 from germkit.qpoly import q_multinomial
 
 PRO_P = (Family.PRO_P_IWAHORI_HALF, Family.VERTEX_CONGRUENCE, Family.IWAHORI_CONGRUENCE)
-REFERENCE_S = 0.0057
-
-
-def _reference_loop():
-    """A fixed pure-Python loop of integer, tuple and dict work."""
-    acc = {}
-    for i in range(20_000):
-        key = (i % 7, i % 11)
-        acc[key] = acc.get(key, 0) + i
-    return acc
-
-
-def _budget(seconds):
-    """seconds times the best of three `_reference_loop` times over REFERENCE_S."""
-    times = []
-    for _ in range(3):
-        start = time.perf_counter()
-        _reference_loop()
-        times.append(time.perf_counter() - start)
-    return seconds * min(times) / REFERENCE_S
 
 
 def P(*parts):
     return Partition(parts)
 
 
-def test_criterion_01_d_lists():
+def test_criterion_01_d_lists(within_budget):
     """d-value lists for n = 2..6, injectivity below 6 and the collision at 6."""
     start = time.perf_counter()
 
@@ -95,12 +71,11 @@ def test_criterion_01_d_lists():
         assert len(set(values)) == len(values)
     assert len(set(six.values())) < len(six)
     elapsed = time.perf_counter() - start
-    budget = _budget(0.001)
-    assert elapsed < budget, f"took {elapsed:.6f}s, budget {budget:.6f}s (1 ms on the reference host)"
+    within_budget(elapsed, 0.001)
     print(f"ACCEPTANCE 1: PASS - d-lists n=2..6 exact, collision at n=6 ({elapsed * 1e6:.0f} us)")
 
 
-def test_criterion_02_coset_counts_vs_oracle():
+def test_criterion_02_coset_counts_vs_oracle(within_budget):
     """q-multinomial evaluations equal exhaustive coset counts, n in {2,3,4}, q in {2,3}."""
     start = time.perf_counter()
     assert count_parabolic_cosets(P(1, 1, 1), 3, 2) == 21
@@ -110,12 +85,11 @@ def test_criterion_02_coset_counts_vs_oracle():
             for lam in enumerate_partitions(n):
                 assert q_multinomial(lam).eval_at(q) == count_parabolic_cosets(lam, n, q)
     elapsed = time.perf_counter() - start
-    budget = _budget(30)
-    assert elapsed < budget, f"took {elapsed:.1f}s, budget {budget:.1f}s (30 s on the reference host)"
+    within_budget(elapsed, 30)
     print(f"ACCEPTANCE 2: PASS - coset counts match the exhaustive oracle ({elapsed:.2f} s)")
 
 
-def test_criterion_03_multiplicity_matrix_unitriangular():
+def test_criterion_03_multiplicity_matrix_unitriangular(within_budget):
     """Dominance-unitriangularity of the depth-one multiplicity matrix, n <= 4 and q in {2,3}, and n in {5, 6}, q = 2."""
     start = time.perf_counter()
     for n, q in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (6, 2)):
@@ -127,8 +101,7 @@ def test_criterion_03_multiplicity_matrix_unitriangular():
                     assert M[lam][mu] == 0
     assert multiplicity_matrix(2, 2)[P(2)][P(1, 1)] == 3
     elapsed = time.perf_counter() - start
-    budget = _budget(10)
-    assert elapsed < budget, f"took {elapsed:.1f}s, budget {budget:.1f}s (10 s on the reference host)"
+    within_budget(elapsed, 10)
     print(f"ACCEPTANCE 3: PASS - multiplicity matrices unitriangular, M[(2)][(1,1)] = 3 ({elapsed:.2f} s)")
 
 
@@ -212,7 +185,7 @@ def test_criterion_08_induction_and_whittaker():
     print("ACCEPTANCE 8: PASS - induction convolution and Whittaker readout exact")
 
 
-def test_criterion_09_dominance_dual_properties():
+def test_criterion_09_dominance_dual_properties(within_budget):
     """Involution, antitonicity, order axioms and d-monotonicity, exhaustive to n = 10."""
     start = time.perf_counter()
     for n in range(1, 11):
@@ -236,8 +209,7 @@ def test_criterion_09_dominance_dual_properties():
                     if leq[(b, c)]:
                         assert leq[(a, c)]
     elapsed = time.perf_counter() - start
-    budget = _budget(1)
-    assert elapsed < budget, f"took {elapsed:.2f}s, budget {budget:.2f}s (1 s on the reference host)"
+    within_budget(elapsed, 1)
     print(f"ACCEPTANCE 9: PASS - dominance and duality properties exhaustive to n=10 ({elapsed:.2f} s)")
 
 

@@ -41,7 +41,8 @@ class TestSpecValidation:
             assert is_prime_power(q) == (q >= 2 and r == 1), q
 
     def test_prime_checks_on_large_q(self):
-        for q in (561, 2047, 3215031751):  # a Carmichael number and two strong pseudoprimes
+        # a Carmichael number, two strong pseudoprimes, and the least one to every base up to 37
+        for q in (561, 2047, 3215031751, 318665857834031151167461):
             assert not is_prime(q) and not is_prime_power(q)
         for q in (2**61, 3**40, (10**9 + 7) ** 2):
             assert is_prime_power(q) and not is_prime(q)
