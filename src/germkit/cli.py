@@ -94,9 +94,75 @@ def _read_map(path: str) -> CoefficientMap:
     return CoefficientMap.from_json(data)
 
 
+_JSON_STR = json.encoder.encode_basestring_ascii
+_JSON_INT = int.__repr__
+
+
+def _write_json(value, out: list, nl: str) -> None:
+    """Append to out the text json.dumps gives value with an indent of 2; nl is value's newline and indent.
+
+    It handles dicts with str keys, lists, str, int, bool and None, and
+    raises TypeError on any other type, so a record of a new shape fails
+    rather than printing other bytes.  A list of exact ints, such as a
+    partition or a polynomial, is written with one join.
+    """
+    t = type(value)
+    if t is str:
+        out.append(_JSON_STR(value))
+    elif t is int:
+        out.append(_JSON_INT(value))
+    elif t is bool or value is None:
+        out.append("null" if value is None else "true" if value else "false")
+    elif not value and (t is list or t is dict):
+        out.append("[]" if t is list else "{}")
+    elif t is list:
+        inner = nl + "  "
+        comma = "," + inner
+        if all(type(x) is int for x in value):  # bool is a subclass of int
+            out.append("[" + inner + comma.join(map(_JSON_INT, value)) + nl + "]")
+            return
+        sep = "[" + inner
+        for x in value:
+            out.append(sep)
+            _write_json(x, out, inner)
+            sep = comma
+        out.append(nl + "]")
+    elif t is dict:
+        inner = nl + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for k, x in value.items():
+            if type(k) is not str:
+                raise TypeError(f"JSON object keys must be str, got {k!r}")
+            head = sep + _JSON_STR(k) + ": "
+            tx = type(x)
+            if tx is int:
+                out.append(head + _JSON_INT(x))
+            elif tx is str:
+                out.append(head + _JSON_STR(x))
+            else:
+                out.append(head)
+                _write_json(x, out, inner)
+            sep = comma
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"cannot write {t.__name__} as JSON")
+
+
+def _json_text(value) -> str:
+    """The text json.dumps writes for value with an indent of 2 (and no other option), or TypeError."""
+    out = []
+    _write_json(value, out, "\n")
+    return "".join(out)
+
+
 def _emit(args, record, text) -> None:
-    """Write the record as JSON under --json or when text is None, else text(), to --out or stdout."""
-    body = json.dumps(record, indent=2) if text is None or args.json else text()
+    """Write the record as JSON under --json or when text is None, else text(), to --out or stdout.
+
+    The JSON is `_json_text(record)`: byte for byte what the standard
+    library prints with an indent of 2, with ints in full at any size.
+    """
+    body = _json_text(record) if text is None or args.json else text()
     out = args.out
     try:
         if out:
@@ -153,11 +219,13 @@ def _cmd_qcount(args) -> None:
 def _cmd_cosets(args) -> None:
     require_at_least(args.j, 0, "--j")
     families = [Family.parse(args.family)] if args.family else list(Family)
-    rows = []
-    for lam in enumerate_partitions(args.n):
-        for fam in families:
-            for j in range(args.j + 1) if fam.is_pro_p else [0]:
-                rows.append((lam, fam.token, j, count_at_depth(lam, SubgroupSpec(fam, j, args.q, args.d))))
+    parts = enumerate_partitions(args.n)
+    columns = [
+        (fam.token, j, SubgroupSpec(fam, j, args.q, args.d))
+        for fam in families
+        for j in (range(args.j + 1) if fam.is_pro_p else [0])
+    ]
+    rows = [(lam, token, j, count_at_depth(lam, spec)) for lam in parts for token, j, spec in columns]
     records = [
         {
             "partition": lam.to_json(),
@@ -430,7 +498,11 @@ def _parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # exact values are printed in full, past the interpreter's 4,300-digit default
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     try:
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         args = _parser().parse_args(argv)
         args.func(args)
         return 0
@@ -442,6 +514,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:  # OracleBoundError is a ValueError
         print(f"germkit: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -152,7 +152,10 @@ def enumerate_partitions(n: int) -> list[Partition]:
 
 def dual(lam: Partition) -> Partition:
     """The dual (conjugate) partition: dual(lam)[i] = #{j : lam[j] >= i+1}."""
-    return Partition._derived(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))
+    counts = [0] * lam[0]  # counts[i] = #{j : lam[j] == i+1}
+    for p in lam:
+        counts[p - 1] += 1
+    return Partition._derived(reversed(list(accumulate(reversed(counts)))))
 
 
 def dominance_leq(mu: Partition, lam: Partition) -> bool:

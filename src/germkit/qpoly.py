@@ -22,6 +22,7 @@ constructor and only drop trailing zeros.
 from __future__ import annotations
 
 import functools
+from itertools import accumulate
 
 from .partitions import Partition, require_at_least, require_int
 
@@ -229,10 +230,13 @@ def q_factorial(n: int) -> QPoly:
 
 @functools.cache
 def _q_factorial(n: int) -> QPoly:
-    acc = QPoly.one()
-    for m in range(1, n + 1):
-        acc = acc * q_int(m)
-    return acc
+    coeffs = [1]
+    for m in range(2, n + 1):
+        # times [m]_q: coefficient k becomes the sum of coefficients k-m+1 .. k
+        prefix = [0, *accumulate(coeffs)]
+        top = len(coeffs)
+        coeffs = [prefix[min(k + 1, top)] - prefix[max(k + 1 - m, 0)] for k in range(top + m - 1)]
+    return QPoly._derived(coeffs)
 
 
 def q_multinomial(lam: Partition) -> QPoly:
@@ -250,5 +254,6 @@ def q_multinomial(lam: Partition) -> QPoly:
 def _q_multinomial(lam: Partition) -> QPoly:
     num = _q_factorial(lam.n)
     for part in lam:
-        num = num.exact_div(_q_factorial(part))
+        if part > 1:  # [1!]_q = 1
+            num = num.exact_div(_q_factorial(part))
     return num

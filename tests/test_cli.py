@@ -8,12 +8,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from germkit import cli
 from germkit.cli import main
-from germkit.cosets import PRIME_CHECK_BOUND
+from germkit.cosets import PRIME_CHECK_BOUND, Family
 from germkit.germ import CoefficientMap, closed_form_multiplicity_matrix, forward_multiplicities
 from germkit.partitions import Partition, enumerate_partitions
+from germkit.qpoly import q_multinomial
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -179,6 +181,99 @@ class TestDeterminism:
             _, first, _ = run(capsys, *argv)
             _, second, _ = run(capsys, *argv)
             assert first == second
+
+
+_TEXT = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé€😀\u2028') | st.characters(), max_size=8)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**20, max_value=10**40)
+    | st.integers(min_value=-(10**40), max_value=-(10**20))
+    | _TEXT
+)
+_JSON_VALUES = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=5)
+    | st.lists(st.integers(-3, 3) | st.just(True), max_size=5)
+    | st.dictionaries(_TEXT, kids, max_size=5),
+    max_leaves=30,
+)
+
+
+def with_int_digits_unlimited(fn):
+    """fn() with the interpreter's limit on int-string conversion lifted, the limit restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.0-3.10.6 have no limit
+        return fn()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return fn()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def assert_round_trips(capsys, argv):
+    """The command exits 0 and prints what json.dumps(..., indent=2) prints for the record it parses to."""
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == with_int_digits_unlimited(lambda: json.dumps(json.loads(out), indent=2) + "\n")
+
+
+ONES_200 = ",".join(["1"] * 200)  # q_multinomial((1^200)) at q = 2 has about 6,000 digits
+
+
+class TestJsonWriter:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_JSON_VALUES)
+    @example([1, True])
+    @example({"a": [True, 1, False, 0], "": {}, "b": [[], {}, None]})
+    def test_writes_what_json_dumps_writes(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, (1, 2), {1: 2}, [{"a": [1, 2.0]}], {"a": {"b": (1,)}}, {"a": b"x"}])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["partitions", "--n", "20", "--show", "d", "--show", "dual", "--json"],
+            ["cosets", "--n", "10", "--q", "7", "--j", "3", "--json"],
+            ["gl2", "table", "--q", "13", "--j", "3", "--modp", "--json"],
+            ["oracle", "--n", "4", "--q", "2", "--check", "ximatrix", "--json"],
+            ["qcount", "--partition", ONES_200, "--q", "2", "--json"],
+        ],
+    )
+    def test_large_records_round_trip(self, capsys, argv):
+        assert_round_trips(capsys, argv)
+
+    @pytest.mark.parametrize("family", [fam.token for fam in Family])
+    def test_dimpoly_records_round_trip_at_n14(self, capsys, tmp_path, family):
+        path = tmp_path / "full14.json"
+        parts = enumerate_partitions(14)
+        entries = [{"partition": lam.to_json(), "value": (-1) ** i * (i + 1)} for i, lam in enumerate(parts)]
+        path.write_text(json.dumps({"n": 14, "entries": entries}))  # every partition of 14 in the support
+        assert_round_trips(capsys, ["germ", "dimpoly", "--in", str(path), "--family", family, "--q", "3", "--json"])
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit to lift")
+    def test_prints_integers_of_any_size(self, capsys):
+        expected = q_multinomial(Partition([1] * 200)).eval_at(2)
+        assert expected > 10**4300  # more digits than the interpreter converts to a string by default
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            code, out, err = run(capsys, "qcount", "--partition", ONES_200, "--q", "2", "--json")
+            assert (code, err) == (0, "")
+            assert sys.get_int_max_str_digits() == 5000  # main restores its caller's limit
+            assert with_int_digits_unlimited(lambda: json.loads(out))["value"] == expected
+            code, out, err = run(capsys, "qcount", "--partition", ONES_200, "--q", "2")
+            assert (code, err) == (0, "")
+            assert out.endswith(f"\nvalue at q=2: {with_int_digits_unlimited(lambda: str(expected))}\n")
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestParserReuse:

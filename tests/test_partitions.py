@@ -171,6 +171,11 @@ class TestDual:
         assert dual(P(2, 1)) == P(2, 1)
         assert dual(P(3, 1)) == P(2, 1, 1)
 
+    def test_definition_up_to_16(self):
+        for n in range(1, 17):
+            for lam in enumerate_partitions(n):
+                assert list(dual(lam)) == [sum(1 for p in lam if p >= i + 1) for i in range(lam[0])]
+
     def test_involution_up_to_12(self):
         for n in range(1, 13):
             for lam in enumerate_partitions(n):

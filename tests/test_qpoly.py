@@ -151,6 +151,12 @@ class TestQAnalogs:
         with pytest.raises(ValueError):
             q_factorial(0)
 
+    def test_q_factorial_is_the_product_of_q_integers(self):
+        product = QPoly.one()
+        for n in range(1, 31):
+            product = product * q_int(n)
+            assert q_factorial(n) == product
+
     def test_q_multinomial_examples(self):
         assert q_multinomial(Partition([1, 1])) == QPoly([1, 1])
         for n in range(1, 7):
