@@ -1,9 +1,7 @@
 """Exact combinatorics of germ expansions for general linear groups over division algebras."""
 
 from .partitions import (
-    Composition,
     Partition,
-    composition_from_subset,
     d_of,
     dominance_compare,
     dominance_leq,
@@ -12,7 +10,6 @@ from .partitions import (
     induce_partition,
     minimal_elements,
     scale_partition,
-    sort_to_partition,
 )
 from .qpoly import QPoly, q_factorial, q_int, q_multinomial
 from .cosets import Family, SubgroupSpec, base_count, count_at_depth, gl2_chain_index, parabolic_index

@@ -187,8 +187,8 @@ def count_at_depth(lam: Partition, spec: SubgroupSpec, base: int | None = None) 
     """Exact coset count for the subgroup described by spec.
 
     The base count at depth 0 comes from the family formula, or from
-    `base` for a subgroup outside the named families; each depth step
-    multiplies it by t^(d_lam).
+    `base`, which replaces that formula while spec still names a family
+    and gives t and the depth; each depth step multiplies it by t^(d_lam).
     """
     t = spec.residue_size
     b = base_count(lam, spec.family).eval_at(t) if base is None else require_int(base, "base")

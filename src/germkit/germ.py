@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import pairwise, product
 from typing import Iterable, Mapping, Sequence
 
-from .cosets import Family, SubgroupSpec, base_count, require_prime_power
+from .cosets import Family, SubgroupSpec, count_at_depth, require_prime_power
 from .partitions import (
     Partition,
     canonical_order,
@@ -143,6 +143,8 @@ class CoefficientMap:
         if not isinstance(data, dict) or "n" not in data or "entries" not in data:
             raise ValueError('a coefficient map serializes as {"n": int, "entries": [...]}')
         n = require_int(data["n"], '"n"')
+        if not isinstance(data["entries"], list):
+            raise ValueError(f'"entries" must be a JSON array, got {data["entries"]!r}')
         entries = []
         for item in data["entries"]:
             if not isinstance(item, dict) or "partition" not in item or "value" not in item:
@@ -204,8 +206,13 @@ class DimensionPolynomial:
         return self.poly.degree
 
     def dim_at_depth(self, j: int) -> int:
-        """Value at X = (q^d)^j, the depth-(base_depth + j) fixed-vector dimension."""
+        """Value at X = (q^d)^j, the depth-(base_depth + j) fixed-vector dimension.
+
+        A family that exists at depth 0 only (K0, I0) has no deeper value.
+        """
         require_at_least(j, 0, "depth")
+        if self.family is not None:
+            SubgroupSpec(self.family, self.base_depth + j, self.q, self.d)
         return self.poly.eval_at((self.q**self.d) ** j)
 
 
@@ -221,9 +228,11 @@ def dimension_polynomial(
 
     Counts come from the named family, or from base_counts (already
     depth-base_depth integers) for subgroups outside the named families;
-    a support partition with neither is an error.
+    a support partition with neither is an error.  A family must exist at
+    base_depth, as `SubgroupSpec` says.
     """
     require_at_least(base_depth, 0, "base_depth")
+    spec = None if family is None else SubgroupSpec(family, base_depth, q, d)
     require_prime_power(q)
     require_at_least(d, 1, "d")
     t = q**d
@@ -231,8 +240,8 @@ def dimension_polynomial(
     for lam, value in c.items():
         if base_counts is not None and lam in base_counts:
             count = require_int(base_counts[lam], f"the base count of {lam}") * t ** (d_of(lam) * base_depth)
-        elif family is not None:
-            count = base_count(lam, family).eval_at(t) * t ** (d_of(lam) * base_depth)
+        elif spec is not None:
+            count = count_at_depth(lam, spec)
         else:
             raise ValueError(f"missing base count for {lam}: no family and no user count")
         k = d_of(lam)
@@ -282,7 +291,7 @@ def lj_transfer(c: CoefficientMap, n: int, d: int) -> CoefficientMap:
 
     c'(lam) = (-1)^(dn-n) * c(d*lam); entries of c at partitions not of
     the form d*lam are in the kernel and are dropped.  For d = 1 this is
-    the identity.
+    the identity.  Only the support of c is read, never every partition of n.
     """
     require_at_least(n, 1, "n")
     require_at_least(d, 1, "d")
@@ -290,7 +299,8 @@ def lj_transfer(c: CoefficientMap, n: int, d: int) -> CoefficientMap:
         raise ValueError(f"expected a map on partitions of {d * n}, got n = {c.n}")
     sign = (-1) ** (d * n - n)
     return CoefficientMap(
-        n, {lam: sign * c.value(scale_partition(lam, d)) for lam in enumerate_partitions(n)}
+        n,
+        {Partition(p // d for p in mu): sign * v for mu, v in c.items() if all(p % d == 0 for p in mu)},
     )
 
 

@@ -1,10 +1,8 @@
-"""Integer partitions and compositions with dominance order.
+"""Integer partitions with dominance order.
 
 A partition of n is a weakly decreasing sequence of positive integers
 summing to n; it indexes nilpotent conjugacy classes and associate
-classes of block upper-triangular subgroups.  Compositions (arbitrary
-order) are kept as a separate type so that an unsorted tuple can never
-be passed where a partition is required.
+classes of block upper-triangular subgroups.
 
 All values are immutable and hashable.  The canonical enumeration order
 is lexicographically decreasing, and every table or JSON emission in
@@ -31,33 +29,31 @@ def require_at_least(x, low: int, what: str) -> int:
     return x
 
 
-class _Parts:
-    """A nonempty tuple of positive parts, immutable and hashable.
-
-    Subclasses keep their own type: equal parts of different types are
-    unequal.  `_noun` names the type in error messages.
-    """
+class Partition:
+    """A weakly decreasing, nonempty tuple of positive integers, immutable and hashable."""
 
     __slots__ = ("parts",)
-    _noun: str
 
     def __init__(self, parts: Iterable[int]):
-        parts = tuple(require_int(p, f"a {self._noun} part") for p in parts)
+        parts = tuple(require_int(p, "a partition part") for p in parts)
         if not parts:
-            raise ValueError(f"empty {self._noun} is not allowed (n must be >= 1)")
+            raise ValueError("empty partition is not allowed (n must be >= 1)")
         for p in parts:
-            require_at_least(p, 1, f"{self._noun} parts")
+            require_at_least(p, 1, "partition parts")
+        for a, b in zip(parts, parts[1:]):
+            if a < b:
+                raise ValueError(f"partition parts must be weakly decreasing, got {parts}")
         object.__setattr__(self, "parts", parts)
 
     @classmethod
-    def _derived(cls, parts: Iterable[int]):
-        """A value whose parts the package derived from a valid one, stored unchecked."""
+    def _derived(cls, parts: Iterable[int]) -> "Partition":
+        """A partition whose parts the package derived from a valid one, stored unchecked."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "parts", tuple(parts))
         return obj
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        raise AttributeError("Partition is immutable")
 
     @property
     def n(self) -> int:
@@ -73,59 +69,26 @@ class _Parts:
         return iter(self.parts)
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.parts == other.parts
+        return type(other) is Partition and self.parts == other.parts
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.parts))
+        return hash(("Partition", self.parts))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self.parts)})"
+        return f"Partition({list(self.parts)})"
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
-
-    @classmethod
-    def _from_int_array(cls, array, wire_form: str, data):
-        # JSON true/false decode to bool, a subclass of int, so test the exact type
-        if not isinstance(array, list) or not all(type(x) is int for x in array):
-            raise ValueError(f"a {cls._noun} serializes as {wire_form}, got {data!r}")
-        return cls(array)
-
-
-class Partition(_Parts):
-    """A weakly decreasing sequence of positive integers."""
-
-    __slots__ = ()
-    _noun = "partition"
-
-    def __init__(self, parts: Iterable[int]):
-        super().__init__(parts)
-        for a, b in zip(self.parts, self.parts[1:]):
-            if a < b:
-                raise ValueError(f"partition parts must be weakly decreasing, got {self.parts}")
 
     def to_json(self) -> list[int]:
         return list(self.parts)
 
     @classmethod
     def from_json(cls, data) -> "Partition":
-        return cls._from_int_array(data, "a JSON array of integers", data)
-
-
-class Composition(_Parts):
-    """A sequence of positive integers in arbitrary order."""
-
-    __slots__ = ()
-    _noun = "composition"
-
-    def to_json(self) -> dict:
-        # explicit wrapper keeps compositions distinct from partitions on the wire
-        return {"composition": list(self.parts)}
-
-    @classmethod
-    def from_json(cls, data) -> "Composition":
-        array = data.get("composition") if isinstance(data, dict) else None
-        return cls._from_int_array(array, '{"composition": [ints]}', data)
+        # JSON true/false decode to bool, a subclass of int, so test the exact type
+        if not isinstance(data, list) or not all(type(x) is int for x in data):
+            raise ValueError(f"a partition serializes as a JSON array of integers, got {data!r}")
+        return cls(data)
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
@@ -199,35 +162,6 @@ def d_of(lam: Partition) -> int:
     exponent of coset counts along the congruence filtrations.
     """
     return (lam.n**2 - sum(p * p for p in lam)) // 2
-
-
-def sort_to_partition(comp: Composition) -> Partition:
-    """Reorder a composition decreasingly into its associated partition."""
-    return Partition(sorted(comp.parts, reverse=True))
-
-
-def composition_from_subset(subset: Iterable[int], n: int) -> Composition:
-    """The composition of n with cut points at the given subset of {1,...,n-1}.
-
-    The empty subset gives (n); {i_1 < ... < i_r} gives
-    (i_1, i_2-i_1, ..., n-i_r).  This is a bijection from subsets of
-    {1,...,n-1} onto compositions of n.
-    """
-    require_at_least(n, 1, "n")
-    given = [require_int(i, "a cut point") for i in subset]
-    cuts = sorted(set(given))
-    if len(cuts) != len(given):
-        raise ValueError(f"cut points must be distinct, got {given}")
-    for i in cuts:
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"cut points must lie in [1, {n - 1}], got {i}")
-    bounds = [0] + cuts + [n]
-    return Composition(b - a for a, b in zip(bounds, bounds[1:]))
-
-
-def subset_from_composition(comp: Composition) -> tuple[int, ...]:
-    """Inverse of composition_from_subset: the proper prefix sums."""
-    return tuple(accumulate(comp.parts[:-1]))
 
 
 def induce_partition(parts: Sequence[Partition]) -> Partition:

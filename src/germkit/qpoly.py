@@ -207,12 +207,6 @@ class QPoly:
     def to_json(self) -> list[int]:
         return list(self.coeffs)
 
-    @classmethod
-    def from_json(cls, data) -> "QPoly":
-        if not isinstance(data, list) or not all(type(x) is int for x in data):  # excludes bool
-            raise ValueError(f"a polynomial serializes as a JSON array of integers, got {data!r}")
-        return cls(data)
-
 
 def q_int(m: int) -> QPoly:
     """[m]_q = 1 + q + ... + q^(m-1), for m >= 1."""

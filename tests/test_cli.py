@@ -414,8 +414,15 @@ class TestExitCodes:
             (["qcount", "--partition", "a,b"], None, "cannot parse partition 'a,b'"),
             (["germ", "whittaker", "--in", "{file}"], "not json", "is not valid JSON"),
             (["germ", "lj", "--in", "{file}", "--d", "2"], '{"n": 3, "entries": []}', "not divisible by d = 2"),
+            (["germ", "whittaker", "--in", "{file}"], '{"n": 2, "entries": 5}', '"entries" must be a JSON array, got 5'),
+            (["germ", "dimpoly", "--in", "{file}", "--family", "K", "--q", "3"], '{"n": 2, "entries": null}',
+             '"entries" must be a JSON array, got None'),
+            (["germ", "lj", "--in", "{file}", "--d", "1"], '{"n": 2, "entries": "ab"}',
+             "\"entries\" must be a JSON array, got 'ab'"),
+            (["germ", "induce", "--in", "{file}"], '{"n": 2, "entries": {"a": 1}}',
+             "\"entries\" must be a JSON array, got {'a': 1}"),
         ],
-        ids=["qcount-partition", "in-not-json", "lj-odd-n"],
+        ids=["qcount-partition", "in-not-json", "lj-odd-n", "entries-int", "entries-null", "entries-str", "entries-object"],
     )
     def test_bad_input_is_exit_1_with_one_line(self, capsys, tmp_path, argv, content, message):
         infile = tmp_path / "in.json"

@@ -1,6 +1,9 @@
 import math
 import random
+import re
+import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +28,7 @@ from germkit.germ import (
     whittaker_dims,
 )
 from germkit.oracle import centralizer_order, gl_order, multiplicity_matrix
-from germkit.partitions import Partition, d_of, dominance_leq, enumerate_partitions, induce_partition
+from germkit.partitions import Partition, d_of, dominance_leq, enumerate_partitions, induce_partition, scale_partition
 from germkit.qpoly import QPoly, q_multinomial
 
 
@@ -203,6 +206,23 @@ class TestDimensionPolynomial:
                 shallow = dimension_polynomial(c, fam, 2, 1, base_depth=j)
                 assert deeper.poly == shallow.poly.substitute(2)
 
+    def test_parahorics_exist_at_depth_0_only(self):
+        for fam in (Family.VERTEX_MAX, Family.IWAHORI):
+            with pytest.raises(ValueError, match=f"^family {fam.token} is depth-0 only, got depth 2$"):
+                dimension_polynomial(steinberg(), fam, 3, 1, base_depth=2)
+            dp = dimension_polynomial(steinberg(), fam, 3, 1)
+            assert dp.dim_at_depth(0) == dim_fixed(steinberg(), SubgroupSpec(fam, 0, 3, 1))
+            with pytest.raises(ValueError, match=f"^family {fam.token} is depth-0 only, got depth 3$"):
+                dp.dim_at_depth(3)
+
+    def test_family_none_and_pro_p_chains_take_any_depth(self):
+        user = dimension_polynomial(steinberg(), None, 3, 1, base_counts={P(2): 1, P(1, 1): 4}, base_depth=2)
+        assert (user.poly, user.dim_at_depth(3)) == (QPoly([-1, 36]), -1 + 36 * 27)
+        for fam in Family:
+            if fam.is_pro_p:
+                dp = dimension_polynomial(steinberg(), fam, 3, 1, base_depth=2)
+                assert dp.dim_at_depth(3) == dim_fixed(steinberg(), SubgroupSpec(fam, 5, 3, 1))
+
     def test_dim_fixed_examples(self):
         assert dim_fixed(steinberg(), SubgroupSpec(Family.VERTEX_CONGRUENCE, 0, 3, 1)) == 3
         triv = CoefficientMap.indicator(P(2))
@@ -273,6 +293,30 @@ class TestTransfer:
     def test_n_validation(self):
         with pytest.raises(ValueError):
             lj_transfer(steinberg(), 2, 2)
+
+    @staticmethod
+    def lj_by_enumeration(c, n, d):
+        """The reference: c'(lam) = (-1)^(dn-n) * c(d*lam) at every partition lam of n."""
+        sign = (-1) ** (d * n - n)
+        return CoefficientMap(n, {lam: sign * c.value(scale_partition(lam, d)) for lam in enumerate_partitions(n)})
+
+    def test_equals_the_enumeration_on_random_maps(self):
+        rng = random.Random(14)
+        for _ in range(300):
+            d = rng.randint(1, 6)
+            n = rng.randint(1, 18 // d)
+            parts = enumerate_partitions(d * n)
+            support = rng.sample(parts, rng.randint(0, len(parts)))
+            c = CoefficientMap(d * n, {lam: rng.randint(-5, 5) for lam in support})
+            assert lj_transfer(c, n, d) == self.lj_by_enumeration(c, n, d)
+
+    def test_reads_the_support_not_every_partition(self, within_budget):
+        # p(70) is about 4 * 10^6, so enumerating the partitions of n would take over a minute
+        c = CoefficientMap.indicator(P(70))
+        start = time.perf_counter()
+        assert lj_transfer(c, 70, 1) == c
+        assert lj_transfer(c, 35, 2) == CoefficientMap.indicator(P(35), -1)
+        within_budget(time.perf_counter() - start, 0.01)
 
     def test_square_integrable_top_coeff(self):
         assert square_integrable_top_coeff(1, 2) == -1
@@ -463,3 +507,11 @@ class TestLawsAsProperties:
     def test_solve_after_forward_is_the_identity(self, c, q):
         M = closed_form_multiplicity_matrix(c.n, q)
         assert solve_from_multiplicities(forward_multiplicities(c, M), M) == c
+
+
+def test_readme_quick_tour_runs(capsys):
+    """The README's Python block runs as written and prints what its comments say."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (tour,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(tour, {})
+    assert capsys.readouterr().out == "-1 + 4X\n35\n"

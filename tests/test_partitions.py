@@ -5,10 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from germkit import cosets, germ, gl2, oracle, qpoly
 from germkit.partitions import (
-    Composition,
     Partition,
     canonical_order,
-    composition_from_subset,
     d_of,
     dominance_compare,
     dominance_leq,
@@ -18,8 +16,6 @@ from germkit.partitions import (
     induce_partition,
     minimal_elements,
     scale_partition,
-    sort_to_partition,
-    subset_from_composition,
 )
 
 
@@ -41,7 +37,7 @@ class TestPartitionType:
     def test_equality_is_part_list_equality(self):
         assert P(3, 1) == P(3, 1)
         assert P(3, 1) != P(2, 2)
-        assert P(2) != Composition([2])
+        assert P(2) != (2,) and P(2) != [2]
 
     def test_immutable(self):
         lam = P(3, 1)
@@ -55,30 +51,19 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             Partition.from_json({"composition": [1]})
 
-    def test_composition_wire_format_is_distinct(self):
-        c = Composition([1, 3, 2])
-        assert c.to_json() == {"composition": [1, 3, 2]}
-        assert Composition.from_json(c.to_json()) == c
-        with pytest.raises(ValueError):
-            Composition.from_json([1, 3, 2])
-
-    def test_partition_and_composition_stay_distinct_types(self):
-        lam, comp = P(3, 1), Composition([3, 1])
-        assert lam != comp and comp != lam
-        assert len({lam, comp}) == 2
-        assert (repr(lam), repr(comp)) == ("Partition([3, 1])", "Composition([3, 1])")
-        assert str(lam) == str(comp) == "(3,1)"
-        assert (lam.n, len(comp), comp[1], list(comp)) == (4, 2, 1, [3, 1])
-        with pytest.raises(AttributeError, match="^Composition is immutable$"):
-            comp.parts = (4,)
+    def test_value_protocol(self):
+        lam = P(3, 1)
+        assert (repr(lam), str(lam)) == ("Partition([3, 1])", "(3,1)")
+        assert (lam.n, len(lam), lam[1], list(lam)) == (4, 2, 1, [3, 1])
+        assert len({lam, P(3, 1), Partition._derived([3, 1])}) == 1
+        with pytest.raises(AttributeError, match="^Partition is immutable$"):
+            lam.parts = (4,)
 
     @pytest.mark.parametrize(
         "make, message",
         [
             (lambda: Partition([]), "empty partition is not allowed (n must be >= 1)"),
-            (lambda: Composition([]), "empty composition is not allowed (n must be >= 1)"),
             (lambda: Partition([2, 0]), "partition parts must be >= 1, got 0"),
-            (lambda: Composition([1, -1]), "composition parts must be >= 1, got -1"),
             (lambda: Partition([1, 2]), "partition parts must be weakly decreasing, got (1, 2)"),
         ],
     )
@@ -92,7 +77,7 @@ class TestPartitionType:
         [
             (lambda: Partition([2.7, 1]), "a partition part must be an integer, got 2.7"),
             (lambda: Partition([True]), "a partition part must be an integer, got True"),
-            (lambda: Composition(["3"]), "a composition part must be an integer, got '3'"),
+            (lambda: Partition(["3"]), "a partition part must be an integer, got '3'"),
         ],
     )
     def test_constructors_reject_non_integers(self, build, message):
@@ -105,22 +90,6 @@ class TestPartitionType:
         with pytest.raises(ValueError) as info:
             Partition.from_json(data)
         assert str(info.value) == f"a partition serializes as a JSON array of integers, got {data!r}"
-
-    @pytest.mark.parametrize(
-        "data",
-        [
-            {"composition": [1.5, 2]},
-            {"composition": "12"},
-            {"composition": [True, 2]},
-            {"composition": None},
-            {"parts": [1, 2]},
-            [1, 2],
-        ],
-    )
-    def test_composition_wire_format_rejects_non_integers(self, data):
-        with pytest.raises(ValueError) as info:
-            Composition.from_json(data)
-        assert str(info.value) == 'a composition serializes as {"composition": [ints]}, got %r' % (data,)
 
 
 class TestEnumeration:
@@ -190,12 +159,18 @@ class TestDual:
                     assert dominance_leq(mu, lam) == dominance_leq(dual(lam), dual(mu))
 
 
+def _sorted_gaps(cuts, n):
+    """The gaps between 0, the sorted cut points in [1, n-1] and n, in decreasing order."""
+    bounds = [0, *sorted(cuts), n]
+    return Partition(sorted((b - a for a, b in zip(bounds, bounds[1:])), reverse=True))
+
+
 @st.composite
 def _two_partitions(draw):
-    """Two partitions of one n <= 40, each sorted from a composition given by random cut points."""
+    """Two partitions of one n <= 40, each the sorted gaps between random cut points."""
     n = draw(st.integers(1, 40))
     cuts = st.sets(st.integers(1, n - 1)) if n > 1 else st.just(set())
-    return tuple(sort_to_partition(composition_from_subset(draw(cuts), n)) for _ in range(2))
+    return tuple(_sorted_gaps(draw(cuts), n) for _ in range(2))
 
 
 class TestDualProperties:
@@ -284,39 +259,6 @@ class TestDOf:
         assert len(set(values6)) < len(values6)
 
 
-class TestCompositions:
-    def test_sort_to_partition(self):
-        assert sort_to_partition(Composition([1, 3, 2])) == P(3, 2, 1)
-        assert sort_to_partition(Composition([2, 2])) == P(2, 2)
-        assert sort_to_partition(Composition([1, 1, 4])) == P(4, 1, 1)
-
-    def test_from_subset_examples(self):
-        assert composition_from_subset([], 4) == Composition([4])
-        assert composition_from_subset(range(1, 6), 6) == Composition([1] * 6)
-        assert composition_from_subset([2, 3], 5) == Composition([2, 1, 2])
-
-    def test_from_subset_errors(self):
-        with pytest.raises(ValueError):
-            composition_from_subset([0], 4)
-        with pytest.raises(ValueError):
-            composition_from_subset([4], 4)
-        with pytest.raises(ValueError):
-            composition_from_subset([2, 2], 4)
-
-    def test_bijection_up_to_10(self):
-        from itertools import combinations
-
-        for n in range(1, 11):
-            seen = set()
-            for r in range(n):
-                for subset in combinations(range(1, n), r):
-                    comp = composition_from_subset(subset, n)
-                    assert subset_from_composition(comp) == subset
-                    assert comp.n == n
-                    seen.add(comp)
-            assert len(seen) == 2 ** (n - 1)
-
-
 class TestInduceScaleMinimal:
     def test_induce(self):
         assert induce_partition([P(2, 1), P(2)]) == P(2, 2, 1)
@@ -359,8 +301,6 @@ def _integer_entry_points():
     spec = cosets.SubgroupSpec(K, 1, 3, 1)
     return [
         ("enumerate_partitions n", enumerate_partitions, 2),
-        ("composition_from_subset n", lambda x: composition_from_subset([], x), 2),
-        ("composition_from_subset cut", lambda x: composition_from_subset([x], 3), 2),
         ("scale_partition d", lambda x: scale_partition(P(2, 1), x), 2),
         ("QPoly.monomial exponent", qpoly.QPoly.monomial, 2),
         ("q_int m", qpoly.q_int, 2),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germkit.oracle import gl_order, parabolic_order
-from germkit.partitions import Composition, Partition, enumerate_partitions
+from germkit.partitions import Partition, enumerate_partitions
 from germkit.qpoly import QPoly, q_factorial, q_int, q_multinomial
 
 
@@ -38,9 +38,7 @@ class TestQPolyType:
     def test_json_round_trip(self):
         p = QPoly([-1, 4])
         assert p.to_json() == [-1, 4]
-        assert QPoly.from_json([-1, 4]) == p
-        with pytest.raises(ValueError):
-            QPoly.from_json("q+1")
+        assert QPoly(p.to_json()) == p
 
 
 class TestArithmetic:
@@ -202,7 +200,7 @@ class TestMemo:
         for bad in (True, 1.0):
             with pytest.raises(ValueError):
                 q_factorial(bad)
-        for bad in ([1], (1,), Composition([1])):
+        for bad in ([1], (1,)):
             with pytest.raises(ValueError):
                 q_multinomial(bad)
 
@@ -304,18 +302,8 @@ class TestPretty:
 
 
 class TestWireFormat:
-    def test_round_trip(self):
-        poly = QPoly([-1, 0, 3])
-        assert QPoly.from_json(poly.to_json()) == poly
-
     @pytest.mark.parametrize("coeffs, bad", [([1.9, True], "1.9"), ([1, True], "True"), (["2"], "'2'")])
     def test_constructor_rejects_non_integers(self, coeffs, bad):
         with pytest.raises(ValueError) as info:
             QPoly(coeffs)
         assert str(info.value) == f"a coefficient must be an integer, got {bad}"
-
-    @pytest.mark.parametrize("data", [[True], [1, False], [1.0], ["1"], "12", None])
-    def test_rejects_non_integers(self, data):
-        with pytest.raises(ValueError) as info:
-            QPoly.from_json(data)
-        assert str(info.value) == f"a polynomial serializes as a JSON array of integers, got {data!r}"
