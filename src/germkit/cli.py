@@ -219,13 +219,16 @@ def _cmd_qcount(args) -> None:
 def _cmd_cosets(args) -> None:
     require_at_least(args.j, 0, "--j")
     families = [Family.parse(args.family)] if args.family else list(Family)
-    parts = enumerate_partitions(args.n)
     columns = [
-        (fam.token, j, SubgroupSpec(fam, j, args.q, args.d))
+        (fam.token, [SubgroupSpec(fam, j, args.q, args.d) for j in (range(args.j + 1) if fam.is_pro_p else [0])])
         for fam in families
-        for j in (range(args.j + 1) if fam.is_pro_p else [0])
     ]
-    rows = [(lam, token, j, count_at_depth(lam, spec)) for lam in parts for token, j, spec in columns]
+    rows = []
+    for lam in enumerate_partitions(args.n):
+        for token, (spec0, *deeper) in columns:
+            base = count_at_depth(lam, spec0)  # the family's base count, evaluated once per (lam, family)
+            rows.append((lam, token, 0, base))
+            rows += [(lam, token, spec.depth, count_at_depth(lam, spec, base=base)) for spec in deeper]
     records = [
         {
             "partition": lam.to_json(),

@@ -176,10 +176,10 @@ def base_count(lam: Partition, family: Family) -> QPoly:
     if family is Family.VERTEX_CONGRUENCE:
         return q_multinomial(lam)
     if family is Family.IWAHORI or family is Family.PRO_P_IWAHORI_HALF:
-        return QPoly.constant(multinomial(lam))
+        return QPoly._derived((multinomial(lam),))
     if family is Family.IWAHORI_CONGRUENCE:
         # derived convention; see the module docstring
-        return QPoly.monomial(d_of(lam), multinomial(lam))
+        return QPoly._derived((0,) * d_of(lam) + (multinomial(lam),))
     raise ValueError(f"unsupported family {family!r}")
 
 

@@ -5,8 +5,9 @@ Carries the q-analog counting quantities: q-integers [m]_q, q-factorials
 holds dimension-growth polynomials in a second contextual variable X;
 the variable name is purely presentational.
 
-The q-multinomial is computed by exact polynomial long division (the
-divisors are monic), with a hard error on a nonzero remainder, so the
+The q-multinomial divides [n!]_q by one q-integer [m]_q = (1 - q^m) / (1 - q)
+at a time, in time linear in the degree: times 1 - q, then an exact
+division by 1 - q^m, with a hard error on a nonzero remainder.  So the
 divisibility that makes the count a polynomial is checked on every value
 the process computes instead of being assumed.  q-factorials and
 q-multinomials are memoised per process behind the checks of their
@@ -62,10 +63,6 @@ class QPoly:
     @classmethod
     def one(cls) -> "QPoly":
         return cls((1,))
-
-    @classmethod
-    def constant(cls, c: int) -> "QPoly":
-        return cls((c,))
 
     @classmethod
     def monomial(cls, exponent: int, coeff: int = 1) -> "QPoly":
@@ -234,7 +231,7 @@ def _q_factorial(n: int) -> QPoly:
 
 
 def q_multinomial(lam: Partition) -> QPoly:
-    """[n!]_q / prod_i [lam_i!]_q, by exact polynomial division.
+    """[n!]_q / prod_i [lam_i!]_q, dividing by one q-integer at a time.
 
     Evaluated at a prime power q this is the number of cosets of the
     block upper-triangular subgroup of shape lam in GL_n(F_q).
@@ -246,8 +243,14 @@ def q_multinomial(lam: Partition) -> QPoly:
 
 @functools.lru_cache(maxsize=1024)
 def _q_multinomial(lam: Partition) -> QPoly:
-    num = _q_factorial(lam.n)
+    coeffs = list(_q_factorial(lam.n).coeffs)
     for part in lam:
-        if part > 1:  # [1!]_q = 1
-            num = num.exact_div(_q_factorial(part))
-    return num
+        for m in range(2, part + 1):
+            # [m]_q = (1 - q^m) / (1 - q): times 1 - q, then c_k = a_k + c_(k-m) divides by 1 - q^m
+            coeffs = [a - b for a, b in zip(coeffs + [0], [0] + coeffs)]
+            for k in range(m, len(coeffs)):
+                coeffs[k] += coeffs[k - m]
+            if any(coeffs[-m:]):
+                raise ArithmeticError(f"inexact polynomial division by [{m}]_q in the q-multinomial of {lam}")
+            del coeffs[-m:]
+    return QPoly._derived(coeffs)

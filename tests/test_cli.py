@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from germkit import cli
+from germkit import cli, cosets
 from germkit.cli import main
-from germkit.cosets import PRIME_CHECK_BOUND, Family
+from germkit.cosets import PRIME_CHECK_BOUND, Family, SubgroupSpec, count_at_depth
 from germkit.germ import CoefficientMap, closed_form_multiplicity_matrix, forward_multiplicities
 from germkit.partitions import Partition, enumerate_partitions
 from germkit.qpoly import q_multinomial
@@ -168,6 +168,34 @@ class TestGoldenOutputs:
             covered.add((path, "json" if "--json" in argv or forms[path] == ("json",) else "text"))
         assert {(path, form) for path, fs in forms.items() for form in fs} - covered == set()
         assert sorted(GOLDENS) == sorted(p.name for p in GOLDEN.iterdir())
+
+
+class TestCosetsCommand:
+    @pytest.mark.parametrize("q", [2, 4, 9])
+    def test_rows_equal_count_at_depth_up_to_7(self, capsys, q):
+        # every depth bound with all families, and each family alone at the deepest
+        cases = [(j, list(Family)) for j in range(4)] + [(3, [fam]) for fam in Family]
+        for n in range(1, 8):
+            for j, fams in cases:
+                only = ["--family", fams[0].token] if len(fams) == 1 else []
+                code, out, _ = run(capsys, "cosets", "--n", str(n), "--q", str(q), "--j", str(j), *only, "--json")
+                assert code == 0
+                expected = [
+                    (lam.to_json(), fam.token, depth, count_at_depth(lam, SubgroupSpec(fam, depth, q, 1)))
+                    for lam in enumerate_partitions(n)
+                    for fam in fams
+                    for depth in (range(j + 1) if fam.is_pro_p else [0])
+                ]
+                assert [(r["partition"], r["family"], r["depth"], r["count"]) for r in json.loads(out)] == expected
+
+    def test_one_base_count_per_partition_and_family(self, capsys, monkeypatch):
+        # the deeper rows scale the depth-0 count; a base per row would be 11 * 14 calls
+        calls = []
+        original = cosets.base_count
+        monkeypatch.setattr(cosets, "base_count", lambda lam, fam: calls.append((lam, fam)) or original(lam, fam))
+        code, _, _ = run(capsys, "cosets", "--n", "6", "--q", "2", "--j", "3")
+        assert code == 0
+        assert len(calls) == len(set(calls)) == 11 * 5
 
 
 class TestDeterminism:

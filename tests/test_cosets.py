@@ -99,6 +99,22 @@ class TestBaseCounts:
         for lam in enumerate_partitions(4):
             assert base_count(lam, Family.VERTEX_MAX) == QPoly.one()
 
+    def test_every_family_equals_the_checked_constructors_up_to_8(self):
+        # base_count builds its constants and monomials without the constructor's checks
+        for n in range(1, 9):
+            for lam in enumerate_partitions(n):
+                weyl = multinomial(lam)
+                checked = {
+                    Family.VERTEX_MAX: QPoly([1]),
+                    Family.VERTEX_CONGRUENCE: q_multinomial(lam),
+                    Family.IWAHORI: QPoly([weyl]),
+                    Family.PRO_P_IWAHORI_HALF: QPoly([weyl]),
+                    Family.IWAHORI_CONGRUENCE: QPoly.monomial(d_of(lam), weyl),
+                }
+                for fam in Family:
+                    value = base_count(lam, fam)
+                    assert value == checked[fam] == QPoly(list(value.coeffs))
+
 
 class TestCountAtDepth:
     @pytest.mark.parametrize("q,d", [(2, 1), (3, 1), (2, 2), (5, 2)])

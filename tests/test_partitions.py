@@ -123,6 +123,31 @@ class TestEnumeration:
         shuffled = list(reversed(parts))
         assert canonical_order(shuffled) == parts
 
+    def test_equals_a_reference_up_to_20(self):
+        for n, reference in enumerate(_reference_lattices(20)):
+            if n:
+                assert [lam.parts for lam in enumerate_partitions(n)] == reference
+
+    def test_a_caller_editing_the_list_leaves_the_next_call_alone(self):
+        expected = enumerate_partitions(6)
+        edited = enumerate_partitions(6)
+        edited.reverse()
+        del edited[3:]
+        assert enumerate_partitions(6) == expected and len(expected) == 11
+
+
+def _reference_lattices(top):
+    """The partitions of each n <= top as part tuples, largest first: one box added to each of n - 1."""
+    lattices = [[()]]
+    for _ in range(top):
+        grown = set()
+        for parts in lattices[-1]:
+            grown.add(parts + (1,))
+            for i in range(len(parts)):
+                grown.add(tuple(sorted(parts[:i] + (parts[i] + 1,) + parts[i + 1:], reverse=True)))
+        lattices.append(sorted(grown, reverse=True))
+    return lattices
+
 
 class TestDerivedPartitions:
     def test_enumeration_and_dual_match_the_checked_constructor(self):
@@ -140,8 +165,8 @@ class TestDual:
         assert dual(P(2, 1)) == P(2, 1)
         assert dual(P(3, 1)) == P(2, 1, 1)
 
-    def test_definition_up_to_16(self):
-        for n in range(1, 17):
+    def test_definition_up_to_20(self):
+        for n in range(1, 21):
             for lam in enumerate_partitions(n):
                 assert list(dual(lam)) == [sum(1 for p in lam if p >= i + 1) for i in range(lam[0])]
 
@@ -237,6 +262,11 @@ class TestDOf:
         assert d_of(P(3, 3)) == 9
         assert d_of(P(4, 1, 1)) == 9
 
+    def test_definition_up_to_20(self):
+        for n in range(1, 21):
+            for lam in enumerate_partitions(n):
+                assert d_of(lam) == sum(a * b for i, a in enumerate(lam) for b in lam.parts[i + 1:])
+
     def test_extremes(self):
         for n in range(1, 9):
             assert d_of(Partition([n])) == 0
@@ -266,6 +296,20 @@ class TestInduceScaleMinimal:
         assert induce_partition([P(3), P(2, 2)]) == P(3, 2, 2)
         with pytest.raises(ValueError):
             induce_partition([])
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.lists(st.integers(1, 9), min_size=1, max_size=6), min_size=1, max_size=4))
+    def test_induce_equals_the_checked_constructor(self, part_lists):
+        # induce_partition builds its result without the constructor's checks
+        parts = [Partition(sorted(ps, reverse=True)) for ps in part_lists]
+        induced = induce_partition(parts)
+        assert type(induced) is Partition
+        assert induced == Partition(sorted((p for lam in parts for p in lam), reverse=True))
+
+    @pytest.mark.parametrize("bad", [(2, 1), [2, 1], "21", None])
+    def test_induce_rejects_what_is_not_a_partition(self, bad):
+        with pytest.raises(ValueError, match="^induce_partition gathers Partitions, got "):
+            induce_partition([P(1), bad])
 
     def test_scale(self):
         assert scale_partition(P(2, 1), 3) == P(6, 3)

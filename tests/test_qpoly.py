@@ -1,12 +1,17 @@
 import functools
+import importlib
 import itertools
 import math
 import operator
+import pkgutil
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import germkit
+from germkit import qpoly
 from germkit.oracle import gl_order, parabolic_order
 from germkit.partitions import Partition, enumerate_partitions
 from germkit.qpoly import QPoly, q_factorial, q_int, q_multinomial
@@ -210,6 +215,48 @@ class TestMemo:
         expected = _fresh_multinomial(lam)
         assert q_multinomial(lam) == expected
         assert q_multinomial(Partition(list(lam))) == expected  # an equal key built anew
+
+
+class TestDivisionByQIntegers:
+    """q_multinomial divides by one [m]_q at a time; the schoolbook fold above is its reference."""
+
+    def test_equals_the_schoolbook_route_up_to_12(self):
+        for n in range(1, 13):
+            for lam in enumerate_partitions(n):
+                assert q_multinomial(lam) == _fresh_multinomial(lam)
+
+    def test_two_parts_of_60_within_budget(self, within_budget):
+        lam = Partition([60, 60])
+        q_factorial(120)  # time the divisions, not the numerator
+        start = time.perf_counter()
+        poly = qpoly._q_multinomial.__wrapped__(lam)  # past the memo
+        within_budget(time.perf_counter() - start, 2.0)
+        assert poly.eval_at(1) == math.comb(120, 60)
+        assert poly.coeffs == poly.coeffs[::-1] and poly.degree == 60 * 60
+
+    def test_an_inexact_division_raises(self, monkeypatch):
+        # [2]_q [5]_q in place of [3!]_q: [2]_q divides it and [3]_q does not
+        monkeypatch.setattr(qpoly, "_q_factorial", lambda n: q_int(2) * q_int(5))
+        with pytest.raises(ArithmeticError, match=r"by \[3\]_q in the q-multinomial of \(3\)$"):
+            qpoly._q_multinomial.__wrapped__(Partition([3]))
+
+
+# Memos kept once per n of a process, whose size the number of n asked for bounds.
+_PER_N_MEMOS = {"germkit.qpoly._q_factorial", "germkit.germ._multiplicity_polynomials", "germkit.cli._parser"}
+
+
+def test_every_package_memo_is_bounded_or_per_n():
+    """An unbounded memo keyed by a value, such as a partition, would grow for the life of the process."""
+    memos = {}
+    for info in pkgutil.iter_modules(germkit.__path__, "germkit."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            members = vars(value).items() if isinstance(value, type) else ()
+            for qualname, obj in [(name, value), *((f"{name}.{k}", v) for k, v in members)]:
+                if hasattr(obj, "cache_parameters") and getattr(obj, "__module__", None) == info.name:
+                    memos[f"{info.name}.{qualname}"] = obj.cache_parameters()["maxsize"]
+    assert {"germkit.partitions._partitions", "germkit.qpoly._q_multinomial"} | _PER_N_MEMOS <= set(memos)
+    assert {name for name, maxsize in memos.items() if maxsize is None} <= _PER_N_MEMOS
 
 
 def _assert_canonical(poly):
