@@ -3,7 +3,6 @@
 from .partitions import (
     Partition,
     d_of,
-    dominance_compare,
     dominance_leq,
     dual,
     enumerate_partitions,
@@ -12,12 +11,11 @@ from .partitions import (
     scale_partition,
 )
 from .qpoly import QPoly, q_factorial, q_int, q_multinomial
-from .cosets import Family, SubgroupSpec, base_count, count_at_depth, gl2_chain_index, parabolic_index
+from .cosets import Family, SubgroupSpec, base_count, count_at_depth, gl2_chain_index
 from .germ import (
     CoefficientMap,
     DimensionPolynomial,
     PositivityError,
-    check_minimal_positivity,
     closed_form_multiplicity_matrix,
     dim_fixed,
     dimension_polynomial,
@@ -28,7 +26,6 @@ from .germ import (
     lj_transfer,
     multiplicity_polynomials,
     solve_from_multiplicities,
-    square_integrable_top_coeff,
     whittaker_dims,
 )
 from .oracle import (

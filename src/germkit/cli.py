@@ -218,7 +218,7 @@ def _cmd_qcount(args) -> None:
 
 def _cmd_cosets(args) -> None:
     require_at_least(args.j, 0, "--j")
-    families = [Family.parse(args.family)] if args.family else list(Family)
+    families = [Family(args.family)] if args.family else list(Family)
     columns = [
         (fam.token, [SubgroupSpec(fam, j, args.q, args.d) for j in (range(args.j + 1) if fam.is_pro_p else [0])])
         for fam in families
@@ -245,7 +245,7 @@ def _cmd_cosets(args) -> None:
 
 def _cmd_germ_dimpoly(args) -> None:
     cmap = _read_map(args.infile)
-    fam = Family.parse(args.family)
+    fam = Family(args.family)
     dp = dimension_polynomial(cmap, fam, args.q, args.d)
     rec = {
         "n": cmap.n,
@@ -304,8 +304,10 @@ def _oracle_items(args):
     cap = _oracle_cap()
     n, q = args.n, args.q
     if args.check == "cosets":
+        # every orbit charged before any search, the full flags (1^n), the largest, first,
+        # so an n over the cap is refused before its partitions are enumerated
+        oracle.flag_orbit_size(Partition([1] * require_at_least(n, 1, "n")), n, q, cap)
         parts = enumerate_partitions(n)
-        # every orbit charged before any search, the full flags (1^n), the largest, first
         quotients = {lam: oracle.flag_orbit_size(lam, n, q, cap) for lam in reversed(parts)}
         for lam in parts:
             observed, quotient = oracle.flag_orbit_count(lam, q, cap), quotients[lam]
@@ -373,7 +375,7 @@ def _cmd_oracle(args) -> None:
 
 def _cmd_gl2(args) -> None:
     records = []
-    for label, rep in gl2.catalog(args.q):
+    for label, rep in gl2.catalog():
         a, b = gl2.ab_coefficients(rep, args.q)
         dims = {}
         for fam in _PRO_P_CHAINS:

@@ -122,14 +122,6 @@ class Family(enum.Enum):
             return f"I{2 * depth + 1}/2"
         return f"{self.value}{depth + 1}" if self.is_pro_p else self.value
 
-    @classmethod
-    def parse(cls, token: str) -> "Family":
-        for fam in cls:
-            if fam.value == token:
-                return fam
-        raise ValueError(f"unknown subgroup family {token!r}; expected one of "
-                         + ", ".join(f.value for f in cls))
-
 
 # the three pro-p chains, in the column order of the GL_2 table
 _PRO_P_CHAINS = (Family.PRO_P_IWAHORI_HALF, Family.VERTEX_CONGRUENCE, Family.IWAHORI_CONGRUENCE)
@@ -193,18 +185,6 @@ def count_at_depth(lam: Partition, spec: SubgroupSpec, base: int | None = None) 
     t = spec.residue_size
     b = base_count(lam, spec.family).eval_at(t) if base is None else require_int(base, "base")
     return b * t ** (d_of(lam) * spec.depth)
-
-
-def parabolic_index(lam: Partition, q: int, d: int) -> int:
-    """One congruence step inside P_lam has index q^(d*(n^2 - d_lam)).
-
-    n^2 - d_lam is the block upper-triangular algebra's dimension over
-    the division algebra; the full-group case lam = (n) gives q^(d*n^2).
-    """
-    require_prime_power(q)
-    require_at_least(d, 1, "d")
-    n = lam.n
-    return q ** (d * (n * n - d_of(lam)))
 
 
 _CHAIN_RE = re.compile(r"^(K|I)(\d+)(/2)?$")

@@ -90,10 +90,6 @@ class CoefficientMap:
     def support(self) -> set[Partition]:
         return set(self._entries)
 
-    def support_min(self) -> set[Partition]:
-        """Dominance-minimal elements of the support."""
-        return minimal_elements(self._entries)
-
     def is_zero(self) -> bool:
         return not self._entries
 
@@ -151,29 +147,6 @@ class CoefficientMap:
                 raise ValueError(f'each entry needs "partition" and "value", got {item!r}')
             entries.append((Partition.from_json(item["partition"]), item["value"]))
         return cls(n, entries)
-
-
-@dataclass(frozen=True)
-class PositivityCheck:
-    """Per-partition verdicts at the dominance-minimal support."""
-
-    entries: tuple[tuple[Partition, int, bool], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, _, ok in self.entries)
-
-
-def check_minimal_positivity(c: CoefficientMap) -> PositivityCheck:
-    """Check that every dominance-minimal support value is positive.
-
-    A failure means c cannot come from an actual finite-length
-    representation; the zero map passes vacuously.
-    """
-    rows = tuple(
-        (lam, c.value(lam), c.value(lam) > 0) for lam in canonical_order(c.support_min())
-    )
-    return PositivityCheck(rows)
 
 
 def gk_dimension(c: CoefficientMap) -> int:
@@ -314,13 +287,6 @@ def jl_transfer(c: CoefficientMap, d: int) -> CoefficientMap:
     )
 
 
-def square_integrable_top_coeff(dim_div_algebra_rep: int, n: int) -> int:
-    """Value at (n) for a square-integrable class: (-1)^(n-1) times the transferred dimension."""
-    require_at_least(dim_div_algebra_rep, 1, "dimension")
-    require_at_least(n, 1, "n")
-    return (-1) ** (n - 1) * dim_div_algebra_rep
-
-
 MultiplicityMatrix = Mapping[Partition, Mapping[Partition, int]]
 
 
@@ -456,8 +422,8 @@ def whittaker_dims(c: CoefficientMap) -> dict[Partition, int]:
     to those dimensions; a non-positive minimal value is an error since
     no actual representation produces it.
     """
-    report = check_minimal_positivity(c)
-    if not report.passed:
-        bad = ", ".join(f"{lam}: {v}" for lam, v, ok in report.entries if not ok)
+    dims = {lam: c.value(lam) for lam in canonical_order(minimal_elements(c.support()))}
+    bad = ", ".join(f"{lam}: {v}" for lam, v in dims.items() if v <= 0)
+    if bad:
         raise PositivityError(f"minimal support value must be positive; got {bad}")
-    return {lam: v for lam, v, _ in report.entries}
+    return dims

@@ -107,13 +107,6 @@ class SupercuspidalGL2F:
         object.__setattr__(self, "level", level)
 
 
-@dataclass(frozen=True)
-class ModPSupersingular:
-    """Supersingular class in coefficient characteristic p (p odd, d = 1, base field Q_p)."""
-
-    twist_of_pi0: bool
-
-
 GL2Rep = (
     FiniteDim
     | PrincipalSeries
@@ -152,8 +145,6 @@ def ab_coefficients(rep: GL2Rep, q: int) -> tuple[int, int]:
         if rep.level.denominator == 1:
             return -2 * q ** int(rep.level), 1
         return -(q + 1) * q ** int(rep.level - Fraction(1, 2)), 1
-    if isinstance(rep, ModPSupersingular):
-        raise ValueError("mod-p supersingular classes have no (a, b) pair; use modp_supersingular_dims")
     raise TypeError(f"not a GL2 representation class: {rep!r}")
 
 
@@ -216,11 +207,6 @@ def modp_supersingular_dims(twist_of_pi0: bool, family: Family, j: int, p: int, 
 
 def to_coefficient_map(rep: GL2Rep, q: int) -> CoefficientMap:
     """The coefficient map {(2): a, (1,1): b} of the class."""
-    if isinstance(rep, ModPSupersingular):
-        raise ValueError(
-            "mod-p supersingular classes lie outside the coefficient-map theory "
-            "(coefficient characteristic equals p)"
-        )
     a, b = ab_coefficients(rep, q)
     return CoefficientMap(2, [(Partition([2]), a), (Partition([1, 1]), b)])
 
@@ -241,7 +227,7 @@ def speh_ess_pair(
     return SpehPair(dim_pi2, b_speh), EssSquareIntegrablePair(dim_pi2, b_ess)
 
 
-def catalog(q: int) -> list[tuple[str, GL2Rep]]:
+def catalog() -> list[tuple[str, GL2Rep]]:
     """Labeled classes with concrete parameters, for tables and cross-checks."""
     return [
         ("trivial", FiniteDim(1)),

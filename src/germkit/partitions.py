@@ -149,23 +149,6 @@ def dominance_lt(mu: Partition, lam: Partition) -> bool:
     return mu != lam and dominance_leq(mu, lam)
 
 
-def dominance_compare(mu: Partition, lam: Partition) -> int | None:
-    """-1 if mu < lam, 0 if equal, 1 if mu > lam, None if incomparable.
-
-    Dominance is only a partial order; callers that need a total order
-    must not use it for sorting.
-    """
-    if mu == lam:
-        return 0
-    le = dominance_leq(mu, lam)
-    ge = dominance_leq(lam, mu)
-    if le:
-        return -1
-    if ge:
-        return 1
-    return None
-
-
 def d_of(lam: Partition) -> int:
     """d_lam = sum over i<j of lam[i]*lam[j], the block count above the diagonal.
 

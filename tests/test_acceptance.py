@@ -124,7 +124,7 @@ def test_criterion_05_gl2_catalog_consistency():
     checked = 0
     for q in (2, 3, 5):
         for d in (1, 2):
-            for _, rep in catalog(q):
+            for _, rep in catalog():
                 a, b = ab_coefficients(rep, q)
                 cmap = to_coefficient_map(rep, q)
                 for fam in PRO_P:

@@ -508,6 +508,21 @@ class TestExitCodes:
         # ximatrix counts the partitions of n instead of listing them; a size of more than 20 digits is a power of q
         assert len(err.encode()) < 200
 
+    def test_oracle_cosets_refuses_before_enumerating_partitions(self, capsys, monkeypatch, within_budget):
+        def unreachable(n):
+            raise AssertionError("the full flags (1^n) are charged before the partitions of n are enumerated")
+
+        monkeypatch.delenv("GERMKIT_ORACLE_CAP", raising=False)
+        monkeypatch.setattr(cli, "enumerate_partitions", unreachable)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oracle", "--n", "60", "--q", "2", "--check", "cosets")
+        within_budget(time.perf_counter() - start, 0.1)
+        full = "(" + ",".join(["1"] * 60) + ")"
+        assert (code, out) == (1, "")
+        assert err == f"germkit: error: flag orbit: coset space for {full} over F_2 has more than 2^1828 elements, above the cap 10000000\n"
+        with pytest.raises(AssertionError):  # an n under the cap still reaches the enumeration
+            run(capsys, "oracle", "--n", "2", "--q", "2", "--check", "cosets")
+
     def test_bad_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("GERMKIT_ORACLE_CAP", "lots")
         code, _, err = run(capsys, "oracle", "--n", "2", "--q", "2", "--check", "ximatrix")

@@ -13,7 +13,6 @@ from germkit.cosets import Family, SubgroupSpec
 from germkit.germ import (
     CoefficientMap,
     PositivityError,
-    check_minimal_positivity,
     closed_form_multiplicity_matrix,
     dim_fixed,
     dimension_polynomial,
@@ -24,11 +23,18 @@ from germkit.germ import (
     lj_transfer,
     multiplicity_polynomials,
     solve_from_multiplicities,
-    square_integrable_top_coeff,
     whittaker_dims,
 )
 from germkit.oracle import centralizer_order, gl_order, multiplicity_matrix
-from germkit.partitions import Partition, d_of, dominance_leq, enumerate_partitions, induce_partition, scale_partition
+from germkit.partitions import (
+    Partition,
+    d_of,
+    dominance_leq,
+    enumerate_partitions,
+    induce_partition,
+    minimal_elements,
+    scale_partition,
+)
 from germkit.qpoly import QPoly, q_multinomial
 
 
@@ -137,19 +143,18 @@ class TestSupport:
     def test_support_and_minimal(self):
         c = steinberg()
         assert c.support() == {P(2), P(1, 1)}
-        assert c.support_min() == {P(1, 1)}
-        assert CoefficientMap.indicator(P(4), 5).support_min() == {P(4)}
+        assert minimal_elements(c.support()) == {P(1, 1)}
+        assert minimal_elements(CoefficientMap.indicator(P(4), 5).support()) == {P(4)}
         z = CoefficientMap.zero(3)
-        assert z.support() == set() and z.support_min() == set()
+        assert z.support() == set() and minimal_elements(z.support()) == set()
 
     def test_positivity_check(self):
-        assert check_minimal_positivity(steinberg()).passed
+        assert whittaker_dims(steinberg()) == {P(1, 1): 1}
         flipped = CoefficientMap(2, {P(2): 1, P(1, 1): -1})
-        report = check_minimal_positivity(flipped)
-        assert not report.passed
-        assert report.entries == ((P(1, 1), -1, False),)
-        assert check_minimal_positivity(CoefficientMap.indicator(P(3), 7)).passed
-        assert check_minimal_positivity(CoefficientMap.zero(2)).passed  # vacuous
+        with pytest.raises(PositivityError, match=r"^minimal support value must be positive; got \(1,1\): -1$"):
+            whittaker_dims(flipped)
+        assert whittaker_dims(CoefficientMap.indicator(P(3), 7)) == {P(3): 7}
+        assert whittaker_dims(CoefficientMap.zero(2)) == {}  # vacuous
 
     def test_gk_dimension(self):
         assert gk_dimension(CoefficientMap.indicator(P(5), 3)) == 0
@@ -230,6 +235,18 @@ class TestDimensionPolynomial:
             assert dim_fixed(triv, SubgroupSpec(fam, 0, 2, 1)) == 1
         c = CoefficientMap(2, {P(1, 1): 2})
         assert dim_fixed(c, SubgroupSpec(Family.PRO_P_IWAHORI_HALF, 2, 2, 1)) == 16
+
+    def test_degree_is_independent_of_the_subgroup(self):
+        # the paper's d(pi) is the same for every K: max d_lam over the support
+        rng = random.Random(21)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            parts = enumerate_partitions(n)
+            support = rng.sample(parts, rng.randint(1, len(parts)))
+            c = CoefficientMap(n, {lam: rng.choice((-1, 1)) * rng.randint(1, 5) for lam in support})
+            for fam in Family:
+                for q, d in ((2, 1), (3, 2), (4, 1)):
+                    assert dimension_polynomial(c, fam, q, d).formal_degree == gk_dimension(c)
 
 
 class TestInduction:
@@ -318,12 +335,10 @@ class TestTransfer:
         assert lj_transfer(c, 35, 2) == CoefficientMap.indicator(P(35), -1)
         within_budget(time.perf_counter() - start, 0.01)
 
-    def test_square_integrable_top_coeff(self):
-        assert square_integrable_top_coeff(1, 2) == -1
-        assert square_integrable_top_coeff(7, 1) == 7
-        assert square_integrable_top_coeff(2, 3) == 2
-        with pytest.raises(ValueError):
-            square_integrable_top_coeff(0, 2)
+    def test_square_integrable_top_coeff_is_the_transfer_of_a_point(self):
+        # a square-integrable class of GL_n carries (-1)^(n-1) times the transferred dimension at (n)
+        for dim, n, top in ((1, 2, -1), (7, 1, 7), (2, 3, 2)):
+            assert jl_transfer(CoefficientMap.indicator(P(1), dim), n) == CoefficientMap.indicator(P(n), top)
 
 
 class TestSolve:
@@ -385,6 +400,15 @@ class TestWhittaker:
     def test_positivity_failure(self):
         with pytest.raises(PositivityError):
             whittaker_dims(CoefficientMap(2, {P(2): 1, P(1, 1): -1}))
+        # (3,3) and (4,1,1) are incomparable, so both are minimal; the error names each bad one in canonical order
+        c = CoefficientMap(6, {P(6): 4, P(3, 3): -1, P(4, 1, 1): -2})
+        with pytest.raises(PositivityError) as info:
+            whittaker_dims(c)
+        assert str(info.value) == "minimal support value must be positive; got (4,1,1): -2, (3,3): -1"
+        with pytest.raises(PositivityError) as info:
+            whittaker_dims(c + CoefficientMap.indicator(P(3, 3), 4))
+        assert str(info.value) == "minimal support value must be positive; got (4,1,1): -2"
+        assert list(whittaker_dims(c.scale(-1))) == [P(4, 1, 1), P(3, 3)]
 
 
 class TestClosedFormMatrix:

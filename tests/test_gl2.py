@@ -3,12 +3,11 @@ from fractions import Fraction
 import pytest
 
 from germkit.cosets import Family, SubgroupSpec
-from germkit.germ import dim_fixed
+from germkit.germ import CoefficientMap, dim_fixed, jl_transfer
 from germkit.gl2 import (
     CuspidalSteinberg,
     EssSquareIntegrablePair,
     FiniteDim,
-    ModPSupersingular,
     PrincipalSeries,
     SpehPair,
     SteinbergTwist,
@@ -53,10 +52,6 @@ class TestABCoefficients:
         with pytest.raises(ValueError):
             ab_coefficients(EssSquareIntegrablePair(2), 3)
 
-    def test_modp_has_no_ab(self):
-        with pytest.raises(ValueError):
-            ab_coefficients(ModPSupersingular(True), 3)
-
     def test_level_validation(self):
         with pytest.raises(ValueError):
             SupercuspidalGL2F(Fraction(1, 3))
@@ -78,8 +73,6 @@ class TestABCoefficients:
     def test_supercuspidal_matches_transfer_sign_rule(self):
         # a = (-1)^(n-1) * (transferred dimension) with n = 2, where the
         # dimension is 2q^level (integral level) or (q+1)q^(level-1/2)
-        from germkit.germ import square_integrable_top_coeff
-
         for q in (2, 3, 5):
             for level in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
                 a, b = ab_coefficients(SupercuspidalGL2F(level), q)
@@ -87,7 +80,7 @@ class TestABCoefficients:
                     dim_pi2 = 2 * q ** int(level)
                 else:
                     dim_pi2 = (q + 1) * q ** int(level - Fraction(1, 2))
-                assert a == square_integrable_top_coeff(dim_pi2, 2) == -dim_pi2
+                assert a == jl_transfer(CoefficientMap.indicator(P(1), dim_pi2), 2).value(P(2)) == -dim_pi2
                 assert b == 1
 
 
@@ -112,7 +105,7 @@ class TestDimInvariants:
             chain_dim_formula(0, 1, Family.VERTEX_CONGRUENCE, -1, 2, 1)
 
     def test_consistency_with_germ_machinery(self):
-        for _, rep in catalog(3):
+        for _, rep in catalog():
             cmap = to_coefficient_map(rep, 3)
             for fam in CHAINS:
                 for j in range(4):
@@ -158,10 +151,6 @@ class TestCoefficientMapBridge:
         assert to_coefficient_map(PrincipalSeries(1), 2).items() == [(P(1, 1), 1)]
         assert to_coefficient_map(CuspidalSteinberg(), 2).items() == [(P(2), -2), (P(1, 1), 1)]
 
-    def test_modp_rejected(self):
-        with pytest.raises(ValueError):
-            to_coefficient_map(ModPSupersingular(False), 3)
-
 
 class TestSpehPairs:
     def test_valid_split(self):
@@ -205,7 +194,7 @@ class TestSpehPairs:
         )
 
     def test_catalog_is_concrete(self):
-        labels = [label for label, _ in catalog(3)]
+        labels = [label for label, _ in catalog()]
         assert len(labels) == len(set(labels))
-        for _, rep in catalog(3):
+        for _, rep in catalog():
             ab_coefficients(rep, 3)  # never raises: all entries have concrete parameters

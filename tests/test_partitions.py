@@ -8,7 +8,6 @@ from germkit.partitions import (
     Partition,
     canonical_order,
     d_of,
-    dominance_compare,
     dominance_leq,
     dominance_lt,
     dual,
@@ -218,14 +217,6 @@ class TestDominance:
     def test_mismatched_n_raises(self):
         with pytest.raises(ValueError):
             dominance_leq(P(2), P(2, 1))
-        with pytest.raises(ValueError):
-            dominance_compare(P(2), P(3))
-
-    def test_three_valued_compare(self):
-        assert dominance_compare(P(1, 1), P(2)) == -1
-        assert dominance_compare(P(2), P(1, 1)) == 1
-        assert dominance_compare(P(2, 1), P(2, 1)) == 0
-        assert dominance_compare(P(3, 3), P(4, 1, 1)) is None
 
     def test_partial_order_axioms_up_to_8(self):
         for n in range(1, 9):
@@ -353,8 +344,6 @@ def _integer_entry_points():
         ("SubgroupSpec q", lambda x: cosets.SubgroupSpec(K, 0, x, 1), 3),
         ("SubgroupSpec d", lambda x: cosets.SubgroupSpec(K, 0, 3, x), 2),
         ("count_at_depth base", lambda x: cosets.count_at_depth(P(1, 1), spec, base=x), 2),
-        ("parabolic_index q", lambda x: cosets.parabolic_index(P(1, 1), x, 1), 3),
-        ("parabolic_index d", lambda x: cosets.parabolic_index(P(1, 1), 3, x), 2),
         ("CoefficientMap n", germ.CoefficientMap, 2),
         ("dim_at_depth j", lambda x: germ.dimension_polynomial(steinberg, K, 3, 1).dim_at_depth(x), 2),
         ("dimension_polynomial q", lambda x: germ.dimension_polynomial(steinberg, K, x, 1), 3),
@@ -368,8 +357,6 @@ def _integer_entry_points():
         ("lj_transfer n", lambda x: germ.lj_transfer(steinberg, x, 1), 2),
         ("lj_transfer d", lambda x: germ.lj_transfer(steinberg, 1, x), 2),
         ("jl_transfer d", lambda x: germ.jl_transfer(steinberg, x), 2),
-        ("square_integrable_top_coeff dimension", lambda x: germ.square_integrable_top_coeff(x, 2), 2),
-        ("square_integrable_top_coeff n", lambda x: germ.square_integrable_top_coeff(1, x), 2),
         ("closed_form_multiplicity_matrix q", lambda x: germ.closed_form_multiplicity_matrix(2, x), 3),
         ("closed_form_multiplicity_matrix n", lambda x: germ.closed_form_multiplicity_matrix(x, 2), 2),
         ("multiplicity_polynomials n", germ.multiplicity_polynomials, 2),

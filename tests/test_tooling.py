@@ -4,6 +4,7 @@ perfbench/layers.py looks each name up when `perfbench/run.py --trace 1`
 installs it, so a rename inside the package would only show there.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+SRC = ROOT / "src" / "germkit"
 
 
 def test_every_traced_function_resolves(monkeypatch):
@@ -74,3 +76,38 @@ def test_tracer_installs_after_importing_only_the_cli(monkeypatch, tmp_path):
     needed = {module for module, _, _ in layers.TIMED} | {"germkit.partitions", "germkit.oracle"}
     assert needed <= set(report.pop("loaded"))
     assert report == {"wrapped": True, "code": 0, "calls": 1, "restored": True}
+
+
+# The public top-level functions and classes that no module of the package and no
+# tracer binding reaches, each with the fact of the paper that a test states through it.
+LIBRARY_ONLY = {
+    "count_parabolic_cosets": "|P_lam(F_q) \\ GL_n(F_q)| is the q-multinomial (test_acceptance criterion 02)",
+    "dim_fixed": "dim pi^(K_j) = P(q^(dj)) on the n = 2 catalog (test_acceptance criterion 05)",
+    "forward_multiplicities": "multiplicities determine the map (test_acceptance criterion 04)",
+    "gk_dimension": "the degree d(pi) is independent of K (test_germ, degree_is_independent_of_the_subgroup)",
+    "gl2_chain_index": "the indices of the n = 2 chain K0 > I0 > I1/2 > K1 > ... (test_cosets TestGL2Chain)",
+    "q_factorial": "[n]_q! = |GL_n(F_q)| / |B(F_q)| (test_qpoly)",
+    "q_int": "[n]_q! is the product of the q-integers (test_qpoly)",
+    "speh_ess_pair": "the Whittaker splits of a Speh pair sum to dim sigma (test_gl2 TestSpehPairs)",
+    "to_coefficient_map": "the n = 2 chain formulas are the general ones (test_acceptance criterion 05)",
+}
+
+
+def _names_read(path):
+    """Every name that path reads, as a bare name or as an attribute."""
+    nodes = ast.walk(ast.parse(path.read_text()))
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in nodes if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_library_only_names_are_the_ledger(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    public = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                public.add(node.name)
+    reached = {name for _, name, _ in layers.TIMED} | _names_read(PERFBENCH / "layers.py")
+    for path in SRC.glob("*.py"):
+        reached |= _names_read(path)
+    assert {name for name in public if name not in reached} == set(LIBRARY_ONLY)
