@@ -9,11 +9,11 @@ inexact division in a closed form, or a positivity failure reported by
 The oracle enumeration cap defaults to 10**7 streamed elements and can
 be overridden with the GERMKIT_ORACLE_CAP environment variable.  It
 counts q^(n^2) matrices for `oracle --check jordan`, the flags of each
-orbit for `--check cosets` (every orbit charged before any search, the
-largest, the full flags, first), and for `--check ximatrix` the sum of
-q^(d_mu) over the nilradicals n_mu streamed.  Every stream is charged
-before its first element, and a refusal is one line that prints a size
-of more than 20 digits as a power of q (q^e, or "more than q^e").  A
+orbit for `--check cosets` (the largest, the full flags, first), and for
+`--check ximatrix` the sum of q^(d_mu) over the nilradicals n_mu.  Every
+stream is charged before its first element, and an n far over the cap
+before its partitions are enumerated.  A refusal is one line that prints
+a size of more than 20 digits as a power of q (q^e, or "more than q^e").  A
 flag search that finds more flags than the orbit's group-order quotient
 is an invariant violation.  `--check ximatrix` passes only where the
 oracle matrix also equals the Hall-polynomial closed form.
@@ -304,13 +304,11 @@ def _oracle_items(args):
     cap = _oracle_cap()
     n, q = args.n, args.q
     if args.check == "cosets":
-        # every orbit charged before any search, the full flags (1^n), the largest, first,
+        # the full flags (1^n), the largest orbit, bound every orbit: charged before any search,
         # so an n over the cap is refused before its partitions are enumerated
         oracle.flag_orbit_size(Partition([1] * require_at_least(n, 1, "n")), n, q, cap)
-        parts = enumerate_partitions(n)
-        quotients = {lam: oracle.flag_orbit_size(lam, n, q, cap) for lam in reversed(parts)}
-        for lam in parts:
-            observed, quotient = oracle.flag_orbit_count(lam, q, cap), quotients[lam]
+        for lam in enumerate_partitions(n):
+            observed, quotient = oracle.flag_orbit_count(lam, q, cap), oracle.flag_orbit_size(lam, n, q, cap)
             expected = q_multinomial(lam).eval_at(q)
             yield lam, {
                 "partition": lam.to_json(),

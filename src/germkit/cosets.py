@@ -15,6 +15,8 @@ one congruence step deeper multiplies the count of P_lam-cosets by
 t^(d_lam).  Counts for any other conjugacy class of filtration subgroup
 reduce to a base count at shallow depth plus the same scaling law, so
 the API accepts a user-supplied base count wherever a family is.
+`count_at_depth` is the one place that applies the law, to a family's
+base count or a user's; `germ` reads every count from it.
 
 The I-chain base count for n > 2 is a derived convention
 (multinomial * t^(d_lam)), consistent with the known n = 2 values but

@@ -5,7 +5,9 @@ smooth representation near the identity: integer coefficients indexed by
 partitions of n.  Together with the base coset counts it determines, for
 every pro-p filtration family, a polynomial P(X) with integer
 coefficients whose value at (q^d)^j is the fixed-vector dimension at
-congruence depth j, for j large enough.  No vector spaces or group
+congruence depth j, for j large enough.  Neither dimension_polynomial
+nor dim_fixed scales a count by depth: both read `cosets.count_at_depth`,
+at depth 0 and at the subgroup's depth.  No vector spaces or group
 actions are ever modeled; twisting by a character does not change the
 map, which is structural here since the map carries no character data.
 
@@ -158,7 +160,7 @@ def gk_dimension(c: CoefficientMap) -> int:
 
 @dataclass(frozen=True)
 class DimensionPolynomial:
-    """P(X) with its construction context.
+    """P(X), with the formal degree and leading coefficient it was summed to.
 
     formal_degree is the maximal d_lam over the support and
     formal_leading the coefficient sum at that degree; when cancellation
@@ -167,10 +169,6 @@ class DimensionPolynomial:
     """
 
     poly: QPoly
-    family: Family | None
-    q: int
-    d: int
-    base_depth: int
     formal_degree: int | None
     formal_leading: int | None
 
@@ -178,64 +176,37 @@ class DimensionPolynomial:
     def degree(self) -> int:
         return self.poly.degree
 
-    def dim_at_depth(self, j: int) -> int:
-        """Value at X = (q^d)^j, the depth-(base_depth + j) fixed-vector dimension.
-
-        A family that exists at depth 0 only (K0, I0) has no deeper value.
-        """
-        require_at_least(j, 0, "depth")
-        if self.family is not None:
-            SubgroupSpec(self.family, self.base_depth + j, self.q, self.d)
-        return self.poly.eval_at((self.q**self.d) ** j)
-
 
 def dimension_polynomial(
-    c: CoefficientMap,
-    family: Family | None,
-    q: int,
-    d: int,
-    base_counts: Mapping[Partition, int] | None = None,
-    base_depth: int = 0,
+    c: CoefficientMap, family: Family, q: int, d: int, base_counts: Mapping[Partition, int] | None = None
 ) -> DimensionPolynomial:
-    """P(X) = sum over lam of (coset count of P_lam at base_depth) * c(lam) * X^(d_lam).
+    """P(X) = sum over lam of c(lam) * (depth-0 coset count of P_lam) * X^(d_lam).
 
-    Counts come from the named family, or from base_counts (already
-    depth-base_depth integers) for subgroups outside the named families;
-    a support partition with neither is an error.  A family must exist at
-    base_depth, as `SubgroupSpec` says.
+    Each count is `count_at_depth` at depth 0: the family's formula, or
+    base_counts[lam] where it has lam (a subgroup outside the named
+    families).  P at X = (q^d)^j is `dim_fixed` at depth j.
     """
-    require_at_least(base_depth, 0, "base_depth")
-    spec = None if family is None else SubgroupSpec(family, base_depth, q, d)
-    require_prime_power(q)
-    require_at_least(d, 1, "d")
-    t = q**d
+    spec = SubgroupSpec(family, 0, q, d)
+    base_counts = base_counts or {}
     coeffs: dict[int, int] = {}
     for lam, value in c.items():
-        if base_counts is not None and lam in base_counts:
-            count = require_int(base_counts[lam], f"the base count of {lam}") * t ** (d_of(lam) * base_depth)
-        elif spec is not None:
-            count = count_at_depth(lam, spec)
-        else:
-            raise ValueError(f"missing base count for {lam}: no family and no user count")
         k = d_of(lam)
-        coeffs[k] = coeffs.get(k, 0) + count * value
+        coeffs[k] = coeffs.get(k, 0) + value * count_at_depth(lam, spec, base=base_counts.get(lam))
     formal_degree = max(coeffs, default=None)  # every support partition added its key d_lam
     poly = QPoly(coeffs.get(k, 0) for k in range(formal_degree + 1 if coeffs else 0))
-    return DimensionPolynomial(poly, family, q, d, base_depth, formal_degree, coeffs.get(formal_degree))
+    return DimensionPolynomial(poly, formal_degree, coeffs.get(formal_degree))
 
 
-def dim_fixed(
-    c: CoefficientMap,
-    spec: SubgroupSpec,
-    base_counts: Mapping[Partition, int] | None = None,
-) -> int:
-    """Fixed-vector dimension at spec's depth, by the asymptotic formula.
+def dim_fixed(c: CoefficientMap, spec: SubgroupSpec, base_counts: Mapping[Partition, int] | None = None) -> int:
+    """Fixed-vector dimension at spec's depth: sum over lam of c(lam) * `count_at_depth`.
 
-    Valid for depths at or above the representation's threshold; below
-    it the formula is still evaluated (and may even be negative).
+    base_counts overrides the family's base count as in
+    `dimension_polynomial`.  Valid for depths at or above the
+    representation's threshold; below it the formula is still evaluated
+    (and may even be negative).
     """
-    dp = dimension_polynomial(c, spec.family, spec.q, spec.d, base_counts=base_counts)
-    return dp.dim_at_depth(spec.depth)
+    base_counts = base_counts or {}
+    return sum(value * count_at_depth(lam, spec, base=base_counts.get(lam)) for lam, value in c.items())
 
 
 def induce_maps(maps: Sequence[CoefficientMap]) -> CoefficientMap:

@@ -71,14 +71,16 @@ integer arithmetic.  Every elimination goes through one kernel,
 its leading entry to 1: `_extend` (the census and nilradical walk),
 `_echelon` (the flag forms) and `_reduce_lead_row` (t and d) call it.
 Every enumeration is bounded by an element cap
-(default 10**7) counting the items a call streams.  One function,
-`_charge`, charges a stream's whole size before its first element and
-raises the one `OracleBoundError`: q^(n^2) matrices for the nilpotent
-census, the sum of q^(d_mu) over the nilradicals a multiplicity call
-streams, and the orbit size |GL_n(F_q)| / |P_lam(F_q)| for a flag
-search, a direct `flag_orbit_count` call included.  Its one-line
-message prints a size of up to 20 digits in full and a longer one as a
-power of q: q^e when it is one, else "more than q^e".  The flag search
+(default 10**7) counting the items a call streams.  `_charge` charges
+a stream's whole size before its first element: q^(n^2) matrices for
+the nilpotent census, the sum of q^(d_mu) over the nilradicals a
+multiplicity call streams, and the orbit size |GL_n(F_q)| / |P_lam(F_q)|
+for a flag search, a direct `flag_orbit_count` call included.  Its
+one-line `OracleBoundError` prints a size of up to 20 digits in full and
+a longer one as a power of q: q^e when it is one, else "more than q^e".
+`_charge_above` first refuses, as "more than q^e", a flag orbit over a
+q^(d_lam) of over 20 digits before its group orders, and the nilradicals
+over such a q^(d_(1^n)) before the partitions of n.  The flag search
 then never needs the cap again: finding more flags than the quotient
 means a flag key is not canonical, an `OracleConsistencyError`.
 """
@@ -407,6 +409,13 @@ def _charge(stream: str, size: int, q: int, cap: int) -> int:
     return size
 
 
+def _charge_above(stream: str, e: int, q: int, cap: int) -> None:
+    """Refuse a stream of more than q^e elements if q^e is over the cap and 20 digits, else leave it to `_charge`."""
+    bound = max(require_int(cap, "cap"), 10**20 - 1)
+    if e > bound.bit_length() or q**e > bound:
+        raise OracleBoundError(f"{stream} more than {q}^{e} elements, above the cap {cap}")
+
+
 def _check_matrix_cap(n: int, q: int, cap: int) -> None:
     require_at_least(n, 0, "n")
     require_prime(q, "the oracle's q")
@@ -491,11 +500,16 @@ def flag_orbit_size(lam: Partition, n: int, q: int, cap: int = DEFAULT_CAP) -> i
     if lam.n != n:
         raise ValueError(f"{lam} is not a partition of n = {n}")
     require_prime(q, "the oracle's q")
+    # a part p repeated m > 1 times is written p^m, so (1^n) is short at any n
+    shape = ",".join(f"{p}^{m}" if (m := lam.parts.count(p)) > 1 else f"{p}" for p in dict.fromkeys(lam.parts))
+    stream = f"flag orbit: coset space for ({shape}) over F_{q} has"
+    if len(lam) > 1:  # more than q^(d_lam) flags: a huge orbit is refused before its group orders
+        _charge_above(stream, d_of(lam), q, cap)
     order_g = gl_order(n, q)
     order_p = parabolic_order(lam, q)
     if order_g % order_p != 0:
         raise OracleConsistencyError(f"|GL_{n}(F_{q})| not divisible by |P_{lam}(F_{q})|")
-    return _charge(f"flag orbit: coset space for {lam} over F_{q} has", order_g // order_p, q, cap)
+    return _charge(stream, order_g // order_p, q, cap)
 
 
 def count_parabolic_cosets(lam: Partition, n: int, q: int, cap: int = DEFAULT_CAP) -> int:
@@ -561,8 +575,12 @@ def multiplicity_matrix(n: int, q: int, cap: int = DEFAULT_CAP) -> dict[Partitio
     Each nilradical is streamed once; the cap bounds the total,
     sum over mu of q^(d_mu), and is checked before streaming starts.
     """
-    parts = enumerate_partitions(n)
+    require_at_least(n, 1, "n")
     require_prime(q, "the oracle's q")
+    stream = f"streaming the nilradicals n_mu(F_{q}) for the partitions of n = {n} needs"
+    if n > 1:  # more than q^(d_(1^n)): a huge n is refused before its partitions are enumerated
+        _charge_above(stream, n * (n - 1) // 2, q, cap)
+    parts = enumerate_partitions(n)
     total = sum(q ** d_of(mu) for mu in parts)
     _charge(f"streaming the nilradicals n_mu(F_{q}) for the {len(parts)} partitions of n = {n} needs", total, q, cap)
     columns = {mu: _xi_column(mu, q) for mu in parts}

@@ -131,11 +131,6 @@ class QPoly:
             acc = acc * v + c
         return acc
 
-    def substitute(self, scale: int) -> "QPoly":
-        """The polynomial p(scale * X): coefficient k is multiplied by scale**k."""
-        require_int(scale, "scale")
-        return QPoly._derived(c * scale**k for k, c in enumerate(self.coeffs))
-
     def exact_div(self, divisor: "QPoly") -> "QPoly":
         """Exact quotient self / divisor; nonzero remainder is an error.
 

@@ -484,10 +484,10 @@ class TestExitCodes:
         "check,n,cap,message",
         [
             ("ximatrix", 3, "10", "for the 3 partitions of n = 3 needs 13 elements, above the cap 10"),
-            ("ximatrix", 20, None, "for the 627 partitions of n = 20 needs "),
+            ("ximatrix", 20, None, "for the partitions of n = 20 needs more than 2^190 elements"),
             ("jordan", 30, None, "enumerating M_30(F_2) needs 2^900 elements, above the cap 10000000"),
-            ("cosets", 7, None, "coset space for (1,1,1,1,1,1,1) over F_2 has 78129765 elements"),
-            ("cosets", 30, None, "over F_2 has more than 2^463 elements, above the cap 10000000"),
+            ("cosets", 7, None, "coset space for (1^7) over F_2 has 78129765 elements"),
+            ("cosets", 30, None, "coset space for (1^30) over F_2 has more than 2^435 elements"),
         ],
         ids=["ximatrix-cap10", "ximatrix-n20", "jordan-n30", "cosets-n7", "cosets-n30"],
     )
@@ -505,7 +505,7 @@ class TestExitCodes:
         code, out, err = run(capsys, "oracle", "--n", str(n), "--q", "2", "--check", check)
         assert (code, out) == (1, "")
         assert err.startswith("germkit: error: ") and err.count("\n") == 1 and message in err
-        # ximatrix counts the partitions of n instead of listing them; a size of more than 20 digits is a power of q
+        # neither check lists the partitions of n, (1^n) is written so; a size of more than 20 digits is a power of q
         assert len(err.encode()) < 200
 
     def test_oracle_cosets_refuses_before_enumerating_partitions(self, capsys, monkeypatch, within_budget):
@@ -517,11 +517,31 @@ class TestExitCodes:
         start = time.perf_counter()
         code, out, err = run(capsys, "oracle", "--n", "60", "--q", "2", "--check", "cosets")
         within_budget(time.perf_counter() - start, 0.1)
-        full = "(" + ",".join(["1"] * 60) + ")"
         assert (code, out) == (1, "")
-        assert err == f"germkit: error: flag orbit: coset space for {full} over F_2 has more than 2^1828 elements, above the cap 10000000\n"
+        assert err == "germkit: error: flag orbit: coset space for (1^60) over F_2 has more than 2^1770 elements, above the cap 10000000\n"
         with pytest.raises(AssertionError):  # an n under the cap still reaches the enumeration
             run(capsys, "oracle", "--n", "2", "--q", "2", "--check", "cosets")
+
+    @pytest.mark.parametrize(
+        "check,n,message",
+        [
+            ("ximatrix", 60, "streaming the nilradicals n_mu(F_2) for the partitions of n = 60 needs more than 2^1770"),
+            ("cosets", 2000, "flag orbit: coset space for (1^2000) over F_2 has more than 2^1999000"),
+        ],
+        ids=["ximatrix-n60", "cosets-n2000"],
+    )
+    def test_oracle_refuses_a_huge_n_at_once(self, capsys, monkeypatch, within_budget, check, n, message):
+        def unreachable(*args):
+            raise AssertionError("a lower bound refuses a huge n before its partitions or group orders are computed")
+
+        monkeypatch.delenv("GERMKIT_ORACLE_CAP", raising=False)
+        for name in ("germkit.cli.enumerate_partitions", "germkit.oracle.enumerate_partitions", "germkit.oracle.gl_order"):
+            monkeypatch.setattr(name, unreachable)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oracle", "--n", str(n), "--q", "2", "--check", check)
+        within_budget(time.perf_counter() - start, 0.1)
+        assert (code, out, err) == (1, "", f"germkit: error: {message} elements, above the cap 10000000\n")
+        assert len(err.encode()) < 200
 
     def test_bad_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("GERMKIT_ORACLE_CAP", "lots")

@@ -2,7 +2,7 @@ import math
 import random
 import re
 import time
-from itertools import product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -30,12 +30,13 @@ from germkit.partitions import (
     Partition,
     d_of,
     dominance_leq,
+    dual,
     enumerate_partitions,
     induce_partition,
     minimal_elements,
     scale_partition,
 )
-from germkit.qpoly import QPoly, q_multinomial
+from germkit.qpoly import QPoly, q_factorial, q_int, q_multinomial
 
 
 def P(*parts):
@@ -183,15 +184,19 @@ class TestDimensionPolynomial:
             assert dp.poly == QPoly([0, 2 * s])
 
     def test_user_base_counts(self):
+        # a user count replaces the family's base count of its partition; the others keep the family's
         c = steinberg()
-        dp = dimension_polynomial(c, None, 2, 1, base_counts={P(2): 1, P(1, 1): 10})
-        assert dp.poly == QPoly([-1, 10])
-        with pytest.raises(ValueError):
-            dimension_polynomial(c, None, 2, 1, base_counts={P(2): 1})
+        for fam in (Family.VERTEX_CONGRUENCE, Family.IWAHORI):
+            assert dimension_polynomial(c, fam, 2, 1, base_counts={P(2): 1, P(1, 1): 10}).poly == QPoly([-1, 10])
+        assert dimension_polynomial(c, Family.VERTEX_CONGRUENCE, 2, 1, base_counts={P(2): 7}).poly == QPoly([-7, 3])
+        # at depth j a user count grows as the family's does, by t^(d_lam) a step
+        spec = SubgroupSpec(Family.VERTEX_CONGRUENCE, 5, 3, 1)
+        assert dim_fixed(c, spec, base_counts={P(2): 1, P(1, 1): 4}) == -1 + 4 * 3**5
 
     def test_formal_vs_actual_degree_on_cancellation(self):
         c = CoefficientMap(6, {P(4, 1, 1): 1, P(3, 3): -1, P(6): 2})
-        dp = dimension_polynomial(c, None, 2, 1, base_counts={P(4, 1, 1): 5, P(3, 3): 5, P(6): 1})
+        counts = {P(4, 1, 1): 5, P(3, 3): 5, P(6): 1}
+        dp = dimension_polynomial(c, Family.VERTEX_CONGRUENCE, 2, 1, base_counts=counts)
         assert dp.formal_degree == 9
         assert dp.formal_leading == 0
         assert dp.degree == 0  # only the constant term survives
@@ -203,30 +208,59 @@ class TestDimensionPolynomial:
         assert dp.formal_degree is None and dp.formal_leading is None
 
     def test_scaling_remark(self):
-        # building at base depth j+1 equals substituting q^d X at base depth j
-        c = CoefficientMap(3, {P(3): 2, P(2, 1): -1, P(1, 1, 1): 1})
-        for fam in (Family.VERTEX_CONGRUENCE, Family.PRO_P_IWAHORI_HALF, Family.IWAHORI_CONGRUENCE):
-            for j in range(3):
-                deeper = dimension_polynomial(c, fam, 2, 1, base_depth=j + 1)
-                shallow = dimension_polynomial(c, fam, 2, 1, base_depth=j)
-                assert deeper.poly == shallow.poly.substitute(2)
+        # two routes to the depth-j dimension: the polynomial assembled at depth 0, read at X = (q^d)^j,
+        # and the direct sum of the depth-j counts, with and without user base counts
+        rng = random.Random(6)
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            c, parts = random_map(n, rng), enumerate_partitions(n)
+            counts = {lam: rng.randint(1, 50) for lam in rng.sample(parts, rng.randint(0, min(3, len(parts))))}
+            for fam in (f for f in Family if f.is_pro_p):
+                for q, d in ((2, 1), (3, 2)):
+                    for base in (None, counts):
+                        poly = dimension_polynomial(c, fam, q, d, base_counts=base).poly
+                        for j in range(5):
+                            assert poly.eval_at((q**d) ** j) == dim_fixed(c, SubgroupSpec(fam, j, q, d), base)
 
     def test_parahorics_exist_at_depth_0_only(self):
         for fam in (Family.VERTEX_MAX, Family.IWAHORI):
-            with pytest.raises(ValueError, match=f"^family {fam.token} is depth-0 only, got depth 2$"):
-                dimension_polynomial(steinberg(), fam, 3, 1, base_depth=2)
             dp = dimension_polynomial(steinberg(), fam, 3, 1)
-            assert dp.dim_at_depth(0) == dim_fixed(steinberg(), SubgroupSpec(fam, 0, 3, 1))
+            assert dp.poly.eval_at(1) == dim_fixed(steinberg(), SubgroupSpec(fam, 0, 3, 1))
             with pytest.raises(ValueError, match=f"^family {fam.token} is depth-0 only, got depth 3$"):
-                dp.dim_at_depth(3)
+                SubgroupSpec(fam, 3, 3, 1)
 
-    def test_family_none_and_pro_p_chains_take_any_depth(self):
-        user = dimension_polynomial(steinberg(), None, 3, 1, base_counts={P(2): 1, P(1, 1): 4}, base_depth=2)
-        assert (user.poly, user.dim_at_depth(3)) == (QPoly([-1, 36]), -1 + 36 * 27)
-        for fam in Family:
-            if fam.is_pro_p:
-                dp = dimension_polynomial(steinberg(), fam, 3, 1, base_depth=2)
-                assert dp.dim_at_depth(3) == dim_fixed(steinberg(), SubgroupSpec(fam, 5, 3, 1))
+    def test_pro_p_chains_take_any_depth(self):
+        # Steinberg's P is -1 + (t + 1)X on K, -1 + 2X on Ihalf and -1 + 2tX on I; at depth 5, t = 3, X = 3^5
+        expected = {Family.VERTEX_CONGRUENCE: -1 + 4 * 3**5, Family.PRO_P_IWAHORI_HALF: -1 + 2 * 3**5,
+                    Family.IWAHORI_CONGRUENCE: -1 + 6 * 3**5}
+        assert {fam: dim_fixed(steinberg(), SubgroupSpec(fam, 5, 3, 1)) for fam in expected} == expected
+
+    @staticmethod
+    def _jacobi_trudi(rho):
+        """c_rho(mu) = sum over w of sign(w) [no rho_i - i + w(i) is negative, and the sorted positive ones are mu]."""
+        out = {}
+        for w in permutations(range(len(rho))):
+            parts = [p - i + wi for i, (p, wi) in enumerate(zip(rho, w))]
+            if min(parts) >= 0:
+                mu = Partition(sorted((p for p in parts if p), reverse=True))
+                sign = (-1) ** sum(a > b for a, b in combinations(w, 2))
+                out[mu] = out.get(mu, 0) + sign
+        return CoefficientMap(rho.n, out)
+
+    def test_jacobi_trudi_law(self):
+        # s_rho = det(h_(rho_i - i + j)): K gives the q-hook formula, I0 the standard tableaux, K0 one for (n)
+        assert self._jacobi_trudi(P(1, 1)) == steinberg()
+        for n in range(1, 8):
+            for rho in enumerate_partitions(n):
+                c, cols = self._jacobi_trudi(rho), dual(rho)
+                hooks = [p - j + cols[j] - i - 1 for i, p in enumerate(rho) for j in range(p)]
+                n_rho = sum(i * p for i, p in enumerate(rho))
+                assert dim_fixed(c, SubgroupSpec(Family.IWAHORI, 0, 2, 1)) == math.factorial(n) // math.prod(hooks)
+                assert dim_fixed(c, SubgroupSpec(Family.VERTEX_MAX, 0, 2, 1)) == (1 if rho == P(n) else 0)
+                for q in (2, 3, 4):
+                    hook_product = math.prod(q_int(h).eval_at(q) for h in hooks)
+                    q_hook = q**n_rho * q_factorial(n).eval_at(q) // hook_product
+                    assert dim_fixed(c, SubgroupSpec(Family.VERTEX_CONGRUENCE, 0, q, 1)) == q_hook
 
     def test_dim_fixed_examples(self):
         assert dim_fixed(steinberg(), SubgroupSpec(Family.VERTEX_CONGRUENCE, 0, 3, 1)) == 3

@@ -50,12 +50,6 @@ class TestArithmetic:
     def test_product_example(self):
         assert QPoly([1, 1]) * QPoly([-1, 1]) == QPoly([-1, 0, 1])
 
-    def test_substitute(self):
-        # a + bX at 4X becomes a + 4bX
-        assert QPoly([3, 5]).substitute(4) == QPoly([3, 20])
-        assert QPoly([1, 1, 1]).substitute(2) == QPoly([1, 2, 4])
-        assert QPoly.zero().substitute(7) == QPoly.zero()
-
     def test_additive_identity(self):
         p = QPoly([2, -3, 1])
         assert p + QPoly.zero() == p
@@ -273,8 +267,7 @@ class TestDerivedValues:
     def test_arithmetic_results_are_canonical(self, a, b, m, k, width):
         p, r, monic = QPoly(a), QPoly(b), QPoly(m + [1])
         for result in (p + r, p - r, r - r, -p, p * r, p * QPoly.zero(), p * k, k * p,
-                       (p * monic).exact_div(monic), QPoly.zero().exact_div(monic),
-                       p.substitute(k), q_int(width)):
+                       (p * monic).exact_div(monic), QPoly.zero().exact_div(monic), q_int(width)):
             _assert_canonical(result)
 
     def test_q_analogs_are_canonical(self):
@@ -282,11 +275,6 @@ class TestDerivedValues:
             _assert_canonical(q_factorial(n))
             for lam in enumerate_partitions(n):
                 _assert_canonical(q_multinomial(lam))
-
-    def test_substitute_checks_its_scale(self):
-        for bad in (1.5, 2.0, True, "2"):
-            with pytest.raises(ValueError, match="scale must be an integer"):
-                QPoly((1, 2)).substitute(bad)
 
 
 class TestPretty:
