@@ -44,7 +44,6 @@ from .germ import (
     solve_from_multiplicities,
     whittaker_dims,
 )
-from .oracle import OracleConsistencyError
 from .partitions import Partition, d_of, dominance_leq, dual, enumerate_partitions, require_at_least
 from .qpoly import q_multinomial
 
@@ -511,7 +510,7 @@ def main(argv=None) -> int:
         return 0
     except BrokenPipeError:  # the reader closed stdout
         return 1
-    except (CheckFailure, OracleConsistencyError, ArithmeticError, PositivityError) as exc:
+    except (CheckFailure, oracle.OracleConsistencyError, ArithmeticError, PositivityError) as exc:
         print(f"germkit: {exc}", file=sys.stderr)
         return 2
     except (UsageError, ValueError) as exc:  # OracleBoundError is a ValueError

@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partitions import Partition, d_of, require_at_least, require_int
 from .qpoly import QPoly, q_multinomial
@@ -129,25 +129,32 @@ class Family(enum.Enum):
 _PRO_P_CHAINS = (Family.PRO_P_IWAHORI_HALF, Family.VERTEX_CONGRUENCE, Family.IWAHORI_CONGRUENCE)
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
-    """A family member at a given congruence depth, with parameters (q, d).
-
-    depth j >= 0 indexes the chain member (K_{1+j}, I_{j+1/2}, I_{1+j});
-    the parahoric families K0 and I0 exist at depth 0 only.
-    """
-
+class _SubgroupFields(NamedTuple):
     family: Family
     depth: int
     q: int
     d: int
 
-    def __post_init__(self):
-        require_at_least(self.depth, 0, "depth")
-        if not self.family.is_pro_p and self.depth != 0:
-            raise ValueError(f"family {self.family.token} is depth-0 only, got depth {self.depth}")
-        require_prime_power(self.q)
-        require_at_least(self.d, 1, "d")
+
+class SubgroupSpec(_SubgroupFields):
+    """A family member at a given congruence depth, with parameters (q, d).
+
+    depth j >= 0 indexes the chain member (K_{1+j}, I_{j+1/2}, I_{1+j});
+    the parahoric families K0 and I0 exist at depth 0 only.  An immutable
+    value: it equals and hashes as the tuple (family, depth, q, d).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, family: Family, depth: int, q: int, d: int):
+        require_at_least(depth, 0, "depth")
+        if not isinstance(family, Family):
+            raise ValueError(f"family must be a Family, got {family!r}")
+        if not family.is_pro_p and depth != 0:
+            raise ValueError(f"family {family.token} is depth-0 only, got depth {depth}")
+        require_prime_power(q)
+        require_at_least(d, 1, "d")
+        return super().__new__(cls, family, depth, q, d)
 
     @property
     def residue_size(self) -> int:

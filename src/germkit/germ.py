@@ -21,9 +21,8 @@ standard classes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import pairwise, product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cosets import Family, SubgroupSpec, count_at_depth, require_prime_power
 from .partitions import (
@@ -158,14 +157,14 @@ def gk_dimension(c: CoefficientMap) -> int:
     return max(d_of(lam) for lam in c.support())
 
 
-@dataclass(frozen=True)
-class DimensionPolynomial:
+class DimensionPolynomial(NamedTuple):
     """P(X), with the formal degree and leading coefficient it was summed to.
 
     formal_degree is the maximal d_lam over the support and
     formal_leading the coefficient sum at that degree; when cancellation
     makes that sum zero the actual degree of poly is smaller, and both
     are reported rather than assuming the cancellation cannot happen.
+    An immutable value: it equals and hashes as the tuple of its fields.
     """
 
     poly: QPoly

@@ -80,7 +80,9 @@ one-line `OracleBoundError` prints a size of up to 20 digits in full and
 a longer one as a power of q: q^e when it is one, else "more than q^e".
 `_charge_above` first refuses, as "more than q^e", a flag orbit over a
 q^(d_lam) of over 20 digits before its group orders, and the nilradicals
-over such a q^(d_(1^n)) before the partitions of n.  The flag search
+over such a q^(d_(1^n)) before the partitions of n.  The census is
+refused as q^(n^2) from its exponent alone when 2^(n^2) is over the cap
+and 20 digits, before q^(n^2) is formed.  The flag search
 then never needs the cap again: finding more flags than the quotient
 means a flag key is not canonical, an `OracleConsistencyError`.
 """
@@ -419,7 +421,10 @@ def _charge_above(stream: str, e: int, q: int, cap: int) -> None:
 def _check_matrix_cap(n: int, q: int, cap: int) -> None:
     require_at_least(n, 0, "n")
     require_prime(q, "the oracle's q")
-    _charge(f"enumerating M_{n}(F_{q}) needs", q ** (n * n), q, cap)
+    e = n * n
+    if e > max(require_int(cap, "cap"), 10**20 - 1).bit_length():  # q^e >= 2^e is over the cap and 20 digits
+        raise OracleBoundError(f"enumerating M_{n}(F_{q}) needs {q}^{e} elements, above the cap {cap}")
+    _charge(f"enumerating M_{n}(F_{q}) needs", q**e, q, cap)
 
 
 def iter_matrices(n: int, q: int, cap: int = DEFAULT_CAP) -> Iterator[tuple]:

@@ -523,14 +523,15 @@ class TestExitCodes:
             run(capsys, "oracle", "--n", "2", "--q", "2", "--check", "cosets")
 
     @pytest.mark.parametrize(
-        "check,n,message",
+        "check,n,q,message",
         [
-            ("ximatrix", 60, "streaming the nilradicals n_mu(F_2) for the partitions of n = 60 needs more than 2^1770"),
-            ("cosets", 2000, "flag orbit: coset space for (1^2000) over F_2 has more than 2^1999000"),
+            ("ximatrix", 60, 2, "streaming the nilradicals n_mu(F_2) for the partitions of n = 60 needs more than 2^1770"),
+            ("cosets", 2000, 2, "flag orbit: coset space for (1^2000) over F_2 has more than 2^1999000"),
+            ("jordan", 2000, 3, "enumerating M_2000(F_3) needs 3^4000000"),
         ],
-        ids=["ximatrix-n60", "cosets-n2000"],
+        ids=["ximatrix-n60", "cosets-n2000", "jordan-n2000-q3"],
     )
-    def test_oracle_refuses_a_huge_n_at_once(self, capsys, monkeypatch, within_budget, check, n, message):
+    def test_oracle_refuses_a_huge_n_at_once(self, capsys, monkeypatch, within_budget, check, n, q, message):
         def unreachable(*args):
             raise AssertionError("a lower bound refuses a huge n before its partitions or group orders are computed")
 
@@ -538,7 +539,7 @@ class TestExitCodes:
         for name in ("germkit.cli.enumerate_partitions", "germkit.oracle.enumerate_partitions", "germkit.oracle.gl_order"):
             monkeypatch.setattr(name, unreachable)
         start = time.perf_counter()
-        code, out, err = run(capsys, "oracle", "--n", str(n), "--q", "2", "--check", check)
+        code, out, err = run(capsys, "oracle", "--n", str(n), "--q", str(q), "--check", check)
         within_budget(time.perf_counter() - start, 0.1)
         assert (code, out, err) == (1, "", f"germkit: error: {message} elements, above the cap 10000000\n")
         assert len(err.encode()) < 200

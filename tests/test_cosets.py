@@ -65,6 +65,21 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SubgroupSpec(Family.VERTEX_CONGRUENCE, 0, 2, 0)
 
+    @pytest.mark.parametrize("family", [None, "K"])
+    def test_family_must_be_a_family(self, family):
+        with pytest.raises(ValueError, match=f"family must be a Family, got {family!r}"):
+            SubgroupSpec(family, 0, 2, 1)
+
+    def test_value_semantics(self):
+        spec = SubgroupSpec(Family.VERTEX_CONGRUENCE, 1, 3, 2)
+        assert repr(spec) == "SubgroupSpec(family=<Family.VERTEX_CONGRUENCE: 'K'>, depth=1, q=3, d=2)"
+        same = SubgroupSpec(Family.VERTEX_CONGRUENCE, 1, 3, 2)
+        assert spec == same and hash(spec) == hash(same) and spec.residue_size == 9
+        assert spec != SubgroupSpec(Family.IWAHORI_CONGRUENCE, 1, 3, 2)
+        for name in ("family", "depth", "q", "d", "other"):
+            with pytest.raises(AttributeError):
+                setattr(spec, name, 1)
+
     def test_family_tokens(self):
         assert Family("K") is Family.VERTEX_CONGRUENCE
         assert Family("Ihalf") is Family.PRO_P_IWAHORI_HALF

@@ -193,6 +193,20 @@ class TestDimensionPolynomial:
         spec = SubgroupSpec(Family.VERTEX_CONGRUENCE, 5, 3, 1)
         assert dim_fixed(c, spec, base_counts={P(2): 1, P(1, 1): 4}) == -1 + 4 * 3**5
 
+    def test_family_must_be_a_family(self):
+        with pytest.raises(ValueError, match="family must be a Family, got None"):
+            dimension_polynomial(steinberg(), None, 2, 1)
+
+    def test_value_semantics(self):
+        dp = dimension_polynomial(steinberg(), Family.VERTEX_CONGRUENCE, 2, 1)
+        assert repr(dp) == "DimensionPolynomial(poly=QPoly([-1, 3]), formal_degree=1, formal_leading=3)"
+        same = dimension_polynomial(steinberg(), Family.VERTEX_CONGRUENCE, 2, 1)
+        assert dp == same and hash(dp) == hash(same) and dp.degree == 1
+        assert dp != dimension_polynomial(steinberg(), Family.VERTEX_CONGRUENCE, 3, 1)
+        for name in ("poly", "formal_degree", "formal_leading", "other"):
+            with pytest.raises(AttributeError):
+                setattr(dp, name, None)
+
     def test_formal_vs_actual_degree_on_cancellation(self):
         c = CoefficientMap(6, {P(4, 1, 1): 1, P(3, 3): -1, P(6): 2})
         counts = {P(4, 1, 1): 5, P(3, 3): 5, P(6): 1}

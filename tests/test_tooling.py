@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 SRC = ROOT / "src" / "germkit"
@@ -76,6 +78,48 @@ def test_tracer_installs_after_importing_only_the_cli(monkeypatch, tmp_path):
     needed = {module for module, _, _ in layers.TIMED} | {"germkit.partitions", "germkit.oracle"}
     assert needed <= set(report.pop("loaded"))
     assert report == {"wrapped": True, "code": 0, "calls": 1, "restored": True}
+
+
+# Importing the CLI runs only the closed-form core: oracle and gl2 stay lazy
+# modules until a command reads them, and nothing the core skips is loaded.
+FRESH_START = """
+import json, sys, types
+import germkit.cli
+lazy = [type(sys.modules[name]) is not types.ModuleType for name in ("germkit.oracle", "germkit.gl2")]
+loaded = [name for name in ("dataclasses", "inspect", "fractions") if name in sys.modules]
+code = germkit.cli.main(["oracle", "--n", "2", "--q", "2", "--check", "jordan", "--out", sys.argv[1]])
+plain = type(sys.modules["germkit.oracle"]) is types.ModuleType
+print(json.dumps({"lazy": lazy, "loaded": loaded, "code": code, "plain": plain}))
+"""
+
+
+def test_cli_import_leaves_oracle_and_gl2_for_first_use(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", FRESH_START, str(tmp_path / "out.txt")], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"lazy": [True, True], "loaded": [], "code": 0, "plain": True}
+
+
+def test_package_serves_the_oracle_names():
+    import germkit
+    from germkit import (
+        FqMatrix,
+        OracleBoundError,
+        build_A_lambda,
+        count_parabolic_cosets,
+        multiplicity_matrix,
+        nilpotent_partition,
+        xi_multiplicity,
+    )
+
+    served = (FqMatrix, OracleBoundError, build_A_lambda, count_parabolic_cosets, multiplicity_matrix,
+              nilpotent_partition, xi_multiplicity)
+    assert all(value is getattr(germkit.oracle, value.__name__) for value in served)
+    with pytest.raises(AttributeError, match="module 'germkit' has no attribute 'no_such_name'"):
+        germkit.no_such_name
+    with pytest.raises(ImportError):
+        from germkit import no_such_name  # noqa: F401
 
 
 # The public top-level functions and classes that no module of the package and no
