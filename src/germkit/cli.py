@@ -12,11 +12,11 @@ counts q^(n^2) matrices for `oracle --check jordan`, the flags of each
 orbit for `--check cosets` (the largest, the full flags, first), and for
 `--check ximatrix` the sum of q^(d_mu) over the nilradicals n_mu.  Every
 stream is charged before its first element, and an n far over the cap
-before its partitions are enumerated.  A refusal is one line that prints
-a size of more than 20 digits as a power of q (q^e, or "more than q^e").  A
-flag search that finds more flags than the orbit's group-order quotient
-is an invariant violation.  `--check ximatrix` passes only where the
-oracle matrix also equals the Hall-polynomial closed form.
+before its partitions are enumerated, by the one rule that the `oracle`
+module docstring states; a refusal is one line, exit 1.  A flag search
+that finds more flags than the orbit's group-order quotient is an
+invariant violation.  `--check ximatrix` passes only where the oracle
+matrix also equals the Hall-polynomial closed form.
 
 `germ solve` streams nothing and ignores the cap.  It reads the closed
 form, built once per n and process as polynomials in q, at any prime
@@ -510,7 +510,7 @@ def main(argv=None) -> int:
         return 0
     except BrokenPipeError:  # the reader closed stdout
         return 1
-    except (CheckFailure, oracle.OracleConsistencyError, ArithmeticError, PositivityError) as exc:
+    except (CheckFailure, ArithmeticError, PositivityError) as exc:  # OracleConsistencyError is an ArithmeticError
         print(f"germkit: {exc}", file=sys.stderr)
         return 2
     except (UsageError, ValueError) as exc:  # OracleBoundError is a ValueError

@@ -70,26 +70,26 @@ integer arithmetic.  Every elimination goes through one kernel,
 `_clear`, which clears a row at a basis's pivots, in order, and scales
 its leading entry to 1: `_extend` (the census and nilradical walk),
 `_echelon` (the flag forms) and `_reduce_lead_row` (t and d) call it.
-Every enumeration is bounded by an element cap
-(default 10**7) counting the items a call streams.  `_charge` charges
-a stream's whole size before its first element: q^(n^2) matrices for
-the nilpotent census, the sum of q^(d_mu) over the nilradicals a
-multiplicity call streams, and the orbit size |GL_n(F_q)| / |P_lam(F_q)|
-for a flag search, a direct `flag_orbit_count` call included.  Its
-one-line `OracleBoundError` prints a size of up to 20 digits in full and
-a longer one as a power of q: q^e when it is one, else "more than q^e".
-`_charge_above` first refuses, as "more than q^e", a flag orbit over a
-q^(d_lam) of over 20 digits before its group orders, and the nilradicals
-over such a q^(d_(1^n)) before the partitions of n.  The census is
-refused as q^(n^2) from its exponent alone when 2^(n^2) is over the cap
-and 20 digits, before q^(n^2) is formed.  The flag search
-then never needs the cap again: finding more flags than the quotient
-means a flag key is not canonical, an `OracleConsistencyError`.
+Every enumeration is bounded by an element cap (default 10**7) counting
+the items a call streams, and `_charge` alone refuses a stream, before
+its first element.  A stream has at least q^e elements: exactly q^(n^2)
+matrices for the nilpotent census and q^(d_mu) for one nilradical; at
+least q^(d_(1^n)) for the sum of q^(d_mu) over the nilradicals of a
+multiplicity matrix, and q^(d_lam) for the orbit |GL_n(F_q)| / |P_lam(F_q)|
+of a flag search, a direct `flag_orbit_count` call included.  With
+bound = max(cap, 10^20 - 1), a stream with q^e > bound is refused from e
+alone, before its exact size is computed, as "q^e" if that is its size
+and "more than q^e" if not.  Any other stream is refused when its exact
+size is over the cap, with the size printed in full.  A refusal is one
+`OracleBoundError` line, "<stream> <size> elements, above the cap <cap>";
+at the default cap the longest size the CLI prints in full is the 23
+digits of the (1^12) orbit over F_2.  The flag search then never needs
+the cap again: finding more flags than the quotient means a flag key is
+not canonical, an `OracleConsistencyError`.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import insort
 from itertools import accumulate, chain, islice, pairwise, product
 from typing import Iterable, Iterator
@@ -104,7 +104,7 @@ class OracleBoundError(ValueError):
     """The requested enumeration exceeds the element cap."""
 
 
-class OracleConsistencyError(RuntimeError):
+class OracleConsistencyError(ArithmeticError):
     """Two independent routes disagreed; this signals a bug, not bad input."""
 
 
@@ -393,38 +393,27 @@ def _column_ops(n: int, q: int) -> dict:
     return ops
 
 
-def _charge(stream: str, size: int, q: int, cap: int) -> int:
-    """size, the whole of a stream over F_q, if it is within the cap; else the oracle's one `OracleBoundError`.
+def _charge(stream: str, q: int, e: int, cap: int, size=None) -> int:
+    """The size of a stream of at least q^e elements if it is within the cap, else the oracle's one `OracleBoundError`.
 
-    It reads "<stream> <size> elements, above the cap <cap>", stream
-    ending in its verb and size printed as the module docstring says.
+    size() is the exact size, and None means q^e.  The refusal reads
+    "<stream> <size> elements, above the cap <cap>", stream ending in its
+    verb, by the rule of the module docstring.
     """
-    require_int(cap, "cap")
-    if size > cap:
-        text = size
-        if size >= 10**20:
-            e = int(math.log(size, q)) - 1  # the float log may be one too high
-            while q ** (e + 1) <= size:
-                e += 1
-            text = f"{q}^{e}" if q**e == size else f"more than {q}^{e}"
-        raise OracleBoundError(f"{stream} {text} elements, above the cap {cap}")
-    return size
-
-
-def _charge_above(stream: str, e: int, q: int, cap: int) -> None:
-    """Refuse a stream of more than q^e elements if q^e is over the cap and 20 digits, else leave it to `_charge`."""
     bound = max(require_int(cap, "cap"), 10**20 - 1)
-    if e > bound.bit_length() or q**e > bound:
-        raise OracleBoundError(f"{stream} more than {q}^{e} elements, above the cap {cap}")
+    if e > bound.bit_length() or q**e > bound:  # q^e >= 2^e: refused before size() runs
+        more = "" if size is None else "more than "
+        raise OracleBoundError(f"{stream} {more}{q}^{e} elements, above the cap {cap}")
+    total = q**e if size is None else size()
+    if total > cap:
+        raise OracleBoundError(f"{stream} {total} elements, above the cap {cap}")
+    return total
 
 
 def _check_matrix_cap(n: int, q: int, cap: int) -> None:
     require_at_least(n, 0, "n")
     require_prime(q, "the oracle's q")
-    e = n * n
-    if e > max(require_int(cap, "cap"), 10**20 - 1).bit_length():  # q^e >= 2^e is over the cap and 20 digits
-        raise OracleBoundError(f"enumerating M_{n}(F_{q}) needs {q}^{e} elements, above the cap {cap}")
-    _charge(f"enumerating M_{n}(F_{q}) needs", q**e, q, cap)
+    _charge(f"enumerating M_{n}(F_{q}) needs", q, n * n, cap)
 
 
 def iter_matrices(n: int, q: int, cap: int = DEFAULT_CAP) -> Iterator[tuple]:
@@ -507,14 +496,14 @@ def flag_orbit_size(lam: Partition, n: int, q: int, cap: int = DEFAULT_CAP) -> i
     require_prime(q, "the oracle's q")
     # a part p repeated m > 1 times is written p^m, so (1^n) is short at any n
     shape = ",".join(f"{p}^{m}" if (m := lam.parts.count(p)) > 1 else f"{p}" for p in dict.fromkeys(lam.parts))
-    stream = f"flag orbit: coset space for ({shape}) over F_{q} has"
-    if len(lam) > 1:  # more than q^(d_lam) flags: a huge orbit is refused before its group orders
-        _charge_above(stream, d_of(lam), q, cap)
-    order_g = gl_order(n, q)
-    order_p = parabolic_order(lam, q)
-    if order_g % order_p != 0:
-        raise OracleConsistencyError(f"|GL_{n}(F_{q})| not divisible by |P_{lam}(F_{q})|")
-    return _charge(stream, order_g // order_p, q, cap)
+
+    def quotient():
+        order_g, order_p = gl_order(n, q), parabolic_order(lam, q)
+        if order_g % order_p != 0:
+            raise OracleConsistencyError(f"|GL_{n}(F_{q})| not divisible by |P_{lam}(F_{q})|")
+        return order_g // order_p
+
+    return _charge(f"flag orbit: coset space for ({shape}) over F_{q} has", q, d_of(lam), cap, quotient)
 
 
 def count_parabolic_cosets(lam: Partition, n: int, q: int, cap: int = DEFAULT_CAP) -> int:
@@ -570,7 +559,7 @@ def xi_multiplicity(lam: Partition, mu: Partition, n: int, q: int, cap: int = DE
     if lam.n != n or mu.n != n:
         raise ValueError(f"{lam} and {mu} must both be partitions of n = {n}")
     require_prime(q, "the oracle's q")
-    _charge(f"streaming the nilradical n_mu(F_{q}) for mu = {mu} needs", q ** d_of(mu), q, cap)
+    _charge(f"streaming the nilradical n_mu(F_{q}) for mu = {mu} needs", q, d_of(mu), cap)
     return _xi_column(mu, q).get(lam, 0)
 
 
@@ -583,11 +572,8 @@ def multiplicity_matrix(n: int, q: int, cap: int = DEFAULT_CAP) -> dict[Partitio
     require_at_least(n, 1, "n")
     require_prime(q, "the oracle's q")
     stream = f"streaming the nilradicals n_mu(F_{q}) for the partitions of n = {n} needs"
-    if n > 1:  # more than q^(d_(1^n)): a huge n is refused before its partitions are enumerated
-        _charge_above(stream, n * (n - 1) // 2, q, cap)
+    _charge(stream, q, n * (n - 1) // 2, cap, lambda: sum(q ** d_of(mu) for mu in enumerate_partitions(n)))
     parts = enumerate_partitions(n)
-    total = sum(q ** d_of(mu) for mu in parts)
-    _charge(f"streaming the nilradicals n_mu(F_{q}) for the {len(parts)} partitions of n = {n} needs", total, q, cap)
     columns = {mu: _xi_column(mu, q) for mu in parts}
     return {lam: {mu: columns[mu].get(lam, 0) for mu in parts} for lam in parts}
 

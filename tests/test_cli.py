@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from germkit import cli, cosets
+from germkit import cli, cosets, oracle
 from germkit.cli import main
 from germkit.cosets import PRIME_CHECK_BOUND, Family, SubgroupSpec, count_at_depth
 from germkit.germ import CoefficientMap, closed_form_multiplicity_matrix, forward_multiplicities
@@ -481,17 +481,24 @@ class TestExitCodes:
         assert "minimal support value must be positive" in err
 
     @pytest.mark.parametrize(
-        "check,n,cap,message",
+        "check,n,q,cap,message",
         [
-            ("ximatrix", 3, "10", "for the 3 partitions of n = 3 needs 13 elements, above the cap 10"),
-            ("ximatrix", 20, None, "for the partitions of n = 20 needs more than 2^190 elements"),
-            ("jordan", 30, None, "enumerating M_30(F_2) needs 2^900 elements, above the cap 10000000"),
-            ("cosets", 7, None, "coset space for (1^7) over F_2 has 78129765 elements"),
-            ("cosets", 30, None, "coset space for (1^30) over F_2 has more than 2^435 elements"),
+            ("ximatrix", 3, 2, "10", "for the partitions of n = 3 needs 13 elements, above the cap 10"),
+            ("ximatrix", 20, 2, None, "for the partitions of n = 20 needs more than 2^190 elements"),
+            ("jordan", 30, 2, None, "enumerating M_30(F_2) needs 2^900 elements, above the cap 10000000"),
+            ("cosets", 7, 2, None, "coset space for (1^7) over F_2 has 78129765 elements"),
+            ("cosets", 30, 2, None, "coset space for (1^30) over F_2 has more than 2^435 elements"),
+            # at the 20-digit edge: a lower bound q^e under 20 digits leaves the exact size, printed in full
+            ("cosets", 12, 2, None, "coset space for (1^12) over F_2 has 87302158405919092510875 elements"),
+            ("ximatrix", 12, 2, None, "for the partitions of n = 12 needs 169393031941444339713 elements"),
+            # q^(n^2) over 20 digits is refused from its exponent: 3^64 under 2^67, 2^81 over it
+            ("jordan", 8, 3, None, "enumerating M_8(F_3) needs 3^64 elements, above the cap 10000000"),
+            ("jordan", 9, 2, None, "enumerating M_9(F_2) needs 2^81 elements, above the cap 10000000"),
         ],
-        ids=["ximatrix-cap10", "ximatrix-n20", "jordan-n30", "cosets-n7", "cosets-n30"],
+        ids=["ximatrix-cap10", "ximatrix-n20", "jordan-n30", "cosets-n7", "cosets-n30", "cosets-n12", "ximatrix-n12",
+             "jordan-n8-q3", "jordan-n9"],
     )
-    def test_oracle_bound_is_exit_1(self, capsys, monkeypatch, check, n, cap, message):
+    def test_oracle_bound_is_exit_1(self, capsys, monkeypatch, check, n, q, cap, message):
         if cap is None:
             monkeypatch.delenv("GERMKIT_ORACLE_CAP", raising=False)
         else:
@@ -502,10 +509,10 @@ class TestExitCodes:
 
         monkeypatch.setattr("germkit.oracle.build_A_lambda", unreachable)
         monkeypatch.setattr("germkit.oracle.flag_orbit_count", unreachable)
-        code, out, err = run(capsys, "oracle", "--n", str(n), "--q", "2", "--check", check)
+        code, out, err = run(capsys, "oracle", "--n", str(n), "--q", str(q), "--check", check)
         assert (code, out) == (1, "")
         assert err.startswith("germkit: error: ") and err.count("\n") == 1 and message in err
-        # neither check lists the partitions of n, (1^n) is written so; a size of more than 20 digits is a power of q
+        # neither check lists the partitions of n, (1^n) is written so, and a size in full has at most 23 digits
         assert len(err.encode()) < 200
 
     def test_oracle_cosets_refuses_before_enumerating_partitions(self, capsys, monkeypatch, within_budget):
@@ -611,6 +618,21 @@ class TestExitCodes:
         code, _, err = run(capsys, "oracle", "--n", "2", "--q", "2", "--check", "ximatrix")
         assert code == 2
         assert err == "germkit: inexact division\n"
+
+    @pytest.mark.parametrize(
+        "check,order,message",
+        [
+            ("ximatrix", "centralizer_order", "germkit: condition-set size "),
+            ("cosets", "parabolic_order", "germkit: |GL_2(F_3)| not divisible by |P_(1,1)(F_3)|\n"),
+        ],
+        ids=["ximatrix", "cosets"],
+    )
+    def test_oracle_consistency_error_is_exit_2(self, capsys, monkeypatch, check, order, message):
+        right = getattr(oracle, order)
+        monkeypatch.setattr(oracle, order, lambda lam, q: right(lam, q) + 1)  # a wrong group order
+        code, out, err = run(capsys, "oracle", "--n", "2", "--q", "3", "--check", check)
+        assert (code, out) == (2, "")
+        assert err.startswith(message) and err.count("\n") == 1
 
     def test_closed_stdout_pipe_is_exit_1_without_traceback(self):
         proc = subprocess.Popen(

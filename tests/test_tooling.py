@@ -82,14 +82,23 @@ def test_tracer_installs_after_importing_only_the_cli(monkeypatch, tmp_path):
 
 # Importing the CLI runs only the closed-form core: oracle and gl2 stay lazy
 # modules until a command reads them, and nothing the core skips is loaded.
+# An error exit and --help leave the oracle lazy too.
 FRESH_START = """
-import json, sys, types
+import contextlib, io, json, sys, types
 import germkit.cli
 lazy = [type(sys.modules[name]) is not types.ModuleType for name in ("germkit.oracle", "germkit.gl2")]
 loaded = [name for name in ("dataclasses", "inspect", "fractions") if name in sys.modules]
+errors = [germkit.cli.main(["partitions", "--n", "0"])]
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        germkit.cli.main(["--help"])
+except SystemExit as exc:
+    errors.append(exc.code)
+still_lazy = type(sys.modules["germkit.oracle"]) is not types.ModuleType
 code = germkit.cli.main(["oracle", "--n", "2", "--q", "2", "--check", "jordan", "--out", sys.argv[1]])
 plain = type(sys.modules["germkit.oracle"]) is types.ModuleType
-print(json.dumps({"lazy": lazy, "loaded": loaded, "code": code, "plain": plain}))
+print(json.dumps({"lazy": lazy, "loaded": loaded, "errors": errors, "still_lazy": still_lazy, "code": code,
+                  "plain": plain}))
 """
 
 
@@ -98,7 +107,8 @@ def test_cli_import_leaves_oracle_and_gl2_for_first_use(tmp_path):
     proc = subprocess.run([sys.executable, "-c", FRESH_START, str(tmp_path / "out.txt")], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"lazy": [True, True], "loaded": [], "code": 0, "plain": True}
+    assert json.loads(proc.stdout) == {"lazy": [True, True], "loaded": [], "errors": [1, 0], "still_lazy": True,
+                                       "code": 0, "plain": True}
 
 
 def test_package_serves_the_oracle_names():
@@ -155,3 +165,26 @@ def test_library_only_names_are_the_ledger(monkeypatch):
     for path in SRC.glob("*.py"):
         reached |= _names_read(path)
     assert {name for name in public if name not in reached} == set(LIBRARY_ONLY)
+
+
+def _sites(tree, name):
+    """The innermost enclosing function (None at module level) of each call or bare raise of name in tree."""
+    sites = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        target = node.func if isinstance(node, ast.Call) else node.exc if isinstance(node, ast.Raise) else None
+        if name in (getattr(target, "id", None), getattr(target, "attr", None)):
+            sites.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return sites
+
+
+def test_oracle_bound_error_is_raised_only_by_charge():
+    # one refusal rule for every oracle stream: a new stream is charged through oracle._charge
+    sites = {(path.name, fn) for path in SRC.glob("*.py") for fn in _sites(ast.parse(path.read_text()), "OracleBoundError")}
+    assert sites == {("oracle.py", "_charge")}
