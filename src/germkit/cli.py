@@ -21,6 +21,9 @@ matrix also equals the Hall-polynomial closed form.
 `germ solve` streams nothing and ignores the cap.  It reads the closed
 form, built once per n and process as polynomials in q, at any prime
 power q, for n <= SOLVE_MAX_N.
+
+`main` parses an argv that starts with a command (`partitions`, ...,
+`gl2 table`) with that command's own parser, and any other with the tree.
 """
 
 from __future__ import annotations
@@ -499,13 +502,32 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """argv parsed by the parser of the command it starts with (the one the tree would reach), else by the tree.
+
+    Only the parse at each level above the command is skipped, so help
+    and errors read as through the tree, and the namespace lacks only
+    `command`, `germ_command` and `gl2_command`, which no command reads.
+    """
+    tree = parser = _parser()
+    depth = 0
+    while parser._subparsers is not None:  # a group, not a command
+        group = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        name = argv[depth] if depth < len(argv) else None
+        parser = group.choices.get(name)
+        if parser is None:
+            return tree.parse_args(argv)
+        depth += 1
+    return parser.parse_args(argv[depth:])
+
+
 def main(argv=None) -> int:
     # exact values are printed in full, past the interpreter's 4,300-digit default
     limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     try:
         if limit is not None:
             sys.set_int_max_str_digits(0)
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         args.func(args)
         return 0
     except BrokenPipeError:  # the reader closed stdout

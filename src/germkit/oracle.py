@@ -7,15 +7,17 @@ package are checked against raw enumeration:
 * coset counts: the orbit of the standard flag of shape lam under
   GL_n(F_q) is enumerated exhaustively (every coset touched exactly
   once) and compared with the group-order quotient |GL_n| / |P_lam|.
-  The search uses three generators, the n-cycle c, t = I + E_12 and
-  d = diag(g, 1, ..., 1) for a primitive root g, which generate GL_n(F_q)
-  because commutators of the c^k t c^-k = I + E_(i,i+1 mod n) give every
-  elementary transvection (so SL_n(F_q), q prime) and d every
-  determinant.  Each acts as a column operation on one basis per flag,
-  kept in nested echelon form, and the seen-set stores each form packed
-  into one int of base-q digits.  Only c needs a full Gauss-Jordan pass:
-  t and d change only the row with its pivot in column 1, so that one
-  row is re-reduced;
+  The search uses two generators, the n-cycle c and t = I + E_12, which
+  generate a group containing SL_n(F_q) for prime q because commutators
+  of the c^k t c^-k = I + E_(i,i+1 mod n) give every elementary
+  transvection.  That is enough: GL_n = SL_n * {diag(x, 1, ..., 1)} and
+  those diagonal matrices fix the standard flag, so its SL_n-orbit is
+  every flag.  Each
+  generator acts as a column operation on one basis per flag, kept in
+  nested echelon form, and the seen-set stores each form packed into one
+  int of base-q digits.  Only c needs a full Gauss-Jordan pass: t changes
+  only the row with its pivot in column 1, so that one row is
+  re-reduced;
 
 * Jordan types: the partition of a nilpotent matrix is read off the
   kernel-dimension jumps rank X^(i-1) - rank X^i.  A stream of matrices
@@ -69,7 +71,7 @@ The oracle works over prime q only, so all arithmetic is plain modular
 integer arithmetic.  Every elimination goes through one kernel,
 `_clear`, which clears a row at a basis's pivots, in order, and scales
 its leading entry to 1: `_extend` (the census and nilradical walk),
-`_echelon` (the flag forms) and `_reduce_lead_row` (t and d) call it.
+`_echelon` (the flag forms) and `_reduce_lead_row` (t) call it.
 Every enumeration is bounded by an element cap (default 10**7) counting
 the items a call streams, and `_charge` alone refuses a stream, before
 its first element.  A stream has at least q^e elements: exactly q^(n^2)
@@ -376,21 +378,9 @@ def nilpotent_partition(X: FqMatrix) -> Partition:
 # exhaustive enumeration
 
 
-def _primitive_root(q: int) -> int:
-    """The least g whose powers run over all of F_q^x (g = 1 at q = 2)."""
-    return next(g for g in range(1, q) if len({pow(g, k, q) for k in range(q - 1)}) == q - 1)
-
-
-def _column_ops(n: int, q: int) -> dict:
-    """{name: row -> row * G} for the generators c, t, d of `flag_orbit_count`."""
-    ops = {}
-    if n > 1:
-        ops["c"] = lambda row: row[-1:] + row[:-1]
-        ops["t"] = lambda row: (row[0], (row[0] + row[1]) % q) + row[2:]
-    g = _primitive_root(q)
-    if g != 1:
-        ops["d"] = lambda row: ((g * row[0]) % q,) + row[1:]
-    return ops
+def _column_ops(q: int) -> dict:
+    """{name: row -> row * G} for the generators c and t of `flag_orbit_count` (a flag of F_q^1 has no rows)."""
+    return {"c": lambda row: row[-1:] + row[:-1], "t": lambda row: (row[0], (row[0] + row[1]) % q) + row[2:]}
 
 
 def _charge(stream: str, q: int, e: int, cap: int, size=None) -> int:
@@ -432,9 +422,9 @@ def _pack(form, q):
 
 
 def _reduce_lead_row(form, i, stop, row, q):
-    """The form after form[i], the row with its pivot in column 1, becomes row = form[i] G for G = t or d.
+    """The form after form[i], the row with its pivot in column 1, becomes row = form[i] t.
 
-    Every other row of the form is zero in column 1, so G leaves it as it
+    Every other row of the form is zero in column 1, so t leaves it as it
     is, and the pivots do not move.  Only the new row is re-reduced, by
     `_clear`: at the pivots of the earlier blocks and of the rest of its
     own block, form[:i] and form[i+1:stop] (it comes first in its block).
@@ -448,35 +438,34 @@ def flag_orbit_count(lam: Partition, q: int, cap: int = DEFAULT_CAP) -> int:
     """Exhaustive count of flags of shape lam in F_q^n.
 
     Breadth-first closure of the standard flag under the n-cycle c (ones
-    at (i, i+1 mod n)), t = I + E_12 and d = diag(g, 1, ..., 1) for a
-    primitive root g; d is dropped at q = 2, c and t at n = 1.  They
-    generate GL_n(F_q): commutators of the c^k t c^-k = I + E_(i,i+1 mod n)
-    give every elementary transvection, hence SL_n(F_q) for prime q, and
-    d adds every determinant.  Each acts on a flag's basis rows in nested
-    echelon form (`_echelon`) as a column operation (rotate right,
-    column 2 += column 1, scale column 1 by g) and the form is restored:
-    by a full pass after c, and after t and d by re-reducing the one row
-    with its pivot in column 1 (`_reduce_lead_row`).  That row has a 1 in
-    column 1 and every other row a 0; a flag with no such row is fixed by
-    t and d.  The seen-set holds each form packed into one int, so every
-    coset of the flag stabilizer is seen exactly once.  The whole orbit
-    (`flag_orbit_size`) is charged against the cap before the first flag.
+    at (i, i+1 mod n)) and t = I + E_12, which generate a group containing
+    SL_n(F_q) for prime q; its orbit is every flag, as the module
+    docstring shows.
+    They act on a flag's basis rows in nested echelon form (`_echelon`)
+    as column operations (rotate right, column 2 += column 1) and the
+    form is restored: by a full pass after c, and after t by re-reducing
+    the one row with its pivot in column 1 (`_reduce_lead_row`).  That
+    row has a 1 in column 1 and every other row a 0; a flag with no such
+    row is fixed by t.  The seen-set holds each form packed into one int,
+    so every coset of the flag stabilizer is seen exactly once.  The
+    whole orbit (`flag_orbit_size`) is charged against the cap before the
+    first flag.
     """
     size = flag_orbit_size(lam, lam.n, q, cap)
     blocks = tuple(pairwise(accumulate(lam.parts[:-1], initial=0)))
     stops = [stop for start, stop in blocks for _ in range(start, stop)]
-    ops = _column_ops(lam.n, q)
-    rotate = ops.pop("c", None)
+    ops = _column_ops(q)
+    rotate, shear = ops["c"], ops["t"]
     std = _identity(lam.n)[: lam.n - lam.parts[-1]]
     seen, frontier = {_pack(std, q)}, [std]
     while frontier:
         fresh = []
         for flag in frontier:
-            images = [_echelon(map(rotate, flag), blocks, q)] if rotate else []
+            images = [_echelon(map(rotate, flag), blocks, q)]
             column = [row[0] for row in flag]
             if 1 in column:
                 i = column.index(1)
-                images += [_reduce_lead_row(flag, i, stops[i], op(flag[i]), q) for op in ops.values()]
+                images.append(_reduce_lead_row(flag, i, stops[i], shear(flag[i]), q))
             for img in images:
                 if (key := _pack(img, q)) not in seen:
                     seen.add(key)

@@ -338,6 +338,67 @@ class TestParserReuse:
         assert target.read_text() == golden("partitions_n6_d.txt")
 
 
+# argv that name no command, so main parses them with the whole tree
+_TREE_ARGVS = [
+    [], ["--help"], ["-h"], ["--version"], ["bogus"], ["germ"], ["gl2"], ["germ", "bogus"], ["germ", "--help"],
+    ["gl2", "-h"], ["-n", "4"], ["--", "partitions", "--n", "4"],
+]
+# put after every command: help, missing, unknown, invalid and repeated flags, abbreviations, --x=v and --
+_COMMAND_TAILS = [
+    [], ["--help"], ["-h"], ["--he"], ["--version"], ["--bogus", "1"], ["--"], ["-n", "4"], ["--n=4"], ["--n", "x"],
+    ["--j", "-1"], ["--sh", "d", "--js"], ["--n", "4", "--n", "5", "--q", "2"], ["--q", "3", "--", "x"],
+]
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv); argparse's own exit, as after --help, is ("exit", code)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def parsed(capsys, parse, argv):
+    """The namespace parse(argv) gives but for the tree's group names, or the error or exit it raises."""
+    try:
+        ns = vars(parse(list(argv)))
+    except cli.UsageError as exc:
+        return "usage", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, capsys.readouterr()
+    return {k: v for k, v in ns.items() if k not in ("command", "germ_command", "gl2_command")}
+
+
+class TestDispatch:
+    """main hands a command's argv to that command's parser; it behaves as the whole tree would."""
+
+    def test_dispatch_equals_the_tree(self, capsys, monkeypatch):
+        def tree_parse(argv):
+            return cli._parser().parse_args(argv)
+
+        cases = list(_TREE_ARGVS)
+        for path, _ in leaf_commands(cli.build_parser()):
+            cases += [list(path) + tail for tail in _COMMAND_TAILS]
+            cases.append(next(argv for argv in GOLDENS.values() if tuple(argv[: len(path)]) == path))
+        for argv in cases:
+            dispatched = outcome(capsys, argv), parsed(capsys, cli._parse, argv)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_parse", tree_parse)
+                assert (outcome(capsys, argv), parsed(capsys, tree_parse, argv)) == dispatched, argv
+
+    def test_commands_skip_the_tree(self, capsys, monkeypatch):
+        def no_tree(*args, **kwargs):
+            raise AssertionError("the whole tree parsed argv")
+
+        monkeypatch.setattr(cli._parser(), "parse_known_args", no_tree)
+        for argv, name in GOLDEN_CASES:
+            assert run(capsys, *argv) == (0, golden(name), "")
+        with pytest.raises(AssertionError, match="the whole tree"):
+            main(["--help"])
+
+
 class TestGermRoundTrips:
     def test_map_output_is_accepted_as_input(self, capsys, tmp_path):
         out_file = tmp_path / "induced.json"
