@@ -1,8 +1,9 @@
-"""The n = 2 catalog: (a, b) pairs and fixed-vector dimensions per class.
+"""The n = 2 catalog: coefficient maps and fixed-vector dimensions per class.
 
 Every finite-length class for GL_2 over a division algebra with residue
-field of size t = q^d has two coefficients (a, b) = (c((2)), c((1,1)))
-and closed-form fixed-vector dimensions along the three pro-p chains:
+field of size t = q^d is its coefficient map on the partitions of 2, the
+pair (a, b) = (c((2)), c((1,1))), and has closed-form fixed-vector
+dimensions along the three pro-p chains:
 
     I-half chain:  a + 2 b t^j
     K chain:       a + (t+1) b t^j
@@ -12,140 +13,88 @@ valid for j >= 0 for the cataloged classes (supercuspidal classes of
 positive level excepted: their formulas go negative below the level,
 which is exactly the depth where invariants first appear).
 
-The Speh / essentially-square-integrable pair leaves the split of b
-between the two factors undetermined when the inducing datum has
-dimension > 1; it is modeled as an explicit unknown constrained by
-b_Z + b_L = dim sigma with both parts positive, never invented.
+A Speh class and its essentially square-integrable partner share
+b_speh + b_ess = dim sigma, but the split of b between them is
+undetermined when the inducing datum has dimension > 1.  So the pair is
+built only from an explicit split (`speh_ess_pair`), both parts
+positive; no split is ever invented.
 
 Mod-p supersingular data (p odd, d = 1) is quarantined in its own
 operation: the coefficient-map theory above assumes the coefficient
 field has characteristic different from p, so those rows are literal
-dimension formulas only and do not convert to a CoefficientMap.
+dimension formulas only and are not coefficient maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cosets import Family, require_prime, require_prime_power
 from .germ import CoefficientMap
 from .partitions import Partition, require_at_least, require_int
 
-
-@dataclass(frozen=True)
-class FiniteDim:
-    """A finite-dimensional class of dimension dim."""
-
-    dim: int
-
-    def __post_init__(self):
-        require_at_least(self.dim, 1, "dimension")
+_TWO, _ONE_ONE = Partition([2]), Partition([1, 1])
 
 
-@dataclass(frozen=True)
-class PrincipalSeries:
-    """Full induction from the diagonal torus of a dim_sigma-dimensional datum."""
-
-    dim_sigma: int
-
-    def __post_init__(self):
-        require_at_least(self.dim_sigma, 1, "dimension")
+def _ab(a: int, b: int) -> CoefficientMap:
+    return CoefficientMap(2, [(_TWO, a), (_ONE_ONE, b)])
 
 
-@dataclass(frozen=True)
-class SteinbergTwist:
-    """The Steinberg class or any character twist of it."""
+def finite_dim(dim: int) -> CoefficientMap:
+    """A finite-dimensional class of dimension dim: (a, b) = (dim, 0)."""
+    return _ab(require_at_least(dim, 1, "dimension"), 0)
 
 
-@dataclass(frozen=True)
-class CuspidalSteinberg:
-    """The cuspidal length-2 constituent of Steinberg (coefficient characteristic dividing t+1)."""
+def principal_series(dim_sigma: int) -> CoefficientMap:
+    """Full induction from the diagonal torus of a dim_sigma-dimensional datum: (a, b) = (0, dim_sigma)."""
+    return _ab(0, require_at_least(dim_sigma, 1, "dimension"))
 
 
-@dataclass(frozen=True)
-class _SplitPair:
-    """Fields shared by the Speh and essentially square-integrable classes.
+STEINBERG = _ab(-1, 1)
+"""The Steinberg class or any character twist of it."""
 
-    dim_pi2 is the transferred dimension and b the undetermined Whittaker
-    split; b = None keeps the split symbolic.
+CUSPIDAL_STEINBERG = _ab(-2, 1)
+"""The cuspidal length-2 constituent of Steinberg (coefficient characteristic dividing t+1)."""
+
+
+def speh_ess_pair(dim_pi2: int, dim_sigma: int, b_speh: int) -> tuple[CoefficientMap, CoefficientMap]:
+    """A Speh class, with a = dim_pi2, and its essentially square-integrable partner, with a = -dim_pi2.
+
+    dim_pi2 is the transferred dimension.  The split must satisfy
+    b_speh + b_ess = dim_sigma with both parts >= 1; the sum constraint
+    is the only thing known in general.
     """
-
-    dim_pi2: int
-    b: int | None = None
-
-    def __post_init__(self):
-        require_at_least(self.dim_pi2, 1, "dimension")
-        if self.b is not None:
-            require_at_least(self.b, 1, "a supplied b split")
-
-
-class SpehPair(_SplitPair):
-    """Speh constituent of a reducible induction, with a = dim_pi2."""
+    require_at_least(dim_pi2, 1, "dimension")
+    b_ess = require_int(dim_sigma, "dim_sigma") - require_int(b_speh, "b_speh")
+    if b_speh < 1 or b_ess < 1:
+        raise ValueError(
+            f"both b splits must be >= 1 and sum to dim_sigma = {dim_sigma}; got {b_speh} + {b_ess}"
+        )
+    return _ab(dim_pi2, b_speh), _ab(-dim_pi2, b_ess)
 
 
-class EssSquareIntegrablePair(_SplitPair):
-    """Essentially square-integrable partner of a SpehPair, with a = -dim_pi2."""
-
-
-@dataclass(frozen=True)
-class SupercuspidalGL2F:
+def supercuspidal(level: int | Fraction, q: int) -> CoefficientMap:
     """Minimal supercuspidal of GL_2 over the base field (d = 1), by normalized level.
 
-    The level is a half-integer >= 1/2; a is determined by it, and b = 1
+    The level is a half-integer >= 1/2 and determines a through q; b = 1
     by unicity of the non-degenerate Whittaker model.
     """
-
-    level: Fraction
-
-    def __post_init__(self):
-        if type(self.level) is not int and not isinstance(self.level, Fraction):  # bool is a subclass of int
-            raise ValueError(f"level must be an int or a Fraction, got {self.level!r}")
-        level = Fraction(self.level)
-        if level.denominator not in (1, 2) or level < Fraction(1, 2):
-            raise ValueError(f"level must be a half-integer >= 1/2, got {self.level}")
-        object.__setattr__(self, "level", level)
-
-
-GL2Rep = (
-    FiniteDim
-    | PrincipalSeries
-    | SteinbergTwist
-    | CuspidalSteinberg
-    | SpehPair
-    | EssSquareIntegrablePair
-    | SupercuspidalGL2F
-)
+    if type(level) is not int and not isinstance(level, Fraction):  # bool is a subclass of int
+        raise ValueError(f"level must be an int or a Fraction, got {level!r}")
+    level = Fraction(level)
+    if level.denominator not in (1, 2) or level < Fraction(1, 2):
+        raise ValueError(f"level must be a half-integer >= 1/2, got {level}")
+    require_prime_power(q)
+    if level.denominator == 1:
+        return _ab(-2 * q ** int(level), 1)
+    return _ab(-(q + 1) * q ** int(level - Fraction(1, 2)), 1)
 
 
-def ab_coefficients(rep: GL2Rep, q: int) -> tuple[int, int]:
-    """The pair (a, b) = (c((2)), c((1,1))) of the class.
-
-    q enters only for supercuspidal classes (through the level formula).
-    Symbolic Speh/essentially-square-integrable splits must be given a
-    concrete b first.
-    """
-    if isinstance(rep, FiniteDim):
-        return rep.dim, 0
-    if isinstance(rep, PrincipalSeries):
-        return 0, rep.dim_sigma
-    if isinstance(rep, SteinbergTwist):
-        return -1, 1
-    if isinstance(rep, CuspidalSteinberg):
-        return -2, 1
-    if isinstance(rep, _SplitPair):
-        speh = isinstance(rep, SpehPair)
-        if rep.b is None:
-            pair = "a Speh pair" if speh else "an essentially square-integrable pair"
-            raise ValueError(f"the b split of {pair} is undetermined; supply it explicitly")
-        sign = 1 if speh else -1
-        return sign * rep.dim_pi2, rep.b
-    if isinstance(rep, SupercuspidalGL2F):
-        require_prime_power(q)
-        if rep.level.denominator == 1:
-            return -2 * q ** int(rep.level), 1
-        return -(q + 1) * q ** int(rep.level - Fraction(1, 2)), 1
-    raise TypeError(f"not a GL2 representation class: {rep!r}")
+def ab_coefficients(c: CoefficientMap) -> tuple[int, int]:
+    """The pair (a, b) = (c((2)), c((1,1))) of a map on the partitions of 2."""
+    if c.n != 2:
+        raise ValueError(f"the n = 2 catalog reads maps on the partitions of 2, got n = {c.n}")
+    return c.value(_TWO), c.value(_ONE_ONE)
 
 
 def chain_dim_formula(a: int, b: int, family: Family, j: int, q: int, d: int) -> int:
@@ -165,17 +114,16 @@ def chain_dim_formula(a: int, b: int, family: Family, j: int, q: int, d: int) ->
     return a + factor * b * t**j
 
 
-def dim_invariants(rep: GL2Rep, family: Family, j: int, q: int, d: int) -> int:
-    """Fixed-vector dimension of the class at depth j of the given pro-p chain.
+def dim_invariants(c: CoefficientMap, family: Family, j: int, q: int, d: int) -> int:
+    """Fixed-vector dimension of the class c at depth j of the given pro-p chain.
 
     A negative formula value means j is below the class's validity
     threshold, which is an error rather than a dimension.
     """
-    a, b = ab_coefficients(rep, q)
-    value = chain_dim_formula(a, b, family, j, q, d)
+    value = chain_dim_formula(*ab_coefficients(c), family, j, q, d)
     if value < 0:
         raise ValueError(
-            f"chain formula gives {value} < 0 at depth {j}: below the validity threshold of {rep!r}"
+            f"chain formula gives {value} < 0 at depth {j}: below the validity threshold of {c!r}"
         )
     return value
 
@@ -185,15 +133,14 @@ def modp_supersingular_coefficients(twist_of_pi0: bool) -> tuple[int, int, int]:
     return -2, 2, -3 if twist_of_pi0 else -4
 
 
-def modp_supersingular_dims(twist_of_pi0: bool, family: Family, j: int, p: int, what: str = "p") -> int:
+def modp_supersingular_dims(twist_of_pi0: bool, family: Family, j: int, p: int) -> int:
     """Supersingular fixed-vector dimensions in coefficient characteristic p (p odd, j >= 0).
 
     I-half chain: a + 2b p^j; K chain: a' + (p+1) b p^j, the chain
-    formulas at t = p with a' in place of a on the K chain.  An error
-    about p names it `what` (the CLI passes "--q").
+    formulas at t = p with a' in place of a on the K chain.
     """
-    if require_prime(p, what) == 2:
-        raise ValueError(f"mod-p supersingular data requires an odd prime {what}, got {p}")
+    if require_prime(p, "p") == 2:
+        raise ValueError(f"mod-p supersingular data requires an odd prime p, got {p}")
     require_at_least(j, 0, "depth")
     a, b, a_prime = modp_supersingular_coefficients(twist_of_pi0)
     if family is Family.PRO_P_IWAHORI_HALF:
@@ -205,40 +152,23 @@ def modp_supersingular_dims(twist_of_pi0: bool, family: Family, j: int, p: int, 
     )
 
 
-def to_coefficient_map(rep: GL2Rep, q: int) -> CoefficientMap:
-    """The coefficient map {(2): a, (1,1): b} of the class."""
-    a, b = ab_coefficients(rep, q)
-    return CoefficientMap(2, [(Partition([2]), a), (Partition([1, 1]), b)])
+_SPEH, _ESS = speh_ess_pair(2, 4, 1)
+_FIXED = (
+    ("trivial", finite_dim(1)),
+    ("finite-dim(2)", finite_dim(2)),
+    ("principal-series(1)", principal_series(1)),
+    ("principal-series(2)", principal_series(2)),
+    ("steinberg", STEINBERG),
+    ("cuspidal-steinberg", CUSPIDAL_STEINBERG),
+    ("speh(2; b=1)", _SPEH),
+    ("ess-sq-int(2; b=3)", _ESS),
+)
 
 
-def speh_ess_pair(
-    dim_pi2: int, dim_sigma: int, b_speh: int
-) -> tuple[SpehPair, EssSquareIntegrablePair]:
-    """A Speh pair and its partner with an explicit b split.
+def catalog(q: int) -> list[tuple[str, CoefficientMap]]:
+    """Labeled classes with concrete parameters, as (label, map), for tables and cross-checks.
 
-    The split must satisfy b_speh + b_ess = dim_sigma with both parts
-    >= 1; the sum constraint is the only thing known in general.
+    Only the supercuspidal entries depend on q.
     """
-    b_ess = require_int(dim_sigma, "dim_sigma") - require_int(b_speh, "b_speh")
-    if b_speh < 1 or b_ess < 1:
-        raise ValueError(
-            f"both b splits must be >= 1 and sum to dim_sigma = {dim_sigma}; got {b_speh} + {b_ess}"
-        )
-    return SpehPair(dim_pi2, b_speh), EssSquareIntegrablePair(dim_pi2, b_ess)
-
-
-def catalog() -> list[tuple[str, GL2Rep]]:
-    """Labeled classes with concrete parameters, for tables and cross-checks."""
-    return [
-        ("trivial", FiniteDim(1)),
-        ("finite-dim(2)", FiniteDim(2)),
-        ("principal-series(1)", PrincipalSeries(1)),
-        ("principal-series(2)", PrincipalSeries(2)),
-        ("steinberg", SteinbergTwist()),
-        ("cuspidal-steinberg", CuspidalSteinberg()),
-        ("speh(2; b=1)", SpehPair(2, b=1)),
-        ("ess-sq-int(2; b=3)", EssSquareIntegrablePair(2, b=3)),
-        ("supercuspidal(level 1/2)", SupercuspidalGL2F(Fraction(1, 2))),
-        ("supercuspidal(level 1)", SupercuspidalGL2F(Fraction(1))),
-        ("supercuspidal(level 3/2)", SupercuspidalGL2F(Fraction(3, 2))),
-    ]
+    levels = (Fraction(1, 2), 1, Fraction(3, 2))
+    return [*_FIXED, *((f"supercuspidal(level {level})", supercuspidal(level, q)) for level in levels)]

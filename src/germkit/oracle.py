@@ -87,7 +87,8 @@ size is over the cap, with the size printed in full.  A refusal is one
 at the default cap the longest size the CLI prints in full is the 23
 digits of the (1^12) orbit over F_2.  The flag search then never needs
 the cap again: finding more flags than the quotient means a flag key is
-not canonical, an `OracleConsistencyError`.
+not canonical, and fewer that the generators miss part of the orbit;
+either is an `OracleConsistencyError`.
 """
 
 from __future__ import annotations
@@ -449,7 +450,8 @@ def flag_orbit_count(lam: Partition, q: int, cap: int = DEFAULT_CAP) -> int:
     row is fixed by t.  The seen-set holds each form packed into one int,
     so every coset of the flag stabilizer is seen exactly once.  The
     whole orbit (`flag_orbit_size`) is charged against the cap before the
-    first flag.
+    first flag, and a count other than that quotient raises
+    `OracleConsistencyError`: the count returned is the quotient.
     """
     size = flag_orbit_size(lam, lam.n, q, cap)
     blocks = tuple(pairwise(accumulate(lam.parts[:-1], initial=0)))
@@ -475,7 +477,11 @@ def flag_orbit_count(lam: Partition, q: int, cap: int = DEFAULT_CAP) -> int:
                         )
                     fresh.append(img)
         frontier = fresh
-    return len(seen)
+    if len(seen) != size:
+        raise OracleConsistencyError(
+            f"the flag search for {lam} over F_{q} found only {len(seen)} of the {size} flags of the orbit"
+        )
+    return size
 
 
 def flag_orbit_size(lam: Partition, n: int, q: int, cap: int = DEFAULT_CAP) -> int:
@@ -496,14 +502,10 @@ def flag_orbit_size(lam: Partition, n: int, q: int, cap: int = DEFAULT_CAP) -> i
 
 
 def count_parabolic_cosets(lam: Partition, n: int, q: int, cap: int = DEFAULT_CAP) -> int:
-    """|P_lam(F_q) \\ GL_n(F_q)|, exhaustively counted and order-checked."""
-    quotient = flag_orbit_size(lam, n, q, cap)
-    observed = flag_orbit_count(lam, q, cap)
-    if observed != quotient:
-        raise OracleConsistencyError(
-            f"flag orbit count {observed} != order quotient {quotient} for {lam}, q={q}"
-        )
-    return observed
+    """|P_lam(F_q) \\ GL_n(F_q)|, exhaustively counted and order-checked (`flag_orbit_count`)."""
+    if lam.n != n:
+        raise ValueError(f"{lam} is not a partition of n = {n}")
+    return flag_orbit_count(lam, q, cap)
 
 
 # ---------------------------------------------------------------------------

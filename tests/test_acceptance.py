@@ -22,7 +22,7 @@ from germkit.germ import (
     solve_from_multiplicities,
     whittaker_dims,
 )
-from germkit.gl2 import ab_coefficients, catalog, chain_dim_formula, modp_supersingular_dims, to_coefficient_map
+from germkit.gl2 import ab_coefficients, catalog, chain_dim_formula, modp_supersingular_dims
 from germkit.oracle import count_parabolic_cosets, multiplicity_matrix
 from germkit.partitions import (
     Partition,
@@ -124,9 +124,8 @@ def test_criterion_05_gl2_catalog_consistency():
     checked = 0
     for q in (2, 3, 5):
         for d in (1, 2):
-            for _, rep in catalog():
-                a, b = ab_coefficients(rep, q)
-                cmap = to_coefficient_map(rep, q)
+            for _, cmap in catalog(q):
+                a, b = ab_coefficients(cmap)
                 for fam in PRO_P:
                     for j in range(5):
                         spec = SubgroupSpec(fam, j, q, d)

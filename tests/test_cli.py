@@ -458,6 +458,23 @@ class TestOracleCommand:
         assert len(report["items"]) == 7
         assert report["pass"] is True and all(i["pass"] for i in report["items"])
 
+    def test_cosets_check_sizes_each_orbit_once(self, capsys, monkeypatch):
+        real, calls = oracle.flag_orbit_size, []
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "flag_orbit_size", counted)
+        assert run(capsys, "oracle", "--n", "4", "--q", "3", "--check", "cosets")[0] == 0
+        assert len(calls) == 1 + len(enumerate_partitions(4))  # the full flags first, then one per search
+
+    def test_a_search_that_finds_too_few_flags_is_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "_column_ops", lambda q: {"c": lambda row: row, "t": lambda row: row})
+        code, out, err = run(capsys, "oracle", "--n", "3", "--q", "2", "--check", "cosets")
+        assert (code, out) == (2, "")
+        assert err == "germkit: the flag search for (2,1) over F_2 found only 1 of the 7 flags of the orbit\n"
+
     def test_ximatrix_check_fails_when_the_closed_form_disagrees(self, capsys, monkeypatch):
         real = cli.closed_form_multiplicity_matrix
 

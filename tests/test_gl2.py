@@ -5,20 +5,17 @@ import pytest
 from germkit.cosets import Family, SubgroupSpec
 from germkit.germ import CoefficientMap, dim_fixed, jl_transfer
 from germkit.gl2 import (
-    CuspidalSteinberg,
-    EssSquareIntegrablePair,
-    FiniteDim,
-    PrincipalSeries,
-    SpehPair,
-    SteinbergTwist,
-    SupercuspidalGL2F,
+    CUSPIDAL_STEINBERG,
+    STEINBERG,
     ab_coefficients,
     catalog,
     chain_dim_formula,
     dim_invariants,
+    finite_dim,
     modp_supersingular_dims,
+    principal_series,
     speh_ess_pair,
-    to_coefficient_map,
+    supercuspidal,
 )
 from germkit.partitions import Partition
 
@@ -32,50 +29,45 @@ CHAINS = (Family.PRO_P_IWAHORI_HALF, Family.VERTEX_CONGRUENCE, Family.IWAHORI_CO
 
 class TestABCoefficients:
     def test_table(self):
-        assert ab_coefficients(FiniteDim(1), 3) == (1, 0)
-        assert ab_coefficients(FiniteDim(4), 3) == (4, 0)
-        assert ab_coefficients(PrincipalSeries(2), 3) == (0, 2)
-        assert ab_coefficients(SteinbergTwist(), 3) == (-1, 1)
-        assert ab_coefficients(CuspidalSteinberg(), 3) == (-2, 1)
-        assert ab_coefficients(SpehPair(3, b=2), 3) == (3, 2)
-        assert ab_coefficients(EssSquareIntegrablePair(3, b=1), 3) == (-3, 1)
+        assert ab_coefficients(finite_dim(1)) == (1, 0)
+        assert ab_coefficients(finite_dim(4)) == (4, 0)
+        assert ab_coefficients(principal_series(2)) == (0, 2)
+        assert ab_coefficients(STEINBERG) == (-1, 1)
+        assert ab_coefficients(CUSPIDAL_STEINBERG) == (-2, 1)
+        speh, ess = speh_ess_pair(3, 3, 2)
+        assert (ab_coefficients(speh), ab_coefficients(ess)) == ((3, 2), (-3, 1))
+        with pytest.raises(ValueError, match=r"^the n = 2 catalog reads maps on the partitions of 2, got n = 1$"):
+            ab_coefficients(CoefficientMap.indicator(P(1)))
 
     def test_supercuspidal_levels(self):
-        assert ab_coefficients(SupercuspidalGL2F(Fraction(1, 2)), 3) == (-4, 1)
-        assert ab_coefficients(SupercuspidalGL2F(Fraction(1)), 3) == (-6, 1)
-        assert ab_coefficients(SupercuspidalGL2F(Fraction(3, 2)), 2) == (-6, 1)
-        assert ab_coefficients(SupercuspidalGL2F(Fraction(2)), 2) == (-8, 1)
-
-    def test_symbolic_b_requires_input(self):
-        with pytest.raises(ValueError):
-            ab_coefficients(SpehPair(2), 3)
-        with pytest.raises(ValueError):
-            ab_coefficients(EssSquareIntegrablePair(2), 3)
+        assert ab_coefficients(supercuspidal(Fraction(1, 2), 3)) == (-4, 1)
+        assert ab_coefficients(supercuspidal(Fraction(1), 3)) == (-6, 1)
+        assert ab_coefficients(supercuspidal(Fraction(3, 2), 2)) == (-6, 1)
+        assert ab_coefficients(supercuspidal(Fraction(2), 2)) == (-8, 1)
 
     def test_level_validation(self):
-        with pytest.raises(ValueError):
-            SupercuspidalGL2F(Fraction(1, 3))
-        with pytest.raises(ValueError):
-            SupercuspidalGL2F(Fraction(0))
+        with pytest.raises(ValueError, match=r"^level must be a half-integer >= 1/2, got 1/3$"):
+            supercuspidal(Fraction(1, 3), 3)
+        with pytest.raises(ValueError, match=r"^level must be a half-integer >= 1/2, got 0$"):
+            supercuspidal(Fraction(0), 3)
+        with pytest.raises(ValueError, match=r"^q must be a prime power >= 2, got 6$"):
+            supercuspidal(1, 6)
 
     def test_level_must_be_int_or_fraction(self):
         for level in ("3/2", 1.5, True, "1"):
             with pytest.raises(ValueError, match="level must be an int or a Fraction, got "):
-                SupercuspidalGL2F(level)
-        assert SupercuspidalGL2F(1).level == Fraction(1)
-        assert SupercuspidalGL2F(Fraction(3, 2)).level == Fraction(3, 2)
+                supercuspidal(level, 3)
+        assert supercuspidal(1, 3) == supercuspidal(Fraction(1), 3)
 
     def test_additivity_row(self):
-        a_triv, b_triv = ab_coefficients(FiniteDim(1), 2)
-        a_st, b_st = ab_coefficients(SteinbergTwist(), 2)
-        assert (a_triv + a_st, b_triv + b_st) == ab_coefficients(PrincipalSeries(1), 2)
+        assert finite_dim(1) + STEINBERG == principal_series(1)
 
     def test_supercuspidal_matches_transfer_sign_rule(self):
         # a = (-1)^(n-1) * (transferred dimension) with n = 2, where the
         # dimension is 2q^level (integral level) or (q+1)q^(level-1/2)
         for q in (2, 3, 5):
             for level in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
-                a, b = ab_coefficients(SupercuspidalGL2F(level), q)
+                a, b = ab_coefficients(supercuspidal(level, q))
                 if level.denominator == 1:
                     dim_pi2 = 2 * q ** int(level)
                 else:
@@ -86,17 +78,17 @@ class TestABCoefficients:
 
 class TestDimInvariants:
     def test_examples(self):
-        assert dim_invariants(SteinbergTwist(), Family.VERTEX_CONGRUENCE, 0, 3, 1) == 3
+        assert dim_invariants(STEINBERG, Family.VERTEX_CONGRUENCE, 0, 3, 1) == 3
         for fam in CHAINS:
             for j in range(3):
-                assert dim_invariants(FiniteDim(7), fam, j, 2, 1) == 7
-        assert dim_invariants(PrincipalSeries(2), Family.IWAHORI_CONGRUENCE, 1, 2, 1) == 16
+                assert dim_invariants(finite_dim(7), fam, j, 2, 1) == 7
+        assert dim_invariants(principal_series(2), Family.IWAHORI_CONGRUENCE, 1, 2, 1) == 16
 
     def test_below_threshold_raises(self):
-        rep = SupercuspidalGL2F(Fraction(1, 2))  # (a, b) = (-(q+1), 1)
+        c = supercuspidal(Fraction(1, 2), 2)  # (a, b) = (-(q+1), 1)
         with pytest.raises(ValueError):
-            dim_invariants(rep, Family.PRO_P_IWAHORI_HALF, 0, 2, 1)
-        assert dim_invariants(rep, Family.PRO_P_IWAHORI_HALF, 1, 2, 1) == 1
+            dim_invariants(c, Family.PRO_P_IWAHORI_HALF, 0, 2, 1)
+        assert dim_invariants(c, Family.PRO_P_IWAHORI_HALF, 1, 2, 1) == 1
 
     def test_chain_formula_validation(self):
         with pytest.raises(ValueError):
@@ -105,12 +97,11 @@ class TestDimInvariants:
             chain_dim_formula(0, 1, Family.VERTEX_CONGRUENCE, -1, 2, 1)
 
     def test_consistency_with_germ_machinery(self):
-        for _, rep in catalog():
-            cmap = to_coefficient_map(rep, 3)
+        for _, cmap in catalog(3):
+            a, b = ab_coefficients(cmap)
             for fam in CHAINS:
                 for j in range(4):
                     spec = SubgroupSpec(fam, j, 3, 1)
-                    a, b = ab_coefficients(rep, 3)
                     assert chain_dim_formula(a, b, fam, j, 3, 1) == dim_fixed(cmap, spec)
 
     def test_chain_formula_only_on_pro_p_families(self):
@@ -135,9 +126,9 @@ class TestModP:
             assert modp_supersingular_dims(False, Family.VERTEX_CONGRUENCE, j, 5) == -4 + 12 * 5**j
 
     def test_p2_and_even_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^mod-p supersingular data requires an odd prime p, got 2$"):
             modp_supersingular_dims(True, Family.PRO_P_IWAHORI_HALF, 0, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^p must be a prime, got 9$"):
             modp_supersingular_dims(True, Family.PRO_P_IWAHORI_HALF, 0, 9)
 
     def test_ichain_not_tabulated(self):
@@ -145,18 +136,18 @@ class TestModP:
             modp_supersingular_dims(True, Family.IWAHORI_CONGRUENCE, 0, 3)
 
 
-class TestCoefficientMapBridge:
+class TestCatalogMaps:
     def test_examples(self):
-        assert to_coefficient_map(SteinbergTwist(), 2).items() == [(P(2), -1), (P(1, 1), 1)]
-        assert to_coefficient_map(PrincipalSeries(1), 2).items() == [(P(1, 1), 1)]
-        assert to_coefficient_map(CuspidalSteinberg(), 2).items() == [(P(2), -2), (P(1, 1), 1)]
+        assert STEINBERG.items() == [(P(2), -1), (P(1, 1), 1)]
+        assert principal_series(1).items() == [(P(1, 1), 1)]
+        assert CUSPIDAL_STEINBERG.items() == [(P(2), -2), (P(1, 1), 1)]
 
 
 class TestSpehPairs:
     def test_valid_split(self):
         z, l = speh_ess_pair(dim_pi2=2, dim_sigma=4, b_speh=1)
-        az, bz = ab_coefficients(z, 3)
-        al, bl = ab_coefficients(l, 3)
+        az, bz = ab_coefficients(z)
+        al, bl = ab_coefficients(l)
         assert az + al == 0
         assert bz + bl == 4
         assert bz >= 1 and bl >= 1
@@ -167,34 +158,15 @@ class TestSpehPairs:
         with pytest.raises(ValueError):
             speh_ess_pair(2, 4, 4)
 
-    def test_pair_types_are_distinct(self):
-        speh, ess = SpehPair(2, b=1), EssSquareIntegrablePair(2, b=1)
-        assert not isinstance(speh, EssSquareIntegrablePair)
-        assert not isinstance(ess, SpehPair)
-        assert speh != ess and speh == SpehPair(2, 1)
-        assert (repr(speh), repr(ess)) == ("SpehPair(dim_pi2=2, b=1)", "EssSquareIntegrablePair(dim_pi2=2, b=1)")
-        with pytest.raises(AttributeError):
-            speh.b = 2
-
-    @pytest.mark.parametrize("cls", [SpehPair, EssSquareIntegrablePair])
-    def test_pair_validation(self, cls):
+    def test_pair_validation(self):
         with pytest.raises(ValueError, match=r"^dimension must be >= 1, got 0$"):
-            cls(0)
-        with pytest.raises(ValueError, match=r"^a supplied b split must be >= 1, got 0$"):
-            cls(2, b=0)
-
-    def test_symbolic_b_messages(self):
-        with pytest.raises(ValueError) as info:
-            ab_coefficients(SpehPair(2), 3)
-        assert str(info.value) == "the b split of a Speh pair is undetermined; supply it explicitly"
-        with pytest.raises(ValueError) as info:
-            ab_coefficients(EssSquareIntegrablePair(2), 3)
-        assert str(info.value) == (
-            "the b split of an essentially square-integrable pair is undetermined; supply it explicitly"
-        )
+            speh_ess_pair(0, 4, 1)
+        with pytest.raises(ValueError, match=r"^both b splits must be >= 1 and sum to dim_sigma = 4; got 0 \+ 4$"):
+            speh_ess_pair(2, 4, 0)
 
     def test_catalog_is_concrete(self):
-        labels = [label for label, _ in catalog()]
-        assert len(labels) == len(set(labels))
-        for _, rep in catalog():
-            ab_coefficients(rep, 3)  # never raises: all entries have concrete parameters
+        entries = catalog(3)
+        labels = [label for label, _ in entries]
+        assert len(labels) == len(set(labels)) == 11
+        assert all(isinstance(c, CoefficientMap) and c.n == 2 for _, c in entries)
+        assert [c for _, c in catalog(5)][:8] == [c for _, c in entries][:8]  # only the supercuspidals read q

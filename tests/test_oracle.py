@@ -455,6 +455,13 @@ class TestCosetCounts:
         with pytest.raises(OracleConsistencyError, match="found more than the 7 flags"):
             flag_orbit_count(P(2, 1), 2)
 
+    def test_a_search_that_misses_flags_is_an_invariant_violation(self, monkeypatch):
+        monkeypatch.setattr("germkit.oracle._column_ops", lambda q: {"c": lambda row: row, "t": lambda row: row})
+        with pytest.raises(OracleConsistencyError, match="found only 1 of the 7 flags"):
+            flag_orbit_count(P(2, 1), 2)
+        with pytest.raises(OracleConsistencyError, match="found only 1 of the 21 flags"):
+            count_parabolic_cosets(P(1, 1, 1), 3, 2)
+
 
 @st.composite
 def _shape_over_small_prime(draw):

@@ -359,11 +359,11 @@ def _integer_entry_points():
         ("closed_form_multiplicity_matrix q", lambda x: germ.closed_form_multiplicity_matrix(2, x), 3),
         ("closed_form_multiplicity_matrix n", lambda x: germ.closed_form_multiplicity_matrix(x, 2), 2),
         ("multiplicity_polynomials n", germ.multiplicity_polynomials, 2),
-        ("FiniteDim dim", gl2.FiniteDim, 2),
-        ("PrincipalSeries dim_sigma", gl2.PrincipalSeries, 2),
-        ("SpehPair dim_pi2", gl2.SpehPair, 2),
-        ("EssSquareIntegrablePair b", lambda x: gl2.EssSquareIntegrablePair(2, x), 2),
-        ("ab_coefficients q", lambda x: gl2.ab_coefficients(gl2.SupercuspidalGL2F(1), x), 3),
+        # the first three gl2 labels name the catalog class whose parameter is checked
+        ("FiniteDim dim", gl2.finite_dim, 2),
+        ("PrincipalSeries dim_sigma", gl2.principal_series, 2),
+        ("SpehPair dim_pi2", lambda x: gl2.speh_ess_pair(x, 4, 1), 2),
+        ("ab_coefficients q", lambda x: gl2.ab_coefficients(gl2.supercuspidal(1, x)), 3),
         ("chain_dim_formula j", lambda x: gl2.chain_dim_formula(-1, 1, K, x, 3, 1), 2),
         ("chain_dim_formula q", lambda x: gl2.chain_dim_formula(-1, 1, K, 0, x, 1), 3),
         ("chain_dim_formula d", lambda x: gl2.chain_dim_formula(-1, 1, K, 0, 3, x), 2),
