@@ -53,8 +53,8 @@ def _lazy(name: str):
 oracle = _lazy("oracle")
 gl2 = _lazy("gl2")
 
-_ORACLE_NAMES = {"FqMatrix", "OracleBoundError", "build_A_lambda", "count_parabolic_cosets", "multiplicity_matrix",
-                 "nilpotent_partition", "xi_multiplicity"}
+_ORACLE_NAMES = {"OracleBoundError", "build_A_lambda", "flag_orbit_count", "multiplicity_matrix", "nilpotent_partition",
+                 "xi_multiplicity"}
 
 
 def __getattr__(name: str):

@@ -308,7 +308,7 @@ def _oracle_items(args):
     if args.check == "cosets":
         # the full flags (1^n), the largest orbit, bound every orbit: charged before any search,
         # so an n over the cap is refused before its partitions are enumerated
-        oracle.flag_orbit_size(Partition([1] * require_at_least(n, 1, "n")), n, q, cap)
+        oracle.flag_orbit_size(Partition([1] * require_at_least(n, 1, "n")), q, cap)
         for lam in enumerate_partitions(n):
             observed = oracle.flag_orbit_count(lam, q, cap)  # raises unless it equals the order quotient
             expected = q_multinomial(lam).eval_at(q)
@@ -316,13 +316,13 @@ def _oracle_items(args):
                 "partition": lam.to_json(),
                 "expected": expected,
                 "observed": observed,
-                "order_quotient": observed,
+                "order_quotient": observed,  # read by the goldens and perfbench/jobs.py::_oracle_check
                 "pass": observed == expected,
             }
     elif args.check == "jordan":
         census = oracle.nilpotent_census(n, q, cap)  # charges the cap before any A_lam is built
         for lam in enumerate_partitions(n):
-            observed = oracle.nilpotent_partition(oracle.build_A_lambda(lam, q))
+            observed = oracle.nilpotent_partition(oracle.build_A_lambda(lam), q)
             yield lam, {
                 "partition": lam.to_json(),
                 "expected": lam.to_json(),

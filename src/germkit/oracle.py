@@ -258,48 +258,6 @@ def _kernel_jumps(rows, q):
 
 
 # ---------------------------------------------------------------------------
-# public matrix type
-
-
-class FqMatrix:
-    """A dense matrix over the prime field F_q, entries reduced mod q: a validated, immutable value.
-
-    `build_A_lambda` returns one and `nilpotent_partition` reads one.  It
-    has no arithmetic; the routes work on its row tuples.
-    """
-
-    __slots__ = ("q", "rows")
-
-    def __init__(self, q: int, rows: Iterable[Iterable[int]]):
-        require_prime(q, "the oracle's q")
-        rows = tuple(tuple(require_int(x, "a matrix entry") % q for x in row) for row in rows)
-        if not rows or any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("matrix rows must be nonempty and of equal length")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FqMatrix is immutable")
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FqMatrix) and self.q == other.q and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.rows))
-
-    def __repr__(self) -> str:
-        return f"FqMatrix(q={self.q}, rows={[list(r) for r in self.rows]})"
-
-
-# ---------------------------------------------------------------------------
 # group orders
 
 
@@ -341,14 +299,14 @@ def centralizer_order(lam: Partition, q: int) -> int:
 # Jordan types
 
 
-def build_A_lambda(lam: Partition, q: int) -> FqMatrix:
-    """The 0/1 block-shift matrix of shape lam.
+def build_A_lambda(lam: Partition) -> tuple:
+    """The 0/1 block-shift matrix of shape lam, as a tuple of int rows.
 
     It kills the first lam_1 basis vectors and maps each later block
     onto the previous one (e_{lam_1+...+lam_{i-1}+j} to
     e_{lam_1+...+lam_{i-2}+j}), so the kernel of its i-th power is
     spanned by the first lam_1+...+lam_i basis vectors and its Jordan
-    type is exactly lam.
+    type is exactly lam over every F_q.
     """
     n = lam.n
     rows = [[0] * n for _ in range(n)]
@@ -358,19 +316,25 @@ def build_A_lambda(lam: Partition, q: int) -> FqMatrix:
     for i in range(1, len(lam)):
         for j in range(lam[i]):
             rows[starts[i - 1] + j][starts[i] + j] = 1
-    return FqMatrix(q, rows)
+    return tuple(map(tuple, rows))
 
 
-def nilpotent_partition(X: FqMatrix) -> Partition:
-    """Jordan type of a nilpotent matrix via kernel-dimension jumps.
+def nilpotent_partition(rows: Iterable[Iterable[int]], q: int) -> Partition:
+    """Jordan type over the prime field F_q of a nilpotent matrix, given as int rows, via kernel-dimension jumps.
 
     lam_i = dim Ker X^i - dim Ker X^(i-1) = rank X^(i-1) - rank X^i.
-    Raises on non-nilpotent input.
+    The entries are reduced mod q.  Raises on a q that is not prime, an
+    entry that is not an int, ragged, empty or non-square rows, and
+    non-nilpotent input.
     """
-    if X.nrows != X.ncols:
+    require_prime(q, "the oracle's q")
+    rows = tuple(tuple(require_int(x, "a matrix entry") % q for x in row) for row in rows)
+    if not rows or any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("matrix rows must be nonempty and of equal length")
+    if len(rows) != len(rows[0]):
         raise ValueError("a nilpotent matrix must be square")
-    jumps = _kernel_jumps(X.rows, X.q)
-    if sum(jumps) != X.nrows:
+    jumps = _kernel_jumps(rows, q)
+    if sum(jumps) != len(rows):
         raise ValueError("matrix is not nilpotent (X^n != 0)")
     return Partition(jumps)
 
@@ -453,7 +417,7 @@ def flag_orbit_count(lam: Partition, q: int, cap: int = DEFAULT_CAP) -> int:
     first flag, and a count other than that quotient raises
     `OracleConsistencyError`: the count returned is the quotient.
     """
-    size = flag_orbit_size(lam, lam.n, q, cap)
+    size = flag_orbit_size(lam, q, cap)
     blocks = tuple(pairwise(accumulate(lam.parts[:-1], initial=0)))
     stops = [stop for start, stop in blocks for _ in range(start, stop)]
     ops = _column_ops(q)
@@ -484,11 +448,10 @@ def flag_orbit_count(lam: Partition, q: int, cap: int = DEFAULT_CAP) -> int:
     return size
 
 
-def flag_orbit_size(lam: Partition, n: int, q: int, cap: int = DEFAULT_CAP) -> int:
-    """|GL_n(F_q)| / |P_lam(F_q)|, the number of flags of shape lam in F_q^n, charged against the cap."""
-    if lam.n != n:
-        raise ValueError(f"{lam} is not a partition of n = {n}")
+def flag_orbit_size(lam: Partition, q: int, cap: int = DEFAULT_CAP) -> int:
+    """|GL_n(F_q)| / |P_lam(F_q)|, n = lam.n, the number of flags of shape lam in F_q^n, charged against the cap."""
     require_prime(q, "the oracle's q")
+    n = lam.n
     # a part p repeated m > 1 times is written p^m, so (1^n) is short at any n
     shape = ",".join(f"{p}^{m}" if (m := lam.parts.count(p)) > 1 else f"{p}" for p in dict.fromkeys(lam.parts))
 
@@ -499,13 +462,6 @@ def flag_orbit_size(lam: Partition, n: int, q: int, cap: int = DEFAULT_CAP) -> i
         return order_g // order_p
 
     return _charge(f"flag orbit: coset space for ({shape}) over F_{q} has", q, d_of(lam), cap, quotient)
-
-
-def count_parabolic_cosets(lam: Partition, n: int, q: int, cap: int = DEFAULT_CAP) -> int:
-    """|P_lam(F_q) \\ GL_n(F_q)|, exhaustively counted and order-checked (`flag_orbit_count`)."""
-    if lam.n != n:
-        raise ValueError(f"{lam} is not a partition of n = {n}")
-    return flag_orbit_count(lam, q, cap)
 
 
 # ---------------------------------------------------------------------------

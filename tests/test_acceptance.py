@@ -23,7 +23,7 @@ from germkit.germ import (
     whittaker_dims,
 )
 from germkit.gl2 import ab_coefficients, catalog, chain_dim_formula, modp_supersingular_dims
-from germkit.oracle import count_parabolic_cosets, multiplicity_matrix
+from germkit.oracle import flag_orbit_count, multiplicity_matrix
 from germkit.partitions import (
     Partition,
     d_of,
@@ -78,12 +78,12 @@ def test_criterion_01_d_lists(within_budget):
 def test_criterion_02_coset_counts_vs_oracle(within_budget):
     """q-multinomial evaluations equal exhaustive coset counts, n in {2,3,4}, q in {2,3}."""
     start = time.perf_counter()
-    assert count_parabolic_cosets(P(1, 1, 1), 3, 2) == 21
-    assert count_parabolic_cosets(P(2, 1), 3, 2) == 7
+    assert flag_orbit_count(P(1, 1, 1), 2) == 21
+    assert flag_orbit_count(P(2, 1), 2) == 7
     for n in (2, 3, 4):
         for q in (2, 3):
             for lam in enumerate_partitions(n):
-                assert q_multinomial(lam).eval_at(q) == count_parabolic_cosets(lam, n, q)
+                assert q_multinomial(lam).eval_at(q) == flag_orbit_count(lam, q)
     elapsed = time.perf_counter() - start
     within_budget(elapsed, 30)
     print(f"ACCEPTANCE 2: PASS - coset counts match the exhaustive oracle ({elapsed:.2f} s)")

@@ -371,8 +371,8 @@ def _integer_entry_points():
         ("modp_supersingular_dims p", lambda x: gl2.modp_supersingular_dims(True, Ihalf, 0, x), 3),
         ("speh_ess_pair dim_sigma", lambda x: gl2.speh_ess_pair(2, x, 1), 2),
         ("speh_ess_pair b_speh", lambda x: gl2.speh_ess_pair(2, 3, x), 2),
-        ("FqMatrix q", lambda x: oracle.FqMatrix(x, [[1]]), 3),
-        ("FqMatrix entry", lambda x: oracle.FqMatrix(3, [[x, 1]]), 2),
+        ("nilpotent_partition q", lambda x: oracle.nilpotent_partition([[0]], x), 3),
+        ("nilpotent_partition entry", lambda x: oracle.nilpotent_partition([[0, x], [0, 0]], 3), 2),
         ("multiplicity_matrix q", lambda x: oracle.multiplicity_matrix(2, x), 3),
         ("flag_orbit_count q", lambda x: oracle.flag_orbit_count(P(1, 1), x), 3),
         ("nilpotent_census q", lambda x: oracle.nilpotent_census(2, x), 3),
@@ -381,7 +381,7 @@ def _integer_entry_points():
         ("iter_matrices n", lambda x: next(oracle.iter_matrices(x, 2)), 2),
         ("multiplicity_matrix cap", lambda x: oracle.multiplicity_matrix(2, 2, cap=x), 3),
         ("flag_orbit_count cap", lambda x: oracle.flag_orbit_count(P(1, 1), 2, cap=x), 3),
-        ("count_parabolic_cosets cap", lambda x: oracle.count_parabolic_cosets(P(1, 1), 2, 2, cap=x), 3),
+        ("flag_orbit_size cap", lambda x: oracle.flag_orbit_size(P(1, 1), 2, cap=x), 3),
         ("gl_order n", lambda x: oracle.gl_order(x, 3), 2),
         ("gl_order q", lambda x: oracle.gl_order(2, x), 3),
         ("parabolic_order q", lambda x: oracle.parabolic_order(P(1, 1), x), 3),

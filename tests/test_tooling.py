@@ -116,19 +116,11 @@ def test_cli_import_leaves_oracle_and_gl2_for_first_use(tmp_path):
 
 def test_package_serves_the_oracle_names():
     import germkit
-    from germkit import (
-        FqMatrix,
-        OracleBoundError,
-        build_A_lambda,
-        count_parabolic_cosets,
-        multiplicity_matrix,
-        nilpotent_partition,
-        xi_multiplicity,
-    )
 
-    served = (FqMatrix, OracleBoundError, build_A_lambda, count_parabolic_cosets, multiplicity_matrix,
-              nilpotent_partition, xi_multiplicity)
-    assert all(value is getattr(germkit.oracle, value.__name__) for value in served)
+    assert germkit._ORACLE_NAMES == {"OracleBoundError", "build_A_lambda", "flag_orbit_count", "multiplicity_matrix",
+                                     "nilpotent_partition", "xi_multiplicity"}
+    for name in germkit._ORACLE_NAMES:
+        assert getattr(germkit, name) is getattr(germkit.oracle, name)
     with pytest.raises(AttributeError, match="module 'germkit' has no attribute 'no_such_name'"):
         germkit.no_such_name
     with pytest.raises(ImportError):
@@ -139,7 +131,6 @@ def test_package_serves_the_oracle_names():
 # (as "Class.method"), that no module of the package and no tracer binding reaches,
 # each with the fact of the paper that a test states through it.
 LIBRARY_ONLY = {
-    "count_parabolic_cosets": "|P_lam(F_q) \\ GL_n(F_q)| is the q-multinomial (test_acceptance criterion 02)",
     "dim_fixed": "dim pi^(K_j) = P(q^(dj)) on the n = 2 catalog (test_acceptance criterion 05)",
     "forward_multiplicities": "multiplicities determine the map (test_acceptance criterion 04)",
     "gk_dimension": "the degree d(pi) is independent of K (test_germ, degree_is_independent_of_the_subgroup)",
