@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import operator
 import os
 import sys
 
@@ -98,6 +100,11 @@ def _read_map(path: str) -> CoefficientMap:
 
 _JSON_STR = json.encoder.encode_basestring_ascii
 _JSON_INT = int.__repr__
+# A table of fewer records is written record by record.  On a 2-vCPU Xeon,
+# Python 3.11, in process, the column path lost below 6 records (a 2-entry
+# coefficient map: 7.8 us by records, 12.9 us by columns), broke even at
+# 6 and won from 7 on (8 entries: 21.6 us by records, 18.4 us by columns).
+_COLUMN_MIN = 6
 
 
 def _write_json(value, out: list, nl: str) -> None:
@@ -106,7 +113,12 @@ def _write_json(value, out: list, nl: str) -> None:
     It handles dicts with str keys, lists, str, int, bool and None, and
     raises TypeError on any other type, so a record of a new shape fails
     rather than printing other bytes.  A list of exact ints, such as a
-    partition or a polynomial, is written with one join.
+    partition or a polynomial, is written with one join.  A table, a list
+    of at least _COLUMN_MIN dicts with the same str keys in the same
+    order, is written column by column (see _records): a column of exact
+    ints, of exact strs or of nonempty exact-int lists in one pass, and
+    every other cell by this function, so a float, tuple, bytes or non-str
+    key inside a table still raises TypeError.
     """
     t = type(value)
     if t is str:
@@ -120,8 +132,13 @@ def _write_json(value, out: list, nl: str) -> None:
     elif t is list:
         inner = nl + "  "
         comma = "," + inner
-        if all(type(x) is int for x in value):  # bool is a subclass of int
+        first = type(value[0])
+        if first is int and all(type(x) is int for x in value):  # bool is a subclass of int
             out.append("[" + inner + comma.join(map(_JSON_INT, value)) + nl + "]")
+            return
+        records = _records(value, inner) if first is dict and len(value) >= _COLUMN_MIN else None
+        if records is not None:
+            out.append("[" + inner + comma.join(records) + nl + "]")
             return
         sep = "[" + inner
         for x in value:
@@ -151,11 +168,51 @@ def _write_json(value, out: list, nl: str) -> None:
         raise TypeError(f"cannot write {t.__name__} as JSON")
 
 
+def _records(table: list, nl: str):
+    """The text of each record of table at newline and indent nl, or None unless its records share their str keys.
+
+    Each key's column is rendered whole and the records are stitched from
+    one template, so the cost per cell is a C-level map, not a call.
+    """
+    last = table[-1]  # a first and last record with other keys are the cheapest reject
+    if type(last) is not dict or table[0].keys() != last.keys() or set(map(type, table)) != {dict}:
+        return None
+    shapes = set(map(tuple, table))  # the keys of each record, in order
+    if len(shapes) != 1:
+        return None
+    (keys,) = shapes
+    if not keys or set(map(type, keys)) != {str}:
+        return None
+    inner = nl + "  "
+    columns = [_column(list(map(operator.itemgetter(k), table)), inner) for k in keys]
+    template = "{" + inner + ("," + inner).join(_JSON_STR(k).replace("%", "%%") + ": %s" for k in keys) + nl + "}"
+    return list(map(template.__mod__, zip(*columns)))
+
+
+def _column(cells: list, nl: str):
+    """The text of each cell at newline and indent nl."""
+    types = set(map(type, cells))
+    if types == {int}:
+        return map(_JSON_INT, cells)
+    if types == {str}:
+        return map(_JSON_STR, cells)
+    if types == {list} and all(cells) and set(map(type, itertools.chain.from_iterable(cells))) == {int}:
+        # repr of an int list is "[1, 2]", and no digit string holds a bracket, ", " or "\0"
+        inner = nl + "  "
+        text = "\0".join(map(repr, cells))
+        return text.replace("[", "[" + inner).replace(", ", "," + inner).replace("]", nl + "]").split("\0")
+    return [_text(cell, nl) for cell in cells]
+
+
+def _text(value, nl: str) -> str:
+    out = []
+    _write_json(value, out, nl)
+    return "".join(out)
+
+
 def _json_text(value) -> str:
     """The text json.dumps writes for value with an indent of 2 (and no other option), or TypeError."""
-    out = []
-    _write_json(value, out, "\n")
-    return "".join(out)
+    return _text(value, "\n")
 
 
 def _emit(args, record, text) -> None:
@@ -199,9 +256,11 @@ _PARTITION_COLUMNS = {"d": d_of, "dual": dual}
 
 def _cmd_partitions(args) -> None:
     header = ["partition"] + [c for c in _PARTITION_COLUMNS if c in (args.show or [])]
-    values = [[lam] + [_PARTITION_COLUMNS[c](lam) for c in header[1:]] for lam in enumerate_partitions(args.n)]
-    records = [{h: v if isinstance(v, int) else v.to_json() for h, v in zip(header, row)} for row in values]
-    _emit(args, records, lambda: _table(values, header))
+    lams = enumerate_partitions(args.n)
+    columns = [lams] + [list(map(_PARTITION_COLUMNS[c], lams)) for c in header[1:]]
+    cells = [col if h == "d" else list(map(Partition.to_json, col)) for h, col in zip(header, columns)]
+    records = [dict(zip(header, row)) for row in zip(*cells)]
+    _emit(args, records, lambda: _table(zip(*columns), header))
 
 
 def _cmd_qcount(args) -> None:
@@ -280,9 +339,9 @@ def _cmd_germ_jl(args) -> None:
 
 
 # The closed form's cost grows with n and not with q: on a 2-vCPU Xeon,
-# Python 3.11, a cold build takes about 0.05 s at n = 9, 0.12 s at
-# n = 10 and 0.25 s at n = 11.
-SOLVE_MAX_N = 10
+# Python 3.11, a cold build takes about 0.05 s at n = 9, 0.1 s at
+# n = 10, 0.2 s at n = 11 and 0.45 s at n = 12.
+SOLVE_MAX_N = 12
 
 
 def _cmd_germ_solve(args) -> None:

@@ -14,7 +14,7 @@ from germkit import cli, cosets, oracle
 from germkit.cli import main
 from germkit.cosets import PRIME_CHECK_BOUND, Family, SubgroupSpec, count_at_depth
 from germkit.germ import CoefficientMap, closed_form_multiplicity_matrix, forward_multiplicities
-from germkit.partitions import Partition, enumerate_partitions
+from germkit.partitions import Partition, d_of, enumerate_partitions
 from germkit.qpoly import q_multinomial
 
 DATA = Path(__file__).parent / "data"
@@ -229,6 +229,35 @@ _JSON_VALUES = st.recursive(
 )
 
 
+# Tables: lists of records with the same keys in the same order, one kind of cell per column
+# (most columns are of one type, as in a command's records) or any value.
+_KEYS = st.lists(_TEXT | st.sampled_from(["%", "%s", "a%%b", "%(x)d", "é", "😀 %"]), min_size=1, max_size=4, unique=True)
+_CELL_KINDS = [
+    st.integers(),
+    st.integers(min_value=10**20, max_value=10**40) | st.integers(min_value=-(10**40), max_value=-(10**20)),
+    st.booleans(),
+    st.none(),
+    _TEXT,
+    st.just([]),
+    st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=4),
+    st.lists(st.integers(-3, 3) | st.just(True), max_size=3),
+    st.dictionaries(_TEXT, st.integers() | st.lists(st.integers(), max_size=2), max_size=3),
+    st.integers() | st.none(),
+    st.recursive(_LEAVES, lambda kids: st.lists(kids, max_size=2) | st.dictionaries(_TEXT, kids, max_size=2), max_leaves=4),
+]
+
+
+@st.composite
+def _tables(draw):
+    keys = draw(_KEYS)
+    columns = [draw(st.sampled_from(_CELL_KINDS)) for _ in keys]
+    size = draw(st.integers(0, 2 * cli._COLUMN_MIN))
+    return [{k: draw(cell) for k, cell in zip(keys, columns)} for _ in range(size)]
+
+
+_TABLES = _tables() | _tables().map(lambda t: {"n": len(t), "entries": t}) | st.lists(_tables(), max_size=3)
+
+
 def with_int_digits_unlimited(fn):
     """fn() with the interpreter's limit on int-string conversion lifted, the limit restored after."""
     if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.0-3.10.6 have no limit
@@ -264,6 +293,24 @@ class TestJsonWriter:
         with pytest.raises(TypeError):
             cli._json_text(value)
 
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(_TABLES)
+    @example([{"a%": 1, "é": [1, 2]}] * 6)
+    @example([{"a": True, "b": None, "c": [], "d": {}}] * 6)
+    @example([{"a": 1, "b": 2}] * 3 + [{"b": 2, "a": 1}] + [{"a": 1, "b": 2}] * 3)  # same keys, another order
+    @example([{"a": 1}] * 3 + [{"a": 1, "b": 2}] + [{"a": 1}] * 3)
+    @example([{"p": [2, 1], "s": "x", "i": 1}] * 5 + [{"p": [], "s": None, "i": True}])  # one odd cell per column
+    def test_writes_tables_as_json_dumps_writes(self, value):
+        assert with_int_digits_unlimited(lambda: cli._json_text(value)) == json.dumps(value, indent=2)
+
+    _BAD_TABLES = [[{"a": 1}, {"a": 1.5}], [{"a": (1,)}, {"a": (2,)}], [{1: 2}, {1: 3}], [{"a": b"x"}, {"a": b"y"}]]
+
+    @pytest.mark.parametrize("value", _BAD_TABLES + [table * 3 for table in _BAD_TABLES]  # written column by column
+                             + [[{"a": [1]}] * 5 + [{"a": [1, 2.0]}], [{"a": 1}] * 5 + [{"a": {"b": 1.5}}]])
+    def test_other_types_raise_inside_a_table(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -272,10 +319,17 @@ class TestJsonWriter:
             ["gl2", "table", "--q", "13", "--j", "3", "--modp", "--json"],
             ["oracle", "--n", "4", "--q", "2", "--check", "ximatrix", "--json"],
             ["qcount", "--partition", ONES_200, "--q", "2", "--json"],
+            ["germ", "induce"] + ["--in", STEINBERG] * 8,
+            ["germ", "whittaker", "--in", "{antichain}", "--json"],
         ],
     )
-    def test_large_records_round_trip(self, capsys, argv):
-        assert_round_trips(capsys, argv)
+    def test_large_records_round_trip(self, capsys, tmp_path, argv):
+        # the 15 partitions of 20 with d = 165 are an antichain, so each is minimal in the support
+        path = tmp_path / "antichain.json"
+        entries = [{"partition": lam.to_json(), "value": 10**30 + i}
+                   for i, lam in enumerate(lam for lam in enumerate_partitions(20) if d_of(lam) == 165)]
+        path.write_text(json.dumps({"n": 20, "entries": entries}))
+        assert_round_trips(capsys, [str(path) if a == "{antichain}" else a for a in argv])
 
     @pytest.mark.parametrize("family", [fam.token for fam in Family])
     def test_dimpoly_records_round_trip_at_n14(self, capsys, tmp_path, family):
@@ -666,12 +720,12 @@ class TestExitCodes:
         assert err == "germkit: error: q must be a prime power >= 2, got 6\n"
 
     def test_solve_refuses_n_above_its_bound(self, capsys, tmp_path):
-        big = tmp_path / "n11.json"
-        big.write_text(json.dumps({"n": 11, "entries": [{"partition": [11], "value": 1}]}))
+        big = tmp_path / "n13.json"
+        big.write_text(json.dumps({"n": 13, "entries": [{"partition": [13], "value": 1}]}))
         code, out, err = run(capsys, "germ", "solve", "--in", str(big), "--q", "4")
         assert (code, out) == (1, "")
-        assert err == f"germkit: error: germ solve supports n <= {cli.SOLVE_MAX_N}, got n = 11\n"
-        assert cli.SOLVE_MAX_N == 10
+        assert err == f"germkit: error: germ solve supports n <= {cli.SOLVE_MAX_N}, got n = 13\n"
+        assert cli.SOLVE_MAX_N == 12
 
     def test_gl2_table_rejects_negative_depth(self, capsys):
         code, out, err = run(capsys, "gl2", "table", "--q", "3", "--d", "1", "--j", "-1")

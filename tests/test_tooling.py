@@ -190,3 +190,10 @@ def test_oracle_bound_error_is_raised_only_by_charge():
     # one refusal rule for every oracle stream: a new stream is charged through oracle._charge
     sites = {(path.name, fn) for path in SRC.glob("*.py") for fn in _sites(ast.parse(path.read_text()), "OracleBoundError")}
     assert sites == {("oracle.py", "_charge")}
+
+
+def test_json_text_is_the_only_json_writer():
+    # every JSON record leaves through cli._json_text, the one exact writer: no module calls json.dump(s)
+    sites = {(path.name, fn) for path in SRC.glob("*.py") for name in ("dump", "dumps")
+             for fn in _sites(ast.parse(path.read_text()), name)}
+    assert sites == set()
