@@ -73,6 +73,10 @@ class CoefficientMap:
     def __setattr__(self, name, value):
         raise AttributeError("CoefficientMap is immutable")
 
+    def __reduce__(self):
+        # the default would restore the slots by assignment, which __setattr__ refuses: rebuild through the constructor
+        return CoefficientMap, (self.n, self._entries)
+
     @classmethod
     def zero(cls, n: int) -> "CoefficientMap":
         return cls(n)
@@ -221,8 +225,9 @@ def induce_maps(maps: Sequence[CoefficientMap]) -> CoefficientMap:
     # one pair at a time, so each partial product has at most p(n) entries
     for m in maps[1:]:
         step: dict[Partition, int] = {}
+        right = m.items()
         for lam, a in acc.items():
-            for mu, b in m.items():
+            for mu, b in right:
                 nu = induce_partition([lam, mu])
                 step[nu] = step.get(nu, 0) + a * b
         acc = CoefficientMap(acc.n + m.n, step)
@@ -382,7 +387,7 @@ def _multiplicity_polynomials(n: int) -> dict[Partition, dict[Partition, QPoly]]
         return memo[dual_rho, mu]
 
     parts = enumerate_partitions(n)
-    return {lam: {mu: f(lam.parts, mu.parts) for mu in parts} for lam in parts}
+    return {lam: {mu: f(lam, mu) for mu in parts} for lam in parts}
 
 
 def whittaker_dims(c: CoefficientMap) -> dict[Partition, int]:

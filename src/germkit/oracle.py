@@ -287,7 +287,7 @@ def centralizer_order(lam: Partition, q: int) -> int:
     (lam_i counts the blocks of size >= i).
     """
     require_at_least(q, 2, "q")
-    mults = [a - b for a, b in pairwise(lam.parts + (0,)) if a > b]
+    mults = [a - b for a, b in pairwise(lam + (0,)) if a > b]
     out = q ** (sum(p * p for p in lam) - sum(m * (m + 1) // 2 for m in mults))
     for m in mults:
         for i in range(1, m + 1):
@@ -418,11 +418,11 @@ def flag_orbit_count(lam: Partition, q: int, cap: int = DEFAULT_CAP) -> int:
     `OracleConsistencyError`: the count returned is the quotient.
     """
     size = flag_orbit_size(lam, q, cap)
-    blocks = tuple(pairwise(accumulate(lam.parts[:-1], initial=0)))
+    blocks = tuple(pairwise(accumulate(lam[:-1], initial=0)))
     stops = [stop for start, stop in blocks for _ in range(start, stop)]
     ops = _column_ops(q)
     rotate, shear = ops["c"], ops["t"]
-    std = _identity(lam.n)[: lam.n - lam.parts[-1]]
+    std = _identity(lam.n)[: lam.n - lam[-1]]
     seen, frontier = {_pack(std, q)}, [std]
     while frontier:
         fresh = []
@@ -453,7 +453,7 @@ def flag_orbit_size(lam: Partition, q: int, cap: int = DEFAULT_CAP) -> int:
     require_prime(q, "the oracle's q")
     n = lam.n
     # a part p repeated m > 1 times is written p^m, so (1^n) is short at any n
-    shape = ",".join(f"{p}^{m}" if (m := lam.parts.count(p)) > 1 else f"{p}" for p in dict.fromkeys(lam.parts))
+    shape = ",".join(f"{p}^{m}" if (m := lam.count(p)) > 1 else f"{p}" for p in dict.fromkeys(lam))
 
     def quotient():
         order_g, order_p = gl_order(n, q), parabolic_order(lam, q)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import operator
 from itertools import accumulate, zip_longest
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 def require_int(x, what: str) -> int:
@@ -33,12 +33,18 @@ def require_at_least(x, low: int, what: str) -> int:
     return x
 
 
-class Partition:
-    """A weakly decreasing, nonempty tuple of positive integers, immutable and hashable."""
+class Partition(tuple):
+    """A partition of n: a nonempty, weakly decreasing tuple of positive integers.
 
-    __slots__ = ("parts",)
+    It is the tuple of its parts, so it equals and hashes as that tuple,
+    and `<` is lexicographic order (the canonical order reversed), not
+    dominance.  It pickles and copies through its checked constructor,
+    and assignment raises.
+    """
 
-    def __init__(self, parts: Iterable[int]):
+    __slots__ = ()
+
+    def __new__(cls, parts: Iterable[int]) -> "Partition":
         parts = tuple(require_int(p, "a partition part") for p in parts)
         if not parts:
             raise ValueError("empty partition is not allowed (n must be >= 1)")
@@ -47,45 +53,28 @@ class Partition:
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"partition parts must be weakly decreasing, got {parts}")
-        object.__setattr__(self, "parts", parts)
+        return tuple.__new__(cls, parts)
 
     @classmethod
     def _derived(cls, parts: Iterable[int]) -> "Partition":
         """A partition whose parts the package derived from a valid one, stored unchecked."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "parts", tuple(parts))
-        return obj
+        return tuple.__new__(cls, parts)
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
     @property
     def n(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.parts[i]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Partition and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(("Partition", self.parts))
+        return sum(self)
 
     def __repr__(self) -> str:
-        return f"Partition({list(self.parts)})"
+        return f"Partition({list(self)})"
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
+        return "(" + ",".join(map(str, self)) + ")"
 
     def to_json(self) -> list[int]:
-        return list(self.parts)
+        return list(self)
 
     @classmethod
     def from_json(cls, data) -> "Partition":
@@ -125,9 +114,9 @@ def _partitions(n: int) -> tuple[Partition, ...]:
 
 def dual(lam: Partition) -> Partition:
     """The dual (conjugate) partition: dual(lam)[i] = #{j : lam[j] >= i+1}."""
-    parts, k, out = lam.parts, len(lam.parts), []
-    for i in range(1, parts[0] + 1):
-        while parts[k - 1] < i:  # the parts are decreasing: lam[:k] are those >= i
+    k, out = len(lam), []
+    for i in range(1, lam[0] + 1):
+        while lam[k - 1] < i:  # the parts are decreasing: lam[:k] are those >= i
             k -= 1
         out.append(k)
     return Partition._derived(out)
@@ -156,8 +145,7 @@ def d_of(lam: Partition) -> int:
     strictly upper block-triangular algebra of shape lam, and the growth
     exponent of coset counts along the congruence filtrations.
     """
-    parts = lam.parts
-    return (sum(parts) ** 2 - sum(map(operator.mul, parts, parts))) // 2
+    return (sum(lam) ** 2 - sum(map(operator.mul, lam, lam))) // 2
 
 
 def induce_partition(parts: Sequence[Partition]) -> Partition:
@@ -168,7 +156,7 @@ def induce_partition(parts: Sequence[Partition]) -> Partition:
     for lam in parts:
         if type(lam) is not Partition:
             raise ValueError(f"induce_partition gathers Partitions, got {lam!r}")
-        gathered.extend(lam.parts)
+        gathered.extend(lam)
     return Partition._derived(sorted(gathered, reverse=True))
 
 
@@ -191,4 +179,4 @@ def minimal_elements(partitions: Iterable[Partition]) -> set[Partition]:
 
 def canonical_order(partitions: Iterable[Partition]) -> list[Partition]:
     """Sort partitions into the canonical (lexicographically decreasing) order."""
-    return sorted(partitions, key=lambda p: p.parts, reverse=True)
+    return sorted(partitions, reverse=True)

@@ -56,6 +56,10 @@ class QPoly:
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
 
+    def __reduce__(self):
+        # the default would restore the slots by assignment, which __setattr__ refuses: rebuild through the constructor
+        return QPoly, (self.coeffs,)
+
     @classmethod
     def zero(cls) -> "QPoly":
         return cls(())

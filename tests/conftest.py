@@ -1,4 +1,4 @@
-"""Wall-clock budgets that scale with the host's speed.
+"""The hypothesis profile of every property test, and wall-clock budgets that scale with the host's speed.
 
 Each budget was set on a 2-vCPU Xeon under Python 3.11, where the best of three
 `_reference_s()` is REFERENCE_S (the median over 40 processes).  `within_budget`
@@ -9,6 +9,12 @@ tracer slows both sides alike.
 import time
 
 import pytest
+from hypothesis import settings
+
+# no per-example deadline, since some examples run the oracle, and no example database,
+# so a run neither replays nor leaves behind the failures of an earlier one
+settings.register_profile("germkit", deadline=None, database=None)
+settings.load_profile("germkit")
 
 REFERENCE_S = 0.0057
 

@@ -281,7 +281,7 @@ ONES_200 = ",".join(["1"] * 200)  # q_multinomial((1^200)) at q = 2 has about 6,
 
 
 class TestJsonWriter:
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(_JSON_VALUES)
     @example([1, True])
     @example({"a": [True, 1, False, 0], "": {}, "b": [[], {}, None]})
@@ -293,7 +293,7 @@ class TestJsonWriter:
         with pytest.raises(TypeError):
             cli._json_text(value)
 
-    @settings(max_examples=100, deadline=None, database=None)
+    @settings(max_examples=100)
     @given(_TABLES)
     @example([{"a%": 1, "é": [1, 2]}] * 6)
     @example([{"a": True, "b": None, "c": [], "d": {}}] * 6)

@@ -149,7 +149,7 @@ class TestCountAtDepth:
                     for j in range(1, 6):
                         assert count_at_depth(lam, SubgroupSpec(fam, j, 3, 2)) == base * t ** (d_of(lam) * j)
 
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(
         st.integers(1, 6).flatmap(lambda n: st.sampled_from(enumerate_partitions(n))),
         st.sampled_from((2, 3, 4, 5, 7, 8, 9)),

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import re
 import time
@@ -138,6 +140,21 @@ class TestCoefficientMap:
                 c + other
             with pytest.raises(TypeError):
                 c - other
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_values_copy_and_pickle_and_stay_immutable(clone):
+    dp = dimension_polynomial(steinberg(), Family.VERTEX_CONGRUENCE, 2, 1)
+    values = [(P(3, 1), "n"), (QPoly([1, 0, 2]), "coeffs"), (steinberg(), "n"), (dp, "poly"), (dp.poly, "coeffs")]
+    for value, field in values:
+        twin = clone(value)
+        assert twin == value and type(twin) is type(value)
+        with pytest.raises(AttributeError):
+            setattr(twin, field, getattr(value, field))
 
 
 class TestSupport:
@@ -515,7 +532,7 @@ class TestClosedFormMatrix:
         for q in (2, 3, 4, 5, 7, 8, 9):
             self._assert_column_sums(n, q)
 
-    @settings(max_examples=40, deadline=None, database=None)
+    @settings(max_examples=40)
     @given(st.integers(1, 8), st.sampled_from((2, 3, 5, 7, 11, 13, 101, 65537, 10**9 + 7)), st.integers(1, 4))
     def test_column_sums_at_random_prime_powers(self, n, p, k):
         self._assert_column_sums(n, p**k)
@@ -548,18 +565,18 @@ def _induce_by_product(maps):
 
 
 class TestLawsAsProperties:
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(st.lists(_maps(), min_size=1, max_size=4))
     def test_induce_equals_the_product_route(self, maps):
         assert induce_maps(maps) == _induce_by_product(maps)
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(st.lists(_maps(), min_size=1, max_size=4).flatmap(lambda ms: st.tuples(st.just(ms), st.permutations(ms))))
     def test_induce_is_independent_of_argument_order(self, case):
         maps, shuffled = case
         assert induce_maps(shuffled) == induce_maps(maps)
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(st.lists(_maps(), min_size=1, max_size=3), st.data())
     def test_induce_is_multilinear(self, maps, data):
         i = data.draw(st.integers(0, len(maps) - 1))
@@ -569,12 +586,12 @@ class TestLawsAsProperties:
         swapped = maps[:i] + [other] + maps[i + 1 :]
         assert induce_maps(mixed) == induce_maps(maps).scale(k) + induce_maps(swapped)
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(_maps(max_n=5), st.integers(1, 3))
     def test_lj_after_jl_is_the_identity(self, c, d):
         assert lj_transfer(jl_transfer(c, d), c.n, d) == c
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(_maps(max_n=4), st.sampled_from((2, 3, 4, 5)))
     def test_solve_after_forward_is_the_identity(self, c, q):
         M = closed_form_multiplicity_matrix(c.n, q)

@@ -406,7 +406,7 @@ class TestCosetCounts:
         for n, q in ((2, 2), (2, 3), (3, 2), (3, 3)):
             for lam in enumerate_partitions(n):
                 dims, acc = [], 0
-                for part in lam.parts[:-1]:
+                for part in lam[:-1]:
                     acc += part
                     dims.append(acc)
                 std = tuple(_identity(n)[:m] for m in dims)
@@ -455,16 +455,16 @@ def _shape_over_small_prime(draw):
 
 
 class TestFlagFormProperties:
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(_shape_over_small_prime())
     def test_packed_key_is_a_complete_flag_invariant(self, case):
         from germkit.oracle import _pack
 
         lam, q, seed = case
         rng = random.Random(seed)
-        ends = list(accumulate(lam.parts[:-1]))
+        ends = list(accumulate(lam[:-1]))
         blocks = list(zip([0] + ends, ends))
-        m = sum(lam.parts[:-1])
+        m = sum(lam[:-1])
         rows = random_invertible(lam.n, q, rng)[:m]
         form = _echelon(rows, blocks, q)
         key = _pack(form, q)
@@ -480,17 +480,17 @@ class TestFlagFormProperties:
         same_flag = all(_gauss_jordan(rows[:e], q) == _gauss_jordan(other[:e], q) for e in ends)
         assert (_pack(_echelon(other, blocks, q), q) == key) == same_flag
 
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(_shape_over_small_prime())
     def test_one_row_t_images_equal_the_literal_images(self, case):
         from germkit.oracle import _reduce_lead_row
 
         lam, q, seed = case
         n, rng = lam.n, random.Random(seed)
-        ends = list(accumulate(lam.parts[:-1]))
+        ends = list(accumulate(lam[:-1]))
         blocks = list(zip([0] + ends, ends))
         stops = [b for a, b in blocks for _ in range(a, b)]
-        form = _echelon(random_invertible(n, q, rng)[: sum(lam.parts[:-1])], blocks, q)
+        form = _echelon(random_invertible(n, q, rng)[: sum(lam[:-1])], blocks, q)
         t = tuple(tuple(int(i == j or (i, j) == (0, 1)) for j in range(n)) for i in range(n))
         lead = [i for i, row in enumerate(form) if row[0]]
         assert len(lead) <= 1
@@ -635,7 +635,7 @@ def _rows_over_small_prime(draw):
 
 
 class TestEliminationKernelProperties:
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(_rows_over_small_prime())
     def test_extend_basis_is_normalised_and_has_the_rank(self, case):
         from germkit.oracle import _extend
@@ -665,7 +665,7 @@ def _square_over_small_prime(draw):
 
 
 class TestKernelJumpProperties:
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(_square_over_small_prime())
     def test_jump_laws(self, case):
         from germkit.oracle import _kernel_jumps

@@ -22,6 +22,18 @@ def P(*parts):
     return Partition(parts)
 
 
+def _sorted_gaps(cuts, n):
+    """The gaps between 0, the sorted cut points in [1, n-1] and n, as a decreasing tuple."""
+    bounds = [0, *sorted(cuts), n]
+    return tuple(sorted((b - a for a, b in zip(bounds, bounds[1:])), reverse=True))
+
+
+def _part_tuples(n):
+    """The parts of a partition of n as a plain tuple: the sorted gaps between random cut points."""
+    cuts = st.sets(st.integers(1, n - 1)) if n > 1 else st.just(set())
+    return cuts.map(lambda c: _sorted_gaps(c, n))
+
+
 class TestPartitionType:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -36,12 +48,12 @@ class TestPartitionType:
     def test_equality_is_part_list_equality(self):
         assert P(3, 1) == P(3, 1)
         assert P(3, 1) != P(2, 2)
-        assert P(2) != (2,) and P(2) != [2]
+        assert P(2) == (2,) and P(2) != [2]
 
     def test_immutable(self):
         lam = P(3, 1)
         with pytest.raises(AttributeError):
-            lam.parts = (4,)
+            lam.n = 5
 
     def test_json_round_trip(self):
         lam = P(3, 1, 1)
@@ -56,7 +68,20 @@ class TestPartitionType:
         assert (lam.n, len(lam), lam[1], list(lam)) == (4, 2, 1, [3, 1])
         assert len({lam, P(3, 1), Partition._derived([3, 1])}) == 1
         with pytest.raises(AttributeError, match="^Partition is immutable$"):
-            lam.parts = (4,)
+            lam.n = 5
+
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(1, 12).flatmap(_part_tuples), min_size=1, max_size=12), st.randoms())
+    def test_a_partition_is_the_tuple_of_its_parts(self, sample, rng):
+        for parts in sample:
+            lam = Partition(parts)
+            assert lam == parts and hash(lam) == hash(parts) and lam != list(parts)
+            assert str(lam) == "(" + ",".join(map(str, parts)) + ")"
+            assert repr(lam) == "Partition([" + ", ".join(map(str, parts)) + "])"
+            assert lam.to_json() == list(parts) and Partition.from_json(list(parts)) == lam
+        shuffled = [Partition(parts) for parts in sample]
+        rng.shuffle(shuffled)
+        assert canonical_order(shuffled) == sorted(shuffled, key=tuple, reverse=True)
 
     @pytest.mark.parametrize(
         "make, message",
@@ -102,8 +127,7 @@ class TestEnumeration:
     def test_order_is_lexicographically_decreasing(self):
         for n in range(1, 11):
             parts = enumerate_partitions(n)
-            keys = [p.parts for p in parts]
-            assert keys == sorted(keys, reverse=True)
+            assert parts == sorted(parts, key=tuple, reverse=True)
             assert parts[0] == Partition([n])
             assert parts[-1] == Partition([1] * n)
 
@@ -125,7 +149,7 @@ class TestEnumeration:
     def test_equals_a_reference_up_to_20(self):
         for n, reference in enumerate(_reference_lattices(20)):
             if n:
-                assert [lam.parts for lam in enumerate_partitions(n)] == reference
+                assert enumerate_partitions(n) == reference
 
     def test_a_caller_editing_the_list_leaves_the_next_call_alone(self):
         expected = enumerate_partitions(6)
@@ -183,22 +207,15 @@ class TestDual:
                     assert dominance_leq(mu, lam) == dominance_leq(dual(lam), dual(mu))
 
 
-def _sorted_gaps(cuts, n):
-    """The gaps between 0, the sorted cut points in [1, n-1] and n, in decreasing order."""
-    bounds = [0, *sorted(cuts), n]
-    return Partition(sorted((b - a for a, b in zip(bounds, bounds[1:])), reverse=True))
-
-
 @st.composite
 def _two_partitions(draw):
     """Two partitions of one n <= 40, each the sorted gaps between random cut points."""
     n = draw(st.integers(1, 40))
-    cuts = st.sets(st.integers(1, n - 1)) if n > 1 else st.just(set())
-    return tuple(_sorted_gaps(draw(cuts), n) for _ in range(2))
+    return tuple(Partition(draw(_part_tuples(n))) for _ in range(2))
 
 
 class TestDualProperties:
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(_two_partitions())
     def test_dual_is_an_involution_that_reverses_dominance(self, pair):
         mu, lam = pair
@@ -256,7 +273,7 @@ class TestDOf:
     def test_definition_up_to_20(self):
         for n in range(1, 21):
             for lam in enumerate_partitions(n):
-                assert d_of(lam) == sum(a * b for i, a in enumerate(lam) for b in lam.parts[i + 1:])
+                assert d_of(lam) == sum(a * b for i, a in enumerate(lam) for b in lam[i + 1:])
 
     def test_extremes(self):
         for n in range(1, 9):
@@ -288,7 +305,7 @@ class TestInduceScaleMinimal:
         with pytest.raises(ValueError):
             induce_partition([])
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(st.lists(st.lists(st.integers(1, 9), min_size=1, max_size=6), min_size=1, max_size=4))
     def test_induce_equals_the_checked_constructor(self, part_lists):
         # induce_partition builds its result without the constructor's checks

@@ -122,7 +122,7 @@ _coeffs = st.lists(st.integers(-50, 50), max_size=8)
 
 
 class TestExactDivisionProperties:
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(_coeffs, _coeffs, _coeffs)
     def test_exact_div_inverts_multiplication(self, a, b, r):
         quotient, divisor = QPoly(a), QPoly(b + [1])  # monic, degree len(b)
@@ -203,7 +203,7 @@ class TestMemo:
             with pytest.raises(ValueError):
                 q_multinomial(bad)
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(_small_partitions)
     def test_memoised_equals_a_fresh_fold(self, lam):
         expected = _fresh_multinomial(lam)
@@ -262,7 +262,7 @@ def _assert_canonical(poly):
 class TestDerivedValues:
     """Arithmetic builds its results unchecked; they must still be what the checked constructor builds."""
 
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(_coeffs, _coeffs, _coeffs, st.integers(-5, 5), st.integers(1, 12))
     def test_arithmetic_results_are_canonical(self, a, b, m, k, width):
         p, r, monic = QPoly(a), QPoly(b), QPoly(m + [1])

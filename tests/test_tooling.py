@@ -1,7 +1,13 @@
-"""The benchmark's tracer wraps germkit functions by module and name.
+"""Checks on the package's shape rather than its mathematics.
 
-perfbench/layers.py looks each name up when `perfbench/run.py --trace 1`
-installs it, so a rename inside the package would only show there.
+- The benchmark's tracer wraps germkit functions by module and name.
+  perfbench/layers.py looks each name up when `perfbench/run.py --trace 1`
+  installs it, so a rename inside the package would only show there.
+- Importing the CLI leaves `oracle` and `gl2` lazy until first use, and
+  the package serves the oracle's names.
+- The ledger of public names that only tests reach (LIBRARY_ONLY).
+- One refusal rule: only `oracle._charge` raises OracleBoundError.
+- One JSON writer: no module calls json.dump or json.dumps.
 """
 
 import ast
