@@ -37,7 +37,7 @@ import os
 import sys
 
 from . import gl2, oracle
-from .cosets import _PRO_P_CHAINS, Family, SubgroupSpec, count_at_depth, require_prime, require_prime_power
+from .cosets import _PRO_P_CHAINS, Family, SubgroupSpec, counts_to_depth, require_prime, require_prime_power
 from .germ import (
     CoefficientMap,
     PositivityError,
@@ -49,7 +49,7 @@ from .germ import (
     solve_from_multiplicities,
     whittaker_dims,
 )
-from .partitions import Partition, d_of, dominance_leq, dual, enumerate_partitions, require_at_least
+from .partitions import Partition, _map_partitions, d_of, dominance_leq, dual, enumerate_partitions, require_at_least
 from .qpoly import q_multinomial
 
 
@@ -110,15 +110,16 @@ _COLUMN_MIN = 6
 def _write_json(value, out: list, nl: str) -> None:
     """Append to out the text json.dumps gives value with an indent of 2; nl is value's newline and indent.
 
-    It handles dicts with str keys, lists, str, int, bool and None, and
-    raises TypeError on any other type, so a record of a new shape fails
-    rather than printing other bytes.  A list of exact ints, such as a
-    partition or a polynomial, is written with one join.  A table, a list
-    of at least _COLUMN_MIN dicts with the same str keys in the same
-    order, is written column by column (see _records): a column of exact
-    ints, of exact strs or of nonempty exact-int lists in one pass, and
-    every other cell by this function, so a float, tuple, bytes or non-str
-    key inside a table still raises TypeError.
+    It handles dicts with str keys, lists, str, int, bool, None and exact
+    Partitions, written as the array of their parts, and raises TypeError
+    on any other type, so a record of a new shape fails rather than
+    printing other bytes.  A partition or a list of exact ints, such as a
+    polynomial, is written with one join.  A table, a list of at least
+    _COLUMN_MIN dicts with the same str keys in the same order, is
+    written column by column (see _records): a column of exact ints, of
+    exact strs, of partitions or of nonempty exact-int lists in one pass,
+    and every other cell by this function, so a float, other tuple, bytes
+    or non-str key inside a table still raises TypeError.
     """
     t = type(value)
     if t is str:
@@ -129,16 +130,17 @@ def _write_json(value, out: list, nl: str) -> None:
         out.append("null" if value is None else "true" if value else "false")
     elif not value and (t is list or t is dict):
         out.append("[]" if t is list else "{}")
-    elif t is list:
+    elif t is list or t is Partition:
         inner = nl + "  "
         comma = "," + inner
         first = type(value[0])
-        if first is int and all(type(x) is int for x in value):  # bool is a subclass of int
+        # a Partition's parts are exact ints; bool is a subclass of int
+        if t is Partition or first is int and all(type(x) is int for x in value):
             out.append("[" + inner + comma.join(map(_JSON_INT, value)) + nl + "]")
             return
         records = _records(value, inner) if first is dict and len(value) >= _COLUMN_MIN else None
         if records is not None:
-            out.append("[" + inner + comma.join(records) + nl + "]")
+            out.append("[" + inner + records + nl + "]")
             return
         sep = "[" + inner
         for x in value:
@@ -169,10 +171,11 @@ def _write_json(value, out: list, nl: str) -> None:
 
 
 def _records(table: list, nl: str):
-    """The text of each record of table at newline and indent nl, or None unless its records share their str keys.
+    """The records of table at newline and indent nl, joined by commas, or None unless they share their str keys.
 
-    Each key's column is rendered whole and the records are stitched from
-    one template, so the cost per cell is a C-level map, not a call.
+    Each key's column is rendered whole and the records are stitched in
+    one join of the key heads and column texts, so the cost per cell is a
+    C-level step, not a call.
     """
     last = table[-1]  # a first and last record with other keys are the cheapest reject
     if type(last) is not dict or table[0].keys() != last.keys() or set(map(type, table)) != {dict}:
@@ -184,24 +187,39 @@ def _records(table: list, nl: str):
     if not keys or set(map(type, keys)) != {str}:
         return None
     inner = nl + "  "
-    columns = [_column(list(map(operator.itemgetter(k), table)), inner) for k in keys]
-    template = "{" + inner + ("," + inner).join(_JSON_STR(k).replace("%", "%%") + ": %s" for k in keys) + nl + "}"
-    return list(map(template.__mod__, zip(*columns)))
+    texts = {}  # a partition's text, once per table: cosets repeats it over rows, and dual permutes a column
+    columns = [_column(list(map(operator.itemgetter(k), table)), inner, texts) for k in keys]
+    sep = "," + nl  # before the next record: the last record's is cut off
+    heads = [("{" if i == 0 else ",") + inner + _JSON_STR(k) + ": " for i, k in enumerate(keys)]
+    pieces = []  # a record is its heads and cells in turn, then its end
+    for head, column in zip(heads, columns):
+        pieces += (itertools.repeat(head), column)
+    pieces.append(itertools.repeat(nl + "}" + sep))
+    return "".join(itertools.chain.from_iterable(zip(*pieces)))[: -len(sep)]
 
 
-def _column(cells: list, nl: str):
-    """The text of each cell at newline and indent nl."""
+def _column(cells: list, nl: str, texts: dict):
+    """The text of each cell at newline and indent nl; texts holds the text at nl of each partition written so far."""
     types = set(map(type, cells))
     if types == {int}:
         return map(_JSON_INT, cells)
     if types == {str}:
         return map(_JSON_STR, cells)
+    if types == {Partition}:  # its parts are exact ints
+        new = list(set(cells).difference(texts))
+        texts.update(zip(new, _int_lists(list(map(list, new)), nl)))
+        return map(texts.__getitem__, cells)
     if types == {list} and all(cells) and set(map(type, itertools.chain.from_iterable(cells))) == {int}:
-        # repr of an int list is "[1, 2]", and no digit string holds a bracket, ", " or "\0"
-        inner = nl + "  "
-        text = "\0".join(map(repr, cells))
-        return text.replace("[", "[" + inner).replace(", ", "," + inner).replace("]", nl + "]").split("\0")
+        return _int_lists(cells, nl)
     return [_text(cell, nl) for cell in cells]
+
+
+def _int_lists(cells: list, nl: str) -> list:
+    """The text of each nonempty list of exact ints in cells at newline and indent nl, in one pass."""
+    # repr of an int list is "[1, 2]", and no digit string holds a bracket, ", " or "\0"
+    inner = nl + "  "
+    text = "\0".join(map(repr, cells))
+    return text.replace("[", "[" + inner).replace(", ", "," + inner).replace("]", nl + "]").split("\0")
 
 
 def _text(value, nl: str) -> str:
@@ -256,10 +274,8 @@ _PARTITION_COLUMNS = {"d": d_of, "dual": dual}
 
 def _cmd_partitions(args) -> None:
     header = ["partition"] + [c for c in _PARTITION_COLUMNS if c in (args.show or [])]
-    lams = enumerate_partitions(args.n)
-    columns = [lams] + [list(map(_PARTITION_COLUMNS[c], lams)) for c in header[1:]]
-    cells = [col if h == "d" else list(map(Partition.to_json, col)) for h, col in zip(header, columns)]
-    records = [dict(zip(header, row)) for row in zip(*cells)]
+    columns = [enumerate_partitions(args.n)] + [_map_partitions(_PARTITION_COLUMNS[c], args.n) for c in header[1:]]
+    records = [dict(zip(header, row)) for row in zip(*columns)]
     _emit(args, records, lambda: _table(zip(*columns), header))
 
 
@@ -268,7 +284,7 @@ def _cmd_qcount(args) -> None:
     if args.q is not None:
         require_prime_power(args.q)
     poly = q_multinomial(lam)
-    rec = {"partition": lam.to_json(), "poly": poly.to_json(), "pretty": poly.pretty("q")}
+    rec = {"partition": lam, "poly": poly.to_json(), "pretty": poly.pretty("q")}
     lines = [f"q-multinomial for {lam}: {rec['pretty']}"]
     if args.q is not None:
         rec["q"] = args.q
@@ -280,27 +296,15 @@ def _cmd_qcount(args) -> None:
 def _cmd_cosets(args) -> None:
     require_at_least(args.j, 0, "--j")
     families = [Family(args.family)] if args.family else list(Family)
-    columns = [
-        (fam.token, [SubgroupSpec(fam, j, args.q, args.d) for j in (range(args.j + 1) if fam.is_pro_p else [0])])
-        for fam in families
+    specs = [(fam.token, SubgroupSpec(fam, args.j if fam.is_pro_p else 0, args.q, args.d)) for fam in families]
+    rows = [
+        (lam, token, j, count)
+        for lam in enumerate_partitions(args.n)
+        for token, spec in specs
+        for j, count in enumerate(counts_to_depth(lam, spec))  # one base count per (lam, family)
     ]
-    rows = []
-    for lam in enumerate_partitions(args.n):
-        for token, (spec0, *deeper) in columns:
-            base = count_at_depth(lam, spec0)  # the family's base count, evaluated once per (lam, family)
-            rows.append((lam, token, 0, base))
-            rows += [(lam, token, spec.depth, count_at_depth(lam, spec, base=base)) for spec in deeper]
-    records = [
-        {
-            "partition": lam.to_json(),
-            "family": token,
-            "depth": j,
-            "q": args.q,
-            "d": args.d,
-            "count": count,
-        }
-        for lam, token, j, count in rows
-    ]
+    records = [{"partition": lam, "family": token, "depth": j, "q": args.q, "d": args.d, "count": count}
+               for lam, token, j, count in rows]
     _emit(args, records, lambda: _table(rows, ["partition", "family", "depth", "count"]))
 
 
@@ -356,7 +360,7 @@ def _cmd_germ_solve(args) -> None:
 def _cmd_germ_whittaker(args) -> None:
     cmap = _read_map(args.infile)
     dims = whittaker_dims(cmap)  # in canonical order
-    rec = {"n": cmap.n, "dims": [{"partition": lam.to_json(), "value": v} for lam, v in dims.items()]}
+    rec = {"n": cmap.n, "dims": [{"partition": lam, "value": v} for lam, v in dims.items()]}
     _emit(args, rec, lambda: _table(dims.items(), ["partition", "dim"]))
 
 
@@ -372,7 +376,7 @@ def _oracle_items(args):
             observed = oracle.flag_orbit_count(lam, q, cap)  # raises unless it equals the order quotient
             expected = q_multinomial(lam).eval_at(q)
             yield lam, {
-                "partition": lam.to_json(),
+                "partition": lam,
                 "expected": expected,
                 "observed": observed,
                 "order_quotient": observed,  # read by the goldens and perfbench/jobs.py::_oracle_check
@@ -383,9 +387,9 @@ def _oracle_items(args):
         for lam in enumerate_partitions(n):
             observed = oracle.nilpotent_partition(oracle.build_A_lambda(lam), q)
             yield lam, {
-                "partition": lam.to_json(),
-                "expected": lam.to_json(),
-                "observed": observed.to_json(),
+                "partition": lam,
+                "expected": lam,
+                "observed": observed,
                 "pass": observed == lam,
             }
         label = f"nilpotents in M_{n}(F_{q})"
@@ -407,8 +411,8 @@ def _oracle_items(args):
                 else:
                     expected = None  # no closed form imposed off the pattern
                 yield f"{lam} x {mu}", {
-                    "row": lam.to_json(),
-                    "col": mu.to_json(),
+                    "row": lam,
+                    "col": mu,
                     "expected": expected,
                     "observed": observed,
                     "pass": observed == closed[lam][mu] and (expected is None or observed == expected),
@@ -420,11 +424,12 @@ def _cmd_oracle(args) -> None:
     report = {"check": args.check, "n": args.n, "q": args.q, "items": list(items)}
     report["pass"] = all(i["pass"] for i in items)
 
+    def cell(value):  # a jordan item's partitions print as lists
+        return "-" if value is None else list(value) if type(value) is Partition else value
+
     def text():
-        rows = [
-            [label, "-" if i["expected"] is None else i["expected"], i["observed"], "pass" if i["pass"] else "FAIL"]
-            for label, i in zip(labels, items)
-        ]
+        rows = [[label, cell(i["expected"]), cell(i["observed"]), "pass" if i["pass"] else "FAIL"]
+                for label, i in zip(labels, items)]
         return _table(rows, ["item", "expected", "observed", "status"])
 
     _emit(args, report, text)

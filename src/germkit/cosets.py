@@ -15,8 +15,9 @@ one congruence step deeper multiplies the count of P_lam-cosets by
 t^(d_lam).  Counts for any other conjugacy class of filtration subgroup
 reduce to a base count at shallow depth plus the same scaling law, so
 the API accepts a user-supplied base count wherever a family is.
-`count_at_depth` is the one place that applies the law, to a family's
-base count or a user's; `germ` reads every count from it.
+`count_at_depth` and `counts_to_depth` (every depth up to j) are the one
+place that applies the law, to a family's base count or a user's; `germ`
+reads every count from the first.
 
 The I-chain base count for n > 2 is a derived convention
 (multinomial * t^(d_lam)), consistent with the known n = 2 values but
@@ -28,7 +29,9 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import re
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from .partitions import Partition, d_of, require_at_least, require_int
@@ -191,9 +194,18 @@ def count_at_depth(lam: Partition, spec: SubgroupSpec, base: int | None = None) 
     `base`, which replaces that formula while spec still names a family
     and gives t and the depth; each depth step multiplies it by t^(d_lam).
     """
-    t = spec.residue_size
-    b = base_count(lam, spec.family).eval_at(t) if base is None else require_int(base, "base")
-    return b * t ** (d_of(lam) * spec.depth)
+    return _base_at_t(lam, spec, base) * spec.residue_size ** (d_of(lam) * spec.depth)
+
+
+def counts_to_depth(lam: Partition, spec: SubgroupSpec) -> list[int]:
+    """count_at_depth(lam, spec) at each depth 0, 1, ..., spec.depth: one base count, then a product per step."""
+    step = spec.residue_size ** d_of(lam) if spec.depth else 1  # a depth-0 family takes no step
+    return list(accumulate(repeat(step, spec.depth), operator.mul, initial=_base_at_t(lam, spec, None)))
+
+
+def _base_at_t(lam: Partition, spec: SubgroupSpec, base: int | None) -> int:
+    """The count at depth 0: the family's base count at t = q^d, or base."""
+    return base_count(lam, spec.family).eval_at(spec.residue_size) if base is None else require_int(base, "base")
 
 
 _CHAIN_RE = re.compile(r"^(K|I)(\d+)(/2)?$")

@@ -7,8 +7,10 @@ classes of block upper-triangular subgroups.
 All values are immutable and hashable.  The canonical enumeration order
 is lexicographically decreasing, and every table or JSON emission in
 this package lists partitions in that order.  The partitions of each n
-are enumerated once per process and kept for at most 64 values of n:
-all partitions of n <= 20 hold about 0.4 MB (tracemalloc).
+are enumerated once per process and kept for at most 64 values of n,
+and so are their d_lam and duals (_map_partitions): all partitions of
+n <= 20 hold about 0.4 MB, their d_lam 0.02 MB and their duals 0.3 MB
+(tracemalloc).
 """
 
 from __future__ import annotations
@@ -146,6 +148,12 @@ def d_of(lam: Partition) -> int:
     exponent of coset counts along the congruence filtrations.
     """
     return (sum(lam) ** 2 - sum(map(operator.mul, lam, lam))) // 2
+
+
+@functools.lru_cache(maxsize=128)
+def _map_partitions(f, n: int) -> tuple:
+    """f of each partition of n, in canonical order: d_of and dual, each for at most 64 values of n."""
+    return tuple(map(f, _partitions(n)))
 
 
 def induce_partition(parts: Sequence[Partition]) -> Partition:

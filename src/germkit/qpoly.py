@@ -16,7 +16,7 @@ arguments.  The q-multinomial memo keeps at most 1024 partitions: about
 once every partition of n <= 20 has (tracemalloc, both memos counted).
 
 Polynomials the package derives from checked ones (sums, products,
-quotients, q-integers) skip the coefficient check of the public
+q-integers, q-multinomials) skip the coefficient check of the public
 constructor and only drop trailing zeros.
 """
 
@@ -134,36 +134,6 @@ class QPoly:
         for c in reversed(self.coeffs):
             acc = acc * v + c
         return acc
-
-    def exact_div(self, divisor: "QPoly") -> "QPoly":
-        """Exact quotient self / divisor; nonzero remainder is an error.
-
-        The divisor must be monic so the division stays in integer
-        coefficients.  A nonzero remainder means an arithmetic bug in
-        the caller, not bad data, hence ArithmeticError.
-        """
-        if not divisor:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if divisor.coeffs[-1] != 1:
-            raise ValueError(f"exact_div requires a monic divisor, got leading {divisor.coeffs[-1]}")
-        rem = list(self.coeffs)
-        dd = divisor.degree
-        qd = len(rem) - 1 - dd
-        if qd < 0:
-            if any(rem):
-                raise ArithmeticError(f"inexact polynomial division: {self!r} by {divisor!r}")
-            return QPoly.zero()
-        quot = [0] * (qd + 1)
-        for k in range(qd, -1, -1):
-            c = rem[k + dd]
-            if c == 0:
-                continue
-            quot[k] = c
-            for i, b in enumerate(divisor.coeffs):
-                rem[k + i] -= c * b
-        if any(rem):
-            raise ArithmeticError(f"inexact polynomial division: {self!r} by {divisor!r}")
-        return QPoly._derived(quot)
 
     def pretty(self, var: str = "q") -> str:
         """Compact descending form, e.g. 'q^2+2q+1' or 't^2-2t+1'."""

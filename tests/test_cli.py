@@ -188,6 +188,37 @@ class TestCosetsCommand:
                 ]
                 assert [(r["partition"], r["family"], r["depth"], r["count"]) for r in json.loads(out)] == expected
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_rows_equal_count_at_depth_at_every_d(self, capsys, q):
+        # each row is the per-row count, which raises t^(d_lam) to the depth in one power
+        for n in range(1, 9):
+            for d in range(1, 4):
+                for j in range(5):
+                    code, out, _ = run(capsys, "cosets", "--n", str(n), "--q", str(q), "--d", str(d), "--j", str(j),
+                                       "--json")
+                    assert code == 0
+                    expected = [
+                        (list(lam), fam.token, depth, count_at_depth(lam, SubgroupSpec(fam, depth, q, d)))
+                        for lam in enumerate_partitions(n)
+                        for fam in Family
+                        for depth in (range(j + 1) if fam.is_pro_p else [0])
+                    ]
+                    assert [(r["partition"], r["family"], r["depth"], r["count"]) for r in json.loads(out)] == expected
+
+    @pytest.mark.parametrize("argv", [["cosets", "--n", "6", "--q", "2", "--j", "3", "--json"],
+                                      ["partitions", "--n", "6", "--show", "dual", "--json"]])
+    def test_each_partition_is_rendered_once(self, capsys, monkeypatch, argv):
+        # 14 cosets rows share a partition's text, and the dual column reuses the partition column's
+        rendered, int_lists = [], cli._int_lists
+
+        def spy(cells, nl):  # a partition is rendered as the int list of its parts
+            rendered.extend(map(tuple, cells))
+            return int_lists(cells, nl)
+
+        monkeypatch.setattr(cli, "_int_lists", spy)
+        assert run(capsys, *argv)[0] == 0
+        assert sorted(rendered) == sorted(enumerate_partitions(6))
+
     def test_one_base_count_per_partition_and_family(self, capsys, monkeypatch):
         # the deeper rows scale the depth-0 count; a base per row would be 11 * 14 calls
         calls = []
@@ -258,6 +289,40 @@ def _tables(draw):
 _TABLES = _tables() | _tables().map(lambda t: {"n": len(t), "entries": t}) | st.lists(_tables(), max_size=3)
 
 
+# Partitions, which the writer prints as the arrays of their parts, as json.dumps prints any tuple.
+_PARTITIONS = st.integers(1, 8).flatmap(lambda n: st.sampled_from(enumerate_partitions(n)))
+_INT_LISTS = st.lists(st.integers(-3, 10), min_size=1, max_size=4)
+
+
+@st.composite
+def _partition_tables(draw):
+    """A table with an all-Partition column and a column of partitions and int lists, among other kinds."""
+    kinds = [_PARTITIONS, _PARTITIONS | _INT_LISTS] + draw(st.lists(st.sampled_from(_CELL_KINDS), max_size=2))
+    keys = draw(st.lists(_TEXT, min_size=len(kinds), max_size=len(kinds), unique=True))
+    size = draw(st.integers(0, 2 * cli._COLUMN_MIN))
+    return [{k: draw(cell) for k, cell in zip(keys, kinds)} for _ in range(size)]
+
+
+_JSON_VALUES_WITH_PARTITIONS = (
+    st.recursive(
+        _LEAVES | _PARTITIONS,
+        lambda kids: st.lists(kids, max_size=5) | st.lists(_PARTITIONS | _INT_LISTS, max_size=5)
+        | st.dictionaries(_TEXT, kids, max_size=5),
+        max_leaves=30,
+    )
+    | _partition_tables()
+    | _partition_tables().map(lambda t: {"n": len(t), "entries": t})
+)
+
+
+class _Parts(tuple):
+    pass
+
+
+class _SubPartition(Partition):
+    __slots__ = ()
+
+
 def with_int_digits_unlimited(fn):
     """fn() with the interpreter's limit on int-string conversion lifted, the limit restored after."""
     if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.0-3.10.6 have no limit
@@ -310,6 +375,23 @@ class TestJsonWriter:
     def test_other_types_raise_inside_a_table(self, value):
         with pytest.raises(TypeError):
             cli._json_text(value)
+
+    @settings(max_examples=200)
+    @given(_JSON_VALUES_WITH_PARTITIONS)
+    @example([{"p": Partition([2, 1]), "m": Partition([3])}] * 5 + [{"p": Partition([1, 1, 1]), "m": [3, 0]}])
+    @example({"a": Partition([1]), "b": [Partition([4, 4, 2]), [1, 2], Partition([5])]})
+    def test_writes_partitions_as_json_dumps_writes(self, value):
+        assert with_int_digits_unlimited(lambda: cli._json_text(value)) == json.dumps(value, indent=2)
+
+    _OTHER_TUPLES = [(2, 1), _Parts((2, 1)), _SubPartition([2, 1])]
+
+    @pytest.mark.parametrize("other", _OTHER_TUPLES)
+    @pytest.mark.parametrize("place", [lambda x: x, lambda x: {"a": [Partition([2, 1]), x]},
+                                       lambda x: [{"p": Partition([2, 1])}] * 5 + [{"p": x}],
+                                       lambda x: [{"p": x}] * 6])
+    def test_tuples_other_than_partitions_raise(self, other, place):
+        with pytest.raises(TypeError):
+            cli._json_text(place(other))
 
     @pytest.mark.parametrize(
         "argv",

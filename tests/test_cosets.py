@@ -8,6 +8,7 @@ from germkit.cosets import (
     _chain_position,
     base_count,
     count_at_depth,
+    counts_to_depth,
     gl2_chain_index,
     is_prime,
     is_prime_power,
@@ -169,6 +170,18 @@ class TestCountAtDepth:
     def test_parahoric_depth_zero(self):
         assert count_at_depth(P(1, 1), SubgroupSpec(Family.VERTEX_MAX, 0, 2, 1)) == 1
         assert count_at_depth(P(1, 1), SubgroupSpec(Family.IWAHORI, 0, 2, 1)) == 2
+
+    @pytest.mark.parametrize("q,d", [(2, 1), (3, 2), (4, 1)])
+    def test_equals_the_base_polynomial_at_t_up_to_8(self, q, d):
+        # the Horner value of base_count times t^(d_lam * j), one depth at a time or every depth up to j
+        t = q**d
+        for n in range(1, 9):
+            for lam in enumerate_partitions(n):
+                for fam in Family:
+                    depths = range(4) if fam.is_pro_p else [0]
+                    expected = [base_count(lam, fam).eval_at(t) * t ** (d_of(lam) * j) for j in depths]
+                    assert [count_at_depth(lam, SubgroupSpec(fam, j, q, d)) for j in depths] == expected
+                    assert counts_to_depth(lam, SubgroupSpec(fam, depths[-1], q, d)) == expected
 
     def test_oracle_agreement_small(self):
         for n in range(1, 4):

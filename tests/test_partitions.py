@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from germkit import cosets, germ, gl2, oracle, qpoly
 from germkit.partitions import (
     Partition,
+    _map_partitions,
     canonical_order,
     d_of,
     dominance_leq,
@@ -197,6 +198,14 @@ class TestDual:
         for n in range(1, 13):
             for lam in enumerate_partitions(n):
                 assert dual(dual(lam)) == lam
+
+    def test_memo_equals_d_of_and_dual_up_to_20(self):
+        for n in range(1, 21):
+            lams = enumerate_partitions(n)
+            duals = _map_partitions(dual, n)
+            assert list(_map_partitions(d_of, n)) == list(map(d_of, lams)) and list(duals) == list(map(dual, lams))
+            assert [dual(mu) for mu in duals] == lams
+            assert all(type(mu) is Partition for mu in duals)
 
     def test_antitone_up_to_10(self):
         # mu <= lam iff dual(lam) <= dual(mu)

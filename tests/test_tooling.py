@@ -143,8 +143,6 @@ LIBRARY_ONLY = {
     "gl2_chain_index": "the indices of the n = 2 chain K0 > I0 > I1/2 > K1 > ... (test_cosets TestGL2Chain)",
     "q_factorial": "[n]_q! = |GL_n(F_q)| / |B(F_q)| (test_qpoly)",
     "q_int": "[n]_q! is the product of the q-integers (test_qpoly)",
-    "QPoly.exact_div": "[n]_q! / prod [lam_i]_q! is the q-multinomial, a polynomial "
-    "(test_qpoly TestDivisionByQIntegers)",
     "CoefficientMap.indicator": "the JL transfer of a dim-dimensional class has (2)-coefficient -dim "
     "(test_gl2 supercuspidal_matches_transfer_sign_rule)",
     "CoefficientMap.scale": "induction of coefficient maps is multilinear (test_germ TestInduction)",
