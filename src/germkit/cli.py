@@ -37,7 +37,7 @@ import os
 import sys
 
 from . import gl2, oracle
-from .cosets import _PRO_P_CHAINS, Family, SubgroupSpec, counts_to_depth, require_prime, require_prime_power
+from .cosets import _PRO_P_CHAINS, Family, SubgroupSpec, counts_by_depth, require_prime, require_prime_power
 from .germ import (
     CoefficientMap,
     PositivityError,
@@ -107,6 +107,13 @@ _JSON_INT = int.__repr__
 _COLUMN_MIN = 6
 
 
+class _Table:
+    """A JSON array of records as its str keys and one list of cells per key: a row of zip(*columns) is a record."""
+
+    def __init__(self, keys, columns: list):
+        self.keys, self.columns = keys, columns
+
+
 def _write_json(value, out: list, nl: str) -> None:
     """Append to out the text json.dumps gives value with an indent of 2; nl is value's newline and indent.
 
@@ -114,12 +121,12 @@ def _write_json(value, out: list, nl: str) -> None:
     Partitions, written as the array of their parts, and raises TypeError
     on any other type, so a record of a new shape fails rather than
     printing other bytes.  A partition or a list of exact ints, such as a
-    polynomial, is written with one join.  A table, a list of at least
-    _COLUMN_MIN dicts with the same str keys in the same order, is
-    written column by column (see _records): a column of exact ints, of
-    exact strs, of partitions or of nonempty exact-int lists in one pass,
-    and every other cell by this function, so a float, other tuple, bytes
-    or non-str key inside a table still raises TypeError.
+    polynomial, is written with one join.  A _Table, or a list of at least
+    _COLUMN_MIN dicts with the same str keys in the same order, is written
+    column by column (see _stitch): a column of exact ints, of exact strs,
+    of partitions or of nonempty exact-int lists in one pass, and every
+    other cell by this function, so a float, other tuple, bytes or
+    non-str key inside a table still raises TypeError.
     """
     t = type(value)
     if t is str:
@@ -166,17 +173,15 @@ def _write_json(value, out: list, nl: str) -> None:
                 _write_json(x, out, inner)
             sep = comma
         out.append(nl + "}")
+    elif t is _Table:  # written as the records it stands for, none of them built
+        rows = min(map(len, value.columns), default=0)
+        out.append("[" + nl + "  " + _stitch(value.keys, value.columns, nl + "  ") + nl + "]" if rows else "[]")
     else:
         raise TypeError(f"cannot write {t.__name__} as JSON")
 
 
 def _records(table: list, nl: str):
-    """The records of table at newline and indent nl, joined by commas, or None unless they share their str keys.
-
-    Each key's column is rendered whole and the records are stitched in
-    one join of the key heads and column texts, so the cost per cell is a
-    C-level step, not a call.
-    """
+    """The records of table at newline and indent nl, joined by commas, or None unless they share their str keys."""
     last = table[-1]  # a first and last record with other keys are the cheapest reject
     if type(last) is not dict or table[0].keys() != last.keys() or set(map(type, table)) != {dict}:
         return None
@@ -186,19 +191,23 @@ def _records(table: list, nl: str):
     (keys,) = shapes
     if not keys or set(map(type, keys)) != {str}:
         return None
+    return _stitch(keys, [list(map(operator.itemgetter(k), table)) for k in keys], nl)
+
+
+def _stitch(keys, columns: list, nl: str) -> str:
+    """The records of a table of one row or more at newline and indent nl, joined by commas, from whole columns."""
     inner = nl + "  "
     texts = {}  # a partition's text, once per table: cosets repeats it over rows, and dual permutes a column
-    columns = [_column(list(map(operator.itemgetter(k), table)), inner, texts) for k in keys]
     sep = "," + nl  # before the next record: the last record's is cut off
-    heads = [("{" if i == 0 else ",") + inner + _JSON_STR(k) + ": " for i, k in enumerate(keys)]
     pieces = []  # a record is its heads and cells in turn, then its end
-    for head, column in zip(heads, columns):
-        pieces += (itertools.repeat(head), column)
+    for i, (key, cells) in enumerate(zip(keys, columns)):
+        head = ("{" if i == 0 else ",") + inner + _JSON_STR(key) + ": "
+        pieces += (itertools.repeat(head), _column(cells, inner, texts))
     pieces.append(itertools.repeat(nl + "}" + sep))
     return "".join(itertools.chain.from_iterable(zip(*pieces)))[: -len(sep)]
 
 
-def _column(cells: list, nl: str, texts: dict):
+def _column(cells, nl: str, texts: dict):
     """The text of each cell at newline and indent nl; texts holds the text at nl of each partition written so far."""
     types = set(map(type, cells))
     if types == {int}:
@@ -207,11 +216,22 @@ def _column(cells: list, nl: str, texts: dict):
         return map(_JSON_STR, cells)
     if types == {Partition}:  # its parts are exact ints
         new = list(set(cells).difference(texts))
-        texts.update(zip(new, _int_lists(list(map(list, new)), nl)))
+        texts.update(zip(new, _partition_texts(new, nl)))
         return map(texts.__getitem__, cells)
     if types == {list} and all(cells) and set(map(type, itertools.chain.from_iterable(cells))) == {int}:
         return _int_lists(cells, nl)
     return [_text(cell, nl) for cell in cells]
+
+
+def _partition_texts(parts: list, nl: str) -> list:
+    """The text of each partition in parts at newline and indent nl, in one join of part strings split at a 0."""
+    flat = list(itertools.chain.from_iterable(map(operator.add, parts, itertools.repeat((0,)))))
+    if (top := max(flat, default=0)) > len(flat) - len(parts):  # a table of part strings longer than the parts
+        return _int_lists(list(map(list, parts)), nl)
+    inner, comma = nl + "  ", "," + nl + "  "
+    strs = ["\0"] + list(map(comma.__add__, map(str, range(1, top + 1))))  # no part string holds "\0"
+    text = "".join(map(strs.__getitem__, flat)).replace("\0" + comma, nl + "]\0[" + inner)
+    return ("[" + inner + text[len(comma) : -1] + nl + "]").split("\0") if parts else []
 
 
 def _int_lists(cells: list, nl: str) -> list:
@@ -275,8 +295,7 @@ _PARTITION_COLUMNS = {"d": d_of, "dual": dual}
 def _cmd_partitions(args) -> None:
     header = ["partition"] + [c for c in _PARTITION_COLUMNS if c in (args.show or [])]
     columns = [enumerate_partitions(args.n)] + [_map_partitions(_PARTITION_COLUMNS[c], args.n) for c in header[1:]]
-    records = [dict(zip(header, row)) for row in zip(*columns)]
-    _emit(args, records, lambda: _table(zip(*columns), header))
+    _emit(args, _Table(header, columns), lambda: _table(zip(*columns), header))
 
 
 def _cmd_qcount(args) -> None:
@@ -296,16 +315,17 @@ def _cmd_qcount(args) -> None:
 def _cmd_cosets(args) -> None:
     require_at_least(args.j, 0, "--j")
     families = [Family(args.family)] if args.family else list(Family)
-    specs = [(fam.token, SubgroupSpec(fam, args.j if fam.is_pro_p else 0, args.q, args.d)) for fam in families]
-    rows = [
-        (lam, token, j, count)
-        for lam in enumerate_partitions(args.n)
-        for token, spec in specs
-        for j, count in enumerate(counts_to_depth(lam, spec))  # one base count per (lam, family)
-    ]
-    records = [{"partition": lam, "family": token, "depth": j, "q": args.q, "d": args.d, "count": count}
-               for lam, token, j, count in rows]
-    _emit(args, records, lambda: _table(rows, ["partition", "family", "depth", "count"]))
+    specs = [SubgroupSpec(fam, args.j if fam.is_pro_p else 0, args.q, args.d) for fam in families]
+    parts = enumerate_partitions(args.n)
+    counts = [counts_by_depth(args.n, spec) for spec in specs]  # per family, per partition, per depth
+    # a partition's rows are each family at each of its depths: the same pattern of family and depth for all
+    pattern = [(spec.family.token, j) for spec in specs for j in range(spec.depth + 1)]
+    tokens, js = (list(column) * len(parts) for column in zip(*pattern))
+    lams = list(itertools.chain.from_iterable(map(itertools.repeat, parts, itertools.repeat(len(pattern)))))
+    columns = [lams, tokens, js, [args.q] * len(js), [args.d] * len(js),
+               list(itertools.chain.from_iterable(itertools.chain.from_iterable(zip(*counts))))]
+    table = _Table(("partition", "family", "depth", "q", "d", "count"), columns)
+    _emit(args, table, lambda: _table(zip(lams, tokens, js, columns[-1]), ["partition", "family", "depth", "count"]))
 
 
 def _cmd_germ_dimpoly(args) -> None:

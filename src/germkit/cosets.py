@@ -15,9 +15,9 @@ one congruence step deeper multiplies the count of P_lam-cosets by
 t^(d_lam).  Counts for any other conjugacy class of filtration subgroup
 reduce to a base count at shallow depth plus the same scaling law, so
 the API accepts a user-supplied base count wherever a family is.
-`count_at_depth` and `counts_to_depth` (every depth up to j) are the one
-place that applies the law, to a family's base count or a user's; `germ`
-reads every count from the first.
+`count_at_depth` and `counts_by_depth` (each partition of n, depths 0..j)
+are the one place that applies the law, to a family's base count (from
+`base_counts_at_t`, checked against `base_count` at t) or a user's.
 
 The I-chain base count for n > 2 is a derived convention
 (multinomial * t^(d_lam)), consistent with the known n = 2 values but
@@ -34,7 +34,7 @@ import re
 from itertools import accumulate, repeat
 from typing import NamedTuple
 
-from .partitions import Partition, d_of, require_at_least, require_int
+from .partitions import Partition, _map_partitions, _partitions, d_of, require_at_least, require_int, require_partition
 from .qpoly import QPoly, q_multinomial
 
 
@@ -167,14 +167,12 @@ class SubgroupSpec(_SubgroupFields):
 
 def multinomial(lam: Partition) -> int:
     """n! / prod(lam_i!), the number of cosets of the Weyl subgroup S_lam in S_n."""
-    out = math.factorial(lam.n)
-    for p in lam:
-        out //= math.factorial(p)
-    return out
+    return math.factorial(require_partition(lam, "a coset count").n) // math.prod(map(math.factorial, lam))
 
 
 def base_count(lam: Partition, family: Family) -> QPoly:
-    """Count of P_lam-cosets at the family's base (depth 0), as a polynomial in t = q^d."""
+    """Count of P_lam-cosets at depth 0 as a polynomial in t = q^d: the route `base_counts_at_t` is tested against."""
+    require_partition(lam, "a coset count")
     if family is Family.VERTEX_MAX:
         return QPoly.one()
     if family is Family.VERTEX_CONGRUENCE:
@@ -187,25 +185,45 @@ def base_count(lam: Partition, family: Family) -> QPoly:
     raise ValueError(f"unsupported family {family!r}")
 
 
-def count_at_depth(lam: Partition, spec: SubgroupSpec, base: int | None = None) -> int:
-    """Exact coset count for the subgroup described by spec.
+def _factorials(n: int, t: int | None) -> list[int]:
+    """[k]_t! for k = 0..n, from [k]_t = t * [k-1]_t + 1, or k! when t is None."""
+    steps = range(1, n + 1) if t is None else accumulate(repeat(t, n - 1), lambda m, t: m * t + 1, initial=1)
+    return list(accumulate(steps, operator.mul, initial=1))
 
-    The base count at depth 0 comes from the family formula, or from
-    `base`, which replaces that formula while spec still names a family
-    and gives t and the depth; each depth step multiplies it by t^(d_lam).
+
+def base_counts_at_t(lams, spec: SubgroupSpec) -> list[int]:
+    """`base_count` of each partition in lams (of any n) at t = q^d, in exact integers.
+
+    One table of [k]_t! (for K) or k! per call: a partition costs one divmod, and a remainder is an ArithmeticError.
     """
-    return _base_at_t(lam, spec, base) * spec.residue_size ** (d_of(lam) * spec.depth)
+    lams = list(map(require_partition, lams, repeat("a coset count")))
+    family, t = spec.family, spec.residue_size
+    if family is Family.VERTEX_MAX:
+        return [1] * len(lams)
+    fact = _factorials(max(map(sum, lams), default=0), t if family is Family.VERTEX_CONGRUENCE else None)
+    out = []
+    for lam in lams:
+        count, rest = divmod(fact[sum(lam)], math.prod(map(fact.__getitem__, lam)))
+        if rest:
+            raise ArithmeticError(f"inexact division in the {family.token} coset count of {lam} at t = {t}")
+        out.append(count * t ** d_of(lam) if family is Family.IWAHORI_CONGRUENCE else count)
+    return out
 
 
-def counts_to_depth(lam: Partition, spec: SubgroupSpec) -> list[int]:
-    """count_at_depth(lam, spec) at each depth 0, 1, ..., spec.depth: one base count, then a product per step."""
-    step = spec.residue_size ** d_of(lam) if spec.depth else 1  # a depth-0 family takes no step
-    return list(accumulate(repeat(step, spec.depth), operator.mul, initial=_base_at_t(lam, spec, None)))
+def count_at_depth(lam: Partition, spec: SubgroupSpec, base: int | None = None) -> int:
+    """Exact coset count for spec: the base count at depth 0 times t^(d_lam) per depth step.
+
+    `base` replaces the family's base count while spec still names a family and gives t and the depth.
+    """
+    base = base_counts_at_t([lam], spec)[0] if base is None else require_int(base, "base")
+    return base * spec.residue_size ** (d_of(require_partition(lam, "a coset count")) * spec.depth)
 
 
-def _base_at_t(lam: Partition, spec: SubgroupSpec, base: int | None) -> int:
-    """The count at depth 0: the family's base count at t = q^d, or base."""
-    return base_count(lam, spec.family).eval_at(spec.residue_size) if base is None else require_int(base, "base")
+def counts_by_depth(n: int, spec: SubgroupSpec) -> list[list[int]]:
+    """`count_at_depth` of each partition of n, in canonical order, at each depth 0, 1, ..., spec.depth."""
+    bases, t = base_counts_at_t(_partitions(require_at_least(n, 1, "n")), spec), spec.residue_size
+    return [list(accumulate(repeat(t**d, spec.depth), operator.mul, initial=base))
+            for base, d in zip(bases, _map_partitions(d_of, n))]
 
 
 _CHAIN_RE = re.compile(r"^(K|I)(\d+)(/2)?$")

@@ -5,11 +5,13 @@ smooth representation near the identity: integer coefficients indexed by
 partitions of n.  Together with the base coset counts it determines, for
 every pro-p filtration family, a polynomial P(X) with integer
 coefficients whose value at (q^d)^j is the fixed-vector dimension at
-congruence depth j, for j large enough.  Neither dimension_polynomial
-nor dim_fixed scales a count by depth: both read `cosets.count_at_depth`,
-at depth 0 and at the subgroup's depth.  No vector spaces or group
-actions are ever modeled; twisting by a character does not change the
-map, which is structural here since the map carries no character data.
+congruence depth j, for j large enough.  dimension_polynomial and
+dim_fixed read the base counts of the support from one
+`cosets.base_counts_at_t` call (tested against `cosets.base_count`), and
+only `cosets.count_at_depth` scales a count by depth.  No vector spaces
+or group actions are ever modeled; twisting by a character does not
+change the map, which is structural here since the map carries no
+character data.
 
 dim_fixed evaluates the asymptotic formula at every depth; below a
 representation-dependent validity threshold the true dimension may
@@ -24,7 +26,7 @@ import functools
 from itertools import pairwise, product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .cosets import Family, SubgroupSpec, count_at_depth, require_prime_power
+from .cosets import Family, SubgroupSpec, base_counts_at_t, count_at_depth, require_prime_power
 from .partitions import (
     Partition,
     canonical_order,
@@ -185,16 +187,14 @@ def dimension_polynomial(
 ) -> DimensionPolynomial:
     """P(X) = sum over lam of c(lam) * (depth-0 coset count of P_lam) * X^(d_lam).
 
-    Each count is `count_at_depth` at depth 0: the family's formula, or
-    base_counts[lam] where it has lam (a subgroup outside the named
+    Each count is the family's formula at t = q^d (`base_counts_at_t`),
+    or base_counts[lam] where it has lam (a subgroup outside the named
     families).  P at X = (q^d)^j is `dim_fixed` at depth j.
     """
-    spec = SubgroupSpec(family, 0, q, d)
-    base_counts = base_counts or {}
     coeffs: dict[int, int] = {}
-    for lam, value in c.items():
+    for lam, value, base in _with_base_counts(c, SubgroupSpec(family, 0, q, d), base_counts):
         k = d_of(lam)
-        coeffs[k] = coeffs.get(k, 0) + value * count_at_depth(lam, spec, base=base_counts.get(lam))
+        coeffs[k] = coeffs.get(k, 0) + value * base
     formal_degree = max(coeffs, default=None)  # every support partition added its key d_lam
     poly = QPoly(coeffs.get(k, 0) for k in range(formal_degree + 1 if coeffs else 0))
     return DimensionPolynomial(poly, formal_degree, coeffs.get(formal_degree))
@@ -208,8 +208,14 @@ def dim_fixed(c: CoefficientMap, spec: SubgroupSpec, base_counts: Mapping[Partit
     representation's threshold; below it the formula is still evaluated
     (and may even be negative).
     """
-    base_counts = base_counts or {}
-    return sum(value * count_at_depth(lam, spec, base=base_counts.get(lam)) for lam, value in c.items())
+    return sum(value * count_at_depth(lam, spec, base) for lam, value, base in _with_base_counts(c, spec, base_counts))
+
+
+def _with_base_counts(c: CoefficientMap, spec: SubgroupSpec, base_counts: Mapping[Partition, int] | None) -> list:
+    """(lam, c(lam), depth-0 count) over the support of c in canonical order, base_counts[lam] where it has lam."""
+    items, base_counts = c.items(), base_counts or {}
+    family = iter(base_counts_at_t([lam for lam, _ in items if lam not in base_counts], spec))
+    return [(lam, v, require_int(base_counts[lam], "base") if lam in base_counts else next(family)) for lam, v in items]
 
 
 def induce_maps(maps: Sequence[CoefficientMap]) -> CoefficientMap:

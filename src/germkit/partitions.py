@@ -35,6 +35,13 @@ def require_at_least(x, low: int, what: str) -> int:
     return x
 
 
+def require_partition(lam, what: str) -> Partition:
+    """lam itself if it is a Partition; ValueError naming `what` otherwise."""
+    if not isinstance(lam, Partition):
+        raise ValueError(f"{what} needs a Partition, got {lam!r}")
+    return lam
+
+
 class Partition(tuple):
     """A partition of n: a nonempty, weakly decreasing tuple of positive integers.
 

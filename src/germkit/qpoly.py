@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 from itertools import accumulate
 
-from .partitions import Partition, require_at_least, require_int
+from .partitions import Partition, require_at_least, require_int, require_partition
 
 
 class QPoly:
@@ -205,9 +205,7 @@ def q_multinomial(lam: Partition) -> QPoly:
     Evaluated at a prime power q this is the number of cosets of the
     block upper-triangular subgroup of shape lam in GL_n(F_q).
     """
-    if not isinstance(lam, Partition):
-        raise ValueError(f"q_multinomial needs a Partition, got {lam!r}")
-    return _q_multinomial(lam)
+    return _q_multinomial(require_partition(lam, "q_multinomial"))
 
 
 @functools.lru_cache(maxsize=1024)

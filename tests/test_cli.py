@@ -209,24 +209,26 @@ class TestCosetsCommand:
                                       ["partitions", "--n", "6", "--show", "dual", "--json"]])
     def test_each_partition_is_rendered_once(self, capsys, monkeypatch, argv):
         # 14 cosets rows share a partition's text, and the dual column reuses the partition column's
-        rendered, int_lists = [], cli._int_lists
+        rendered, partition_texts = [], cli._partition_texts
 
-        def spy(cells, nl):  # a partition is rendered as the int list of its parts
-            rendered.extend(map(tuple, cells))
-            return int_lists(cells, nl)
+        def spy(parts, nl):
+            rendered.extend(parts)
+            return partition_texts(parts, nl)
 
-        monkeypatch.setattr(cli, "_int_lists", spy)
+        monkeypatch.setattr(cli, "_partition_texts", spy)
         assert run(capsys, *argv)[0] == 0
         assert sorted(rendered) == sorted(enumerate_partitions(6))
 
-    def test_one_base_count_per_partition_and_family(self, capsys, monkeypatch):
-        # the deeper rows scale the depth-0 count; a base per row would be 11 * 14 calls
-        calls = []
-        original = cosets.base_count
-        monkeypatch.setattr(cosets, "base_count", lambda lam, fam: calls.append((lam, fam)) or original(lam, fam))
+    def test_no_base_count_and_one_factorial_table_per_family(self, capsys, monkeypatch):
+        # the counts are integers at t, from one table of [k]_t! or k! per family and no polynomial; K0 needs none
+        base_counts, tables = [], []
+        original = cosets._factorials
+        monkeypatch.setattr(cosets, "base_count", lambda lam, fam: base_counts.append((lam, fam)))
+        monkeypatch.setattr(cosets, "_factorials", lambda n, t: tables.append((n, t)) or original(n, t))
         code, _, _ = run(capsys, "cosets", "--n", "6", "--q", "2", "--j", "3")
         assert code == 0
-        assert len(calls) == len(set(calls)) == 11 * 5
+        assert base_counts == []
+        assert sorted(tables, key=str) == [(6, 2), (6, None), (6, None), (6, None)]
 
 
 class TestDeterminism:
@@ -315,6 +317,20 @@ _JSON_VALUES_WITH_PARTITIONS = (
 )
 
 
+# Partitions with parts of two or more digits, and with one part far above the number of parts.
+_WIDE_PARTITIONS = st.lists(st.integers(1, 40), min_size=1, max_size=5).map(lambda ps: Partition(sorted(ps)[::-1]))
+_HUGE_PARTITIONS = st.integers(10, 10**6).map(lambda p: Partition([p]))
+
+
+@st.composite
+def _column_tables(draw):
+    """(keys, columns): a table held as one list of cells per key, one kind of cell per column."""
+    keys = draw(_KEYS)
+    size = draw(st.integers(0, 2 * cli._COLUMN_MIN))
+    kinds = _CELL_KINDS + [_PARTITIONS, _WIDE_PARTITIONS, _HUGE_PARTITIONS | _PARTITIONS]
+    return keys, [draw(st.lists(draw(st.sampled_from(kinds)), min_size=size, max_size=size)) for _ in keys]
+
+
 class _Parts(tuple):
     pass
 
@@ -382,6 +398,33 @@ class TestJsonWriter:
     @example({"a": Partition([1]), "b": [Partition([4, 4, 2]), [1, 2], Partition([5])]})
     def test_writes_partitions_as_json_dumps_writes(self, value):
         assert with_int_digits_unlimited(lambda: cli._json_text(value)) == json.dumps(value, indent=2)
+
+    @settings(max_examples=150)
+    @given(_column_tables())
+    @example((["a", "b"], [[], []]))  # no rows
+    @example((["p", "n"], [[Partition([12, 10, 1])] * 3, [1, 2, 3]]))  # fewer rows than _COLUMN_MIN, parts >= 10
+    @example((["p"], [[Partition([10**6])] * 7]))  # one part far above the number of parts rendered
+    @example((["p", "d"], [enumerate_partitions(6), [Partition([2, 1])] * 11]))
+    def test_writes_column_tables_as_json_dumps_writes(self, table):
+        keys, columns = table
+        records = [dict(zip(keys, row)) for row in zip(*columns)]
+        for value, expected in ((cli._Table(keys, columns), records), ({"n": 1, "t": cli._Table(keys, columns)},
+                                                                       {"n": 1, "t": records})):
+            assert with_int_digits_unlimited(lambda: cli._json_text(value)) == json.dumps(expected, indent=2)
+
+    @pytest.mark.parametrize("columns", [[[1, 1.5]], [[Partition([1]), (1,)]], [[b"x"] * 7],
+                                         [[1] * 7, [1] * 6 + [{"a": 1.5}]], [[[2, 1]] * 6 + [[1, 2.0]]]])
+    def test_other_types_raise_inside_a_column_table(self, columns):
+        with pytest.raises(TypeError):
+            cli._json_text(cli._Table(["a", "b"][: len(columns)], columns))
+
+    def test_a_huge_part_is_not_tabulated(self, monkeypatch):
+        # a table of part strings up to 10**6 for three parts would cost more than the repr of each partition
+        calls, int_lists = [], cli._int_lists
+        monkeypatch.setattr(cli, "_int_lists", lambda cells, nl: calls.append(sorted(cells)) or int_lists(cells, nl))
+        parts = [Partition([10**6]), Partition([2, 1])]
+        assert cli._json_text(cli._Table(["p"], [parts])) == json.dumps([{"p": [10**6]}, {"p": [2, 1]}], indent=2)
+        assert calls == [[[2, 1], [10**6]]]
 
     _OTHER_TUPLES = [(2, 1), _Parts((2, 1)), _SubPartition([2, 1])]
 

@@ -1,14 +1,18 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from germkit import cosets
 from germkit.cosets import (
     PRIME_CHECK_BOUND,
     Family,
     SubgroupSpec,
     _chain_position,
     base_count,
+    base_counts_at_t,
     count_at_depth,
-    counts_to_depth,
+    counts_by_depth,
     gl2_chain_index,
     is_prime,
     is_prime_power,
@@ -181,7 +185,57 @@ class TestCountAtDepth:
                     depths = range(4) if fam.is_pro_p else [0]
                     expected = [base_count(lam, fam).eval_at(t) * t ** (d_of(lam) * j) for j in depths]
                     assert [count_at_depth(lam, SubgroupSpec(fam, j, q, d)) for j in depths] == expected
-                    assert counts_to_depth(lam, SubgroupSpec(fam, depths[-1], q, d)) == expected
+            for fam in Family:
+                spec = SubgroupSpec(fam, 3 if fam.is_pro_p else 0, q, d)
+                assert counts_by_depth(n, spec) == [
+                    [count_at_depth(lam, spec._replace(depth=j)) for j in range(spec.depth + 1)]
+                    for lam in enumerate_partitions(n)
+                ]
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_integer_route_equals_the_polynomial_route_up_to_12(self, q):
+        # base_counts_at_t and counts_by_depth against the Horner value of base_count times t^(d_lam * j)
+        for n in range(1, 13):
+            parts = enumerate_partitions(n)
+            for d in range(1, 4):
+                t = q**d
+                for fam in Family:
+                    depth = 4 if fam.is_pro_p else 0
+                    bases = [base_count(lam, fam).eval_at(t) for lam in parts]
+                    assert base_counts_at_t(parts, SubgroupSpec(fam, depth, q, d)) == bases
+                    expected = [[b * t ** (d_of(lam) * j) for j in range(depth + 1)] for lam, b in zip(parts, bases)]
+                    assert counts_by_depth(n, SubgroupSpec(fam, depth, q, d)) == expected
+
+    def test_partitions_of_several_n_in_one_call(self):
+        lams = [P(3), P(1), P(2, 2, 1), P(1, 1)]
+        for fam in Family:
+            spec = SubgroupSpec(fam, 0, 4, 1)
+            assert base_counts_at_t(lams, spec) == [base_count(lam, fam).eval_at(4) for lam in lams]
+            assert base_counts_at_t([], spec) == []
+
+    @pytest.mark.parametrize("fam", [f for f in Family if f is not Family.VERTEX_MAX])
+    def test_a_corrupted_factorial_table_is_an_arithmetic_error(self, monkeypatch, fam):
+        original = cosets._factorials
+        monkeypatch.setattr(cosets, "_factorials", lambda n, t: original(n, t)[:-1] + [original(n, t)[-1] + 1])
+        spec = SubgroupSpec(fam, 0, 3, 1)
+        message = rf"^inexact division in the {fam.token} coset count of \(2,1\) at t = 3$"
+        with pytest.raises(ArithmeticError, match=message):
+            base_counts_at_t([P(2, 1)], spec)
+        with pytest.raises(ArithmeticError):
+            count_at_depth(P(3, 1), spec)
+        with pytest.raises(ArithmeticError):
+            counts_by_depth(4, spec)
+
+    @pytest.mark.parametrize("fam", list(Family))
+    @pytest.mark.parametrize("lam", [(2, 1), [2, 1]])
+    def test_every_count_refuses_what_is_not_a_partition(self, fam, lam):
+        message = rf"^a coset count needs a Partition, got {re.escape(repr(lam))}$"
+        spec = SubgroupSpec(fam, 0, 2, 1)
+        for count in (lambda: base_count(lam, fam), lambda: count_at_depth(lam, spec),
+                      lambda: count_at_depth(lam, spec, base=3), lambda: base_counts_at_t([P(1), lam], spec),
+                      lambda: multinomial(lam)):
+            with pytest.raises(ValueError, match=message):
+                count()
 
     def test_oracle_agreement_small(self):
         for n in range(1, 4):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germkit import cli, germ
-from germkit.cosets import Family, SubgroupSpec
+from germkit.cosets import Family, SubgroupSpec, base_count
 from germkit.germ import (
     CoefficientMap,
     PositivityError,
@@ -252,6 +252,25 @@ class TestDimensionPolynomial:
                         poly = dimension_polynomial(c, fam, q, d, base_counts=base).poly
                         for j in range(5):
                             assert poly.eval_at((q**d) ** j) == dim_fixed(c, SubgroupSpec(fam, j, q, d), base)
+
+    def test_equals_a_sum_over_the_support(self):
+        # each count from base_count's polynomial at t, one partition at a time, or from the user's count
+        rng = random.Random(34)
+        for _ in range(12):
+            n = rng.randint(1, 8)
+            c, parts = random_map(n, rng), enumerate_partitions(n)
+            counts = {lam: rng.randint(-5, 50) for lam in rng.sample(parts, rng.randint(0, min(3, len(parts))))}
+            for fam, (q, d), base in product(Family, ((2, 1), (3, 2), (4, 3)), (None, counts)):
+                t = q**d
+                count = {lam: base_count(lam, fam).eval_at(t) for lam in parts} | (base or {})
+                coeffs = {}
+                for lam, v in c.items():
+                    coeffs[d_of(lam)] = coeffs.get(d_of(lam), 0) + v * count[lam]
+                poly = QPoly([coeffs.get(k, 0) for k in range(max(coeffs, default=-1) + 1)])
+                assert dimension_polynomial(c, fam, q, d, base_counts=base).poly == poly
+                for j in range(4) if fam.is_pro_p else [0]:
+                    expected = sum(v * count[lam] * t ** (d_of(lam) * j) for lam, v in c.items())
+                    assert dim_fixed(c, SubgroupSpec(fam, j, q, d), base) == expected
 
     def test_parahorics_exist_at_depth_0_only(self):
         for fam in (Family.VERTEX_MAX, Family.IWAHORI):
