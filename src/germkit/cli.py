@@ -24,6 +24,14 @@ power q, for n <= SOLVE_MAX_N.
 
 `main` parses an argv that starts with a command (`partitions`, ...,
 `gl2 table`) with that command's own parser, and any other with the tree.
+
+Every JSON record is written by `_json_text`, byte for byte what
+json.dumps prints with an indent of 2.  A table is written column by
+column, and `cosets --json` from one template per call: the block of
+rows that every partition has, one per family and depth, stitched once
+with the partition and count cells left open and filled in per
+partition.  A partition of a `partitions` or `cosets` table is rendered
+once per process (`_partition_json`).
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import os
 import sys
 
 from . import gl2, oracle
-from .cosets import _PRO_P_CHAINS, Family, SubgroupSpec, counts_by_depth, require_prime, require_prime_power
+from .cosets import _PRO_P_CHAINS, Family, SubgroupSpec, count_columns, require_prime, require_prime_power
 from .germ import (
     CoefficientMap,
     PositivityError,
@@ -108,10 +116,28 @@ _COLUMN_MIN = 6
 
 
 class _Table:
-    """A JSON array of records as its str keys and one list of cells per key: a row of zip(*columns) is a record."""
+    """A JSON array of records as its str keys and one list of cells per key: a row of zip(*columns) is a record.
 
-    def __init__(self, keys, columns: list):
-        self.keys, self.columns = keys, columns
+    An n says that every partition in the table is a partition of n, so
+    their texts are read from `_partition_json(n, ...)`, the memo that
+    holds the text of each.
+    """
+
+    def __init__(self, keys, columns: list, n: int | None = None):
+        self.keys, self.columns, self.n = keys, columns, n
+
+
+class _Blocks:
+    """A JSON array of one block of records per partition of n, in canonical order: a `cosets --json` table.
+
+    A block's records are those of `block`, a _Table of exact ints and
+    strs, each with a "partition" cell first, holding the block's
+    partition, and a `last` cell at its end; values holds each block's
+    tuple of exact ints for its `last` cells.
+    """
+
+    def __init__(self, n: int, block: _Table, last: str, values: list):
+        self.n, self.block, self.last, self.values = n, block, last, values
 
 
 def _write_json(value, out: list, nl: str) -> None:
@@ -126,7 +152,8 @@ def _write_json(value, out: list, nl: str) -> None:
     column by column (see _stitch): a column of exact ints, of exact strs,
     of partitions or of nonempty exact-int lists in one pass, and every
     other cell by this function, so a float, other tuple, bytes or
-    non-str key inside a table still raises TypeError.
+    non-str key inside a table still raises TypeError.  A _Blocks is
+    written from one template of its block (see _blocks).
     """
     t = type(value)
     if t is str:
@@ -175,7 +202,12 @@ def _write_json(value, out: list, nl: str) -> None:
         out.append(nl + "}")
     elif t is _Table:  # written as the records it stands for, none of them built
         rows = min(map(len, value.columns), default=0)
-        out.append("[" + nl + "  " + _stitch(value.keys, value.columns, nl + "  ") + nl + "]" if rows else "[]")
+        inner = nl + "  "
+        texts = _partition_json(value.n, inner + "  ") if value.n else {}
+        cells = [_column(column, inner + "  ", texts) for column in value.columns]
+        out.append("[" + inner + _stitch(value.keys, cells, inner) + nl + "]" if rows else "[]")
+    elif t is _Blocks:
+        out.append("[" + nl + "  " + _blocks(value, nl + "  ") + nl + "]")
     else:
         raise TypeError(f"cannot write {t.__name__} as JSON")
 
@@ -191,20 +223,38 @@ def _records(table: list, nl: str):
     (keys,) = shapes
     if not keys or set(map(type, keys)) != {str}:
         return None
-    return _stitch(keys, [list(map(operator.itemgetter(k), table)) for k in keys], nl)
+    texts = {}  # a partition's text, once per table: a column of the dual permutes another
+    return _stitch(keys, [_column(list(map(operator.itemgetter(k), table)), nl + "  ", texts) for k in keys], nl)
 
 
-def _stitch(keys, columns: list, nl: str) -> str:
-    """The records of a table of one row or more at newline and indent nl, joined by commas, from whole columns."""
+def _stitch(keys, cells: list, nl: str) -> str:
+    """The records of a table of one row or more at newline and indent nl, joined by commas.
+
+    cells holds the text of each cell of each column, at nl + "  ".
+    """
     inner = nl + "  "
-    texts = {}  # a partition's text, once per table: cosets repeats it over rows, and dual permutes a column
     sep = "," + nl  # before the next record: the last record's is cut off
     pieces = []  # a record is its heads and cells in turn, then its end
-    for i, (key, cells) in enumerate(zip(keys, columns)):
-        head = ("{" if i == 0 else ",") + inner + _JSON_STR(key) + ": "
-        pieces += (itertools.repeat(head), _column(cells, inner, texts))
+    for i, (key, column) in enumerate(zip(keys, cells)):
+        pieces += (itertools.repeat(("{" if i == 0 else ",") + inner + _JSON_STR(key) + ": "), column)
     pieces.append(itertools.repeat(nl + "}" + sep))
     return "".join(itertools.chain.from_iterable(zip(*pieces)))[: -len(sep)]
+
+
+def _blocks(table: _Blocks, nl: str) -> str:
+    """The records of a _Blocks at newline and indent nl, joined by commas: one template, filled in per block.
+
+    The template is a block's records stitched once, with the partition
+    cells left as a "\0" and the `last` cells as a "%s" (JSON text holds
+    no raw "\0" or "\1", and each "%" of the rest is doubled), so a block
+    costs one join of its partition's text from `_partition_json` and one %.
+    """
+    keys, inner = ("partition", *table.block.keys, table.last), nl + "  "
+    cells = [_column(column, inner, {}) for column in table.block.columns]
+    template = _stitch(keys, [itertools.repeat("\0"), *cells, itertools.repeat("\1")], nl)
+    template = template.replace("%", "%%").replace("\1", "%s").split("\0")
+    texts = _partition_json(table.n, inner).values()  # in canonical order
+    return ("," + nl).join(text.join(template) % values for text, values in zip(texts, table.values))
 
 
 def _column(cells, nl: str, texts: dict):
@@ -215,15 +265,25 @@ def _column(cells, nl: str, texts: dict):
     if types == {str}:
         return map(_JSON_STR, cells)
     if types == {Partition}:  # its parts are exact ints
-        new = list(set(cells).difference(texts))
-        texts.update(zip(new, _partition_texts(new, nl)))
-        return map(texts.__getitem__, cells)
+        try:  # texts often holds them all: a column of the dual, or any column of a table with an n
+            return list(map(texts.__getitem__, cells))
+        except KeyError:
+            new = list(set(cells).difference(texts))
+            texts.update(zip(new, _partition_texts(new, nl)))
+            return map(texts.__getitem__, cells)
     if types == {list} and all(cells) and set(map(type, itertools.chain.from_iterable(cells))) == {int}:
         return _int_lists(cells, nl)
     return [_text(cell, nl) for cell in cells]
 
 
-def _partition_texts(parts: list, nl: str) -> list:
+@functools.lru_cache(maxsize=64)
+def _partition_json(n: int, nl: str) -> dict:
+    """The text at newline and indent nl of each partition of n, in canonical order: rendered once per process."""
+    parts = enumerate_partitions(n)
+    return dict(zip(parts, _partition_texts(parts, nl)))
+
+
+def _partition_texts(parts, nl: str) -> list:
     """The text of each partition in parts at newline and indent nl, in one join of part strings split at a 0."""
     flat = list(itertools.chain.from_iterable(map(operator.add, parts, itertools.repeat((0,)))))
     if (top := max(flat, default=0)) > len(flat) - len(parts):  # a table of part strings longer than the parts
@@ -295,7 +355,7 @@ _PARTITION_COLUMNS = {"d": d_of, "dual": dual}
 def _cmd_partitions(args) -> None:
     header = ["partition"] + [c for c in _PARTITION_COLUMNS if c in (args.show or [])]
     columns = [enumerate_partitions(args.n)] + [_map_partitions(_PARTITION_COLUMNS[c], args.n) for c in header[1:]]
-    _emit(args, _Table(header, columns), lambda: _table(zip(*columns), header))
+    _emit(args, _Table(header, columns, args.n), lambda: _table(zip(*columns), header))
 
 
 def _cmd_qcount(args) -> None:
@@ -316,16 +376,18 @@ def _cmd_cosets(args) -> None:
     require_at_least(args.j, 0, "--j")
     families = [Family(args.family)] if args.family else list(Family)
     specs = [SubgroupSpec(fam, args.j if fam.is_pro_p else 0, args.q, args.d) for fam in families]
-    parts = enumerate_partitions(args.n)
-    counts = [counts_by_depth(args.n, spec) for spec in specs]  # per family, per partition, per depth
-    # a partition's rows are each family at each of its depths: the same pattern of family and depth for all
-    pattern = [(spec.family.token, j) for spec in specs for j in range(spec.depth + 1)]
-    tokens, js = (list(column) * len(parts) for column in zip(*pattern))
-    lams = list(itertools.chain.from_iterable(map(itertools.repeat, parts, itertools.repeat(len(pattern)))))
-    columns = [lams, tokens, js, [args.q] * len(js), [args.d] * len(js),
-               list(itertools.chain.from_iterable(itertools.chain.from_iterable(zip(*counts))))]
-    table = _Table(("partition", "family", "depth", "q", "d", "count"), columns)
-    _emit(args, table, lambda: _table(zip(lams, tokens, js, columns[-1]), ["partition", "family", "depth", "count"]))
+    counts = list(zip(*count_columns(args.n, specs)))  # per partition, the count of each row of its block
+    # a partition's rows are each family at each of its depths: the same block of family and depth for all
+    tokens, js = zip(*[(spec.family.token, j) for spec in specs for j in range(spec.depth + 1)])
+    block = _Table(("family", "depth", "q", "d"), [tokens, js, [args.q] * len(js), [args.d] * len(js)])
+
+    def text():
+        parts = enumerate_partitions(args.n)
+        lams = itertools.chain.from_iterable(map(itertools.repeat, parts, itertools.repeat(len(js))))
+        rows = zip(lams, tokens * len(parts), js * len(parts), itertools.chain.from_iterable(counts))
+        return _table(rows, ["partition", "family", "depth", "count"])
+
+    _emit(args, _Blocks(args.n, block, "count", counts), text)
 
 
 def _cmd_germ_dimpoly(args) -> None:

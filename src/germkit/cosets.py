@@ -15,8 +15,9 @@ one congruence step deeper multiplies the count of P_lam-cosets by
 t^(d_lam).  Counts for any other conjugacy class of filtration subgroup
 reduce to a base count at shallow depth plus the same scaling law, so
 the API accepts a user-supplied base count wherever a family is.
-`count_at_depth` and `counts_by_depth` (each partition of n, depths 0..j)
-are the one place that applies the law, to a family's base count (from
+`count_at_depth` (one partition, one depth) and `count_columns` (each
+partition of n under several specs, one column per depth 0..j) are the
+one place that applies the law, to a family's base count (from
 `base_counts_at_t`, checked against `base_count` at t) or a user's.
 
 The I-chain base count for n > 2 is a derived convention
@@ -196,17 +197,36 @@ def base_counts_at_t(lams, spec: SubgroupSpec) -> list[int]:
 
     One table of [k]_t! (for K) or k! per call: a partition costs one divmod, and a remainder is an ArithmeticError.
     """
-    lams = list(map(require_partition, lams, repeat("a coset count")))
-    family, t = spec.family, spec.residue_size
-    if family is Family.VERTEX_MAX:
-        return [1] * len(lams)
-    fact = _factorials(max(map(sum, lams), default=0), t if family is Family.VERTEX_CONGRUENCE else None)
-    out = []
-    for lam in lams:
-        count, rest = divmod(fact[sum(lam)], math.prod(map(fact.__getitem__, lam)))
-        if rest:
-            raise ArithmeticError(f"inexact division in the {family.token} coset count of {lam} at t = {t}")
-        out.append(count * t ** d_of(lam) if family is Family.IWAHORI_CONGRUENCE else count)
+    return _base_counts(list(map(require_partition, lams, repeat("a coset count"))), [spec])[0]
+
+
+def _base_counts(lams: list, specs, ds=None) -> list[list[int]]:
+    """`base_counts_at_t` of lams under each spec; ds, if given, holds the d_lam of each partition in lams.
+
+    Each table of [k]_t! or k! is built, and each partition divided by it with the remainder checked, once per
+    call: I0, Ihalf and I share the multinomial n!/prod(lam_i!), which I multiplies by t^(d_lam).
+    """
+    if not lams:
+        return [[] for _ in specs]
+    ns, quotients, out = list(map(sum, lams)), {}, []  # quotients: the table's t (None for k!) -> the count of each lam
+    for spec in specs:
+        family, t = spec.family, spec.residue_size
+        if family is Family.VERTEX_MAX:
+            out.append([1] * len(lams))
+            continue
+        key = t if family is Family.VERTEX_CONGRUENCE else None
+        if key not in quotients:
+            fact = _factorials(max(ns, default=0), key)
+            products = map(math.prod, map(map, repeat(fact.__getitem__), lams))
+            counts, rests = zip(*map(divmod, map(fact.__getitem__, ns), products))
+            if any(rests):
+                lam = lams[next(i for i, rest in enumerate(rests) if rest)]
+                raise ArithmeticError(f"inexact division in the {family.token} coset count of {lam} at t = {t}")
+            quotients[key] = list(counts)
+        counts = quotients[key]
+        if family is Family.IWAHORI_CONGRUENCE:
+            counts = list(map(operator.mul, counts, map(pow, repeat(t), map(d_of, lams) if ds is None else ds)))
+        out.append(counts)
     return out
 
 
@@ -219,11 +239,19 @@ def count_at_depth(lam: Partition, spec: SubgroupSpec, base: int | None = None) 
     return base * spec.residue_size ** (d_of(require_partition(lam, "a coset count")) * spec.depth)
 
 
-def counts_by_depth(n: int, spec: SubgroupSpec) -> list[list[int]]:
-    """`count_at_depth` of each partition of n, in canonical order, at each depth 0, 1, ..., spec.depth."""
-    bases, t = base_counts_at_t(_partitions(require_at_least(n, 1, "n")), spec), spec.residue_size
-    return [list(accumulate(repeat(t**d, spec.depth), operator.mul, initial=base))
-            for base, d in zip(bases, _map_partitions(d_of, n))]
+def count_columns(n: int, specs) -> list[list[int]]:
+    """The counts of the partitions of n, in canonical order, under each spec at each depth 0..spec.depth.
+
+    One column per (spec, depth), in that order: the base counts come from one `_base_counts` call for all the
+    specs, and each step deeper multiplies the column by t^(d_lam).
+    """
+    lams, ds = _partitions(require_at_least(n, 1, "n")), _map_partitions(d_of, n)
+    columns = []
+    for spec, bases in zip(specs, _base_counts(lams, specs, ds)):
+        steps = list(map(pow, repeat(spec.residue_size), ds)) if spec.depth else []
+        columns += accumulate(repeat(steps, spec.depth), lambda col, steps: list(map(operator.mul, col, steps)),
+                              initial=bases)
+    return columns
 
 
 _CHAIN_RE = re.compile(r"^(K|I)(\d+)(/2)?$")

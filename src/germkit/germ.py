@@ -33,7 +33,6 @@ from .partitions import (
     d_of,
     dominance_leq,
     enumerate_partitions,
-    induce_partition,
     minimal_elements,
     require_at_least,
     require_int,
@@ -227,17 +226,19 @@ def induce_maps(maps: Sequence[CoefficientMap]) -> CoefficientMap:
     """
     if not maps:
         raise ValueError("induce_maps needs at least one map")
-    acc = maps[0]
-    # one pair at a time, so each partial product has at most p(n) entries
-    for m in maps[1:]:
-        step: dict[Partition, int] = {}
-        right = m.items()
+    # one pair at a time, smallest support first, so each partial product has at most p(n) entries and
+    # stays small for longest; it is a plain dict keyed by the parts in increasing order, which `sorted`
+    # gathers in one C-level pass
+    first, *rest = sorted(maps, key=lambda m: len(m._entries))
+    acc = {lam[::-1]: v for lam, v in first._entries.items()}
+    for m in rest:
+        step: dict[tuple[int, ...], int] = {}
+        right, values = [mu[::-1] for mu in m._entries], list(m._entries.values())
         for lam, a in acc.items():
-            for mu, b in right:
-                nu = induce_partition([lam, mu])
+            for nu, b in zip(map(tuple, map(sorted, map(lam.__add__, right))), values):
                 step[nu] = step.get(nu, 0) + a * b
-        acc = CoefficientMap(acc.n + m.n, step)
-    return acc
+        acc = step
+    return CoefficientMap(sum(m.n for m in maps), {Partition._derived(nu[::-1]): v for nu, v in acc.items()})
 
 
 def lj_transfer(c: CoefficientMap, n: int, d: int) -> CoefficientMap:

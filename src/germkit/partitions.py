@@ -54,15 +54,17 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int]) -> "Partition":
-        parts = tuple(require_int(p, "a partition part") for p in parts)
+        parts = tuple(parts)
+        # one C-level pass per check; the part-by-part checks below only name the first fault
+        if parts and {int}.issuperset(map(type, parts)) and min(parts) >= 1 and all(map(operator.ge, parts, parts[1:])):
+            return tuple.__new__(cls, parts)
+        for p in parts:
+            require_int(p, "a partition part")
         if not parts:
             raise ValueError("empty partition is not allowed (n must be >= 1)")
         for p in parts:
             require_at_least(p, 1, "partition parts")
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
-                raise ValueError(f"partition parts must be weakly decreasing, got {parts}")
-        return tuple.__new__(cls, parts)
+        raise ValueError(f"partition parts must be weakly decreasing, got {parts}")  # the one check left
 
     @classmethod
     def _derived(cls, parts: Iterable[int]) -> "Partition":
@@ -88,7 +90,7 @@ class Partition(tuple):
     @classmethod
     def from_json(cls, data) -> "Partition":
         # JSON true/false decode to bool, a subclass of int, so test the exact type
-        if not isinstance(data, list) or not all(type(x) is int for x in data):
+        if not isinstance(data, list) or not {int}.issuperset(map(type, data)):
             raise ValueError(f"a partition serializes as a JSON array of integers, got {data!r}")
         return cls(data)
 

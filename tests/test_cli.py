@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
@@ -14,7 +16,7 @@ from germkit import cli, cosets, oracle
 from germkit.cli import main
 from germkit.cosets import PRIME_CHECK_BOUND, Family, SubgroupSpec, count_at_depth
 from germkit.germ import CoefficientMap, closed_form_multiplicity_matrix, forward_multiplicities
-from germkit.partitions import Partition, d_of, enumerate_partitions
+from germkit.partitions import Partition, d_of, dual, enumerate_partitions
 from germkit.qpoly import q_multinomial
 
 DATA = Path(__file__).parent / "data"
@@ -208,7 +210,8 @@ class TestCosetsCommand:
     @pytest.mark.parametrize("argv", [["cosets", "--n", "6", "--q", "2", "--j", "3", "--json"],
                                       ["partitions", "--n", "6", "--show", "dual", "--json"]])
     def test_each_partition_is_rendered_once(self, capsys, monkeypatch, argv):
-        # 14 cosets rows share a partition's text, and the dual column reuses the partition column's
+        # at most once per process: 14 cosets rows share a partition's text, the dual column reuses the
+        # partition column's, and a second identical command reads every text from cli._partition_json
         rendered, partition_texts = [], cli._partition_texts
 
         def spy(parts, nl):
@@ -216,11 +219,16 @@ class TestCosetsCommand:
             return partition_texts(parts, nl)
 
         monkeypatch.setattr(cli, "_partition_texts", spy)
+        cli._partition_json.cache_clear()
         assert run(capsys, *argv)[0] == 0
         assert sorted(rendered) == sorted(enumerate_partitions(6))
+        rendered.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert rendered == []
 
-    def test_no_base_count_and_one_factorial_table_per_family(self, capsys, monkeypatch):
-        # the counts are integers at t, from one table of [k]_t! or k! per family and no polynomial; K0 needs none
+    def test_no_base_count_and_one_factorial_table_per_kind(self, capsys, monkeypatch):
+        # the counts are integers at t and no polynomial, from one table of [k]_t! (K) and one of k!, which
+        # I0, Ihalf and I share; K0 needs none
         base_counts, tables = [], []
         original = cosets._factorials
         monkeypatch.setattr(cosets, "base_count", lambda lam, fam: base_counts.append((lam, fam)))
@@ -228,7 +236,7 @@ class TestCosetsCommand:
         code, _, _ = run(capsys, "cosets", "--n", "6", "--q", "2", "--j", "3")
         assert code == 0
         assert base_counts == []
-        assert sorted(tables, key=str) == [(6, 2), (6, None), (6, None), (6, None)]
+        assert sorted(tables, key=str) == [(6, 2), (6, None)]
 
 
 class TestDeterminism:
@@ -481,6 +489,70 @@ class TestJsonWriter:
             assert sys.get_int_max_str_digits() == 5000
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+_PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 81, 125]
+
+
+def captured(argv):
+    """(exit code, stdout, stderr) of main(argv), for a property test, which cannot take capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestTablesAsJsonDumps:
+    """The `cosets` blocks and the `partitions` columns print what json.dumps prints for their records, cold or warm."""
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 12), st.sampled_from([None] + [f.token for f in Family]), st.sampled_from(_PRIME_POWERS),
+           st.integers(1, 3), st.integers(0, 4))
+    def test_cosets(self, n, family, q, d, j):
+        fams = [Family(family)] if family else list(Family)
+        records = [{"partition": list(lam), "family": fam.token, "depth": depth, "q": q, "d": d,
+                    "count": count_at_depth(lam, SubgroupSpec(fam, depth, q, d))}
+                   for lam in enumerate_partitions(n) for fam in fams
+                   for depth in (range(j + 1) if fam.is_pro_p else [0])]
+        argv = ["cosets", "--n", str(n), "--q", str(q), "--d", str(d), "--j", str(j), "--json"]
+        argv += ["--family", family] if family else []
+        expected = with_int_digits_unlimited(lambda: json.dumps(records, indent=2) + "\n")
+        for _ in range(2):
+            assert captured(argv) == (0, expected, "")
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 20), st.lists(st.sampled_from(["d", "dual"]), max_size=3))
+    def test_partitions(self, n, show):
+        # from n = 10 on, parts have two digits; the columns are d then dual whatever the order of --show
+        records = [{"partition": list(lam), **({"d": d_of(lam)} if "d" in show else {}),
+                    **({"dual": list(dual(lam))} if "dual" in show else {})} for lam in enumerate_partitions(n)]
+        argv = ["partitions", "--n", str(n), "--json", *[a for c in show for a in ("--show", c)]]
+        for _ in range(2):
+            assert captured(argv) == (0, json.dumps(records, indent=2) + "\n", "")
+
+    @settings(max_examples=100)
+    @given(st.integers(1, 6), _KEYS.filter(lambda ks: not {"partition", "%s"} & set(ks)), st.data())
+    def test_blocks_with_any_str_or_key(self, n, keys, data):
+        # the template doubles each % of the text around its open cells, so a key or str holding one prints as it is
+        rows = data.draw(st.integers(1, 3))
+        columns = [data.draw(st.lists(st.integers() | _TEXT, min_size=rows, max_size=rows)) for _ in keys]
+        values = data.draw(st.lists(st.tuples(*[st.integers()] * rows), min_size=len(enumerate_partitions(n)),
+                                    max_size=len(enumerate_partitions(n))))
+        records = [{"partition": list(lam), **dict(zip(keys, row)), "%s": v}
+                   for lam, vs in zip(enumerate_partitions(n), values) for row, v in zip(zip(*columns), vs)]
+        blocks = cli._Blocks(n, cli._Table(keys, columns), "%s", values)
+        assert cli._json_text(blocks) == json.dumps(records, indent=2)
+
+    @settings(max_examples=200)
+    @given(st.lists(_PARTITIONS | _WIDE_PARTITIONS | _HUGE_PARTITIONS, max_size=8))
+    @example([Partition([10**6]), Partition([2, 1])])  # one part far above the number of parts: the repr path
+    @example([Partition([12, 10, 1]), Partition([3])])
+    def test_partition_texts_at_a_table_cell(self, parts):
+        texts = cli._partition_texts(parts, "\n    ")
+        assert len(texts) == len(parts)
+        # a cell of a record of a top-level array: "[\n  {\n    \"p\": " is 15 characters and "\n  }\n]" 6
+        expected = [json.dumps([{"p": list(lam)}], indent=2)[15:-6] for lam in parts]
+        assert texts == expected
 
 
 class TestParserReuse:

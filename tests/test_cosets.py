@@ -12,7 +12,7 @@ from germkit.cosets import (
     base_count,
     base_counts_at_t,
     count_at_depth,
-    counts_by_depth,
+    count_columns,
     gl2_chain_index,
     is_prime,
     is_prime_power,
@@ -187,14 +187,14 @@ class TestCountAtDepth:
                     assert [count_at_depth(lam, SubgroupSpec(fam, j, q, d)) for j in depths] == expected
             for fam in Family:
                 spec = SubgroupSpec(fam, 3 if fam.is_pro_p else 0, q, d)
-                assert counts_by_depth(n, spec) == [
-                    [count_at_depth(lam, spec._replace(depth=j)) for j in range(spec.depth + 1)]
-                    for lam in enumerate_partitions(n)
+                assert count_columns(n, [spec]) == [
+                    [count_at_depth(lam, spec._replace(depth=j)) for lam in enumerate_partitions(n)]
+                    for j in range(spec.depth + 1)
                 ]
 
     @pytest.mark.parametrize("q", [2, 3, 4, 9])
     def test_integer_route_equals_the_polynomial_route_up_to_12(self, q):
-        # base_counts_at_t and counts_by_depth against the Horner value of base_count times t^(d_lam * j)
+        # base_counts_at_t and count_columns against the Horner value of base_count times t^(d_lam * j)
         for n in range(1, 13):
             parts = enumerate_partitions(n)
             for d in range(1, 4):
@@ -203,8 +203,8 @@ class TestCountAtDepth:
                     depth = 4 if fam.is_pro_p else 0
                     bases = [base_count(lam, fam).eval_at(t) for lam in parts]
                     assert base_counts_at_t(parts, SubgroupSpec(fam, depth, q, d)) == bases
-                    expected = [[b * t ** (d_of(lam) * j) for j in range(depth + 1)] for lam, b in zip(parts, bases)]
-                    assert counts_by_depth(n, SubgroupSpec(fam, depth, q, d)) == expected
+                    expected = [[b * t ** (d_of(lam) * j) for lam, b in zip(parts, bases)] for j in range(depth + 1)]
+                    assert count_columns(n, [SubgroupSpec(fam, depth, q, d)]) == expected
 
     def test_partitions_of_several_n_in_one_call(self):
         lams = [P(3), P(1), P(2, 2, 1), P(1, 1)]
@@ -224,7 +224,28 @@ class TestCountAtDepth:
         with pytest.raises(ArithmeticError):
             count_at_depth(P(3, 1), spec)
         with pytest.raises(ArithmeticError):
-            counts_by_depth(4, spec)
+            count_columns(4, [spec])
+
+    @pytest.mark.parametrize("q,d,j", [(2, 1, 0), (3, 2, 3), (4, 1, 2)])
+    def test_several_specs_in_one_call(self, monkeypatch, q, d, j):
+        # one table of [k]_t! for K and one of k! that I0, Ihalf and I share, with the columns of each spec in turn
+        tables, original = [], cosets._factorials
+        monkeypatch.setattr(cosets, "_factorials", lambda n, t: tables.append((n, t)) or original(n, t))
+        specs = [SubgroupSpec(fam, j if fam.is_pro_p else 0, q, d) for fam in Family]
+        for n in range(1, 9):
+            tables.clear()
+            assert count_columns(n, specs) == [column for spec in specs for column in count_columns(n, [spec])]
+            assert tables[:2] == [(n, q**d), (n, None)]
+
+    @pytest.mark.parametrize("first", [Family.IWAHORI, Family.PRO_P_IWAHORI_HALF, Family.IWAHORI_CONGRUENCE])
+    def test_a_shared_corrupted_table_names_the_first_family_to_read_it(self, monkeypatch, first):
+        original = cosets._factorials
+        monkeypatch.setattr(cosets, "_factorials", lambda n, t: original(n, t)[:-1] + [original(n, t)[-1] + 1])
+        fams = [Family.VERTEX_MAX, first] + [f for f in Family if f not in (Family.VERTEX_MAX, first)]
+        specs = [SubgroupSpec(f, 0, 3, 1) for f in fams if f is not Family.VERTEX_CONGRUENCE]
+        message = rf"^inexact division in the {first.token} coset count of \(2,1\) at t = 3$"
+        with pytest.raises(ArithmeticError, match=message):
+            count_columns(3, specs)
 
     @pytest.mark.parametrize("fam", list(Family))
     @pytest.mark.parametrize("lam", [(2, 1), [2, 1]])

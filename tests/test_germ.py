@@ -8,7 +8,7 @@ from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from germkit import cli, germ
 from germkit.cosets import Family, SubgroupSpec, base_count
@@ -581,6 +581,37 @@ def _induce_by_product(maps):
         lam = induce_partition([lam_i for lam_i, _ in combo])
         acc[lam] = acc.get(lam, 0) + math.prod(v for _, v in combo)
     return CoefficientMap(sum(m.n for m in maps), acc)
+
+
+def _induce_pairwise(maps):
+    """induce_maps as it folded before its partial products were plain dicts: one checked map per step."""
+    acc = maps[0]
+    for m in maps[1:]:
+        step = {}
+        right = m.items()
+        for lam, a in acc.items():
+            for mu, b in right:
+                nu = induce_partition([lam, mu])
+                step[nu] = step.get(nu, 0) + a * b
+        acc = CoefficientMap(acc.n + m.n, step)
+    return acc
+
+
+def _typed_entries(m):
+    """n and the entries of m in canonical order, with the type of each key."""
+    return m.n, [(lam, type(lam), v) for lam, v in m.items()]
+
+
+class TestPlainDictFold:
+    """induce_maps against the fold it replaced, which built one checked map per step."""
+
+    @settings(max_examples=200)
+    @given(st.lists(_maps(), min_size=1, max_size=4))
+    @example([CoefficientMap(2, {P(2): 1, P(1, 1): 1}), CoefficientMap(2, {P(1, 1): 1, P(2): -1})])
+    @example([CoefficientMap(2, {P(2): 1, P(1, 1): 1}), CoefficientMap(2, {P(1, 1): 1, P(2): -1}), steinberg()])
+    def test_induce_equals_the_pairwise_fold(self, maps):
+        # (2)(1,1) and (1,1)(2) gather to (2,1,1) with values 1 and -1: the entry cancels to zero
+        assert _typed_entries(induce_maps(maps)) == _typed_entries(_induce_pairwise(maps))
 
 
 class TestLawsAsProperties:

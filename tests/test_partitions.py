@@ -15,6 +15,8 @@ from germkit.partitions import (
     enumerate_partitions,
     induce_partition,
     minimal_elements,
+    require_at_least,
+    require_int,
     scale_partition,
 )
 
@@ -115,6 +117,67 @@ class TestPartitionType:
         with pytest.raises(ValueError) as info:
             Partition.from_json(data)
         assert str(info.value) == f"a partition serializes as a JSON array of integers, got {data!r}"
+
+
+def _parts_one_at_a_time(parts):
+    """The constructor's checks as they ran before they became C-level passes: the reference for its messages."""
+    parts = tuple(require_int(p, "a partition part") for p in parts)
+    if not parts:
+        raise ValueError("empty partition is not allowed (n must be >= 1)")
+    for p in parts:
+        require_at_least(p, 1, "partition parts")
+    for a, b in zip(parts, parts[1:]):
+        if a < b:
+            raise ValueError(f"partition parts must be weakly decreasing, got {parts}")
+    return parts
+
+
+def _wire_one_at_a_time(data):
+    if not isinstance(data, list) or not all(type(x) is int for x in data):
+        raise ValueError(f"a partition serializes as a JSON array of integers, got {data!r}")
+    return _parts_one_at_a_time(data)
+
+
+def _outcome(build, parts):
+    """The parts built, or the text of the ValueError raised."""
+    try:
+        return "ok", tuple(build(parts))
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+_PART_VALUES = st.one_of(st.integers(-2, 12), st.sampled_from([0, 10**20]), st.booleans(), st.floats(),
+                         st.text(max_size=2), st.none())
+_PART_LISTS = st.one_of(
+    st.lists(_PART_VALUES, max_size=6),
+    st.lists(st.integers(1, 12), max_size=6).map(lambda ps: sorted(ps, reverse=True)),  # valid, or empty
+    st.lists(st.integers(1, 12), min_size=2, max_size=6).map(sorted),  # increasing unless constant
+    st.lists(st.integers(-1, 3), min_size=1, max_size=6).map(lambda ps: sorted(ps, reverse=True)),  # a 0 or below last
+)
+
+
+class TestOnePassChecks:
+    """The constructor and the wire format check in C-level passes and name the fault as the part-by-part checks did."""
+
+    @settings(max_examples=300)
+    @given(_PART_LISTS)
+    def test_the_constructor_raises_what_the_part_by_part_checks_raise(self, parts):
+        expected = _outcome(_parts_one_at_a_time, parts)
+        assert _outcome(Partition, parts) == expected
+        assert _outcome(Partition, tuple(parts)) == expected
+        assert _outcome(Partition, (p for p in parts)) == _outcome(_parts_one_at_a_time, (p for p in parts))
+        if expected[0] == "ok":
+            assert type(Partition(parts)) is Partition
+
+    @settings(max_examples=300)
+    @given(_PART_LISTS | st.one_of(st.tuples(st.integers(1, 3)), st.text(max_size=2), st.none(), st.integers()))
+    def test_the_wire_format_raises_what_the_part_by_part_checks_raise(self, data):
+        assert _outcome(Partition.from_json, data) == _outcome(_wire_one_at_a_time, data)
+
+    @pytest.mark.parametrize("parts", [[], [True, 1], [2, 1.0], ["2"], [0], [-1], [1, 2], [3, 3, 0], [2, 3, 1]])
+    def test_each_fault_as_a_generator(self, parts):
+        assert _outcome(Partition, iter(parts)) == _outcome(_parts_one_at_a_time, iter(parts))
+        assert _outcome(Partition, iter(parts))[0] == "ValueError"
 
 
 class TestEnumeration:

@@ -141,6 +141,8 @@ LIBRARY_ONLY = {
     "forward_multiplicities": "multiplicities determine the map (test_acceptance criterion 04)",
     "gk_dimension": "the degree d(pi) is independent of K (test_germ, degree_is_independent_of_the_subgroup)",
     "gl2_chain_index": "the indices of the n = 2 chain K0 > I0 > I1/2 > K1 > ... (test_cosets TestGL2Chain)",
+    "induce_partition": "induction sums over the tuples whose gathered parts sort to lam: the product route that "
+    "induce_maps is checked against (test_germ TestLawsAsProperties)",
     "q_factorial": "[n]_q! = |GL_n(F_q)| / |B(F_q)| (test_qpoly)",
     "q_int": "[n]_q! is the product of the q-integers (test_qpoly)",
     "CoefficientMap.indicator": "the JL transfer of a dim-dimensional class has (2)-coefficient -dim "
