@@ -26,12 +26,12 @@ power q, for n <= SOLVE_MAX_N.
 `gl2 table`) with that command's own parser, and any other with the tree.
 
 Every JSON record is written by `_json_text`, byte for byte what
-json.dumps prints with an indent of 2.  A table is written column by
-column, and `cosets --json` from one template per call: the block of
-rows that every partition has, one per family and depth, stitched once
-with the partition and count cells left open and filled in per
-partition.  A partition of a `partitions` or `cosets` table is rendered
-once per process (`_partition_json`).
+json.dumps prints with an indent of 2.  `partitions`, `germ induce`,
+`lj`, `jl`, `solve` and `whittaker` hand it a `_Table`, written column
+by column, and `cosets --json` a `_Blocks`, written from one template
+per call (see `_blocks`); every other list is written record by record.
+A partition of a `partitions` or `cosets` table is rendered once per
+process (`_partition_json`).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import argparse
 import functools
 import itertools
 import json
-import operator
 import os
 import sys
 
@@ -108,11 +107,6 @@ def _read_map(path: str) -> CoefficientMap:
 
 _JSON_STR = json.encoder.encode_basestring_ascii
 _JSON_INT = int.__repr__
-# A table of fewer records is written record by record.  On a 2-vCPU Xeon,
-# Python 3.11, in process, the column path lost below 6 records (a 2-entry
-# coefficient map: 7.8 us by records, 12.9 us by columns), broke even at
-# 6 and won from 7 on (8 entries: 21.6 us by records, 18.4 us by columns).
-_COLUMN_MIN = 6
 
 
 class _Table:
@@ -147,13 +141,14 @@ def _write_json(value, out: list, nl: str) -> None:
     Partitions, written as the array of their parts, and raises TypeError
     on any other type, so a record of a new shape fails rather than
     printing other bytes.  A partition or a list of exact ints, such as a
-    polynomial, is written with one join.  A _Table, or a list of at least
-    _COLUMN_MIN dicts with the same str keys in the same order, is written
-    column by column (see _stitch): a column of exact ints, of exact strs,
-    of partitions or of nonempty exact-int lists in one pass, and every
-    other cell by this function, so a float, other tuple, bytes or
-    non-str key inside a table still raises TypeError.  A _Blocks is
-    written from one template of its block (see _blocks).
+    polynomial, is written with one join.  A _Table, which `partitions`,
+    the four map commands and `germ whittaker` declare, is written column
+    by column (see _stitch): a column of exact ints, of exact strs or of
+    partitions in one pass, and every other cell by this function, so a
+    float, other tuple, bytes or non-str key inside a table still raises
+    TypeError.  A _Blocks, which `cosets --json` declares, is written from
+    one template of its block (see _blocks).  Any other list, of dicts or
+    not, is written item by item.
     """
     t = type(value)
     if t is str:
@@ -167,14 +162,9 @@ def _write_json(value, out: list, nl: str) -> None:
     elif t is list or t is Partition:
         inner = nl + "  "
         comma = "," + inner
-        first = type(value[0])
         # a Partition's parts are exact ints; bool is a subclass of int
-        if t is Partition or first is int and all(type(x) is int for x in value):
+        if t is Partition or type(value[0]) is int and all(type(x) is int for x in value):
             out.append("[" + inner + comma.join(map(_JSON_INT, value)) + nl + "]")
-            return
-        records = _records(value, inner) if first is dict and len(value) >= _COLUMN_MIN else None
-        if records is not None:
-            out.append("[" + inner + records + nl + "]")
             return
         sep = "[" + inner
         for x in value:
@@ -203,28 +193,12 @@ def _write_json(value, out: list, nl: str) -> None:
     elif t is _Table:  # written as the records it stands for, none of them built
         rows = min(map(len, value.columns), default=0)
         inner = nl + "  "
-        texts = _partition_json(value.n, inner + "  ") if value.n else {}
-        cells = [_column(column, inner + "  ", texts) for column in value.columns]
+        cells = [_column(column, inner + "  ", value.n) for column in value.columns]
         out.append("[" + inner + _stitch(value.keys, cells, inner) + nl + "]" if rows else "[]")
     elif t is _Blocks:
         out.append("[" + nl + "  " + _blocks(value, nl + "  ") + nl + "]")
     else:
         raise TypeError(f"cannot write {t.__name__} as JSON")
-
-
-def _records(table: list, nl: str):
-    """The records of table at newline and indent nl, joined by commas, or None unless they share their str keys."""
-    last = table[-1]  # a first and last record with other keys are the cheapest reject
-    if type(last) is not dict or table[0].keys() != last.keys() or set(map(type, table)) != {dict}:
-        return None
-    shapes = set(map(tuple, table))  # the keys of each record, in order
-    if len(shapes) != 1:
-        return None
-    (keys,) = shapes
-    if not keys or set(map(type, keys)) != {str}:
-        return None
-    texts = {}  # a partition's text, once per table: a column of the dual permutes another
-    return _stitch(keys, [_column(list(map(operator.itemgetter(k), table)), nl + "  ", texts) for k in keys], nl)
 
 
 def _stitch(keys, cells: list, nl: str) -> str:
@@ -250,29 +224,22 @@ def _blocks(table: _Blocks, nl: str) -> str:
     costs one join of its partition's text from `_partition_json` and one %.
     """
     keys, inner = ("partition", *table.block.keys, table.last), nl + "  "
-    cells = [_column(column, inner, {}) for column in table.block.columns]
+    cells = [_column(column, inner) for column in table.block.columns]
     template = _stitch(keys, [itertools.repeat("\0"), *cells, itertools.repeat("\1")], nl)
     template = template.replace("%", "%%").replace("\1", "%s").split("\0")
     texts = _partition_json(table.n, inner).values()  # in canonical order
     return ("," + nl).join(text.join(template) % values for text, values in zip(texts, table.values))
 
 
-def _column(cells, nl: str, texts: dict):
-    """The text of each cell at newline and indent nl; texts holds the text at nl of each partition written so far."""
+def _column(cells, nl: str, n: int | None = None):
+    """The text of each cell at newline and indent nl; partitions of an n given are read from `_partition_json`."""
     types = set(map(type, cells))
     if types == {int}:
         return map(_JSON_INT, cells)
     if types == {str}:
         return map(_JSON_STR, cells)
     if types == {Partition}:  # its parts are exact ints
-        try:  # texts often holds them all: a column of the dual, or any column of a table with an n
-            return list(map(texts.__getitem__, cells))
-        except KeyError:
-            new = list(set(cells).difference(texts))
-            texts.update(zip(new, _partition_texts(new, nl)))
-            return map(texts.__getitem__, cells)
-    if types == {list} and all(cells) and set(map(type, itertools.chain.from_iterable(cells))) == {int}:
-        return _int_lists(cells, nl)
+        return map(_partition_json(n, nl).__getitem__, cells) if n else _partition_texts(cells, nl)
     return [_text(cell, nl) for cell in cells]
 
 
@@ -284,22 +251,10 @@ def _partition_json(n: int, nl: str) -> dict:
 
 
 def _partition_texts(parts, nl: str) -> list:
-    """The text of each partition in parts at newline and indent nl, in one join of part strings split at a 0."""
-    flat = list(itertools.chain.from_iterable(map(operator.add, parts, itertools.repeat((0,)))))
-    if (top := max(flat, default=0)) > len(flat) - len(parts):  # a table of part strings longer than the parts
-        return _int_lists(list(map(list, parts)), nl)
-    inner, comma = nl + "  ", "," + nl + "  "
-    strs = ["\0"] + list(map(comma.__add__, map(str, range(1, top + 1))))  # no part string holds "\0"
-    text = "".join(map(strs.__getitem__, flat)).replace("\0" + comma, nl + "]\0[" + inner)
-    return ("[" + inner + text[len(comma) : -1] + nl + "]").split("\0") if parts else []
-
-
-def _int_lists(cells: list, nl: str) -> list:
-    """The text of each nonempty list of exact ints in cells at newline and indent nl, in one pass."""
-    # repr of an int list is "[1, 2]", and no digit string holds a bracket, ", " or "\0"
+    """The text of each partition in parts at newline and indent nl, in one join split at a "\0"."""
     inner = nl + "  "
-    text = "\0".join(map(repr, cells))
-    return text.replace("[", "[" + inner).replace(", ", "," + inner).replace("]", nl + "]").split("\0")
+    text = (nl + "]\0[" + inner).join(map(("," + inner).join, map(map, itertools.repeat(_JSON_INT), parts)))
+    return ("[" + inner + text + nl + "]").split("\0") if parts else []
 
 
 def _text(value, nl: str) -> str:
@@ -408,8 +363,19 @@ def _cmd_germ_dimpoly(args) -> None:
     _emit(args, rec, lambda: rec["pretty"])
 
 
+def _map_json(cmap: CoefficientMap) -> dict:
+    """cmap's `CoefficientMap.to_json` record, its entries as a _Table."""
+    return {"n": cmap.n, "entries": _pairs(cmap.items())}
+
+
+def _pairs(items) -> _Table:
+    """A table of "partition" and "value" records, one per (partition, value) in items."""
+    # no n: a map's support is mostly a few of the partitions of n, and a texts memo of all of them costs memory
+    return _Table(("partition", "value"), list(zip(*items)) or [(), ()])
+
+
 def _cmd_germ_induce(args) -> None:
-    _emit(args, induce_maps([_read_map(p) for p in args.infile]).to_json(), None)
+    _emit(args, _map_json(induce_maps([_read_map(p) for p in args.infile])), None)
 
 
 def _cmd_germ_lj(args) -> None:
@@ -417,11 +383,11 @@ def _cmd_germ_lj(args) -> None:
     cmap = _read_map(args.infile)
     if cmap.n % args.d != 0:
         raise UsageError(f"map is on partitions of {cmap.n}, not divisible by d = {args.d}")
-    _emit(args, lj_transfer(cmap, cmap.n // args.d, args.d).to_json(), None)
+    _emit(args, _map_json(lj_transfer(cmap, cmap.n // args.d, args.d)), None)
 
 
 def _cmd_germ_jl(args) -> None:
-    _emit(args, jl_transfer(_read_map(args.infile), args.d).to_json(), None)
+    _emit(args, _map_json(jl_transfer(_read_map(args.infile), args.d)), None)
 
 
 # The closed form's cost grows with n and not with q: on a 2-vCPU Xeon,
@@ -436,13 +402,13 @@ def _cmd_germ_solve(args) -> None:
         raise UsageError(f"germ solve supports n <= {SOLVE_MAX_N}, got n = {data.n}")
     M = closed_form_multiplicity_matrix(data.n, args.q)
     mults = {lam: data.value(lam) for lam in M}  # the rows of M: every partition of n, in canonical order
-    _emit(args, solve_from_multiplicities(mults, M).to_json(), None)
+    _emit(args, _map_json(solve_from_multiplicities(mults, M)), None)
 
 
 def _cmd_germ_whittaker(args) -> None:
     cmap = _read_map(args.infile)
     dims = whittaker_dims(cmap)  # in canonical order
-    rec = {"n": cmap.n, "dims": [{"partition": lam, "value": v} for lam, v in dims.items()]}
+    rec = {"n": cmap.n, "dims": _pairs(dims.items())}
     _emit(args, rec, lambda: _table(dims.items(), ["partition", "dim"]))
 
 

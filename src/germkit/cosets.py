@@ -12,13 +12,16 @@ chains between them:
 
 Each pro-p family has a base count at depth 0, a polynomial in t; moving
 one congruence step deeper multiplies the count of P_lam-cosets by
-t^(d_lam).  Counts for any other conjugacy class of filtration subgroup
-reduce to a base count at shallow depth plus the same scaling law, so
-the API accepts a user-supplied base count wherever a family is.
+t^(d_lam).  That law is proved only for the five families above.
 `count_at_depth` (one partition, one depth) and `count_columns` (each
 partition of n under several specs, one column per depth 0..j) are the
-one place that applies the law, to a family's base count (from
-`base_counts_at_t`, checked against `base_count` at t) or a user's.
+one place that applies it, to a family's base count (from
+`base_counts_at_t`, checked against `base_count` at t) or to a count
+passed as `base` (or as `germ`'s `base_counts`), scaled by t^(d_lam) per
+depth step all the same.  A caller who passes a count for any other
+subgroup owns its validity: at nu = lam = (2,1) and q = 2, the
+Moy-Prasad groups G_(nu,0+) and G_(nu,1) at the facet of type nu give
+4 and 10, which no power of t relates.
 
 The I-chain base count for n > 2 is a derived convention
 (multinomial * t^(d_lam)), consistent with the known n = 2 values but

@@ -292,7 +292,7 @@ _CELL_KINDS = [
 def _tables(draw):
     keys = draw(_KEYS)
     columns = [draw(st.sampled_from(_CELL_KINDS)) for _ in keys]
-    size = draw(st.integers(0, 2 * cli._COLUMN_MIN))
+    size = draw(st.integers(0, 12))
     return [{k: draw(cell) for k, cell in zip(keys, columns)} for _ in range(size)]
 
 
@@ -309,7 +309,7 @@ def _partition_tables(draw):
     """A table with an all-Partition column and a column of partitions and int lists, among other kinds."""
     kinds = [_PARTITIONS, _PARTITIONS | _INT_LISTS] + draw(st.lists(st.sampled_from(_CELL_KINDS), max_size=2))
     keys = draw(st.lists(_TEXT, min_size=len(kinds), max_size=len(kinds), unique=True))
-    size = draw(st.integers(0, 2 * cli._COLUMN_MIN))
+    size = draw(st.integers(0, 12))
     return [{k: draw(cell) for k, cell in zip(keys, kinds)} for _ in range(size)]
 
 
@@ -334,7 +334,7 @@ _HUGE_PARTITIONS = st.integers(10, 10**6).map(lambda p: Partition([p]))
 def _column_tables(draw):
     """(keys, columns): a table held as one list of cells per key, one kind of cell per column."""
     keys = draw(_KEYS)
-    size = draw(st.integers(0, 2 * cli._COLUMN_MIN))
+    size = draw(st.integers(0, 12))
     kinds = _CELL_KINDS + [_PARTITIONS, _WIDE_PARTITIONS, _HUGE_PARTITIONS | _PARTITIONS]
     return keys, [draw(st.lists(draw(st.sampled_from(kinds)), min_size=size, max_size=size)) for _ in keys]
 
@@ -394,7 +394,7 @@ class TestJsonWriter:
 
     _BAD_TABLES = [[{"a": 1}, {"a": 1.5}], [{"a": (1,)}, {"a": (2,)}], [{1: 2}, {1: 3}], [{"a": b"x"}, {"a": b"y"}]]
 
-    @pytest.mark.parametrize("value", _BAD_TABLES + [table * 3 for table in _BAD_TABLES]  # written column by column
+    @pytest.mark.parametrize("value", _BAD_TABLES + [table * 3 for table in _BAD_TABLES]
                              + [[{"a": [1]}] * 5 + [{"a": [1, 2.0]}], [{"a": 1}] * 5 + [{"a": {"b": 1.5}}]])
     def test_other_types_raise_inside_a_table(self, value):
         with pytest.raises(TypeError):
@@ -410,7 +410,7 @@ class TestJsonWriter:
     @settings(max_examples=150)
     @given(_column_tables())
     @example((["a", "b"], [[], []]))  # no rows
-    @example((["p", "n"], [[Partition([12, 10, 1])] * 3, [1, 2, 3]]))  # fewer rows than _COLUMN_MIN, parts >= 10
+    @example((["p", "n"], [[Partition([12, 10, 1])] * 3, [1, 2, 3]]))  # parts >= 10
     @example((["p"], [[Partition([10**6])] * 7]))  # one part far above the number of parts rendered
     @example((["p", "d"], [enumerate_partitions(6), [Partition([2, 1])] * 11]))
     def test_writes_column_tables_as_json_dumps_writes(self, table):
@@ -426,13 +426,10 @@ class TestJsonWriter:
         with pytest.raises(TypeError):
             cli._json_text(cli._Table(["a", "b"][: len(columns)], columns))
 
-    def test_a_huge_part_is_not_tabulated(self, monkeypatch):
-        # a table of part strings up to 10**6 for three parts would cost more than the repr of each partition
-        calls, int_lists = [], cli._int_lists
-        monkeypatch.setattr(cli, "_int_lists", lambda cells, nl: calls.append(sorted(cells)) or int_lists(cells, nl))
+    def test_a_huge_part_is_not_tabulated(self):
+        # each part is written as its own digits, with no table of part strings up to the largest
         parts = [Partition([10**6]), Partition([2, 1])]
         assert cli._json_text(cli._Table(["p"], [parts])) == json.dumps([{"p": [10**6]}, {"p": [2, 1]}], indent=2)
-        assert calls == [[[2, 1], [10**6]]]
 
     _OTHER_TUPLES = [(2, 1), _Parts((2, 1)), _SubPartition([2, 1])]
 
@@ -454,15 +451,24 @@ class TestJsonWriter:
             ["qcount", "--partition", ONES_200, "--q", "2", "--json"],
             ["germ", "induce"] + ["--in", STEINBERG] * 8,
             ["germ", "whittaker", "--in", "{antichain}", "--json"],
+            ["germ", "lj", "--in", "{full12}", "--d", "2"],
+            ["germ", "jl", "--in", "{full12}", "--d", "2"],
+            ["germ", "solve", "--in", "{full12}", "--q", "2"],
+            ["germ", "lj", "--in", "{odd}", "--d", "2"],  # no entry on the d-image: "entries": []
+            ["germ", "whittaker", "--in", "{zero}", "--json"],  # "dims": []
         ],
     )
     def test_large_records_round_trip(self, capsys, tmp_path, argv):
         # the 15 partitions of 20 with d = 165 are an antichain, so each is minimal in the support
-        path = tmp_path / "antichain.json"
-        entries = [{"partition": lam.to_json(), "value": 10**30 + i}
-                   for i, lam in enumerate(lam for lam in enumerate_partitions(20) if d_of(lam) == 165)]
-        path.write_text(json.dumps({"n": 20, "entries": entries}))
-        assert_round_trips(capsys, [str(path) if a == "{antichain}" else a for a in argv])
+        antichain = [(lam, 10**30 + i) for i, lam in enumerate(lam for lam in enumerate_partitions(20)
+                                                                if d_of(lam) == 165)]
+        full12 = [(lam, (-1) ** i * (i + 1)) for i, lam in enumerate(enumerate_partitions(12))]
+        maps = {"{antichain}": (20, antichain), "{full12}": (12, full12), "{odd}": (4, [(Partition([3, 1]), 1)]),
+                "{zero}": (3, [])}
+        for name, (n, items) in maps.items():
+            entries = [{"partition": lam.to_json(), "value": v} for lam, v in items]
+            (tmp_path / name).write_text(json.dumps({"n": n, "entries": entries}))
+        assert_round_trips(capsys, [str(tmp_path / a) if a in maps else a for a in argv])
 
     @pytest.mark.parametrize("family", [fam.token for fam in Family])
     def test_dimpoly_records_round_trip_at_n14(self, capsys, tmp_path, family):
@@ -545,7 +551,7 @@ class TestTablesAsJsonDumps:
 
     @settings(max_examples=200)
     @given(st.lists(_PARTITIONS | _WIDE_PARTITIONS | _HUGE_PARTITIONS, max_size=8))
-    @example([Partition([10**6]), Partition([2, 1])])  # one part far above the number of parts: the repr path
+    @example([Partition([10**6]), Partition([2, 1])])  # one part far above the number of parts
     @example([Partition([12, 10, 1]), Partition([3])])
     def test_partition_texts_at_a_table_cell(self, parts):
         texts = cli._partition_texts(parts, "\n    ")
