@@ -528,7 +528,7 @@ def _add_out(p, table=True):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="germkit", description="exact combinatorics of germ expansions")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(required=True)
 
     p = sub.add_parser("partitions", help="enumerate partitions of n")
     p.add_argument("--n", type=int, required=True)
@@ -552,7 +552,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_cosets)
 
     p = sub.add_parser("germ", help="coefficient-map operations")
-    germ_sub = p.add_subparsers(dest="germ_command", required=True)
+    germ_sub = p.add_subparsers(required=True)
 
     g = germ_sub.add_parser("dimpoly", help="dimension-growth polynomial of a map")
     g.add_argument("--in", dest="infile", required=True, metavar="FILE")
@@ -598,7 +598,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("gl2", help="the n=2 catalog")
-    gl2_sub = p.add_subparsers(dest="gl2_command", required=True)
+    gl2_sub = p.add_subparsers(required=True)
     g = gl2_sub.add_parser("table", help="(a, b) pairs and chain dimensions")
     g.add_argument("--q", type=int, required=True)
     g.add_argument("--d", type=int, default=1)
@@ -620,8 +620,7 @@ def _parse(argv: list) -> argparse.Namespace:
     """argv parsed by the parser of the command it starts with (the one the tree would reach), else by the tree.
 
     Only the parse at each level above the command is skipped, so help
-    and errors read as through the tree, and the namespace lacks only
-    `command`, `germ_command` and `gl2_command`, which no command reads.
+    and errors read as through the tree.
     """
     tree = parser = _parser()
     depth = 0

@@ -12,16 +12,14 @@ chains between them:
 
 Each pro-p family has a base count at depth 0, a polynomial in t; moving
 one congruence step deeper multiplies the count of P_lam-cosets by
-t^(d_lam).  That law is proved only for the five families above.
-`count_at_depth` (one partition, one depth) and `count_columns` (each
-partition of n under several specs, one column per depth 0..j) are the
-one place that applies it, to a family's base count (from
-`base_counts_at_t`, checked against `base_count` at t) or to a count
-passed as `base` (or as `germ`'s `base_counts`), scaled by t^(d_lam) per
-depth step all the same.  A caller who passes a count for any other
-subgroup owns its validity: at nu = lam = (2,1) and q = 2, the
-Moy-Prasad groups G_(nu,0+) and G_(nu,1) at the facet of type nu give
-4 and 10, which no power of t relates.
+t^(d_lam).  That law is proved only for the five families above, and
+every count here is a family's own: `count_at_depth` (one partition, one
+depth) and `count_columns` (each partition of n under several specs, one
+column per depth 0..j) are the one place that applies it, to a family's
+base count from `base_counts_at_t`, checked against `base_count` at t.
+Other Moy-Prasad subgroups are not served, since no single t-scaling
+fits them: at nu = lam = (2,1) and q = 2, the groups G_(nu,0+) and
+G_(nu,1) at the facet of type nu give 4 and 10.
 
 The I-chain base count for n > 2 is a derived convention
 (multinomial * t^(d_lam)), consistent with the known n = 2 values but
@@ -233,13 +231,9 @@ def _base_counts(lams: list, specs, ds=None) -> list[list[int]]:
     return out
 
 
-def count_at_depth(lam: Partition, spec: SubgroupSpec, base: int | None = None) -> int:
-    """Exact coset count for spec: the base count at depth 0 times t^(d_lam) per depth step.
-
-    `base` replaces the family's base count while spec still names a family and gives t and the depth.
-    """
-    base = base_counts_at_t([lam], spec)[0] if base is None else require_int(base, "base")
-    return base * spec.residue_size ** (d_of(require_partition(lam, "a coset count")) * spec.depth)
+def count_at_depth(lam: Partition, spec: SubgroupSpec) -> int:
+    """Exact coset count for spec: the family's base count at depth 0 times t^(d_lam) per depth step."""
+    return base_counts_at_t([lam], spec)[0] * spec.residue_size ** (d_of(lam) * spec.depth)
 
 
 def count_columns(n: int, specs) -> list[list[int]]:

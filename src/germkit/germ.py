@@ -5,13 +5,13 @@ smooth representation near the identity: integer coefficients indexed by
 partitions of n.  Together with the base coset counts it determines, for
 every pro-p filtration family, a polynomial P(X) with integer
 coefficients whose value at (q^d)^j is the fixed-vector dimension at
-congruence depth j, for j large enough.  dimension_polynomial and
-dim_fixed read the base counts of the support from one
-`cosets.base_counts_at_t` call (tested against `cosets.base_count`), and
-only `cosets.count_at_depth` scales a count by depth.  No vector spaces
-or group actions are ever modeled; twisting by a character does not
-change the map, which is structural here since the map carries no
-character data.
+congruence depth j, for j large enough.  Every count is a named
+family's own: dimension_polynomial reads the base counts of the support
+from one `cosets.base_counts_at_t` call (tested against
+`cosets.base_count`), and dim_fixed sums `cosets.count_at_depth`, so
+only `cosets` scales a count by depth.  No vector spaces or group
+actions are ever modeled; twisting by a character does not change the
+map, which is structural here since the map carries no character data.
 
 dim_fixed evaluates the asymptotic formula at every depth; below a
 representation-dependent validity threshold the true dimension may
@@ -147,11 +147,14 @@ class CoefficientMap:
         n = require_int(data["n"], '"n"')
         if not isinstance(data["entries"], list):
             raise ValueError(f'"entries" must be a JSON array, got {data["entries"]!r}')
-        entries = []
+        entries = {}
         for item in data["entries"]:
             if not isinstance(item, dict) or "partition" not in item or "value" not in item:
                 raise ValueError(f'each entry needs "partition" and "value", got {item!r}')
-            entries.append((Partition.from_json(item["partition"]), item["value"]))
+            lam = Partition.from_json(item["partition"])
+            if lam in entries:
+                raise ValueError(f"the partition {lam} is listed twice")
+            entries[lam] = item["value"]
         return cls(n, entries)
 
 
@@ -181,17 +184,15 @@ class DimensionPolynomial(NamedTuple):
         return self.poly.degree
 
 
-def dimension_polynomial(
-    c: CoefficientMap, family: Family, q: int, d: int, base_counts: Mapping[Partition, int] | None = None
-) -> DimensionPolynomial:
+def dimension_polynomial(c: CoefficientMap, family: Family, q: int, d: int) -> DimensionPolynomial:
     """P(X) = sum over lam of c(lam) * (depth-0 coset count of P_lam) * X^(d_lam).
 
-    Each count is the family's formula at t = q^d (`base_counts_at_t`),
-    or base_counts[lam] where it has lam (a subgroup outside the named
-    families).  P at X = (q^d)^j is `dim_fixed` at depth j.
+    The counts are the family's formula at t = q^d, read for the whole
+    support in one `base_counts_at_t` call.  P at X = (q^d)^j is
+    `dim_fixed` at depth j.
     """
     coeffs: dict[int, int] = {}
-    for lam, value, base in _with_base_counts(c, SubgroupSpec(family, 0, q, d), base_counts):
+    for (lam, value), base in zip(c._entries.items(), base_counts_at_t(c._entries, SubgroupSpec(family, 0, q, d))):
         k = d_of(lam)
         coeffs[k] = coeffs.get(k, 0) + value * base
     formal_degree = max(coeffs, default=None)  # every support partition added its key d_lam
@@ -199,22 +200,13 @@ def dimension_polynomial(
     return DimensionPolynomial(poly, formal_degree, coeffs.get(formal_degree))
 
 
-def dim_fixed(c: CoefficientMap, spec: SubgroupSpec, base_counts: Mapping[Partition, int] | None = None) -> int:
+def dim_fixed(c: CoefficientMap, spec: SubgroupSpec) -> int:
     """Fixed-vector dimension at spec's depth: sum over lam of c(lam) * `count_at_depth`.
 
-    base_counts overrides the family's base count as in
-    `dimension_polynomial`.  Valid for depths at or above the
-    representation's threshold; below it the formula is still evaluated
-    (and may even be negative).
+    Valid for depths at or above the representation's threshold; below
+    it the formula is still evaluated (and may even be negative).
     """
-    return sum(value * count_at_depth(lam, spec, base) for lam, value, base in _with_base_counts(c, spec, base_counts))
-
-
-def _with_base_counts(c: CoefficientMap, spec: SubgroupSpec, base_counts: Mapping[Partition, int] | None) -> list:
-    """(lam, c(lam), depth-0 count) over the support of c in canonical order, base_counts[lam] where it has lam."""
-    items, base_counts = c.items(), base_counts or {}
-    family = iter(base_counts_at_t([lam for lam, _ in items if lam not in base_counts], spec))
-    return [(lam, v, require_int(base_counts[lam], "base") if lam in base_counts else next(family)) for lam, v in items]
+    return sum(value * count_at_depth(lam, spec) for lam, value in c.items())
 
 
 def induce_maps(maps: Sequence[CoefficientMap]) -> CoefficientMap:

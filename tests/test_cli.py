@@ -618,14 +618,13 @@ def outcome(capsys, argv):
 
 
 def parsed(capsys, parse, argv):
-    """The namespace parse(argv) gives but for the tree's group names, or the error or exit it raises."""
+    """The namespace parse(argv) gives, or the error or exit it raises."""
     try:
-        ns = vars(parse(list(argv)))
+        return vars(parse(list(argv)))
     except cli.UsageError as exc:
         return "usage", str(exc)
     except SystemExit as exc:
         return "exit", exc.code, capsys.readouterr()
-    return {k: v for k, v in ns.items() if k not in ("command", "germ_command", "gl2_command")}
 
 
 class TestDispatch:
@@ -756,6 +755,11 @@ class TestOracleCommand:
         assert census and census[0]["expected"] == 3**2
 
 
+# (2) twice: the values would sum to 0, so the map would read as {(1,1): 1}
+_REPEATED = '{"n": 2, "entries": [{"partition": [2], "value": 1}, {"partition": [2], "value": -1}, ' \
+            '{"partition": [1, 1], "value": 1}]}'
+
+
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "partitions", "--n", "4", "--bogus")
@@ -763,8 +767,10 @@ class TestExitCodes:
         assert "error" in err
 
     def test_missing_subcommand(self, capsys):
-        code, _, _ = run(capsys)
-        assert code == 1
+        # each group names its choices, not an internal destination
+        for argv, choices in [([], "{partitions,qcount,cosets,germ,oracle,gl2}"),
+                              (["germ"], "{dimpoly,induce,lj,jl,solve,whittaker}"), (["gl2"], "{table}")]:
+            assert run(capsys, *argv) == (1, "", f"germkit: error: the following arguments are required: {choices}\n")
 
     def test_invalid_n(self, capsys):
         code, _, err = run(capsys, "partitions", "--n", "0")
@@ -784,8 +790,11 @@ class TestExitCodes:
              "\"entries\" must be a JSON array, got 'ab'"),
             (["germ", "induce", "--in", "{file}"], '{"n": 2, "entries": {"a": 1}}',
              "\"entries\" must be a JSON array, got {'a': 1}"),
+            (["germ", "whittaker", "--in", "{file}"], _REPEATED, "the partition (2) is listed twice"),
+            (["germ", "solve", "--in", "{file}", "--q", "2"], _REPEATED, "the partition (2) is listed twice"),
         ],
-        ids=["qcount-partition", "in-not-json", "lj-odd-n", "entries-int", "entries-null", "entries-str", "entries-object"],
+        ids=["qcount-partition", "in-not-json", "lj-odd-n", "entries-int", "entries-null", "entries-str", "entries-object",
+             "whittaker-repeated", "solve-repeated"],
     )
     def test_bad_input_is_exit_1_with_one_line(self, capsys, tmp_path, argv, content, message):
         infile = tmp_path / "in.json"

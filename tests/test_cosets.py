@@ -166,11 +166,6 @@ class TestCountAtDepth:
         deeper = count_at_depth(lam, SubgroupSpec(fam, j + 1, q, d))
         assert deeper == count_at_depth(lam, SubgroupSpec(fam, j, q, d)) * (q**d) ** d_of(lam)
 
-    def test_user_supplied_base(self):
-        lam = P(2, 1)
-        spec = SubgroupSpec(Family.VERTEX_CONGRUENCE, 2, 2, 1)
-        assert count_at_depth(lam, spec, base=7) == 7 * 2 ** (2 * 2)
-
     def test_parahoric_depth_zero(self):
         assert count_at_depth(P(1, 1), SubgroupSpec(Family.VERTEX_MAX, 0, 2, 1)) == 1
         assert count_at_depth(P(1, 1), SubgroupSpec(Family.IWAHORI, 0, 2, 1)) == 2
@@ -253,8 +248,7 @@ class TestCountAtDepth:
         message = rf"^a coset count needs a Partition, got {re.escape(repr(lam))}$"
         spec = SubgroupSpec(fam, 0, 2, 1)
         for count in (lambda: base_count(lam, fam), lambda: count_at_depth(lam, spec),
-                      lambda: count_at_depth(lam, spec, base=3), lambda: base_counts_at_t([P(1), lam], spec),
-                      lambda: multinomial(lam)):
+                      lambda: base_counts_at_t([P(1), lam], spec), lambda: multinomial(lam)):
             with pytest.raises(ValueError, match=message):
                 count()
 

@@ -200,16 +200,6 @@ class TestDimensionPolynomial:
             dp = dimension_polynomial(c, Family.PRO_P_IWAHORI_HALF, 2, 1)
             assert dp.poly == QPoly([0, 2 * s])
 
-    def test_user_base_counts(self):
-        # a user count replaces the family's base count of its partition; the others keep the family's
-        c = steinberg()
-        for fam in (Family.VERTEX_CONGRUENCE, Family.IWAHORI):
-            assert dimension_polynomial(c, fam, 2, 1, base_counts={P(2): 1, P(1, 1): 10}).poly == QPoly([-1, 10])
-        assert dimension_polynomial(c, Family.VERTEX_CONGRUENCE, 2, 1, base_counts={P(2): 7}).poly == QPoly([-7, 3])
-        # at depth j a user count grows as the family's does, by t^(d_lam) a step
-        spec = SubgroupSpec(Family.VERTEX_CONGRUENCE, 5, 3, 1)
-        assert dim_fixed(c, spec, base_counts={P(2): 1, P(1, 1): 4}) == -1 + 4 * 3**5
-
     def test_family_must_be_a_family(self):
         with pytest.raises(ValueError, match="family must be a Family, got None"):
             dimension_polynomial(steinberg(), None, 2, 1)
@@ -225,9 +215,9 @@ class TestDimensionPolynomial:
                 setattr(dp, name, None)
 
     def test_formal_vs_actual_degree_on_cancellation(self):
-        c = CoefficientMap(6, {P(4, 1, 1): 1, P(3, 3): -1, P(6): 2})
-        counts = {P(4, 1, 1): 5, P(3, 3): 5, P(6): 1}
-        dp = dimension_polynomial(c, Family.VERTEX_CONGRUENCE, 2, 1, base_counts=counts)
+        # under I0, (4,1,1) has 30 cosets and (3,3) has 20, both with d = 9: 2 * 30 - 3 * 20 cancels
+        c = CoefficientMap(6, {P(4, 1, 1): 2, P(3, 3): -3, P(6): 2})
+        dp = dimension_polynomial(c, Family.IWAHORI, 2, 1)
         assert dp.formal_degree == 9
         assert dp.formal_leading == 0
         assert dp.degree == 0  # only the constant term survives
@@ -240,37 +230,33 @@ class TestDimensionPolynomial:
 
     def test_scaling_remark(self):
         # two routes to the depth-j dimension: the polynomial assembled at depth 0, read at X = (q^d)^j,
-        # and the direct sum of the depth-j counts, with and without user base counts
+        # and the direct sum of the depth-j counts
         rng = random.Random(6)
         for _ in range(20):
-            n = rng.randint(1, 6)
-            c, parts = random_map(n, rng), enumerate_partitions(n)
-            counts = {lam: rng.randint(1, 50) for lam in rng.sample(parts, rng.randint(0, min(3, len(parts))))}
+            c = random_map(rng.randint(1, 6), rng)
             for fam in (f for f in Family if f.is_pro_p):
                 for q, d in ((2, 1), (3, 2)):
-                    for base in (None, counts):
-                        poly = dimension_polynomial(c, fam, q, d, base_counts=base).poly
-                        for j in range(5):
-                            assert poly.eval_at((q**d) ** j) == dim_fixed(c, SubgroupSpec(fam, j, q, d), base)
+                    poly = dimension_polynomial(c, fam, q, d).poly
+                    for j in range(5):
+                        assert poly.eval_at((q**d) ** j) == dim_fixed(c, SubgroupSpec(fam, j, q, d))
 
     def test_equals_a_sum_over_the_support(self):
-        # each count from base_count's polynomial at t, one partition at a time, or from the user's count
+        # each count from base_count's polynomial at t, one partition at a time
         rng = random.Random(34)
         for _ in range(12):
             n = rng.randint(1, 8)
             c, parts = random_map(n, rng), enumerate_partitions(n)
-            counts = {lam: rng.randint(-5, 50) for lam in rng.sample(parts, rng.randint(0, min(3, len(parts))))}
-            for fam, (q, d), base in product(Family, ((2, 1), (3, 2), (4, 3)), (None, counts)):
+            for fam, (q, d) in product(Family, ((2, 1), (3, 2), (4, 3))):
                 t = q**d
-                count = {lam: base_count(lam, fam).eval_at(t) for lam in parts} | (base or {})
+                count = {lam: base_count(lam, fam).eval_at(t) for lam in parts}
                 coeffs = {}
                 for lam, v in c.items():
                     coeffs[d_of(lam)] = coeffs.get(d_of(lam), 0) + v * count[lam]
                 poly = QPoly([coeffs.get(k, 0) for k in range(max(coeffs, default=-1) + 1)])
-                assert dimension_polynomial(c, fam, q, d, base_counts=base).poly == poly
+                assert dimension_polynomial(c, fam, q, d).poly == poly
                 for j in range(4) if fam.is_pro_p else [0]:
                     expected = sum(v * count[lam] * t ** (d_of(lam) * j) for lam, v in c.items())
-                    assert dim_fixed(c, SubgroupSpec(fam, j, q, d), base) == expected
+                    assert dim_fixed(c, SubgroupSpec(fam, j, q, d)) == expected
 
     def test_parahorics_exist_at_depth_0_only(self):
         for fam in (Family.VERTEX_MAX, Family.IWAHORI):

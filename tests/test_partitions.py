@@ -422,7 +422,6 @@ def _integer_entry_points():
     """
     K, Ihalf = cosets.Family.VERTEX_CONGRUENCE, cosets.Family.PRO_P_IWAHORI_HALF
     steinberg = germ.CoefficientMap(2, {P(2): -1, P(1, 1): 1})
-    spec = cosets.SubgroupSpec(K, 1, 3, 1)
     return [
         ("enumerate_partitions n", enumerate_partitions, 2),
         ("scale_partition d", lambda x: scale_partition(P(2, 1), x), 2),
@@ -432,16 +431,9 @@ def _integer_entry_points():
         ("SubgroupSpec depth", lambda x: cosets.SubgroupSpec(K, x, 3, 1), 2),
         ("SubgroupSpec q", lambda x: cosets.SubgroupSpec(K, 0, x, 1), 3),
         ("SubgroupSpec d", lambda x: cosets.SubgroupSpec(K, 0, 3, x), 2),
-        ("count_at_depth base", lambda x: cosets.count_at_depth(P(1, 1), spec, base=x), 2),
         ("CoefficientMap n", germ.CoefficientMap, 2),
         ("dimension_polynomial q", lambda x: germ.dimension_polynomial(steinberg, K, x, 1), 3),
         ("dimension_polynomial d", lambda x: germ.dimension_polynomial(steinberg, K, 3, x), 2),
-        (
-            "dimension_polynomial base_counts",
-            lambda x: germ.dimension_polynomial(steinberg, K, 3, 1, base_counts={P(2): 1, P(1, 1): x}),
-            2,
-        ),
-        ("dim_fixed base_counts", lambda x: germ.dim_fixed(steinberg, spec, base_counts={P(2): 1, P(1, 1): x}), 2),
         ("lj_transfer n", lambda x: germ.lj_transfer(steinberg, x, 1), 2),
         ("lj_transfer d", lambda x: germ.lj_transfer(steinberg, 1, x), 2),
         ("jl_transfer d", lambda x: germ.jl_transfer(steinberg, x), 2),

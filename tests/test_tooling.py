@@ -5,7 +5,8 @@
   installs it, so a rename inside the package would only show there.
 - Importing the CLI leaves `oracle` and `gl2` lazy until first use, and
   the package serves the oracle's names.
-- The ledger of public names that only tests reach (LIBRARY_ONLY).
+- The ledgers of public names that only tests reach (LIBRARY_ONLY) and of
+  defaulted parameters that only tests set (CALLER_UNSET).
 - One refusal rule: only `oracle._charge` raises OracleBoundError.
 - One JSON writer: no module calls json.dump or json.dumps.
 """
@@ -157,22 +158,62 @@ def _names_read(path):
     return {n.id if isinstance(n, ast.Name) else n.attr for n in nodes if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def test_library_only_names_are_the_ledger(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    layers = importlib.import_module("layers")
-    public = {}  # ledger key: the name a caller reads
+def _public_definitions():
+    """(ledger key, node) of each public top-level function and class, and of each public method of a public class."""
     for path in SRC.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                public[node.name] = node.name
+                yield node.name, node
                 if isinstance(node, ast.ClassDef):
                     for method in node.body:
                         if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
-                            public[f"{node.name}.{method.name}"] = method.name
+                            yield f"{node.name}.{method.name}", method
+
+
+def test_library_only_names_are_the_ledger(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    public = {key: node.name for key, node in _public_definitions()}  # ledger key: the name a caller reads
     reached = {name for _, name, _ in layers.TIMED} | _names_read(PERFBENCH / "layers.py")
     for path in SRC.glob("*.py"):
         reached |= _names_read(path)
     assert {key for key, name in public.items() if name not in reached} == set(LIBRARY_ONLY)
+
+
+# The defaulted parameters of public functions and methods that no call in the package or in
+# perfbench passes, by keyword or by position: each is an option only a test sets or reads.
+CALLER_UNSET = {
+    ("CoefficientMap.indicator", "value"): "test_acceptance criterion 07 and test_germ test_positivity_failure",
+    ("QPoly.monomial", "coeff"): "test_cosets test_every_family_equals_the_checked_constructors_up_to_8",
+    ("iter_matrices", "cap"): "test_oracle TestCensus test_cap, under the oracle's single cap contract",
+    ("xi_multiplicity", "cap"): "test_oracle TestXiMultiplicities test_cap, under the oracle's single cap contract",
+}
+
+
+def test_parameters_no_caller_sets_are_the_ledger():
+    calls = [node for path in (*SRC.glob("*.py"), *PERFBENCH.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)]
+
+    def passed(name, param, index):
+        for call in calls:
+            if name not in (getattr(call.func, "id", None), getattr(call.func, "attr", None)):
+                continue
+            if any(k.arg in (param, None) for k in call.keywords):  # None: a **mapping may hold it
+                return True
+            if index is not None and (len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)):
+                return True
+        return False
+
+    unset = set()
+    for key, node in _public_definitions():
+        if isinstance(node, ast.FunctionDef):
+            positional = (node.args.posonlyargs + node.args.args)["." in key:]  # a method's self or cls is bound
+            first = len(positional) - len(node.args.defaults)
+            defaulted = [(arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+            defaulted += [(arg.arg, None) for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                          if default is not None]
+            unset |= {(key, param) for param, index in defaulted if not passed(node.name, param, index)}
+    assert unset == set(CALLER_UNSET)
 
 
 def _sites(tree, name):
