@@ -17,12 +17,11 @@ from .partitions import (
     dominance_leq,
     dual,
     enumerate_partitions,
-    induce_partition,
     minimal_elements,
     scale_partition,
 )
 from .qpoly import QPoly, q_factorial, q_int, q_multinomial
-from .cosets import Family, SubgroupSpec, base_count, count_at_depth, gl2_chain_index
+from .cosets import Family, SubgroupSpec, base_count, count_at_depth
 from .germ import (
     CoefficientMap,
     DimensionPolynomial,

@@ -415,11 +415,11 @@ def _cmd_germ_whittaker(args) -> None:
 def _oracle_items(args):
     """(label, item) for each entry of the oracle report."""
     cap = _oracle_cap()
-    n, q = args.n, args.q
+    n, q = require_at_least(args.n, 1, "n"), args.q
     if args.check == "cosets":
         # the full flags (1^n), the largest orbit, bound every orbit: charged before any search,
         # so an n over the cap is refused before its partitions are enumerated
-        oracle.flag_orbit_size(Partition([1] * require_at_least(n, 1, "n")), q, cap)
+        oracle.flag_orbit_size(Partition([1] * n), q, cap)
         for lam in enumerate_partitions(n):
             observed = oracle.flag_orbit_count(lam, q, cap)  # raises unless it equals the order quotient
             expected = q_multinomial(lam).eval_at(q)

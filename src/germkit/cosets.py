@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 import math
 import operator
-import re
 from itertools import accumulate, repeat
 from typing import NamedTuple
 
@@ -250,36 +249,3 @@ def count_columns(n: int, specs) -> list[list[int]]:
                               initial=bases)
     return columns
 
-
-_CHAIN_RE = re.compile(r"^(K|I)(\d+)(/2)?$")
-
-
-def _chain_position(label: str) -> int:
-    """Index of K<j>, I<j> or I<odd>/2 in the descending n=2 chain; adjacent members differ by 1."""
-    m = _CHAIN_RE.match(label.strip())
-    if not m:
-        raise ValueError(f"cannot parse chain member {label!r}; expected K<j>, I<j> or I<odd>/2")
-    kind, num, half = m.group(1), int(m.group(2)), m.group(3)
-    if half and (kind != "I" or num % 2 == 0):
-        raise ValueError(f"half-integer levels exist only for I<odd>/2, got {label!r}")
-    return 3 * (num // 2) + 2 if half else 3 * num + (kind == "I")
-
-
-def gl2_chain_index(upper: str, lower: str) -> QPoly:
-    """Index [upper : lower] between adjacent members of the n=2 chain, in t = q^d.
-
-    The members are named as `Family.label` names them: K0 > I0 > I1/2 >
-    K1 > I1 > I3/2 > K2 > ...  The tabulated values: [K0:I0] = t+1,
-    [I0:I1/2] = (t-1)^2, [I1/2:K1] = t, then periodically [K_j:I_j] = t,
-    [I_j:I_{j+1/2}] = t^2, [I_{j+1/2}:K_{j+1}] = t for j >= 1.
-    """
-    p = _chain_position(upper)
-    if _chain_position(lower) != p + 1:
-        raise ValueError(f"{upper} and {lower} are not adjacent (in that order) in the chain")
-    if p == 0:
-        return QPoly((1, 1))
-    if p == 1:
-        return QPoly((1, -2, 1))
-    if p % 3 == 1:
-        return QPoly.monomial(2)
-    return QPoly.monomial(1)

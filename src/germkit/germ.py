@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from itertools import pairwise, product
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .cosets import Family, SubgroupSpec, base_counts_at_t, count_at_depth, require_prime_power
 from .partitions import (
@@ -46,28 +46,24 @@ class PositivityError(ValueError):
 
 
 class CoefficientMap:
-    """Finitely supported integer-valued function on the partitions of n.
+    """Finitely supported integer-valued function on the partitions of n, built from a mapping {Partition: int}.
 
-    Zero values are never stored; the zero map is valid data (virtual
-    combinations can vanish near the identity without being zero).
+    Zero values are dropped, never stored; the zero map is valid data
+    (virtual combinations can vanish near the identity without being zero).
     """
 
     __slots__ = ("n", "_entries")
 
-    def __init__(self, n: int, entries: Mapping[Partition, int] | Iterable[tuple[Partition, int]] = ()):
+    def __init__(self, n: int, entries: Mapping[Partition, int]):
         require_at_least(n, 1, "n")
-        items = entries.items() if isinstance(entries, Mapping) else entries
         store: dict[Partition, int] = {}
-        for lam, value in items:
+        for lam, value in entries.items():
             if not isinstance(lam, Partition):
                 raise ValueError(f"keys must be Partition, got {lam!r}")
             if lam.n != n:
                 raise ValueError(f"key {lam} is not a partition of n = {n}")
-            value = require_int(value, "entry value")
-            if value != 0:
-                store[lam] = store.get(lam, 0) + value
-                if store[lam] == 0:
-                    del store[lam]
+            if require_int(value, "entry value"):
+                store[lam] = value
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_entries", store)
 
@@ -80,11 +76,11 @@ class CoefficientMap:
 
     @classmethod
     def zero(cls, n: int) -> "CoefficientMap":
-        return cls(n)
+        return cls(n, {})
 
     @classmethod
-    def indicator(cls, lam: Partition, value: int = 1) -> "CoefficientMap":
-        return cls(lam.n, [(lam, value)])
+    def indicator(cls, lam: Partition) -> "CoefficientMap":
+        return cls(lam.n, {lam: 1})
 
     def value(self, lam: Partition) -> int:
         return self._entries.get(lam, 0)

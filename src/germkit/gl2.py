@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cosets import Family, require_prime, require_prime_power
+from .cosets import Family, SubgroupSpec, require_prime, require_prime_power
 from .germ import CoefficientMap
 from .partitions import Partition, require_at_least, require_int
 
@@ -37,7 +37,7 @@ _TWO, _ONE_ONE = Partition([2]), Partition([1, 1])
 
 
 def _ab(a: int, b: int) -> CoefficientMap:
-    return CoefficientMap(2, [(_TWO, a), (_ONE_ONE, b)])
+    return CoefficientMap(2, {_TWO: a, _ONE_ONE: b})
 
 
 def finite_dim(dim: int) -> CoefficientMap:
@@ -101,10 +101,7 @@ def chain_dim_formula(a: int, b: int, family: Family, j: int, q: int, d: int) ->
     """Raw value of the chain formula at depth j (may be negative below the validity threshold)."""
     if not family.is_pro_p:
         raise ValueError(f"chain formulas exist for the pro-p families only, got {family.token}")
-    require_at_least(j, 0, "depth")
-    require_prime_power(q)
-    require_at_least(d, 1, "d")
-    t = q**d
+    t = SubgroupSpec(family, j, q, d).residue_size
     if family is Family.PRO_P_IWAHORI_HALF:
         factor = 2
     elif family is Family.VERTEX_CONGRUENCE:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import operator
 from itertools import accumulate, zip_longest
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def require_int(x, what: str) -> int:
@@ -163,18 +163,6 @@ def d_of(lam: Partition) -> int:
 def _map_partitions(f, n: int) -> tuple:
     """f of each partition of n, in canonical order: d_of and dual, each for at most 64 values of n."""
     return tuple(map(f, _partitions(n)))
-
-
-def induce_partition(parts: Sequence[Partition]) -> Partition:
-    """Gather the parts of several partitions and sort them decreasingly."""
-    if not parts:
-        raise ValueError("induce_partition needs at least one partition")
-    gathered: list[int] = []
-    for lam in parts:
-        if type(lam) is not Partition:
-            raise ValueError(f"induce_partition gathers Partitions, got {lam!r}")
-        gathered.extend(lam)
-    return Partition._derived(sorted(gathered, reverse=True))
 
 
 def scale_partition(lam: Partition, d: int) -> Partition:

@@ -69,9 +69,9 @@ class QPoly:
         return cls((1,))
 
     @classmethod
-    def monomial(cls, exponent: int, coeff: int = 1) -> "QPoly":
+    def monomial(cls, exponent: int) -> "QPoly":
         require_at_least(exponent, 0, "exponent")
-        return cls((0,) * exponent + (coeff,))
+        return cls((0,) * exponent + (1,))
 
     @property
     def degree(self) -> int:

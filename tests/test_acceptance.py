@@ -161,7 +161,7 @@ def test_criterion_07_transfer_round_trip():
     for n in range(1, 7):
         for d in (1, 2, 3):
             for lam in enumerate_partitions(n):
-                c = CoefficientMap.indicator(lam, rng.randint(1, 9))
+                c = CoefficientMap(lam.n, {lam: rng.randint(1, 9)})
                 assert lj_transfer(jl_transfer(c, d), n, d) == c
             c = CoefficientMap(n, {lam: rng.randint(-9, 9) for lam in enumerate_partitions(n)})
             assert lj_transfer(jl_transfer(c, d), n, d) == c

@@ -792,9 +792,12 @@ class TestExitCodes:
              "\"entries\" must be a JSON array, got {'a': 1}"),
             (["germ", "whittaker", "--in", "{file}"], _REPEATED, "the partition (2) is listed twice"),
             (["germ", "solve", "--in", "{file}", "--q", "2"], _REPEATED, "the partition (2) is listed twice"),
+            *((["oracle", "--check", check, "--n", n, "--q", "2"], None, f"n must be >= 1, got {n}")
+              for check in ("cosets", "jordan", "ximatrix") for n in ("-1", "0")),
         ],
         ids=["qcount-partition", "in-not-json", "lj-odd-n", "entries-int", "entries-null", "entries-str", "entries-object",
-             "whittaker-repeated", "solve-repeated"],
+             "whittaker-repeated", "solve-repeated",
+             *(f"oracle-{check}-n{n}" for check in ("cosets", "jordan", "ximatrix") for n in ("-1", "0"))],
     )
     def test_bad_input_is_exit_1_with_one_line(self, capsys, tmp_path, argv, content, message):
         infile = tmp_path / "in.json"

@@ -1,4 +1,5 @@
 import re
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +9,10 @@ from germkit.cosets import (
     PRIME_CHECK_BOUND,
     Family,
     SubgroupSpec,
-    _chain_position,
     base_count,
     base_counts_at_t,
     count_at_depth,
     count_columns,
-    gl2_chain_index,
     is_prime,
     is_prime_power,
     multinomial,
@@ -128,7 +127,7 @@ class TestBaseCounts:
                     Family.VERTEX_CONGRUENCE: q_multinomial(lam),
                     Family.IWAHORI: QPoly([weyl]),
                     Family.PRO_P_IWAHORI_HALF: QPoly([weyl]),
-                    Family.IWAHORI_CONGRUENCE: QPoly.monomial(d_of(lam), weyl),
+                    Family.IWAHORI_CONGRUENCE: QPoly.monomial(d_of(lam)) * weyl,
                 }
                 for fam in Family:
                     value = base_count(lam, fam)
@@ -260,56 +259,49 @@ class TestCountAtDepth:
                     assert count_at_depth(lam, spec) == flag_orbit_count(lam, q)
 
 
-class TestGL2Chain:
-    def test_parse(self):
-        assert _chain_position("K0") == 0
-        assert _chain_position("I3/2") == 5
-        assert _chain_position(" I2 ") == 7
-        with pytest.raises(ValueError):
-            _chain_position("I2/2")
-        with pytest.raises(ValueError):
-            _chain_position("K1/2")
-        with pytest.raises(ValueError):
-            _chain_position("zzz")
+# The members of the n = 2 chain in descending order, as Family.label names them: the parahorics K0 > I0,
+# then I_{j+1/2} > K_{1+j} > I_{1+j} at each depth j
+_K, _IHALF, _I = Family.VERTEX_CONGRUENCE, Family.PRO_P_IWAHORI_HALF, Family.IWAHORI_CONGRUENCE
+CHAIN = ([Family.VERTEX_MAX.label(0), Family.IWAHORI.label(0)]
+         + [fam.label(j) for j in range(3) for fam in (_IHALF, _K, _I)])[:10]
 
+# The index [upper : lower] of each adjacent pair of chain members, as a polynomial in t = q^d
+CHAIN_INDEX = {
+    ("K0", "I0"): QPoly([1, 1]),
+    ("I0", "I1/2"): QPoly([1, -2, 1]),
+    ("I1/2", "K1"): QPoly([0, 1]),
+    ("K1", "I1"): QPoly([0, 1]),
+    ("I1", "I3/2"): QPoly([0, 0, 1]),
+    ("I3/2", "K2"): QPoly([0, 1]),
+    ("K2", "I2"): QPoly([0, 1]),
+    ("I2", "I5/2"): QPoly([0, 0, 1]),
+    ("I5/2", "K3"): QPoly([0, 1]),
+}
+
+
+class TestGL2Chain:
     def test_positions_descend_the_chain(self):
-        labels = ["K0", "I0", "I1/2", "K1", "I1", "I3/2", "K2", "I2", "I5/2", "K3"]
-        assert [_chain_position(s) for s in labels] == list(range(10))
-        # Family.label names the same members: the parahorics, then I_{j+1/2}, K_{1+j}, I_{1+j} at depth j
-        K, Ihalf, I = Family.VERTEX_CONGRUENCE, Family.PRO_P_IWAHORI_HALF, Family.IWAHORI_CONGRUENCE
-        members = [(Family.VERTEX_MAX, 0), (Family.IWAHORI, 0)] + [(fam, j) for j in range(3) for fam in (Ihalf, K, I)]
-        assert [fam.label(j) for fam, j in members[:10]] == labels
+        assert CHAIN == ["K0", "I0", "I1/2", "K1", "I1", "I3/2", "K2", "I2", "I5/2", "K3"]
+        assert list(CHAIN_INDEX) == list(pairwise(CHAIN))
 
     def test_tabulated_indices(self):
-        t = "t"
-        assert gl2_chain_index("K0", "I0").pretty(t) == "t+1"
-        assert gl2_chain_index("I0", "I1/2").pretty(t) == "t^2-2t+1"  # (t-1)^2
-        assert gl2_chain_index("I1/2", "K1") == QPoly([0, 1])
-        assert gl2_chain_index("K1", "I1") == QPoly([0, 1])
-        assert gl2_chain_index("I1", "I3/2") == QPoly([0, 0, 1])
-        assert gl2_chain_index("I3/2", "K2") == QPoly([0, 1])
-        # the pattern continues with period three
-        assert gl2_chain_index("K2", "I2") == QPoly([0, 1])
-        assert gl2_chain_index("I2", "I5/2") == QPoly([0, 0, 1])
-        assert gl2_chain_index("I5/2", "K3") == QPoly([0, 1])
-
-    def test_non_adjacent_rejected(self):
-        with pytest.raises(ValueError):
-            gl2_chain_index("K0", "I1/2")
-        with pytest.raises(ValueError):
-            gl2_chain_index("I0", "K0")  # wrong direction
+        indices = list(CHAIN_INDEX.values())
+        assert indices[0].pretty("t") == "t+1"
+        assert indices[1].pretty("t") == "t^2-2t+1"  # (t-1)^2
+        assert indices[2:5] == [QPoly.monomial(1), QPoly.monomial(1), QPoly.monomial(2)]
+        # below I1/2 the pattern t, t, t^2 repeats with period three
+        assert all(indices[i] == indices[i + 3] for i in range(2, len(indices) - 3))
 
     def test_k0_to_k1_product_is_gl2_order(self):
-        product = gl2_chain_index("K0", "I0") * gl2_chain_index("I0", "I1/2") * gl2_chain_index("I1/2", "K1")
+        product = CHAIN_INDEX["K0", "I0"] * CHAIN_INDEX["I0", "I1/2"] * CHAIN_INDEX["I1/2", "K1"]
         # |GL_2(F_t)| = (t^2-1)(t^2-t) as a polynomial identity
         assert product == (QPoly([-1, 0, 1])) * (QPoly([0, -1, 1]))
 
     def test_one_full_step_is_t4(self):
-        # any three consecutive indices below K1 multiply to t^4 = [X : p X] for X in the chain
-        segments = [("K1", "I1", "I3/2", "K2"), ("I1", "I3/2", "K2", "I2"), ("I1/2", "K1", "I1", "I3/2")]
-        for a, b, c, dd in segments:
-            prod = gl2_chain_index(a, b) * gl2_chain_index(b, c) * gl2_chain_index(c, dd)
-            assert prod == QPoly.monomial(4)
+        # any three consecutive indices from I1/2 down multiply to t^4 = [X : p X] for X in the chain
+        indices = list(CHAIN_INDEX.values())
+        for i in range(2, len(indices) - 2):
+            assert indices[i] * indices[i + 1] * indices[i + 2] == QPoly.monomial(4)
 
 
 def test_weyl_multinomial_helper():

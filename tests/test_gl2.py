@@ -72,7 +72,7 @@ class TestABCoefficients:
                     dim_pi2 = 2 * q ** int(level)
                 else:
                     dim_pi2 = (q + 1) * q ** int(level - Fraction(1, 2))
-                assert a == jl_transfer(CoefficientMap.indicator(P(1), dim_pi2), 2).value(P(2)) == -dim_pi2
+                assert a == jl_transfer(CoefficientMap(1, {P(1): dim_pi2}), 2).value(P(2)) == -dim_pi2
                 assert b == 1
 
 

@@ -13,7 +13,6 @@ from germkit.partitions import (
     dominance_lt,
     dual,
     enumerate_partitions,
-    induce_partition,
     minimal_elements,
     require_at_least,
     require_int,
@@ -370,27 +369,6 @@ class TestDOf:
 
 
 class TestInduceScaleMinimal:
-    def test_induce(self):
-        assert induce_partition([P(2, 1), P(2)]) == P(2, 2, 1)
-        assert induce_partition([P(1), P(1)]) == P(1, 1)
-        assert induce_partition([P(3), P(2, 2)]) == P(3, 2, 2)
-        with pytest.raises(ValueError):
-            induce_partition([])
-
-    @settings(max_examples=200)
-    @given(st.lists(st.lists(st.integers(1, 9), min_size=1, max_size=6), min_size=1, max_size=4))
-    def test_induce_equals_the_checked_constructor(self, part_lists):
-        # induce_partition builds its result without the constructor's checks
-        parts = [Partition(sorted(ps, reverse=True)) for ps in part_lists]
-        induced = induce_partition(parts)
-        assert type(induced) is Partition
-        assert induced == Partition(sorted((p for lam in parts for p in lam), reverse=True))
-
-    @pytest.mark.parametrize("bad", [(2, 1), [2, 1], "21", None])
-    def test_induce_rejects_what_is_not_a_partition(self, bad):
-        with pytest.raises(ValueError, match="^induce_partition gathers Partitions, got "):
-            induce_partition([P(1), bad])
-
     def test_scale(self):
         assert scale_partition(P(2, 1), 3) == P(6, 3)
         assert scale_partition(P(1, 1), 2) == P(2, 2)
@@ -431,7 +409,7 @@ def _integer_entry_points():
         ("SubgroupSpec depth", lambda x: cosets.SubgroupSpec(K, x, 3, 1), 2),
         ("SubgroupSpec q", lambda x: cosets.SubgroupSpec(K, 0, x, 1), 3),
         ("SubgroupSpec d", lambda x: cosets.SubgroupSpec(K, 0, 3, x), 2),
-        ("CoefficientMap n", germ.CoefficientMap, 2),
+        ("CoefficientMap n", lambda x: germ.CoefficientMap(x, {}), 2),
         ("dimension_polynomial q", lambda x: germ.dimension_polynomial(steinberg, K, x, 1), 3),
         ("dimension_polynomial d", lambda x: germ.dimension_polynomial(steinberg, K, 3, x), 2),
         ("lj_transfer n", lambda x: germ.lj_transfer(steinberg, x, 1), 2),

@@ -141,13 +141,10 @@ LIBRARY_ONLY = {
     "dim_fixed": "dim pi^(K_j) = P(q^(dj)) on the n = 2 catalog (test_acceptance criterion 05)",
     "forward_multiplicities": "multiplicities determine the map (test_acceptance criterion 04)",
     "gk_dimension": "the degree d(pi) is independent of K (test_germ, degree_is_independent_of_the_subgroup)",
-    "gl2_chain_index": "the indices of the n = 2 chain K0 > I0 > I1/2 > K1 > ... (test_cosets TestGL2Chain)",
-    "induce_partition": "induction sums over the tuples whose gathered parts sort to lam: the product route that "
-    "induce_maps is checked against (test_germ TestLawsAsProperties)",
     "q_factorial": "[n]_q! = |GL_n(F_q)| / |B(F_q)| (test_qpoly)",
     "q_int": "[n]_q! is the product of the q-integers (test_qpoly)",
-    "CoefficientMap.indicator": "the JL transfer of a dim-dimensional class has (2)-coefficient -dim "
-    "(test_gl2 supercuspidal_matches_transfer_sign_rule)",
+    "CoefficientMap.indicator": "the multiplicities of the row of M at mu solve to the indicator of mu "
+    "(test_germ test_indicator_rows)",
     "CoefficientMap.scale": "induction of coefficient maps is multilinear (test_germ TestInduction)",
 }
 
@@ -183,8 +180,6 @@ def test_library_only_names_are_the_ledger(monkeypatch):
 # The defaulted parameters of public functions and methods that no call in the package or in
 # perfbench passes, by keyword or by position: each is an option only a test sets or reads.
 CALLER_UNSET = {
-    ("CoefficientMap.indicator", "value"): "test_acceptance criterion 07 and test_germ test_positivity_failure",
-    ("QPoly.monomial", "coeff"): "test_cosets test_every_family_equals_the_checked_constructors_up_to_8",
     ("iter_matrices", "cap"): "test_oracle TestCensus test_cap, under the oracle's single cap contract",
     ("xi_multiplicity", "cap"): "test_oracle TestXiMultiplicities test_cap, under the oracle's single cap contract",
 }
