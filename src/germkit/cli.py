@@ -331,13 +331,13 @@ def _cmd_cosets(args) -> None:
     require_at_least(args.j, 0, "--j")
     families = [Family(args.family)] if args.family else list(Family)
     specs = [SubgroupSpec(fam, args.j if fam.is_pro_p else 0, args.q, args.d) for fam in families]
-    counts = list(zip(*count_columns(args.n, specs)))  # per partition, the count of each row of its block
+    parts = enumerate_partitions(args.n)
+    counts = list(zip(*count_columns(parts, specs)))  # per partition, the count of each row of its block
     # a partition's rows are each family at each of its depths: the same block of family and depth for all
     tokens, js = zip(*[(spec.family.token, j) for spec in specs for j in range(spec.depth + 1)])
     block = _Table(("family", "depth", "q", "d"), [tokens, js, [args.q] * len(js), [args.d] * len(js)])
 
     def text():
-        parts = enumerate_partitions(args.n)
         lams = itertools.chain.from_iterable(map(itertools.repeat, parts, itertools.repeat(len(js))))
         rows = zip(lams, tokens * len(parts), js * len(parts), itertools.chain.from_iterable(counts))
         return _table(rows, ["partition", "family", "depth", "count"])

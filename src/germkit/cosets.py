@@ -13,10 +13,11 @@ chains between them:
 Each pro-p family has a base count at depth 0, a polynomial in t; moving
 one congruence step deeper multiplies the count of P_lam-cosets by
 t^(d_lam).  That law is proved only for the five families above, and
-every count here is a family's own: `count_at_depth` (one partition, one
-depth) and `count_columns` (each partition of n under several specs, one
-column per depth 0..j) are the one place that applies it, to a family's
-base count from `base_counts_at_t`, checked against `base_count` at t.
+every count here is a family's own: `count_columns` (partitions of any n
+under several specs, one column per depth 0..j) is the one place that
+builds a factorial table or applies the law, to a family's base count,
+which tests check against the polynomial `base_count` at t.
+`count_at_depth` is its one-partition, one-depth entry.
 Other Moy-Prasad subgroups are not served, since no single t-scaling
 fits them: at nu = lam = (2,1) and q = 2, the groups G_(nu,0+) and
 G_(nu,1) at the facet of type nu give 4 and 10.
@@ -35,7 +36,7 @@ import operator
 from itertools import accumulate, repeat
 from typing import NamedTuple
 
-from .partitions import Partition, _map_partitions, _partitions, d_of, require_at_least, require_int, require_partition
+from .partitions import Partition, d_of, require_at_least, require_int, require_partition
 from .qpoly import QPoly, q_multinomial
 
 
@@ -172,7 +173,7 @@ def multinomial(lam: Partition) -> int:
 
 
 def base_count(lam: Partition, family: Family) -> QPoly:
-    """Count of P_lam-cosets at depth 0 as a polynomial in t = q^d: the route `base_counts_at_t` is tested against."""
+    """Count of P_lam-cosets at depth 0 as a polynomial in t = q^d: the reference `count_columns` is tested against."""
     require_partition(lam, "a coset count")
     if family is Family.VERTEX_MAX:
         return QPoly.one()
@@ -192,60 +193,46 @@ def _factorials(n: int, t: int | None) -> list[int]:
     return list(accumulate(steps, operator.mul, initial=1))
 
 
-def base_counts_at_t(lams, spec: SubgroupSpec) -> list[int]:
-    """`base_count` of each partition in lams (of any n) at t = q^d, in exact integers.
+def count_columns(lams, specs) -> list[list[int]]:
+    """The exact count of each partition in lams (of any n, in the given order) under each spec at each depth 0..j.
 
-    One table of [k]_t! (for K) or k! per call: a partition costs one divmod, and a remainder is an ArithmeticError.
+    One column per (spec, depth), in that order.  Each table of [k]_t! (for K) or k! is built, and each partition
+    divided by it with the remainder checked, once per call: I0, Ihalf and I share the multinomial n!/prod(lam_i!),
+    which I multiplies by t^(d_lam).  Each step deeper multiplies a column by t^(d_lam), the one place the depth law
+    is applied.  A spec that is not a SubgroupSpec is a ValueError, and a remainder an ArithmeticError.
     """
-    return _base_counts(list(map(require_partition, lams, repeat("a coset count"))), [spec])[0]
-
-
-def _base_counts(lams: list, specs, ds=None) -> list[list[int]]:
-    """`base_counts_at_t` of lams under each spec; ds, if given, holds the d_lam of each partition in lams.
-
-    Each table of [k]_t! or k! is built, and each partition divided by it with the remainder checked, once per
-    call: I0, Ihalf and I share the multinomial n!/prod(lam_i!), which I multiplies by t^(d_lam).
-    """
+    for spec in specs:
+        if not isinstance(spec, SubgroupSpec):
+            raise ValueError(f"a coset count needs a SubgroupSpec, got {spec!r}")
+    lams = list(map(require_partition, lams, repeat("a coset count")))
     if not lams:
-        return [[] for _ in specs]
-    ns, quotients, out = list(map(sum, lams)), {}, []  # quotients: the table's t (None for k!) -> the count of each lam
+        return [[] for spec in specs for _ in range(spec.depth + 1)]
+    ns, ds, quotients, columns = list(map(sum, lams)), None, {}, []  # quotients: the table's t (None for k!) -> counts
     for spec in specs:
         family, t = spec.family, spec.residue_size
         if family is Family.VERTEX_MAX:
-            out.append([1] * len(lams))
+            columns.append([1] * len(lams))
             continue
         key = t if family is Family.VERTEX_CONGRUENCE else None
         if key not in quotients:
-            fact = _factorials(max(ns, default=0), key)
+            fact = _factorials(max(ns), key)
             products = map(math.prod, map(map, repeat(fact.__getitem__), lams))
             counts, rests = zip(*map(divmod, map(fact.__getitem__, ns), products))
             if any(rests):
                 lam = lams[next(i for i, rest in enumerate(rests) if rest)]
                 raise ArithmeticError(f"inexact division in the {family.token} coset count of {lam} at t = {t}")
             quotients[key] = list(counts)
-        counts = quotients[key]
+        counts, steps = quotients[key], []
+        if spec.depth or family is Family.IWAHORI_CONGRUENCE:
+            ds = ds or list(map(d_of, lams))
+            steps = list(map(pow, repeat(t), ds))
         if family is Family.IWAHORI_CONGRUENCE:
-            counts = list(map(operator.mul, counts, map(pow, repeat(t), map(d_of, lams) if ds is None else ds)))
-        out.append(counts)
-    return out
+            counts = list(map(operator.mul, counts, steps))
+        columns += accumulate(repeat(steps, spec.depth), lambda col, steps: list(map(operator.mul, col, steps)),
+                              initial=counts)
+    return columns
 
 
 def count_at_depth(lam: Partition, spec: SubgroupSpec) -> int:
     """Exact coset count for spec: the family's base count at depth 0 times t^(d_lam) per depth step."""
-    return base_counts_at_t([lam], spec)[0] * spec.residue_size ** (d_of(lam) * spec.depth)
-
-
-def count_columns(n: int, specs) -> list[list[int]]:
-    """The counts of the partitions of n, in canonical order, under each spec at each depth 0..spec.depth.
-
-    One column per (spec, depth), in that order: the base counts come from one `_base_counts` call for all the
-    specs, and each step deeper multiplies the column by t^(d_lam).
-    """
-    lams, ds = _partitions(require_at_least(n, 1, "n")), _map_partitions(d_of, n)
-    columns = []
-    for spec, bases in zip(specs, _base_counts(lams, specs, ds)):
-        steps = list(map(pow, repeat(spec.residue_size), ds)) if spec.depth else []
-        columns += accumulate(repeat(steps, spec.depth), lambda col, steps: list(map(operator.mul, col, steps)),
-                              initial=bases)
-    return columns
-
+    return count_columns([lam], [spec])[-1][0]

@@ -6,12 +6,12 @@ partitions of n.  Together with the base coset counts it determines, for
 every pro-p filtration family, a polynomial P(X) with integer
 coefficients whose value at (q^d)^j is the fixed-vector dimension at
 congruence depth j, for j large enough.  Every count is a named
-family's own: dimension_polynomial reads the base counts of the support
-from one `cosets.base_counts_at_t` call (tested against
-`cosets.base_count`), and dim_fixed sums `cosets.count_at_depth`, so
-only `cosets` scales a count by depth.  No vector spaces or group
-actions are ever modeled; twisting by a character does not change the
-map, which is structural here since the map carries no character data.
+family's own: dimension_polynomial and dim_fixed each read the counts
+of the support from one `cosets.count_columns` call (tested against
+`cosets.base_count`), so only that function scales a count by depth.
+No vector spaces or group actions are ever modeled; twisting by a
+character does not change the map, which is structural here since the
+map carries no character data.
 
 dim_fixed evaluates the asymptotic formula at every depth; below a
 representation-dependent validity threshold the true dimension may
@@ -23,10 +23,11 @@ standard classes.
 from __future__ import annotations
 
 import functools
+import operator
 from itertools import pairwise, product
 from typing import Mapping, NamedTuple, Sequence
 
-from .cosets import Family, SubgroupSpec, base_counts_at_t, count_at_depth, require_prime_power
+from .cosets import Family, SubgroupSpec, count_columns, require_prime_power
 from .partitions import (
     Partition,
     canonical_order,
@@ -184,11 +185,11 @@ def dimension_polynomial(c: CoefficientMap, family: Family, q: int, d: int) -> D
     """P(X) = sum over lam of c(lam) * (depth-0 coset count of P_lam) * X^(d_lam).
 
     The counts are the family's formula at t = q^d, read for the whole
-    support in one `base_counts_at_t` call.  P at X = (q^d)^j is
+    support in one `count_columns` call.  P at X = (q^d)^j is
     `dim_fixed` at depth j.
     """
     coeffs: dict[int, int] = {}
-    for (lam, value), base in zip(c._entries.items(), base_counts_at_t(c._entries, SubgroupSpec(family, 0, q, d))):
+    for (lam, value), base in zip(c._entries.items(), count_columns(c._entries, [SubgroupSpec(family, 0, q, d)])[0]):
         k = d_of(lam)
         coeffs[k] = coeffs.get(k, 0) + value * base
     formal_degree = max(coeffs, default=None)  # every support partition added its key d_lam
@@ -197,12 +198,13 @@ def dimension_polynomial(c: CoefficientMap, family: Family, q: int, d: int) -> D
 
 
 def dim_fixed(c: CoefficientMap, spec: SubgroupSpec) -> int:
-    """Fixed-vector dimension at spec's depth: sum over lam of c(lam) * `count_at_depth`.
+    """Fixed-vector dimension at spec's depth: sum over lam of c(lam) * (coset count of P_lam at that depth).
 
+    The counts of the whole support come from one `count_columns` call.
     Valid for depths at or above the representation's threshold; below
     it the formula is still evaluated (and may even be negative).
     """
-    return sum(value * count_at_depth(lam, spec) for lam, value in c.items())
+    return sum(map(operator.mul, c._entries.values(), count_columns(c._entries, [spec])[-1]))
 
 
 def induce_maps(maps: Sequence[CoefficientMap]) -> CoefficientMap:

@@ -99,7 +99,7 @@ def ab_coefficients(c: CoefficientMap) -> tuple[int, int]:
 
 def chain_dim_formula(a: int, b: int, family: Family, j: int, q: int, d: int) -> int:
     """Raw value of the chain formula at depth j (may be negative below the validity threshold)."""
-    if not family.is_pro_p:
+    if isinstance(family, Family) and not family.is_pro_p:
         raise ValueError(f"chain formulas exist for the pro-p families only, got {family.token}")
     t = SubgroupSpec(family, j, q, d).residue_size
     if family is Family.PRO_P_IWAHORI_HALF:

@@ -10,13 +10,14 @@ from germkit.cosets import (
     Family,
     SubgroupSpec,
     base_count,
-    base_counts_at_t,
     count_at_depth,
     count_columns,
     is_prime,
     is_prime_power,
     multinomial,
 )
+from germkit.germ import CoefficientMap, dim_fixed
+from germkit.gl2 import STEINBERG
 from germkit.oracle import flag_orbit_count
 from germkit.partitions import Partition, d_of, enumerate_partitions
 from germkit.qpoly import QPoly, q_multinomial
@@ -181,14 +182,14 @@ class TestCountAtDepth:
                     assert [count_at_depth(lam, SubgroupSpec(fam, j, q, d)) for j in depths] == expected
             for fam in Family:
                 spec = SubgroupSpec(fam, 3 if fam.is_pro_p else 0, q, d)
-                assert count_columns(n, [spec]) == [
+                assert count_columns(enumerate_partitions(n), [spec]) == [
                     [count_at_depth(lam, spec._replace(depth=j)) for lam in enumerate_partitions(n)]
                     for j in range(spec.depth + 1)
                 ]
 
     @pytest.mark.parametrize("q", [2, 3, 4, 9])
     def test_integer_route_equals_the_polynomial_route_up_to_12(self, q):
-        # base_counts_at_t and count_columns against the Horner value of base_count times t^(d_lam * j)
+        # the depth-0 and every column of count_columns against the Horner value of base_count times t^(d_lam * j)
         for n in range(1, 13):
             parts = enumerate_partitions(n)
             for d in range(1, 4):
@@ -196,16 +197,16 @@ class TestCountAtDepth:
                 for fam in Family:
                     depth = 4 if fam.is_pro_p else 0
                     bases = [base_count(lam, fam).eval_at(t) for lam in parts]
-                    assert base_counts_at_t(parts, SubgroupSpec(fam, depth, q, d)) == bases
+                    assert count_columns(parts, [SubgroupSpec(fam, depth, q, d)])[0] == bases
                     expected = [[b * t ** (d_of(lam) * j) for lam, b in zip(parts, bases)] for j in range(depth + 1)]
-                    assert count_columns(n, [SubgroupSpec(fam, depth, q, d)]) == expected
+                    assert count_columns(parts, [SubgroupSpec(fam, depth, q, d)]) == expected
 
     def test_partitions_of_several_n_in_one_call(self):
         lams = [P(3), P(1), P(2, 2, 1), P(1, 1)]
         for fam in Family:
             spec = SubgroupSpec(fam, 0, 4, 1)
-            assert base_counts_at_t(lams, spec) == [base_count(lam, fam).eval_at(4) for lam in lams]
-            assert base_counts_at_t([], spec) == []
+            assert count_columns(lams, [spec])[0] == [base_count(lam, fam).eval_at(4) for lam in lams]
+            assert count_columns([], [spec])[0] == []
 
     @pytest.mark.parametrize("fam", [f for f in Family if f is not Family.VERTEX_MAX])
     def test_a_corrupted_factorial_table_is_an_arithmetic_error(self, monkeypatch, fam):
@@ -214,11 +215,11 @@ class TestCountAtDepth:
         spec = SubgroupSpec(fam, 0, 3, 1)
         message = rf"^inexact division in the {fam.token} coset count of \(2,1\) at t = 3$"
         with pytest.raises(ArithmeticError, match=message):
-            base_counts_at_t([P(2, 1)], spec)
+            count_columns([P(2, 1)], [spec])[0]
         with pytest.raises(ArithmeticError):
             count_at_depth(P(3, 1), spec)
         with pytest.raises(ArithmeticError):
-            count_columns(4, [spec])
+            count_columns(enumerate_partitions(4), [spec])
 
     @pytest.mark.parametrize("q,d,j", [(2, 1, 0), (3, 2, 3), (4, 1, 2)])
     def test_several_specs_in_one_call(self, monkeypatch, q, d, j):
@@ -228,8 +229,25 @@ class TestCountAtDepth:
         specs = [SubgroupSpec(fam, j if fam.is_pro_p else 0, q, d) for fam in Family]
         for n in range(1, 9):
             tables.clear()
-            assert count_columns(n, specs) == [column for spec in specs for column in count_columns(n, [spec])]
+            lams = enumerate_partitions(n)
+            assert count_columns(lams, specs) == [column for spec in specs for column in count_columns(lams, [spec])]
             assert tables[:2] == [(n, q**d), (n, None)]
+        # partitions of several n in no canonical order: the columns of one call per partition, side by side
+        lams = [P(2, 1), P(5), P(1), P(3, 3, 1), P(2, 2), P(1, 1, 1, 1, 1, 1, 1, 1)]
+        tables.clear()
+        columns = count_columns(lams, specs)
+        assert tables == [(8, q**d), (8, None)]
+        assert columns == [list(row) for row in zip(*[[col[0] for col in count_columns([lam], specs)] for lam in lams])]
+
+    def test_dim_fixed_builds_one_table_for_its_support(self, monkeypatch):
+        # the support's counts at the spec's depth come from one count_columns call, hence one table of [k]_t!
+        tables, original = [], cosets._factorials
+        monkeypatch.setattr(cosets, "_factorials", lambda n, t: tables.append((n, t)) or original(n, t))
+        c = CoefficientMap(8, {lam: (-1) ** i * (i + 1) for i, lam in enumerate(enumerate_partitions(8))})
+        spec = SubgroupSpec(Family.VERTEX_CONGRUENCE, 2, 3, 1)
+        value = dim_fixed(c, spec)
+        assert tables == [(8, 3)]
+        assert value == sum(v * count_at_depth(lam, spec) for lam, v in c.items())
 
     @pytest.mark.parametrize("first", [Family.IWAHORI, Family.PRO_P_IWAHORI_HALF, Family.IWAHORI_CONGRUENCE])
     def test_a_shared_corrupted_table_names_the_first_family_to_read_it(self, monkeypatch, first):
@@ -239,15 +257,31 @@ class TestCountAtDepth:
         specs = [SubgroupSpec(f, 0, 3, 1) for f in fams if f is not Family.VERTEX_CONGRUENCE]
         message = rf"^inexact division in the {first.token} coset count of \(2,1\) at t = 3$"
         with pytest.raises(ArithmeticError, match=message):
-            count_columns(3, specs)
+            count_columns(enumerate_partitions(3), specs)
 
     @pytest.mark.parametrize("fam", list(Family))
     @pytest.mark.parametrize("lam", [(2, 1), [2, 1]])
     def test_every_count_refuses_what_is_not_a_partition(self, fam, lam):
         message = rf"^a coset count needs a Partition, got {re.escape(repr(lam))}$"
         spec = SubgroupSpec(fam, 0, 2, 1)
-        for count in (lambda: base_count(lam, fam), lambda: count_at_depth(lam, spec),
-                      lambda: base_counts_at_t([P(1), lam], spec), lambda: multinomial(lam)):
+        counts = [lambda: base_count(lam, fam), lambda: count_at_depth(lam, spec),
+                  lambda: count_columns([P(1), lam], [spec]), lambda: multinomial(lam)]
+        if isinstance(lam, tuple):  # a map with a bare tuple key, past CoefficientMap's own check, still meets this one
+            forged = CoefficientMap.zero(3)
+            object.__setattr__(forged, "_entries", {lam: 1})
+            counts.append(lambda: dim_fixed(forged, spec))
+        for count in counts:
+            with pytest.raises(ValueError, match=message):
+                count()
+
+    @pytest.mark.parametrize("spec", [None, "K", (Family.VERTEX_CONGRUENCE, 0, 2, 1)])
+    def test_every_count_refuses_what_is_not_a_spec(self, spec):
+        # before any partition is read, so the zero map and a list of non-partitions are refused too
+        message = rf"^a coset count needs a SubgroupSpec, got {re.escape(repr(spec))}$"
+        good = SubgroupSpec(Family.VERTEX_CONGRUENCE, 0, 2, 1)
+        for count in (lambda: count_at_depth(P(2), spec), lambda: count_columns(enumerate_partitions(3), [good, spec]),
+                      lambda: count_columns([(2, 1)], [spec]), lambda: count_columns([], [spec]),
+                      lambda: dim_fixed(STEINBERG, spec), lambda: dim_fixed(CoefficientMap.zero(2), spec)):
             with pytest.raises(ValueError, match=message):
                 count()
 

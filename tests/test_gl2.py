@@ -112,6 +112,11 @@ class TestDimInvariants:
                 chain_dim_formula(1, 0, fam, 0, 3, 1)
             assert str(info.value) == f"chain formulas exist for the pro-p families only, got {fam.token}"
 
+    def test_a_family_that_is_not_a_family_is_a_value_error(self):
+        for call in (lambda: chain_dim_formula(1, 1, "K", 0, 2, 1), lambda: dim_invariants(STEINBERG, "K", 0, 2, 1)):
+            with pytest.raises(ValueError, match=r"^family must be a Family, got 'K'$"):
+                call()
+
 
 class TestModP:
     def test_frozen_values(self):

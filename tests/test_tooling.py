@@ -234,6 +234,15 @@ def test_oracle_bound_error_is_raised_only_by_charge():
     assert sites == {("oracle.py", "_charge")}
 
 
+def test_count_columns_is_the_one_coset_count_kernel():
+    # one function builds the factorial tables and applies the depth law, and it reads no memo private to partitions
+    sites = {(path.name, fn) for path in SRC.glob("*.py") for fn in _sites(ast.parse(path.read_text()), "_factorials")}
+    assert sites == {("cosets.py", "count_columns")}
+    imports = [node for node in ast.walk(ast.parse((SRC / "cosets.py").read_text())) if isinstance(node, ast.ImportFrom)]
+    assert [alias.name for node in imports if node.module == "partitions" for alias in node.names
+            if alias.name.startswith("_")] == []
+
+
 def test_json_text_is_the_only_json_writer():
     # every JSON record leaves through cli._json_text, the one exact writer: no module calls json.dump(s)
     sites = {(path.name, fn) for path in SRC.glob("*.py") for name in ("dump", "dumps")
