@@ -96,7 +96,7 @@ def _read_map(path: str) -> CoefficientMap:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}")
@@ -330,11 +330,11 @@ def _cmd_qcount(args) -> None:
 def _cmd_cosets(args) -> None:
     require_at_least(args.j, 0, "--j")
     families = [Family(args.family)] if args.family else list(Family)
-    specs = [SubgroupSpec(fam, args.j if fam.is_pro_p else 0, args.q, args.d) for fam in families]
+    # a partition's rows are each family at each of its depths: the same block of specs for all
+    specs = [SubgroupSpec(fam, j, args.q, args.d) for fam in families for j in range(args.j + 1 if fam.is_pro_p else 1)]
     parts = enumerate_partitions(args.n)
-    counts = list(zip(*count_columns(parts, specs)))  # per partition, the count of each row of its block
-    # a partition's rows are each family at each of its depths: the same block of family and depth for all
-    tokens, js = zip(*[(spec.family.token, j) for spec in specs for j in range(spec.depth + 1)])
+    counts = list(zip(*count_columns(parts, specs)))  # per partition, its count under each spec
+    tokens, js = zip(*[(spec.family.token, spec.depth) for spec in specs])
     block = _Table(("family", "depth", "q", "d"), [tokens, js, [args.q] * len(js), [args.d] * len(js)])
 
     def text():
@@ -486,13 +486,14 @@ def _cmd_oracle(args) -> None:
 
 
 def _cmd_gl2(args) -> None:
-    records = []
-    for label, c in gl2.catalog(args.q):
+    records, classes = [], gl2.catalog(args.q)  # refuses a bad --q before a spec refuses a bad --j
+    specs = [SubgroupSpec(fam, args.j, args.q, args.d) for fam in _PRO_P_CHAINS]
+    for label, c in classes:
         a, b = gl2.ab_coefficients(c)
         dims = {}
-        for fam in _PRO_P_CHAINS:
-            value = gl2.chain_dim_formula(a, b, fam, args.j, args.q, args.d)
-            dims[fam.token] = value if value >= 0 else None  # below the class's validity threshold
+        for spec in specs:
+            value = gl2.chain_dim_formula(a, b, spec)
+            dims[spec.family.token] = value if value >= 0 else None  # below the class's validity threshold
         records.append({"label": label, "a": a, "b": b, "j": args.j, "dims": dims})
     if args.modp:
         if args.d != 1:

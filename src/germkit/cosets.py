@@ -13,19 +13,22 @@ chains between them:
 Each pro-p family has a base count at depth 0, a polynomial in t; moving
 one congruence step deeper multiplies the count of P_lam-cosets by
 t^(d_lam).  That law is proved only for the five families above, and
-every count here is a family's own: `count_columns` (partitions of any n
-under several specs, one column per depth 0..j) is the one place that
-builds a factorial table or applies the law, to a family's base count,
-which tests check against the polynomial `base_count` at t.
-`count_at_depth` is its one-partition, one-depth entry.
+every count here is a family's own.  A SubgroupSpec is one chain member:
+`count_columns` (partitions of any n, one column per spec) is the one
+place that builds a factorial table or applies the law, to a family's
+base count, which tests check against the polynomial `base_count` at t.
+`count_at_depth` is its one-partition, one-spec entry.
 Other Moy-Prasad subgroups are not served, since no single t-scaling
 fits them: at nu = lam = (2,1) and q = 2, the groups G_(nu,0+) and
 G_(nu,1) at the facet of type nu give 4 and 10.
 
-The I-chain base count for n > 2 is a derived convention
-(multinomial * t^(d_lam)), consistent with the known n = 2 values but
-not validated beyond them; treat n > 2 output of that family as
-experimental.
+The I-chain base count multinomial * t^(d_lam) is proved: I_1 is normal
+in K_1 and K_1/I_1 = M_n(F_t)/b is abelian (b upper triangular), so by
+trace duality the I_1-orbits on G/P_lam number sum_F |n cap u_F| over
+the lam-flags F over F_t (n strictly upper, u_F the nilradical at F),
+and each Bruhat cell of W/W_lam holds t^l(w) flags F, each with
+|n cap u_F| = t^(d_lam - l(w)).  That sum is checked in closed form, via
+the multiplicity matrix, for n <= 10; there is no exhaustive check yet.
 """
 
 from __future__ import annotations
@@ -182,7 +185,7 @@ def base_count(lam: Partition, family: Family) -> QPoly:
     if family is Family.IWAHORI or family is Family.PRO_P_IWAHORI_HALF:
         return QPoly._derived((multinomial(lam),))
     if family is Family.IWAHORI_CONGRUENCE:
-        # derived convention; see the module docstring
+        # multinomial * t^(d_lam), proved in the module docstring
         return QPoly._derived((0,) * d_of(lam) + (multinomial(lam),))
     raise ValueError(f"unsupported family {family!r}")
 
@@ -194,19 +197,19 @@ def _factorials(n: int, t: int | None) -> list[int]:
 
 
 def count_columns(lams, specs) -> list[list[int]]:
-    """The exact count of each partition in lams (of any n, in the given order) under each spec at each depth 0..j.
+    """The exact count of each partition in lams (of any n, in the given order) under each spec: one column per spec.
 
-    One column per (spec, depth), in that order.  Each table of [k]_t! (for K) or k! is built, and each partition
-    divided by it with the remainder checked, once per call: I0, Ihalf and I share the multinomial n!/prod(lam_i!),
-    which I multiplies by t^(d_lam).  Each step deeper multiplies a column by t^(d_lam), the one place the depth law
-    is applied.  A spec that is not a SubgroupSpec is a ValueError, and a remainder an ArithmeticError.
+    Each table of [k]_t! (for K) or k! is built, and each partition divided by it with the remainder checked, once per
+    call: I0, Ihalf and I share the multinomial n!/prod(lam_i!).  A column is its family's base count times
+    t^(d_lam * depth), the one place the depth law is applied; I's base count carries one more factor t^(d_lam).
+    A spec that is not a SubgroupSpec is a ValueError, and a remainder an ArithmeticError.
     """
     for spec in specs:
         if not isinstance(spec, SubgroupSpec):
             raise ValueError(f"a coset count needs a SubgroupSpec, got {spec!r}")
     lams = list(map(require_partition, lams, repeat("a coset count")))
     if not lams:
-        return [[] for spec in specs for _ in range(spec.depth + 1)]
+        return [[] for _ in specs]
     ns, ds, quotients, columns = list(map(sum, lams)), None, {}, []  # quotients: the table's t (None for k!) -> counts
     for spec in specs:
         family, t = spec.family, spec.residue_size
@@ -222,17 +225,14 @@ def count_columns(lams, specs) -> list[list[int]]:
                 lam = lams[next(i for i, rest in enumerate(rests) if rest)]
                 raise ArithmeticError(f"inexact division in the {family.token} coset count of {lam} at t = {t}")
             quotients[key] = list(counts)
-        counts, steps = quotients[key], []
-        if spec.depth or family is Family.IWAHORI_CONGRUENCE:
+        counts, steps = quotients[key], spec.depth + (family is Family.IWAHORI_CONGRUENCE)
+        if steps:  # t^(d_lam * steps) = (t^steps)^(d_lam)
             ds = ds or list(map(d_of, lams))
-            steps = list(map(pow, repeat(t), ds))
-        if family is Family.IWAHORI_CONGRUENCE:
-            counts = list(map(operator.mul, counts, steps))
-        columns += accumulate(repeat(steps, spec.depth), lambda col, steps: list(map(operator.mul, col, steps)),
-                              initial=counts)
+            counts = list(map(operator.mul, counts, map(pow, repeat(t**steps), ds)))
+        columns.append(counts)
     return columns
 
 
 def count_at_depth(lam: Partition, spec: SubgroupSpec) -> int:
     """Exact coset count for spec: the family's base count at depth 0 times t^(d_lam) per depth step."""
-    return count_columns([lam], [spec])[-1][0]
+    return count_columns([lam], [spec])[0][0]

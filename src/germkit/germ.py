@@ -6,9 +6,10 @@ partitions of n.  Together with the base coset counts it determines, for
 every pro-p filtration family, a polynomial P(X) with integer
 coefficients whose value at (q^d)^j is the fixed-vector dimension at
 congruence depth j, for j large enough.  Every count is a named
-family's own: dimension_polynomial and dim_fixed each read the counts
-of the support from one `cosets.count_columns` call (tested against
-`cosets.base_count`), so only that function scales a count by depth.
+family's own: dimension_polynomial (depth 0) and dim_fixed (its spec's
+one column) each read the counts of the support from one
+`cosets.count_columns` call (tested against `cosets.base_count`), so
+only that function scales a count by depth.
 No vector spaces or group actions are ever modeled; twisting by a
 character does not change the map, which is structural here since the
 map carries no character data.
@@ -204,7 +205,7 @@ def dim_fixed(c: CoefficientMap, spec: SubgroupSpec) -> int:
     Valid for depths at or above the representation's threshold; below
     it the formula is still evaluated (and may even be negative).
     """
-    return sum(map(operator.mul, c._entries.values(), count_columns(c._entries, [spec])[-1]))
+    return sum(map(operator.mul, c._entries.values(), count_columns(c._entries, [spec])[0]))
 
 
 def induce_maps(maps: Sequence[CoefficientMap]) -> CoefficientMap:

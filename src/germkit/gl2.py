@@ -3,7 +3,7 @@
 Every finite-length class for GL_2 over a division algebra with residue
 field of size t = q^d is its coefficient map on the partitions of 2, the
 pair (a, b) = (c((2)), c((1,1))), and has closed-form fixed-vector
-dimensions along the three pro-p chains:
+dimensions at each pro-p chain member SubgroupSpec(family, j, q, d):
 
     I-half chain:  a + 2 b t^j
     K chain:       a + (t+1) b t^j
@@ -97,30 +97,27 @@ def ab_coefficients(c: CoefficientMap) -> tuple[int, int]:
     return c.value(_TWO), c.value(_ONE_ONE)
 
 
-def chain_dim_formula(a: int, b: int, family: Family, j: int, q: int, d: int) -> int:
-    """Raw value of the chain formula at depth j (may be negative below the validity threshold)."""
-    if isinstance(family, Family) and not family.is_pro_p:
+def chain_dim_formula(a: int, b: int, spec: SubgroupSpec) -> int:
+    """Raw value of the chain formula at spec's member (may be negative below the validity threshold)."""
+    if not isinstance(spec, SubgroupSpec):
+        raise ValueError(f"a chain formula needs a SubgroupSpec, got {spec!r}")
+    family, t = spec.family, spec.residue_size
+    if not family.is_pro_p:
         raise ValueError(f"chain formulas exist for the pro-p families only, got {family.token}")
-    t = SubgroupSpec(family, j, q, d).residue_size
-    if family is Family.PRO_P_IWAHORI_HALF:
-        factor = 2
-    elif family is Family.VERTEX_CONGRUENCE:
-        factor = t + 1
-    else:
-        factor = 2 * t
-    return a + factor * b * t**j
+    factor = {Family.PRO_P_IWAHORI_HALF: 2, Family.VERTEX_CONGRUENCE: t + 1}.get(family, 2 * t)  # I: 2t
+    return a + factor * b * t**spec.depth
 
 
-def dim_invariants(c: CoefficientMap, family: Family, j: int, q: int, d: int) -> int:
-    """Fixed-vector dimension of the class c at depth j of the given pro-p chain.
+def dim_invariants(c: CoefficientMap, spec: SubgroupSpec) -> int:
+    """Fixed-vector dimension of the class c at spec's member of its pro-p chain.
 
-    A negative formula value means j is below the class's validity
-    threshold, which is an error rather than a dimension.
+    A negative formula value means the depth is below the class's
+    validity threshold, which is an error rather than a dimension.
     """
-    value = chain_dim_formula(*ab_coefficients(c), family, j, q, d)
+    value = chain_dim_formula(*ab_coefficients(c), spec)
     if value < 0:
         raise ValueError(
-            f"chain formula gives {value} < 0 at depth {j}: below the validity threshold of {c!r}"
+            f"chain formula gives {value} < 0 at depth {spec.depth}: below the validity threshold of {c!r}"
         )
     return value
 
@@ -138,15 +135,13 @@ def modp_supersingular_dims(twist_of_pi0: bool, family: Family, j: int, p: int) 
     """
     if require_prime(p, "p") == 2:
         raise ValueError(f"mod-p supersingular data requires an odd prime p, got {p}")
-    require_at_least(j, 0, "depth")
+    spec = SubgroupSpec(family, j, p, 1)
+    if family is not Family.PRO_P_IWAHORI_HALF and family is not Family.VERTEX_CONGRUENCE:
+        raise ValueError(
+            f"mod-p supersingular dimensions are tabulated for the I-half and K chains only, got {family.token}"
+        )
     a, b, a_prime = modp_supersingular_coefficients(twist_of_pi0)
-    if family is Family.PRO_P_IWAHORI_HALF:
-        return chain_dim_formula(a, b, family, j, p, 1)
-    if family is Family.VERTEX_CONGRUENCE:
-        return chain_dim_formula(a_prime, b, family, j, p, 1)
-    raise ValueError(
-        f"mod-p supersingular dimensions are tabulated for the I-half and K chains only, got {family.token}"
-    )
+    return chain_dim_formula(a_prime if family is Family.VERTEX_CONGRUENCE else a, b, spec)
 
 
 _SPEH, _ESS = speh_ess_pair(2, 4, 1)

@@ -119,8 +119,8 @@ def test_criterion_04_solve_round_trip():
 
 def test_criterion_05_gl2_catalog_consistency():
     """Chain formulas equal the generic machinery for every concrete class, (q,d) grid, j <= 4."""
-    assert chain_dim_formula(-1, 1, Family.VERTEX_CONGRUENCE, 0, 3, 1) == 3
-    assert chain_dim_formula(0, 2, Family.IWAHORI_CONGRUENCE, 1, 2, 1) == 16
+    assert chain_dim_formula(-1, 1, SubgroupSpec(Family.VERTEX_CONGRUENCE, 0, 3, 1)) == 3
+    assert chain_dim_formula(0, 2, SubgroupSpec(Family.IWAHORI_CONGRUENCE, 1, 2, 1)) == 16
     checked = 0
     for q in (2, 3, 5):
         for d in (1, 2):
@@ -129,7 +129,7 @@ def test_criterion_05_gl2_catalog_consistency():
                 for fam in PRO_P:
                     for j in range(5):
                         spec = SubgroupSpec(fam, j, q, d)
-                        assert chain_dim_formula(a, b, fam, j, q, d) == dim_fixed(cmap, spec)
+                        assert chain_dim_formula(a, b, spec) == dim_fixed(cmap, spec)
                         checked += 1
     print(f"ACCEPTANCE 5: PASS - GL_2 catalog consistent with the germ machinery ({checked} identities)")
 

@@ -1015,6 +1015,16 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == f"germkit: error: {deep} is nested too deeply to read\n"
 
+    def test_undecodable_input_is_exit_1_naming_the_file(self, capsys, tmp_path):
+        # the file that fails is named, as a directory is, whichever --in it is
+        good, bad = tmp_path / "ok.json", tmp_path / "bin.json"
+        good.write_text('{"n": 1, "entries": []}')
+        bad.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "germ", "induce", "--in", str(good), "--in", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"germkit: error: cannot read {bad}: ") and err.count("\n") == 1
+        assert "can't decode byte 0xff" in err
+
     def test_lj_rejects_d_below_one(self, capsys):
         code, out, err = run(capsys, "germ", "lj", "--in", STEINBERG, "--d", "0")
         assert code == 1

@@ -16,9 +16,9 @@ from germkit.cosets import (
     is_prime_power,
     multinomial,
 )
-from germkit.germ import CoefficientMap, dim_fixed
+from germkit.germ import CoefficientMap, closed_form_multiplicity_matrix, dim_fixed
 from germkit.gl2 import STEINBERG
-from germkit.oracle import flag_orbit_count
+from germkit.oracle import centralizer_order, flag_orbit_count, parabolic_order
 from germkit.partitions import Partition, d_of, enumerate_partitions
 from germkit.qpoly import QPoly, q_multinomial
 
@@ -110,9 +110,25 @@ class TestBaseCounts:
                 assert base_count(Partition([n]), fam) == QPoly.one()
 
     def test_iwahori_congruence_convention(self):
-        # multinomial * t^(d_lam); only the n = 2 value is pinned by known data
+        # multinomial * t^(d_lam): the n = 2 values, known data; every n <= 10 is checked against route C below
         assert base_count(P(1, 1), Family.IWAHORI_CONGRUENCE) == QPoly([0, 2])
         assert base_count(P(2, 1), Family.IWAHORI_CONGRUENCE) == QPoly([0, 0, 3])
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 7, 9])
+    def test_iwahori_congruence_equals_route_c_up_to_10(self, t):
+        # the I_1-orbits on G/P_lam number sum_F |n cap u_F| over the lam-flags F over F_t, which is
+        # sum_kappa |B(F_t)| / |Z_GL(A_kappa)| * M[kappa][(1^n)] * M[kappa][lam], each term an exact quotient
+        for n in range(1, 11):
+            ones = Partition([1] * n)
+            borel, matrix = parabolic_order(ones, t), closed_form_multiplicity_matrix(n, t)
+            for lam in enumerate_partitions(n):
+                total = 0
+                for kappa, row in matrix.items():
+                    term, rest = divmod(borel * row.get(ones, 0) * row.get(lam, 0), centralizer_order(kappa, t))
+                    assert rest == 0
+                    total += term
+                assert total == multinomial(lam) * t ** d_of(lam)
+                assert total == base_count(lam, Family.IWAHORI_CONGRUENCE).eval_at(t)
 
     def test_vertex_max_is_one(self):
         for lam in enumerate_partitions(4):
@@ -181,25 +197,24 @@ class TestCountAtDepth:
                     expected = [base_count(lam, fam).eval_at(t) * t ** (d_of(lam) * j) for j in depths]
                     assert [count_at_depth(lam, SubgroupSpec(fam, j, q, d)) for j in depths] == expected
             for fam in Family:
-                spec = SubgroupSpec(fam, 3 if fam.is_pro_p else 0, q, d)
-                assert count_columns(enumerate_partitions(n), [spec]) == [
-                    [count_at_depth(lam, spec._replace(depth=j)) for lam in enumerate_partitions(n)]
-                    for j in range(spec.depth + 1)
+                specs = [SubgroupSpec(fam, j, q, d) for j in (range(4) if fam.is_pro_p else [0])]
+                assert count_columns(enumerate_partitions(n), specs) == [
+                    [count_at_depth(lam, spec) for lam in enumerate_partitions(n)] for spec in specs
                 ]
 
     @pytest.mark.parametrize("q", [2, 3, 4, 9])
     def test_integer_route_equals_the_polynomial_route_up_to_12(self, q):
-        # the depth-0 and every column of count_columns against the Horner value of base_count times t^(d_lam * j)
+        # the depth-0 column, and the columns of depths 0..4, against the Horner value of base_count times t^(d_lam * j)
         for n in range(1, 13):
             parts = enumerate_partitions(n)
             for d in range(1, 4):
                 t = q**d
                 for fam in Family:
-                    depth = 4 if fam.is_pro_p else 0
+                    specs = [SubgroupSpec(fam, j, q, d) for j in range(5 if fam.is_pro_p else 1)]
                     bases = [base_count(lam, fam).eval_at(t) for lam in parts]
-                    assert count_columns(parts, [SubgroupSpec(fam, depth, q, d)])[0] == bases
-                    expected = [[b * t ** (d_of(lam) * j) for lam, b in zip(parts, bases)] for j in range(depth + 1)]
-                    assert count_columns(parts, [SubgroupSpec(fam, depth, q, d)]) == expected
+                    assert count_columns(parts, specs[:1])[0] == bases
+                    expected = [[b * t ** (d_of(lam) * spec.depth) for lam, b in zip(parts, bases)] for spec in specs]
+                    assert count_columns(parts, specs) == expected
 
     def test_partitions_of_several_n_in_one_call(self):
         lams = [P(3), P(1), P(2, 2, 1), P(1, 1)]
@@ -223,10 +238,10 @@ class TestCountAtDepth:
 
     @pytest.mark.parametrize("q,d,j", [(2, 1, 0), (3, 2, 3), (4, 1, 2)])
     def test_several_specs_in_one_call(self, monkeypatch, q, d, j):
-        # one table of [k]_t! for K and one of k! that I0, Ihalf and I share, with the columns of each spec in turn
+        # one table of [k]_t! for K and one of k! that I0, Ihalf and I share, with the column of each spec in turn
         tables, original = [], cosets._factorials
         monkeypatch.setattr(cosets, "_factorials", lambda n, t: tables.append((n, t)) or original(n, t))
-        specs = [SubgroupSpec(fam, j if fam.is_pro_p else 0, q, d) for fam in Family]
+        specs = [SubgroupSpec(fam, k, q, d) for fam in Family for k in range(j + 1 if fam.is_pro_p else 1)]
         for n in range(1, 9):
             tables.clear()
             lams = enumerate_partitions(n)
@@ -238,6 +253,27 @@ class TestCountAtDepth:
         columns = count_columns(lams, specs)
         assert tables == [(8, q**d), (8, None)]
         assert columns == [list(row) for row in zip(*[[col[0] for col in count_columns([lam], specs)] for lam in lams])]
+
+    def test_one_column_per_spec_of_mixed_depths(self):
+        # I at depth 0 and deeper, the parahorics K0 and I0, and the pro-p chains in no depth order
+        specs = [SubgroupSpec(Family.IWAHORI_CONGRUENCE, 0, 3, 1), SubgroupSpec(Family.VERTEX_CONGRUENCE, 4, 3, 1),
+                 SubgroupSpec(Family.VERTEX_MAX, 0, 3, 1), SubgroupSpec(Family.IWAHORI_CONGRUENCE, 3, 3, 1),
+                 SubgroupSpec(Family.IWAHORI, 0, 3, 1), SubgroupSpec(Family.PRO_P_IWAHORI_HALF, 2, 3, 1),
+                 SubgroupSpec(Family.VERTEX_CONGRUENCE, 0, 3, 1), SubgroupSpec(Family.IWAHORI_CONGRUENCE, 1, 3, 1)]
+        for n in range(1, 8):
+            lams = enumerate_partitions(n)
+            columns = count_columns(lams, specs)
+            assert len(columns) == len(specs)
+            for spec, column in zip(specs, columns):
+                assert column == [count_at_depth(lam, spec) for lam in lams] == [
+                    base_count(lam, spec.family).eval_at(3) * 3 ** (d_of(lam) * spec.depth) for lam in lams]
+        assert count_columns([], specs) == [[]] * len(specs)
+
+    def test_dim_fixed_deep_in_the_chain(self):
+        # the depth-300 column of a full map at n = 8 is the sum of its one-partition counts
+        c = CoefficientMap(8, {lam: (-1) ** i * (i + 1) for i, lam in enumerate(enumerate_partitions(8))})
+        spec = SubgroupSpec(Family.VERTEX_CONGRUENCE, 300, 3, 1)
+        assert dim_fixed(c, spec) == sum(v * count_at_depth(lam, spec) for lam, v in c.items())
 
     def test_dim_fixed_builds_one_table_for_its_support(self, monkeypatch):
         # the support's counts at the spec's depth come from one count_columns call, hence one table of [k]_t!

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -78,23 +79,23 @@ class TestABCoefficients:
 
 class TestDimInvariants:
     def test_examples(self):
-        assert dim_invariants(STEINBERG, Family.VERTEX_CONGRUENCE, 0, 3, 1) == 3
+        assert dim_invariants(STEINBERG, SubgroupSpec(Family.VERTEX_CONGRUENCE, 0, 3, 1)) == 3
         for fam in CHAINS:
             for j in range(3):
-                assert dim_invariants(finite_dim(7), fam, j, 2, 1) == 7
-        assert dim_invariants(principal_series(2), Family.IWAHORI_CONGRUENCE, 1, 2, 1) == 16
+                assert dim_invariants(finite_dim(7), SubgroupSpec(fam, j, 2, 1)) == 7
+        assert dim_invariants(principal_series(2), SubgroupSpec(Family.IWAHORI_CONGRUENCE, 1, 2, 1)) == 16
 
     def test_below_threshold_raises(self):
         c = supercuspidal(Fraction(1, 2), 2)  # (a, b) = (-(q+1), 1)
         with pytest.raises(ValueError):
-            dim_invariants(c, Family.PRO_P_IWAHORI_HALF, 0, 2, 1)
-        assert dim_invariants(c, Family.PRO_P_IWAHORI_HALF, 1, 2, 1) == 1
+            dim_invariants(c, SubgroupSpec(Family.PRO_P_IWAHORI_HALF, 0, 2, 1))
+        assert dim_invariants(c, SubgroupSpec(Family.PRO_P_IWAHORI_HALF, 1, 2, 1)) == 1
 
     def test_chain_formula_validation(self):
         with pytest.raises(ValueError):
-            chain_dim_formula(0, 1, Family.VERTEX_MAX, 0, 2, 1)
+            chain_dim_formula(0, 1, SubgroupSpec(Family.VERTEX_MAX, 0, 2, 1))
         with pytest.raises(ValueError):
-            chain_dim_formula(0, 1, Family.VERTEX_CONGRUENCE, -1, 2, 1)
+            chain_dim_formula(0, 1, SubgroupSpec(Family.VERTEX_CONGRUENCE, -1, 2, 1))
 
     def test_consistency_with_germ_machinery(self):
         for _, cmap in catalog(3):
@@ -102,19 +103,28 @@ class TestDimInvariants:
             for fam in CHAINS:
                 for j in range(4):
                     spec = SubgroupSpec(fam, j, 3, 1)
-                    assert chain_dim_formula(a, b, fam, j, 3, 1) == dim_fixed(cmap, spec)
+                    assert chain_dim_formula(a, b, spec) == dim_fixed(cmap, spec)
 
     def test_chain_formula_only_on_pro_p_families(self):
         pro_p = {fam for fam in Family if fam.is_pro_p}
         assert pro_p == {Family.PRO_P_IWAHORI_HALF, Family.VERTEX_CONGRUENCE, Family.IWAHORI_CONGRUENCE}
         for fam in set(Family) - pro_p:
             with pytest.raises(ValueError) as info:
-                chain_dim_formula(1, 0, fam, 0, 3, 1)
+                chain_dim_formula(1, 0, SubgroupSpec(fam, 0, 3, 1))
             assert str(info.value) == f"chain formulas exist for the pro-p families only, got {fam.token}"
 
     def test_a_family_that_is_not_a_family_is_a_value_error(self):
-        for call in (lambda: chain_dim_formula(1, 1, "K", 0, 2, 1), lambda: dim_invariants(STEINBERG, "K", 0, 2, 1)):
+        for call in (lambda: chain_dim_formula(1, 1, SubgroupSpec("K", 0, 2, 1)),
+                     lambda: dim_invariants(STEINBERG, SubgroupSpec("K", 0, 2, 1))):
             with pytest.raises(ValueError, match=r"^family must be a Family, got 'K'$"):
+                call()
+
+    @pytest.mark.parametrize("spec", [None, "K", Family.VERTEX_CONGRUENCE, (Family.VERTEX_CONGRUENCE, 0, 2, 1)])
+    def test_a_value_that_is_not_a_spec_is_a_value_error(self, spec):
+        # a tuple of the right fields is not a chain member either
+        message = rf"^a chain formula needs a SubgroupSpec, got {re.escape(repr(spec))}$"
+        for call in (lambda: chain_dim_formula(1, 1, spec), lambda: dim_invariants(STEINBERG, spec)):
+            with pytest.raises(ValueError, match=message):
                 call()
 
 
@@ -139,6 +149,11 @@ class TestModP:
     def test_ichain_not_tabulated(self):
         with pytest.raises(ValueError):
             modp_supersingular_dims(True, Family.IWAHORI_CONGRUENCE, 0, 3)
+
+    def test_a_family_that_is_not_a_family_is_a_value_error(self):
+        # the one spec the mod-p rows build checks the family before its token is read
+        with pytest.raises(ValueError, match=r"^family must be a Family, got 'K'$"):
+            modp_supersingular_dims(True, "K", 0, 3)
 
 
 class TestCatalogMaps:

@@ -243,6 +243,11 @@ def test_count_columns_is_the_one_coset_count_kernel():
             if alias.name.startswith("_")] == []
 
 
+def test_the_chain_formulas_read_a_spec():
+    # a caller hands chain_dim_formula and dim_invariants one chain member; gl2 builds one only for its mod-p rows
+    assert _sites(ast.parse((SRC / "gl2.py").read_text()), "SubgroupSpec") == ["modp_supersingular_dims"]
+
+
 def test_json_text_is_the_only_json_writer():
     # every JSON record leaves through cli._json_text, the one exact writer: no module calls json.dump(s)
     sites = {(path.name, fn) for path in SRC.glob("*.py") for name in ("dump", "dumps")
