@@ -23,7 +23,10 @@ form, built once per n and process as polynomials in q, at any prime
 power q, for n <= SOLVE_MAX_N.
 
 `main` parses an argv that starts with a command (`partitions`, ...,
-`gl2 table`) with that command's own parser, and any other with the tree.
+`gl2 table`) for that command, and any other with the tree.  A command's
+argv of only exact option strings and their values is read from its
+option table (`_plain_parse`); any other, such as `-h`, `--x=v` or a bad
+value, goes to its parser, so help and errors are argparse's.
 
 Every JSON record is written by `_json_text`, byte for byte what
 json.dumps prints with an indent of 2.  `partitions`, `germ induce`,
@@ -387,6 +390,7 @@ def _cmd_germ_lj(args) -> None:
 
 
 def _cmd_germ_jl(args) -> None:
+    require_at_least(args.d, 1, "--d")
     _emit(args, _map_json(jl_transfer(_read_map(args.infile), args.d)), None)
 
 
@@ -486,7 +490,8 @@ def _cmd_oracle(args) -> None:
 
 
 def _cmd_gl2(args) -> None:
-    records, classes = [], gl2.catalog(args.q)  # refuses a bad --q before a spec refuses a bad --j
+    records, classes = [], gl2.catalog(args.q)  # refuses a bad --q before a bad --j
+    require_at_least(args.j, 0, "--j")
     specs = [SubgroupSpec(fam, args.j, args.q, args.d) for fam in _PRO_P_CHAINS]
     for label, c in classes:
         a, b = gl2.ab_coefficients(c)
@@ -617,11 +622,68 @@ def _parser() -> _Parser:
     return build_parser()
 
 
-def _parse(argv: list) -> argparse.Namespace:
-    """argv parsed by the parser of the command it starts with (the one the tree would reach), else by the tree.
+@functools.lru_cache(maxsize=16)
+def _plain_table(parser: _Parser):
+    """({option string: action}, defaults, required actions) of a command's parser for `_plain_parse`, or None.
 
-    Only the parse at each level above the command is skipped, so help
-    and errors read as through the tree.
+    None if it has a mutually exclusive group, a str default, or an action
+    other than help, store_true, and store or append of one str or int.
+    """
+    if parser._mutually_exclusive_groups:
+        return None
+    table, defaults = {}, {}
+    for action in parser._actions:  # the defaults in the order parse_args sets them
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+        if isinstance(action, argparse._HelpAction):
+            continue  # -h and --help fall back to parse_args
+        if type(action) not in (argparse._StoreAction, argparse._AppendAction, argparse._StoreTrueAction) \
+                or action.nargs not in (None, 0) or action.type not in (None, int) or isinstance(action.default, str):
+            return None
+        table.update(dict.fromkeys(action.option_strings, action))
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    return table, defaults, [action for action in parser._actions if action.required]
+
+
+def _plain_parse(parser: _Parser, argv: list):
+    """The Namespace parser.parse_args(argv) returns, if argv is only exact option strings and their values, else None.
+
+    A value is the next token: a str not starting with "-", of the option's
+    type and among its choices.  It raises nothing: errors are parse_args's.
+    """
+    plain = _plain_table(parser)
+    if plain is None:
+        return None
+    table, namespace, seen, tokens = plain[0], dict(plain[1]), set(), iter(argv)
+    for token in tokens:
+        action = table.get(token) if type(token) is str else None
+        if action is None:
+            return None
+        value = True  # a store_true option
+        if action.nargs is None:
+            value = next(tokens, None)
+            if type(value) is not str or value.startswith("-"):
+                return None
+            try:
+                value = value if action.type is None else action.type(value)
+            except (ValueError, TypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            if type(action) is argparse._AppendAction:
+                value = [*(namespace[action.dest] or ()), value]
+        namespace[action.dest] = value
+        seen.add(action)
+    return argparse.Namespace(**namespace) if seen.issuperset(plain[2]) else None
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """argv parsed for the command it starts with (the one the tree would reach), else by the tree.
+
+    The command's argv is read by `_plain_parse` if it can, else by the
+    command's parser.  Only the parse at each level above the command is
+    skipped, so help and errors read as through the tree.
     """
     tree = parser = _parser()
     depth = 0
@@ -632,7 +694,7 @@ def _parse(argv: list) -> argparse.Namespace:
         if parser is None:
             return tree.parse_args(argv)
         depth += 1
-    return parser.parse_args(argv[depth:])
+    return _plain_parse(parser, argv[depth:]) or parser.parse_args(argv[depth:])
 
 
 def main(argv=None) -> int:

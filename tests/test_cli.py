@@ -655,6 +655,90 @@ class TestDispatch:
             main(["--help"])
 
 
+# tokens a plain parse must decline or read as argparse does: help, an abbreviation, "--", a negative
+# number, an empty, non-str or unhashable token, and strs that int() reads though they are not plain digits
+_ODD_TOKENS = ["-h", "--help", "--js", "--", "-1", "", 5, None, ["--n"], "--bogus"]
+_ODD_VALUES = [" 5", "\u0663", "1_0", "+4", "-1", "", "x", "bogus", 5]
+
+
+def _valid_value(action):
+    if action.choices:
+        return action.choices[0]
+    return "3" if action.type is int else "2,1" if action.dest == "partition" else STEINBERG
+
+
+@st.composite
+def _command_argvs(draw, parser):
+    """Tokens for a command's parser: its required options or not, then options with or without values and odd tokens."""
+    actions = [a for a in parser._actions if a.option_strings and not isinstance(a, argparse._HelpAction)]
+    argv = []
+    if draw(st.integers(0, 3)):
+        argv += [token for a in actions if a.required for token in (a.option_strings[0], _valid_value(a))]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["value"] * 12 + ["bare", "equals", "odd"]))  # mostly a plain argv
+        action = draw(st.sampled_from(actions))
+        value = draw(st.sampled_from([_valid_value(action)] * 6 + [*(action.choices or ()), *_ODD_VALUES]))
+        if kind == "odd":
+            argv.append(draw(st.sampled_from(_ODD_TOKENS)))
+        elif kind == "bare" or action.nargs == 0:
+            argv.append(action.option_strings[0])
+        elif kind == "equals":
+            argv.append(f"{action.option_strings[0]}={value}")
+        else:
+            argv += [action.option_strings[0], value]
+    return argv
+
+
+def _typed(namespace):
+    """A namespace's items in order, each value with its type, so that True and 1 differ."""
+    return [(key, type(value), value) for key, value in vars(namespace).items()]
+
+
+class TestPlainParse:
+    """A command's argv of exact option strings and values is read from its option table, to parse_args's Namespace."""
+
+    @pytest.mark.parametrize("path", [path for path, _ in leaf_commands(cli.build_parser())], ids=" ".join)
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_plain_parse_is_parse_args_or_declines(self, path, data):
+        parser = dict(leaf_commands(cli._parser()))[path]
+        argv = data.draw(_command_argvs(parser))
+        plain = cli._plain_parse(parser, argv)
+        assert plain is None or _typed(plain) == _typed(parser.parse_args(argv))
+
+    def test_help_and_refusals_read_as_through_argparse(self, capsys, monkeypatch):
+        def outcome_or_raise(argv):
+            try:
+                return outcome(capsys, argv)
+            except TypeError as exc:  # argparse's own on a non-str token
+                return "raised", str(exc), capsys.readouterr()
+
+        cases = []
+        for path, parser in leaf_commands(cli._parser()):
+            tail = next(argv for argv in GOLDENS.values() if tuple(argv[: len(path)]) == path)[len(path):]
+            option, rest = tail[0], tail[2:]
+            tails = [["--help"], ["-h"], [], tail + tail, [f"{option}={tail[1]}", *rest], tail + ["--js"],
+                     tail + ["--"], tail + ["--", "x"], tail + [5], [option], *([option, v, *rest] for v in _ODD_VALUES)]
+            tails += [tail + [a.option_strings[0], "bogus"] for a in parser._actions if a.choices]
+            cases += [list(path) + t for t in tails]
+        for argv in cases:
+            taken = outcome_or_raise(argv)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_plain_parse", lambda parser, argv: None)
+                assert outcome_or_raise(argv) == taken, argv
+
+    def test_golden_commands_take_the_plain_path(self, capsys, monkeypatch, tmp_path):
+        def no_argparse(*args, **kwargs):
+            raise AssertionError("argparse parsed argv")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", no_argparse)
+        target = tmp_path / "out"
+        for argv, name in GOLDEN_CASES:
+            assert run(capsys, *argv) == (0, golden(name), ""), argv
+            assert run(capsys, *argv, "--out", str(target)) == (0, "", ""), argv
+            assert target.read_text() == golden(name)
+
+
 class TestGermRoundTrips:
     def test_map_output_is_accepted_as_input(self, capsys, tmp_path):
         out_file = tmp_path / "induced.json"
@@ -943,9 +1027,12 @@ class TestExitCodes:
         assert cli.SOLVE_MAX_N == 12
 
     def test_gl2_table_rejects_negative_depth(self, capsys):
+        # named as cosets names it; a bad --q is still reported first
         code, out, err = run(capsys, "gl2", "table", "--q", "3", "--d", "1", "--j", "-1")
         assert code == 1
-        assert out == "" and err == "germkit: error: depth must be >= 0, got -1\n"
+        assert out == "" and err == "germkit: error: --j must be >= 0, got -1\n"
+        assert run(capsys, "gl2", "table", "--q", "6", "--j", "-1") == (
+            1, "", "germkit: error: q must be a prime power >= 2, got 6\n")
 
     def test_gl2_table_rejects_d_below_one(self, capsys):
         code, out, err = run(capsys, "gl2", "table", "--q", "9", "--d", "0")
@@ -1029,6 +1116,12 @@ class TestExitCodes:
         code, out, err = run(capsys, "germ", "lj", "--in", STEINBERG, "--d", "0")
         assert code == 1
         assert out == "" and err == "germkit: error: --d must be >= 1, got 0\n"
+
+    def test_jl_rejects_d_below_one_before_reading_the_map(self, capsys, tmp_path):
+        for path in (STEINBERG, str(tmp_path / "missing.json")):
+            code, out, err = run(capsys, "germ", "jl", "--in", path, "--d", "0")
+            assert code == 1
+            assert out == "" and err == "germkit: error: --d must be >= 1, got 0\n"
 
     @pytest.mark.parametrize(
         "argv",

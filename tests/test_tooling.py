@@ -150,9 +150,10 @@ LIBRARY_ONLY = {
 
 
 def _names_read(path):
-    """Every name that path reads, as a bare name or as an attribute."""
+    """Every name that path reads, as a bare name or as an attribute: an assignment or del target is not read."""
     nodes = ast.walk(ast.parse(path.read_text()))
-    return {n.id if isinstance(n, ast.Name) else n.attr for n in nodes if isinstance(n, (ast.Name, ast.Attribute))}
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in nodes
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
 
 
 def _public_definitions():
