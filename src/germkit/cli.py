@@ -22,11 +22,13 @@ matrix also equals the Hall-polynomial closed form.
 form, built once per n and process as polynomials in q, at any prime
 power q, for n <= SOLVE_MAX_N.
 
-`main` parses an argv that starts with a command (`partitions`, ...,
-`gl2 table`) for that command, and any other with the tree.  A command's
-argv of only exact option strings and their values is read from its
-option table (`_plain_parse`); any other, such as `-h`, `--x=v` or a bad
-value, goes to its parser, so help and errors are argparse's.
+Each command is declared once, in `_COMMANDS`: its function, help line
+and options, which both the argparse tree (`build_parser`) and the
+command's option table are built from.  `main` reads an argv that starts
+with a command (`partitions`, ..., `gl2 table`) followed by only exact
+option strings and their values from that table (`_plain_parse`).  Any
+other argv, such as `-h`, `--x=v`, a bad value or no command, goes to
+the tree, built on first use, so help and errors are argparse's.
 
 Every JSON record is written by `_json_text`, byte for byte what
 json.dumps prints with an indent of 2.  `partitions`, `germ induce`,
@@ -280,14 +282,14 @@ def _emit(args, record, text) -> None:
     body = _json_text(record) if text is None or args.json else text()
     out = args.out
     try:
-        if out:
+        if out is not None:
             with open(out, "w") as fh:
                 fh.write(body + "\n")
         else:
             print(body)
             sys.stdout.flush()
     except OSError as exc:
-        if out:
+        if out is not None:
             raise UsageError(f"cannot write {out}: {exc}")
         # point stdout at devnull so the final flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -523,178 +525,128 @@ def _cmd_gl2(args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: each command declared once, in _COMMANDS
 
 
-def _add_out(p, table=True):
-    p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
-    if table:  # commands without a table always print JSON
-        p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
+_OUT = ("--out", {"metavar": "FILE", "help": "write output to FILE instead of stdout"})
+_JSON = ("--json", {"action": "store_true", "help": "emit JSON instead of a table"})  # commands with a table
+_IN = ("--in", {"dest": "infile", "required": True, "metavar": "FILE"})
+_FAMILIES = [f.token for f in Family]
+
+# command path: (function, help, [(option string, add_argument keywords), ...]), in the tree's order
+_COMMANDS = {
+    ("partitions",): (_cmd_partitions, "enumerate partitions of n", [
+        ("--n", {"type": int, "required": True}),
+        ("--show", {"action": "append", "choices": ["d", "dual"], "help": "extra columns"}), _OUT, _JSON]),
+    ("qcount",): (_cmd_qcount, "q-multinomial coset count for a partition", [
+        ("--partition", {"required": True, "metavar": "PARTS", "help": "e.g. 3,1"}),
+        ("--q", {"type": int, "help": "evaluate at this prime power"}), _OUT, _JSON]),
+    ("cosets",): (_cmd_cosets, "coset counts per partition, family and depth", [
+        ("--n", {"type": int, "required": True}), ("--q", {"type": int, "required": True}),
+        ("--d", {"type": int, "default": 1}),
+        ("--j", {"type": int, "default": 0, "help": "maximal depth for the pro-p families"}),
+        ("--family", {"choices": _FAMILIES}), _OUT, _JSON]),
+    ("germ", "dimpoly"): (_cmd_germ_dimpoly, "dimension-growth polynomial of a map", [
+        _IN, ("--family", {"required": True, "choices": _FAMILIES}), ("--q", {"type": int, "required": True}),
+        ("--d", {"type": int, "default": 1}), _OUT, _JSON]),
+    ("germ", "induce"): (_cmd_germ_induce, "coefficient map of a parabolic induction", [
+        ("--in", {"dest": "infile", "action": "append", "required": True, "metavar": "FILE"}), _OUT]),
+    ("germ", "lj"): (_cmd_germ_lj, "transfer a map on partitions of d*n down to n", [
+        _IN, ("--d", {"type": int, "required": True}), _OUT]),
+    ("germ", "jl"): (_cmd_germ_jl, "transfer a map on partitions of n up to d*n", [
+        _IN, ("--d", {"type": int, "required": True}), _OUT]),
+    ("germ", "solve"): (_cmd_germ_solve, "recover a map from depth-one multiplicities", [
+        _IN, ("--q", {"type": int, "required": True, "help": "prime power at which to read the closed form"}), _OUT]),
+    ("germ", "whittaker"): (_cmd_germ_whittaker, "Whittaker dimensions at minimal support", [_IN, _OUT, _JSON]),
+    ("oracle",): (_cmd_oracle, "brute-force checks over a prime field", [
+        ("--n", {"type": int, "required": True}), ("--q", {"type": int, "required": True}),
+        ("--check", {"required": True, "choices": ["cosets", "jordan", "ximatrix"]}), _OUT, _JSON]),
+    ("gl2", "table"): (_cmd_gl2, "(a, b) pairs and chain dimensions", [
+        ("--q", {"type": int, "required": True}), ("--d", {"type": int, "default": 1}),
+        ("--j", {"type": int, "default": 0}),
+        ("--modp", {"action": "store_true", "help": "append mod-p supersingular rows (q odd prime, d=1)"}),
+        _OUT, _JSON]),
+}
+_GROUPS = {"germ": "coefficient-map operations", "gl2": "the n=2 catalog"}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="germkit", description="exact combinatorics of germ expansions")
-    sub = parser.add_subparsers(required=True)
-
-    p = sub.add_parser("partitions", help="enumerate partitions of n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--show", action="append", choices=["d", "dual"], help="extra columns")
-    _add_out(p)
-    p.set_defaults(func=_cmd_partitions)
-
-    p = sub.add_parser("qcount", help="q-multinomial coset count for a partition")
-    p.add_argument("--partition", required=True, metavar="PARTS", help="e.g. 3,1")
-    p.add_argument("--q", type=int, help="evaluate at this prime power")
-    _add_out(p)
-    p.set_defaults(func=_cmd_qcount)
-
-    p = sub.add_parser("cosets", help="coset counts per partition, family and depth")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--j", type=int, default=0, help="maximal depth for the pro-p families")
-    p.add_argument("--family", choices=[f.token for f in Family])
-    _add_out(p)
-    p.set_defaults(func=_cmd_cosets)
-
-    p = sub.add_parser("germ", help="coefficient-map operations")
-    germ_sub = p.add_subparsers(required=True)
-
-    g = germ_sub.add_parser("dimpoly", help="dimension-growth polynomial of a map")
-    g.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    g.add_argument("--family", required=True, choices=[f.token for f in Family])
-    g.add_argument("--q", type=int, required=True)
-    g.add_argument("--d", type=int, default=1)
-    _add_out(g)
-    g.set_defaults(func=_cmd_germ_dimpoly)
-
-    g = germ_sub.add_parser("induce", help="coefficient map of a parabolic induction")
-    g.add_argument("--in", dest="infile", action="append", required=True, metavar="FILE")
-    _add_out(g, table=False)
-    g.set_defaults(func=_cmd_germ_induce)
-
-    g = germ_sub.add_parser("lj", help="transfer a map on partitions of d*n down to n")
-    g.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    g.add_argument("--d", type=int, required=True)
-    _add_out(g, table=False)
-    g.set_defaults(func=_cmd_germ_lj)
-
-    g = germ_sub.add_parser("jl", help="transfer a map on partitions of n up to d*n")
-    g.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    g.add_argument("--d", type=int, required=True)
-    _add_out(g, table=False)
-    g.set_defaults(func=_cmd_germ_jl)
-
-    g = germ_sub.add_parser("solve", help="recover a map from depth-one multiplicities")
-    g.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    g.add_argument("--q", type=int, required=True, help="prime power at which to read the closed form")
-    _add_out(g, table=False)
-    g.set_defaults(func=_cmd_germ_solve)
-
-    g = germ_sub.add_parser("whittaker", help="Whittaker dimensions at minimal support")
-    g.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    _add_out(g)
-    g.set_defaults(func=_cmd_germ_whittaker)
-
-    p = sub.add_parser("oracle", help="brute-force checks over a prime field")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--check", required=True, choices=["cosets", "jordan", "ximatrix"])
-    _add_out(p)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("gl2", help="the n=2 catalog")
-    gl2_sub = p.add_subparsers(required=True)
-    g = gl2_sub.add_parser("table", help="(a, b) pairs and chain dimensions")
-    g.add_argument("--q", type=int, required=True)
-    g.add_argument("--d", type=int, default=1)
-    g.add_argument("--j", type=int, default=0)
-    g.add_argument("--modp", action="store_true", help="append mod-p supersingular rows (q odd prime, d=1)")
-    _add_out(g)
-    g.set_defaults(func=_cmd_gl2)
-
+    groups = {(): parser.add_subparsers(required=True)}
+    for path, (func, summary, options) in _COMMANDS.items():
+        if path[:-1] not in groups:  # a group is added where its first command is declared
+            group = groups[()].add_parser(path[0], help=_GROUPS[path[0]])
+            groups[path[:-1]] = group.add_subparsers(required=True)
+        p = groups[path[:-1]].add_parser(path[-1], help=summary)
+        for option, keywords in options:
+            p.add_argument(option, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
 @functools.cache
 def _parser() -> _Parser:
-    """The parser of this process, built on the first call of main; parse_args leaves no state in it."""
+    """The whole tree, built once per process when help or a refusal reaches it; parse_args leaves no state in it."""
     return build_parser()
 
 
-@functools.lru_cache(maxsize=16)
-def _plain_table(parser: _Parser):
-    """({option string: action}, defaults, required actions) of a command's parser for `_plain_parse`, or None.
-
-    None if it has a mutually exclusive group, a str default, or an action
-    other than help, store_true, and store or append of one str or int.
-    """
-    if parser._mutually_exclusive_groups:
-        return None
-    table, defaults = {}, {}
-    for action in parser._actions:  # the defaults in the order parse_args sets them
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            defaults.setdefault(action.dest, action.default)
-        if isinstance(action, argparse._HelpAction):
-            continue  # -h and --help fall back to parse_args
-        if type(action) not in (argparse._StoreAction, argparse._AppendAction, argparse._StoreTrueAction) \
-                or action.nargs not in (None, 0) or action.type not in (None, int) or isinstance(action.default, str):
-            return None
-        table.update(dict.fromkeys(action.option_strings, action))
-    for dest, value in parser._defaults.items():
-        defaults.setdefault(dest, value)
-    return table, defaults, [action for action in parser._actions if action.required]
+def _option_table(func, options):
+    """({option string: (dest, action, type, choices)}, defaults as parse_args sets them, required option strings)."""
+    table, defaults, required = {}, {}, set()
+    for option, keywords in options:
+        dest, action = keywords.get("dest", option[2:]), keywords.get("action")
+        table[option] = dest, action, keywords.get("type"), keywords.get("choices")
+        defaults[dest] = keywords.get("default", False if action == "store_true" else None)
+        if keywords.get("required"):
+            required.add(option)
+    defaults["func"] = func
+    return table, defaults, required
 
 
-def _plain_parse(parser: _Parser, argv: list):
-    """The Namespace parser.parse_args(argv) returns, if argv is only exact option strings and their values, else None.
+_PLAIN = {path: _option_table(func, options) for path, (func, _, options) in _COMMANDS.items()}
+
+
+def _plain_parse(path: tuple, argv: list):
+    """The Namespace the tree gives [*path, *argv] if argv is only exact option strings and their values, else None.
 
     A value is the next token: a str not starting with "-", of the option's
-    type and among its choices.  It raises nothing: errors are parse_args's.
+    type and among its choices.  It raises nothing: errors are the tree's.
     """
-    plain = _plain_table(parser)
-    if plain is None:
-        return None
-    table, namespace, seen, tokens = plain[0], dict(plain[1]), set(), iter(argv)
+    table, defaults, required = _PLAIN[path]
+    namespace, seen, tokens = dict(defaults), set(), iter(argv)
     for token in tokens:
-        action = table.get(token) if type(token) is str else None
-        if action is None:
+        option = table.get(token) if type(token) is str else None
+        if option is None:
             return None
+        dest, action, convert, choices = option
         value = True  # a store_true option
-        if action.nargs is None:
+        if action != "store_true":
             value = next(tokens, None)
             if type(value) is not str or value.startswith("-"):
                 return None
             try:
-                value = value if action.type is None else action.type(value)
+                value = value if convert is None else convert(value)
             except (ValueError, TypeError):
                 return None
-            if action.choices is not None and value not in action.choices:
+            if choices is not None and value not in choices:
                 return None
-            if type(action) is argparse._AppendAction:
-                value = [*(namespace[action.dest] or ()), value]
-        namespace[action.dest] = value
-        seen.add(action)
-    return argparse.Namespace(**namespace) if seen.issuperset(plain[2]) else None
+            if action == "append":
+                value = [*(namespace[dest] or ()), value]
+        namespace[dest] = value
+        seen.add(token)
+    return argparse.Namespace(**namespace) if seen >= required else None
 
 
 def _parse(argv: list) -> argparse.Namespace:
-    """argv parsed for the command it starts with (the one the tree would reach), else by the tree.
+    """argv read by `_plain_parse` if its first one or two tokens name a command and it can, else by the tree.
 
-    The command's argv is read by `_plain_parse` if it can, else by the
-    command's parser.  Only the parse at each level above the command is
-    skipped, so help and errors read as through the tree.
+    Only help and refusals reach the tree, so their text is argparse's.
     """
-    tree = parser = _parser()
-    depth = 0
-    while parser._subparsers is not None:  # a group, not a command
-        group = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        name = argv[depth] if depth < len(argv) else None
-        parser = group.choices.get(name)
-        if parser is None:
-            return tree.parse_args(argv)
-        depth += 1
-    return _plain_parse(parser, argv[depth:]) or parser.parse_args(argv[depth:])
+    path = tuple(argv[:1])
+    if path not in _PLAIN:  # a group and its command
+        path = tuple(argv[:2])
+    namespace = _plain_parse(path, argv[len(path):]) if path in _PLAIN else None
+    return namespace or _parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -565,10 +565,12 @@ class TestParserReuse:
     """main builds its parser once per process; no call may see another call's flags."""
 
     def test_main_reuses_one_parser(self, capsys):
-        run(capsys, "partitions", "--n", "2")
+        # --n=v is not a plain argv, so each call falls back to the tree: main builds it once and reuses it
+        cli._parser.cache_clear()
+        assert run(capsys, "partitions", "--n=2")[0] == 0
         first = cli._parser()
-        run(capsys, "partitions", "--n", "3")
-        assert cli._parser() is first
+        assert run(capsys, "partitions", "--n=3")[0] == 0
+        assert cli._parser() is first and cli._parser.cache_info().misses == 1
 
     def test_append_flag_does_not_carry_over(self, capsys):
         code, out, _ = run(capsys, "partitions", "--n", "3", "--show", "d", "--json")
@@ -628,7 +630,7 @@ def parsed(capsys, parse, argv):
 
 
 class TestDispatch:
-    """main hands a command's argv to that command's parser; it behaves as the whole tree would."""
+    """main reads a command's plain argv from the command's option table; it behaves as the whole tree would."""
 
     def test_dispatch_equals_the_tree(self, capsys, monkeypatch):
         def tree_parse(argv):
@@ -695,16 +697,27 @@ def _typed(namespace):
 
 
 class TestPlainParse:
-    """A command's argv of exact option strings and values is read from its option table, to parse_args's Namespace."""
+    """A command's argv of exact option strings and values is read from its option table, to the tree's Namespace."""
 
     @pytest.mark.parametrize("path", [path for path, _ in leaf_commands(cli.build_parser())], ids=" ".join)
     @settings(max_examples=300)
     @given(data=st.data())
     def test_plain_parse_is_parse_args_or_declines(self, path, data):
-        parser = dict(leaf_commands(cli._parser()))[path]
-        argv = data.draw(_command_argvs(parser))
-        plain = cli._plain_parse(parser, argv)
-        assert plain is None or _typed(plain) == _typed(parser.parse_args(argv))
+        argv = data.draw(_command_argvs(dict(leaf_commands(cli._parser()))[path]))
+        plain = cli._plain_parse(path, argv)
+        assert plain is None or _typed(plain) == _typed(cli._parser().parse_args([*path, *argv]))
+
+    def test_every_option_is_one_the_plain_parse_reads(self):
+        # a store or append of one str or int, or a store_true: nargs, another action or type, or a str default
+        # would make the plain parse read argv otherwise than argparse
+        read = {"dest", "action", "type", "choices", "default", "required", "metavar", "help"}
+        assert list(cli._COMMANDS) == [path for path, _ in leaf_commands(cli.build_parser())]
+        for path, (_, _, options) in cli._COMMANDS.items():
+            for option, keywords in options:
+                assert set(keywords) <= read, (path, option)
+                assert keywords.get("action") in (None, "append", "store_true"), (path, option)
+                assert keywords.get("type") in (None, int), (path, option)
+                assert not isinstance(keywords.get("default"), str), (path, option)
 
     def test_help_and_refusals_read_as_through_argparse(self, capsys, monkeypatch):
         def outcome_or_raise(argv):
@@ -724,7 +737,7 @@ class TestPlainParse:
         for argv in cases:
             taken = outcome_or_raise(argv)
             with monkeypatch.context() as m:
-                m.setattr(cli, "_plain_parse", lambda parser, argv: None)
+                m.setattr(cli, "_plain_parse", lambda path, argv: None)
                 assert outcome_or_raise(argv) == taken, argv
 
     def test_golden_commands_take_the_plain_path(self, capsys, monkeypatch, tmp_path):
@@ -878,10 +891,11 @@ class TestExitCodes:
             (["germ", "solve", "--in", "{file}", "--q", "2"], _REPEATED, "the partition (2) is listed twice"),
             *((["oracle", "--check", check, "--n", n, "--q", "2"], None, f"n must be >= 1, got {n}")
               for check in ("cosets", "jordan", "ximatrix") for n in ("-1", "0")),
+            (["partitions", "--n", "3", "--out", ""], None, "cannot write : [Errno 2] "),
         ],
         ids=["qcount-partition", "in-not-json", "lj-odd-n", "entries-int", "entries-null", "entries-str", "entries-object",
              "whittaker-repeated", "solve-repeated",
-             *(f"oracle-{check}-n{n}" for check in ("cosets", "jordan", "ximatrix") for n in ("-1", "0"))],
+             *(f"oracle-{check}-n{n}" for check in ("cosets", "jordan", "ximatrix") for n in ("-1", "0")), "out-empty"],
     )
     def test_bad_input_is_exit_1_with_one_line(self, capsys, tmp_path, argv, content, message):
         infile = tmp_path / "in.json"

@@ -282,7 +282,7 @@ def test_every_package_memo_is_bounded_or_per_n():
                 if hasattr(obj, "cache_parameters") and getattr(obj, "__module__", None) == info.name:
                     memos[f"{info.name}.{qualname}"] = obj.cache_parameters()["maxsize"]
     bounded = {"germkit.partitions._partitions", "germkit.partitions._map_partitions", "germkit.qpoly._q_multinomial",
-               "germkit.cli._partition_json", "germkit.cli._plain_table"}
+               "germkit.cli._partition_json"}
     assert bounded | _PER_N_MEMOS <= set(memos)
     assert all(memos[name] is not None for name in bounded)
     assert {name for name, maxsize in memos.items() if maxsize is None} <= _PER_N_MEMOS

@@ -9,8 +9,11 @@
   defaulted parameters that only tests set (CALLER_UNSET).
 - One refusal rule: only `oracle._charge` raises OracleBoundError.
 - One JSON writer: no module calls json.dump or json.dumps.
+- The CLI reads its commands from its own table: no module reads a private
+  attribute of argparse or of a parser.
 """
 
+import argparse
 import ast
 import importlib
 import json
@@ -89,26 +92,29 @@ def test_tracer_installs_after_importing_only_the_cli(monkeypatch, tmp_path):
 
 # Importing the CLI runs only the closed-form core: oracle and gl2 stay lazy
 # modules until a command reads them, and nothing the core skips is loaded.
-# An error exit and --help leave the oracle lazy too, and a gl2 command
-# loads neither dataclasses nor inspect.
+# A plain argv, refused or run, never builds the argparse tree (trees counts
+# the trees built); --help builds it once and leaves gl2 lazy, and a gl2
+# command loads neither dataclasses nor inspect.
 FRESH_START = """
 import contextlib, io, json, sys, types
 import germkit.cli
 lazy = [type(sys.modules[name]) is not types.ModuleType for name in ("germkit.oracle", "germkit.gl2")]
 loaded = [name for name in ("dataclasses", "inspect", "fractions") if name in sys.modules]
 errors = [germkit.cli.main(["partitions", "--n", "0"])]
+code = germkit.cli.main(["oracle", "--n", "2", "--q", "2", "--check", "jordan", "--out", sys.argv[1]])
+plain = type(sys.modules["germkit.oracle"]) is types.ModuleType
+trees = [germkit.cli._parser.cache_info().currsize]
 try:
     with contextlib.redirect_stdout(io.StringIO()):
         germkit.cli.main(["--help"])
 except SystemExit as exc:
     errors.append(exc.code)
-still_lazy = type(sys.modules["germkit.oracle"]) is not types.ModuleType
-code = germkit.cli.main(["oracle", "--n", "2", "--q", "2", "--check", "jordan", "--out", sys.argv[1]])
-plain = type(sys.modules["germkit.oracle"]) is types.ModuleType
+trees.append(germkit.cli._parser.cache_info().currsize)
+still_lazy = type(sys.modules["germkit.gl2"]) is not types.ModuleType
 gl2_code = germkit.cli.main(["gl2", "table", "--q", "3", "--modp", "--out", sys.argv[1]])
 gl2_loaded = [name for name in ("dataclasses", "inspect") if name in sys.modules]
 print(json.dumps({"lazy": lazy, "loaded": loaded, "errors": errors, "still_lazy": still_lazy, "code": code,
-                  "plain": plain, "gl2_code": gl2_code, "gl2_loaded": gl2_loaded}))
+                  "plain": plain, "trees": trees, "gl2_code": gl2_code, "gl2_loaded": gl2_loaded}))
 """
 
 
@@ -118,7 +124,7 @@ def test_cli_import_leaves_oracle_and_gl2_for_first_use(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"lazy": [True, True], "loaded": [], "errors": [1, 0], "still_lazy": True,
-                                       "code": 0, "plain": True, "gl2_code": 0, "gl2_loaded": []}
+                                       "code": 0, "plain": True, "trees": [0, 1], "gl2_code": 0, "gl2_loaded": []}
 
 
 def test_package_serves_the_oracle_names():
@@ -254,3 +260,19 @@ def test_json_text_is_the_only_json_writer():
     sites = {(path.name, fn) for path in SRC.glob("*.py") for name in ("dump", "dumps")
              for fn in _sites(ast.parse(path.read_text()), name)}
     assert sites == set()
+
+
+def test_no_module_reads_a_private_argparse_attribute():
+    # cli._COMMANDS declares every option, so nothing reads it back out of argparse's objects
+    parser = argparse.ArgumentParser()
+    private = {name for name in (*dir(parser), *dir(parser.add_subparsers()))
+               if name.startswith("_") and not name.endswith("__")}
+    reads = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.endswith("__"):
+                if node.attr in private or getattr(node.value, "id", None) == "argparse":
+                    reads.add((path.name, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "argparse":
+                reads |= {(path.name, alias.name) for alias in node.names if alias.name.startswith("_")}
+    assert reads == set()
