@@ -380,7 +380,7 @@ def _multiplicity_polynomials(n: int) -> dict[Partition, dict[Partition, QPoly]]
                         term = term * q_multinomial(Partition(sorted((b, a - b), reverse=True)))
                 if e < 0:
                     raise ArithmeticError(f"Hall polynomial at rho' = {dual_rho}, nu' = {dual_nu} has q^{e}")
-                total = total + QPoly.monomial(e) * term
+                total = total + QPoly._derived((0,) * e + term)  # times q^e
             memo[dual_rho, mu] = total
         return memo[dual_rho, mu]
 

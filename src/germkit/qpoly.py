@@ -3,7 +3,9 @@
 Carries the q-analog counting quantities: q-integers [m]_q, q-factorials
 [n!]_q, and q-multinomials [n!]_q / prod [lam_i!]_q.  The same type also
 holds dimension-growth polynomials in a second contextual variable X;
-the variable name is purely presentational.
+the variable name is purely presentational.  A QPoly is the tuple of its
+coefficients, constant term first, as a Partition is the tuple of its
+parts.
 
 The q-multinomial divides [n!]_q by one q-integer [m]_q = (1 - q^m) / (1 - q)
 at a time, in time linear in the degree: times 1 - q, then an exact
@@ -23,115 +25,94 @@ constructor and only drop trailing zeros.
 from __future__ import annotations
 
 import functools
-from itertools import accumulate
+import operator
+from itertools import accumulate, starmap, zip_longest
 
-from .partitions import Partition, require_at_least, require_int, require_partition
+from .partitions import Partition, require_int, require_partition
 
 
-class QPoly:
-    """Immutable polynomial with int coefficients, constant term first.
+class QPoly(tuple):
+    """Immutable polynomial with int coefficients: the tuple of them, constant term first.
 
-    The zero polynomial stores an empty coefficient tuple; nonzero
-    polynomials store no trailing zeros, so equality of values is
-    equality of tuples.
+    The zero polynomial is the empty tuple and a nonzero one ends in a
+    nonzero coefficient, so `p[k]` is the coefficient of q^k for k <= the
+    degree, and a QPoly equals and hashes as the tuple of its
+    coefficients (`QPoly([1, 2, 0]) == (1, 2)`); `<` is tuple order.  The
+    arithmetic takes QPoly operands, and ints for `*`.  It pickles and
+    copies through its checked constructor, and assignment raises.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs=()):
-        self._store([require_int(c, "a coefficient") for c in coeffs])
-
-    def _store(self, coeffs: list) -> None:
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+    def __new__(cls, coeffs=()) -> "QPoly":
+        coeffs = tuple(coeffs)
+        if not {int}.issuperset(map(type, coeffs)):  # one C-level pass; the loop below names the first fault
+            for c in coeffs:
+                require_int(c, "a coefficient")
+        return cls._derived(coeffs)
 
     @classmethod
     def _derived(cls, coeffs) -> "QPoly":
-        """A polynomial whose int coefficients the package computed from checked values."""
-        poly = object.__new__(cls)
-        poly._store(list(coeffs))
-        return poly
+        """A polynomial whose int coefficients the package computed from checked values, trailing zeros dropped."""
+        coeffs = tuple(coeffs)
+        end = len(coeffs)
+        while end and coeffs[end - 1] == 0:
+            end -= 1
+        return tuple.__new__(cls, coeffs[:end])
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
 
-    def __reduce__(self):
-        # the default would restore the slots by assignment, which __setattr__ refuses: rebuild through the constructor
-        return QPoly, (self.coeffs,)
-
     @classmethod
     def zero(cls) -> "QPoly":
-        return cls(())
+        return cls()
 
     @classmethod
     def one(cls) -> "QPoly":
         return cls((1,))
 
-    @classmethod
-    def monomial(cls, exponent: int) -> "QPoly":
-        require_at_least(exponent, 0, "exponent")
-        return cls((0,) * exponent + (1,))
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("QPoly", self.coeffs))
+        return len(self) - 1
 
     def __repr__(self) -> str:
-        return f"QPoly({list(self.coeffs)})"
-
-    def coeff(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+        return f"QPoly({list(self)})"
 
     def __add__(self, other: "QPoly") -> "QPoly":
         if not isinstance(other, QPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly._derived(self.coeff(k) + other.coeff(k) for k in range(n))
+        return QPoly._derived(starmap(operator.add, zip_longest(self, other, fillvalue=0)))
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         if not isinstance(other, QPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly._derived(self.coeff(k) - other.coeff(k) for k in range(n))
+        return QPoly._derived(starmap(operator.sub, zip_longest(self, other, fillvalue=0)))
 
     def __neg__(self) -> "QPoly":
-        return QPoly._derived(-c for c in self.coeffs)
+        return QPoly._derived(map(operator.neg, self))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return QPoly(c * other for c in self.coeffs)
+            return QPoly(c * other for c in self)
         if not isinstance(other, QPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        if not self or not other:
             return QPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [0] * (len(self) + len(other) - 1)
+        for i, a in enumerate(self):
             if a == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(other):
                 out[i + j] += a * b
         return QPoly._derived(out)
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__  # k * p is p * k
 
     def eval_at(self, v: int) -> int:
         """Horner evaluation with exact integer arithmetic."""
         acc = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self):
             acc = acc * v + c
         return acc
 
@@ -141,7 +122,7 @@ class QPoly:
 
     def pretty_ascending(self, var: str = "X") -> str:
         """Spaced ascending form, e.g. '-1 + 4X' or '2X'."""
-        return self._format(range(len(self.coeffs)), var, " ")
+        return self._format(range(len(self)), var, " ")
 
     def _format(self, exponents, var: str, sep: str) -> str:
         """The nonzero terms in the order of `exponents`, joined by `sep`.
@@ -149,11 +130,11 @@ class QPoly:
         The first term carries only a leading '-' when negative; each
         later term starts with '+' or '-' followed by `sep`.
         """
-        if not self.coeffs:
+        if not self:
             return "0"
         pieces = []
         for k in exponents:
-            c = self.coeffs[k]
+            c = self[k]
             if c == 0:
                 continue
             mag = abs(c)
@@ -171,7 +152,7 @@ class QPoly:
         return sep.join(pieces)
 
     def to_json(self) -> list[int]:
-        return list(self.coeffs)
+        return list(self)
 
 
 def q_int(m: int) -> QPoly:
@@ -210,7 +191,7 @@ def q_multinomial(lam: Partition) -> QPoly:
 
 @functools.lru_cache(maxsize=1024)
 def _q_multinomial(lam: Partition) -> QPoly:
-    coeffs = list(_q_factorial(lam.n).coeffs)
+    coeffs = list(_q_factorial(lam.n))
     for part in lam:
         for m in range(2, part + 1):
             # [m]_q = (1 - q^m) / (1 - q): times 1 - q, then c_k = a_k + c_(k-m) divides by 1 - q^m

@@ -892,10 +892,13 @@ class TestExitCodes:
             *((["oracle", "--check", check, "--n", n, "--q", "2"], None, f"n must be >= 1, got {n}")
               for check in ("cosets", "jordan", "ximatrix") for n in ("-1", "0")),
             (["partitions", "--n", "3", "--out", ""], None, "cannot write : [Errno 2] "),
+            *(([*command, "--n", n], None, f"{command[0]} supports n <= {cli.TABLE_MAX_N}, got n = {n}")
+              for command in (["partitions", "--show", "d"], ["cosets", "--q", "2", "--j", "3"]) for n in ("31", "90")),
         ],
         ids=["qcount-partition", "in-not-json", "lj-odd-n", "entries-int", "entries-null", "entries-str", "entries-object",
              "whittaker-repeated", "solve-repeated",
-             *(f"oracle-{check}-n{n}" for check in ("cosets", "jordan", "ximatrix") for n in ("-1", "0")), "out-empty"],
+             *(f"oracle-{check}-n{n}" for check in ("cosets", "jordan", "ximatrix") for n in ("-1", "0")), "out-empty",
+             *(f"{command}-n{n}-over-bound" for command in ("partitions", "cosets") for n in ("31", "90"))],
     )
     def test_bad_input_is_exit_1_with_one_line(self, capsys, tmp_path, argv, content, message):
         infile = tmp_path / "in.json"
@@ -904,6 +907,10 @@ class TestExitCodes:
         code, out, err = run(capsys, *[a.replace("{file}", str(infile)) for a in argv])
         assert (code, out) == (1, "")
         assert err.startswith("germkit: error: ") and err.count("\n") == 1 and message in err
+
+    def test_tables_list_every_n_up_to_the_bound(self, capsys):
+        code, out, err = run(capsys, "partitions", "--n", str(cli.TABLE_MAX_N))
+        assert (code, err) == (0, "") and out.count("\n") == 1 + len(enumerate_partitions(cli.TABLE_MAX_N)) == 5605
 
     def test_schema_violation(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -151,7 +151,7 @@ class TestCoefficientMap:
 )
 def test_values_copy_and_pickle_and_stay_immutable(clone):
     dp = dimension_polynomial(steinberg(), Family.VERTEX_CONGRUENCE, 2, 1)
-    values = [(P(3, 1), "n"), (QPoly([1, 0, 2]), "coeffs"), (steinberg(), "n"), (dp, "poly"), (dp.poly, "coeffs")]
+    values = [(P(3, 1), "n"), (QPoly([1, 0, 2]), "degree"), (steinberg(), "n"), (dp, "poly"), (dp.poly, "degree")]
     for value, field in values:
         twin = clone(value)
         assert twin == value and type(twin) is type(value)

@@ -403,7 +403,6 @@ def _integer_entry_points():
     return [
         ("enumerate_partitions n", enumerate_partitions, 2),
         ("scale_partition d", lambda x: scale_partition(P(2, 1), x), 2),
-        ("QPoly.monomial exponent", qpoly.QPoly.monomial, 2),
         ("q_int m", qpoly.q_int, 2),
         ("q_factorial n", qpoly.q_factorial, 2),
         ("SubgroupSpec depth", lambda x: cosets.SubgroupSpec(K, x, 3, 1), 2),

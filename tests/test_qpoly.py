@@ -27,9 +27,9 @@ def exact_div(num: QPoly, divisor: QPoly) -> QPoly:
     """
     if not divisor:
         raise ZeroDivisionError("division by the zero polynomial")
-    if divisor.coeffs[-1] != 1:
-        raise ValueError(f"exact_div requires a monic divisor, got leading {divisor.coeffs[-1]}")
-    rem = list(num.coeffs)
+    if divisor[-1] != 1:
+        raise ValueError(f"exact_div requires a monic divisor, got leading {divisor[-1]}")
+    rem = list(num)
     dd = divisor.degree
     qd = len(rem) - 1 - dd
     if qd < 0:
@@ -42,7 +42,7 @@ def exact_div(num: QPoly, divisor: QPoly) -> QPoly:
         if c == 0:
             continue
         quot[k] = c
-        for i, b in enumerate(divisor.coeffs):
+        for i, b in enumerate(divisor):
             rem[k + i] -= c * b
     if any(rem):
         raise ArithmeticError(f"inexact polynomial division: {num!r} by {divisor!r}")
@@ -63,13 +63,13 @@ class TestQPolyType:
     def test_degree_and_coeff(self):
         p = QPoly([1, 0, 5])
         assert p.degree == 2
-        assert p.coeff(0) == 1 and p.coeff(1) == 0 and p.coeff(2) == 5
-        assert p.coeff(99) == 0
+        assert p[0] == 1 and p[1] == 0 and p[2] == 5
+        assert len(p) == 3
 
     def test_immutable_and_hashable(self):
         p = QPoly([1, 2])
-        with pytest.raises(AttributeError):
-            p.coeffs = (3,)
+        with pytest.raises(AttributeError, match="QPoly is immutable"):
+            p.degree = 3
         assert len({QPoly([1, 2]), QPoly([1, 2]), QPoly([2, 1])}) == 2
 
     def test_json_round_trip(self):
@@ -203,7 +203,7 @@ class TestQAnalogs:
     def test_coefficients_nonnegative_up_to_8(self):
         for n in range(1, 9):
             for lam in enumerate_partitions(n):
-                assert all(c >= 0 for c in q_multinomial(lam).coeffs)
+                assert all(c >= 0 for c in q_multinomial(lam))
 
     def test_against_group_order_quotient(self):
         # |GL_n(F_q)| / |P_lam(F_q)| from the order formulas, an independent route
@@ -258,7 +258,7 @@ class TestDivisionByQIntegers:
         poly = qpoly._q_multinomial.__wrapped__(lam)  # past the memo
         within_budget(time.perf_counter() - start, 2.0)
         assert poly.eval_at(1) == math.comb(120, 60)
-        assert poly.coeffs == poly.coeffs[::-1] and poly.degree == 60 * 60
+        assert poly == poly[::-1] and poly.degree == 60 * 60
 
     def test_an_inexact_division_raises(self, monkeypatch):
         # [2]_q [5]_q in place of [3!]_q: [2]_q divides it and [3]_q does not
@@ -289,9 +289,9 @@ def test_every_package_memo_is_bounded_or_per_n():
 
 
 def _assert_canonical(poly):
-    assert all(type(c) is int for c in poly.coeffs)
-    assert not poly.coeffs or poly.coeffs[-1] != 0
-    assert poly == QPoly(list(poly.coeffs))
+    assert all(type(c) is int for c in poly)
+    assert not poly or poly[-1] != 0
+    assert poly == QPoly(list(poly))
 
 
 class TestDerivedValues:
@@ -310,6 +310,47 @@ class TestDerivedValues:
             _assert_canonical(q_factorial(n))
             for lam in enumerate_partitions(n):
                 _assert_canonical(q_multinomial(lam))
+
+
+def _trimmed(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+_padded = st.builds(operator.add, _coeffs, st.lists(st.just(0), max_size=3))  # trailing zeros as well
+
+
+class TestTupleForm:
+    """A QPoly is the tuple of its coefficients, constant term first, with no trailing zero."""
+
+    @settings(max_examples=300)
+    @given(_padded, _padded, st.integers(-5, 5))
+    def test_arithmetic_is_the_schoolbook_reference(self, a, b, k):
+        width = max(len(a), len(b))
+        wide_a, wide_b = a + [0] * (width - len(a)), b + [0] * (width - len(b))
+        product = [0] * (len(a) + len(b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                product[i + j] += x * y
+        expected = {
+            "a + b": [x + y for x, y in zip(wide_a, wide_b)],
+            "a - b": [x - y for x, y in zip(wide_a, wide_b)],
+            "-a": [-x for x in a],
+            "a * b": product,
+            "k * a": [k * x for x in a],
+        }
+        p, r = QPoly(a), QPoly(b)
+        for name, poly in {"a + b": p + r, "a - b": p - r, "-a": -p, "a * b": p * r, "k * a": k * p}.items():
+            assert type(poly) is QPoly and tuple(poly) == _trimmed(expected[name]), name
+            assert not poly or poly[-1] != 0, name
+
+    def test_equals_and_hashes_as_its_coefficient_tuple(self):
+        assert QPoly([1, 2, 0]) == QPoly([1, 2]) == (1, 2)
+        assert hash(QPoly([1, 2, 0])) == hash(QPoly([1, 2])) == hash((1, 2))
+        assert QPoly.zero() == () and QPoly([5, 1]) < QPoly([5, 1, 1]) < QPoly([6])  # tuple order
+        assert isinstance(QPoly.one(), tuple) and QPoly.__slots__ == ()
 
 
 class TestPretty:

@@ -3,8 +3,9 @@
 - The benchmark's tracer wraps germkit functions by module and name.
   perfbench/layers.py looks each name up when `perfbench/run.py --trace 1`
   installs it, so a rename inside the package would only show there.
-- Importing the CLI leaves `oracle` and `gl2` lazy until first use, and
-  the package serves the oracle's names.
+- Importing the CLI leaves `oracle` and `gl2` lazy until first use and
+  argparse unloaded until help or a refusal reaches the tree, and the
+  package serves the oracle's names.
 - The ledgers of public names that only tests reach (LIBRARY_ONLY) and of
   defaulted parameters that only tests set (CALLER_UNSET).
 - One refusal rule: only `oracle._charge` raises OracleBoundError.
@@ -93,15 +94,18 @@ def test_tracer_installs_after_importing_only_the_cli(monkeypatch, tmp_path):
 # Importing the CLI runs only the closed-form core: oracle and gl2 stay lazy
 # modules until a command reads them, and nothing the core skips is loaded.
 # A plain argv, refused or run, never builds the argparse tree (trees counts
-# the trees built); --help builds it once and leaves gl2 lazy, and a gl2
-# command loads neither dataclasses nor inspect.
+# the trees built) nor imports argparse; --help builds it once, importing
+# argparse, and leaves gl2 lazy, and a gl2 command loads neither
+# dataclasses nor inspect.
 FRESH_START = """
 import contextlib, io, json, sys, types
 import germkit.cli
 lazy = [type(sys.modules[name]) is not types.ModuleType for name in ("germkit.oracle", "germkit.gl2")]
 loaded = [name for name in ("dataclasses", "inspect", "fractions") if name in sys.modules]
 errors = [germkit.cli.main(["partitions", "--n", "0"])]
+argparse_loaded = ["argparse" in sys.modules]
 code = germkit.cli.main(["oracle", "--n", "2", "--q", "2", "--check", "jordan", "--out", sys.argv[1]])
+argparse_loaded.append("argparse" in sys.modules)
 plain = type(sys.modules["germkit.oracle"]) is types.ModuleType
 trees = [germkit.cli._parser.cache_info().currsize]
 try:
@@ -110,11 +114,13 @@ try:
 except SystemExit as exc:
     errors.append(exc.code)
 trees.append(germkit.cli._parser.cache_info().currsize)
+argparse_loaded.append("argparse" in sys.modules)
 still_lazy = type(sys.modules["germkit.gl2"]) is not types.ModuleType
 gl2_code = germkit.cli.main(["gl2", "table", "--q", "3", "--modp", "--out", sys.argv[1]])
 gl2_loaded = [name for name in ("dataclasses", "inspect") if name in sys.modules]
 print(json.dumps({"lazy": lazy, "loaded": loaded, "errors": errors, "still_lazy": still_lazy, "code": code,
-                  "plain": plain, "trees": trees, "gl2_code": gl2_code, "gl2_loaded": gl2_loaded}))
+                  "plain": plain, "trees": trees, "argparse_loaded": argparse_loaded, "gl2_code": gl2_code,
+                  "gl2_loaded": gl2_loaded}))
 """
 
 
@@ -124,7 +130,8 @@ def test_cli_import_leaves_oracle_and_gl2_for_first_use(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"lazy": [True, True], "loaded": [], "errors": [1, 0], "still_lazy": True,
-                                       "code": 0, "plain": True, "trees": [0, 1], "gl2_code": 0, "gl2_loaded": []}
+                                       "code": 0, "plain": True, "trees": [0, 1], "argparse_loaded": [False, False, True],
+                                       "gl2_code": 0, "gl2_loaded": []}
 
 
 def test_package_serves_the_oracle_names():
