@@ -1,10 +1,17 @@
 """Command-line front end with deterministic text/JSON output.
 
-Exit codes: 0 success, 1 validation error (bad flags, bad input files,
-enumeration above the cap, an output that cannot be written, stdout
-closed by the reader), 2 invariant violation (a failed oracle check, an
-inexact division in a closed form, or a positivity failure reported by
-`germ whittaker`).
+Exit codes follow the exception's family: 0 success; 1 for a
+ValueError, which every refusal raises (bad flags, bad input files,
+enumeration above the cap, a size bound, an output that cannot be
+written), and for stdout closed by the reader; 2 for an ArithmeticError
+(a failed oracle check is an OracleConsistencyError, or an inexact
+division in a closed form) and for the one ValueError that is an
+invariant violation, the PositivityError of `germ whittaker`.
+
+`qcount` takes n <= QCOUNT_MAX_N, and `partitions` and `cosets`
+n <= TABLE_MAX_N.  `cosets`, `gl2 table` and `germ dimpoly` bound the
+bits of each count and of all their counts from (n, j, q, d) before
+computing any (`_bounded_counts`).
 
 The oracle enumeration cap defaults to 10**7 streamed elements and can
 be overridden with the GERMKIT_ORACLE_CAP environment variable.  It
@@ -32,10 +39,11 @@ the tree, built and argparse imported on first use, so help and errors
 are argparse's.
 
 Every JSON record is written by `_json_text`, byte for byte what
-json.dumps prints with an indent of 2.  `partitions`, `germ induce`,
-`lj`, `jl`, `solve` and `whittaker` hand it a `_Table`, written column
-by column, and `cosets --json` a `_Blocks`, written from one template
-per call (see `_blocks`); every other list is written record by record.
+json.dumps prints with an indent of 2, a Partition or a QPoly as the
+array of its items.  `partitions`, `germ induce`, `lj`, `jl`, `solve`
+and `whittaker` hand it a `_Table`, written column by column, and
+`cosets --json` a `_Blocks`, written from one template per call (see
+`_blocks`); every other list is written record by record.
 A partition of a `partitions` or `cosets` table is rendered once per
 process (`_partition_json`).
 """
@@ -63,22 +71,14 @@ from .germ import (
     whittaker_dims,
 )
 from .partitions import Partition, _map_partitions, d_of, dominance_leq, dual, enumerate_partitions, require_at_least
-from .qpoly import q_multinomial
-
-
-class UsageError(Exception):
-    pass
-
-
-class CheckFailure(Exception):
-    """An oracle check ran to completion and disagreed."""
+from .qpoly import QPoly, q_multinomial
 
 
 def _parse_partition(text: str) -> Partition:
     try:
         parts = [int(x) for x in text.replace(" ", "").split(",") if x != ""]
     except ValueError:
-        raise UsageError(f"cannot parse partition {text!r}; expected comma-separated integers")
+        raise ValueError(f"cannot parse partition {text!r}; expected comma-separated integers")
     return Partition(parts)
 
 
@@ -89,7 +89,7 @@ def _oracle_cap() -> int:
     try:
         cap = int(raw)
     except ValueError:
-        raise UsageError(f"GERMKIT_ORACLE_CAP must be an integer, got {raw!r}")
+        raise ValueError(f"GERMKIT_ORACLE_CAP must be an integer, got {raw!r}")
     return require_at_least(cap, 1, "GERMKIT_ORACLE_CAP")
 
 
@@ -98,11 +98,11 @@ def _read_map(path: str) -> CoefficientMap:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{path} is not valid JSON: {exc}")
+        raise ValueError(f"{path} is not valid JSON: {exc}")
     except RecursionError:
-        raise UsageError(f"{path} is nested too deeply to read")
+        raise ValueError(f"{path} is nested too deeply to read")
     return CoefficientMap.from_json(data)
 
 
@@ -139,15 +139,15 @@ def _write_json(value, out: list, nl: str) -> None:
     """Append to out the text json.dumps gives value with an indent of 2; nl is value's newline and indent.
 
     It handles dicts with str keys, lists, str, int, bool, None and exact
-    Partitions, written as the array of their parts, and raises TypeError
-    on any other type, so a record of a new shape fails rather than
-    printing other bytes.  A partition or a list of exact ints, such as a
-    polynomial, is written with one join.  A _Table, which `partitions`,
-    the four map commands and `germ whittaker` declare, is written column
-    by column (see _stitch): a column of exact ints, of exact strs or of
-    partitions in one pass, and every other cell by this function, so a
-    float, other tuple, bytes or non-str key inside a table still raises
-    TypeError.  A _Blocks, which `cosets --json` declares, is written from
+    Partitions and QPolys, written as the array of their parts or
+    coefficients, and raises TypeError on any other type, so a record of a
+    new shape fails rather than printing other bytes.  A partition, a
+    polynomial or a list of exact ints is written with one join.  A
+    _Table, which `partitions`, the four map commands and `germ whittaker`
+    declare, is written column by column (see _stitch): a column of exact
+    ints, of exact strs or of partitions in one pass, and every other cell
+    by this function, so a float, other tuple, bytes or non-str key inside
+    a table still raises TypeError.  A _Blocks, which `cosets --json` declares, is written from
     one template of its block (see _blocks).  Any other list, of dicts or
     not, is written item by item.
     """
@@ -158,13 +158,13 @@ def _write_json(value, out: list, nl: str) -> None:
         out.append(_JSON_INT(value))
     elif t is bool or value is None:
         out.append("null" if value is None else "true" if value else "false")
-    elif not value and (t is list or t is dict):
-        out.append("[]" if t is list else "{}")
-    elif t is list or t is Partition:
+    elif not value and (t is list or t is dict or t is QPoly):
+        out.append("{}" if t is dict else "[]")
+    elif t is list or t is Partition or t is QPoly:
         inner = nl + "  "
         comma = "," + inner
-        # a Partition's parts are exact ints; bool is a subclass of int
-        if t is Partition or type(value[0]) is int and all(type(x) is int for x in value):
+        # the items of a Partition or a QPoly are exact ints; bool is a subclass of int
+        if t is not list or type(value[0]) is int and all(type(x) is int for x in value):
             out.append("[" + inner + comma.join(map(_JSON_INT, value)) + nl + "]")
             return
         sep = "[" + inner
@@ -286,12 +286,12 @@ def _emit(args, record, text) -> None:
             sys.stdout.flush()
     except OSError as exc:
         if out is not None:
-            raise UsageError(f"cannot write {out}: {exc}")
+            raise ValueError(f"cannot write {out}: {exc}")
         # point stdout at devnull so the final flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):
             raise  # the reader closed stdout: exit 1 without a message
-        raise UsageError(f"cannot write stdout: {exc}")
+        raise ValueError(f"cannot write stdout: {exc}")
 
 
 def _table(rows, header: list[str]) -> str:
@@ -313,16 +313,43 @@ _PARTITION_COLUMNS = {"d": d_of, "dual": dual}
 # `partitions --n 30 --show d --show dual --json` 0.12 s and 22 MB.
 TABLE_MAX_N = 30
 
+# `qcount` builds [n]_q! and divides it by [m]_q for each part m: about n^3 coefficient steps.  On a 2-vCPU Xeon,
+# Python 3.11, the partition (200) takes 1.1 s, (1^200) 0.7 s and 57 MB, and (1^300) 2.7 s and 191 MB.
+QCOUNT_MAX_N = 200
 
-def _table_n(command: str, n: int) -> int:
-    """n, if `command` may list the partitions of n; a one-line refusal otherwise."""
-    if n > TABLE_MAX_N:
-        raise UsageError(f"{command} supports n <= {TABLE_MAX_N}, got n = {n}")
+
+def _bounded_n(command: str, n: int, bound: int = TABLE_MAX_N) -> int:
+    """n, if `command` supports n <= bound; a one-line refusal otherwise."""
+    if n > bound:
+        raise ValueError(f"{command} supports n <= {bound}, got n = {n}")
     return n
 
 
+# A count of `cosets`, `gl2 table` or `germ dimpoly` at depth j is at most [n]_t! * t^(d_lam * (j + 1)), t = q^d,
+# with [n]_t! < 2^n * t^(n(n-1)/2) and d_lam <= n(n-1)/2; `_bounded_counts` bounds its bits so.  Computing and
+# printing a count takes time quadratic in its bits, and all of them memory linear in their total.  On a
+# 2-vCPU Xeon, Python 3.11, at the bounds: `cosets --n 3 --q 2 --j 1800 --d 3 --json` (16,215 counts of up to
+# 16,221 bits) takes 1.2 s and 118 MB, `cosets --n 30 --q 2 --j 4 --json` (95,268 of up to 2,640) 0.6 s and
+# 177 MB, and `germ dimpoly` on all 5,604 partitions of 30 at --q 49 --d 3 (up to 15,690) 0.16 s.  Without
+# them, `cosets --n 3 --q 2 --j 4000 --json` took 1.5 s and 154 MB, `gl2 table --q 3 --j 100000` 1.0 s, and
+# `germ dimpoly` on 2,000 partitions of 100 at --q 49 --d 3 15 s; a count's time grows as the square of its bits.
+COUNT_MAX_BITS = 2**14
+TOTAL_MAX_BITS = 2**28
+
+
+def _bounded_counts(command: str, n: int, j: int, q: int, d: int, counts: int) -> None:
+    """A one-line refusal unless `counts` counts on the partitions of n at depth <= j, t = q^d, are within the bounds.
+
+    q >= 2 and d >= 1 are checked before.  Integer arithmetic only: t itself is never computed.
+    """
+    bits = n + n * (n - 1) // 2 * (j + 2) * d * (q - 1).bit_length()  # (q - 1).bit_length() >= log2(q)
+    if bits > COUNT_MAX_BITS or counts * bits > TOTAL_MAX_BITS:
+        raise ValueError(f"{command} supports counts of up to {COUNT_MAX_BITS} bits each and {TOTAL_MAX_BITS} in all, "
+                         f"but this asks for {counts} counts of up to {bits} bits")
+
+
 def _cmd_partitions(args) -> None:
-    _table_n("partitions", args.n)
+    _bounded_n("partitions", args.n)
     header = ["partition"] + [c for c in _PARTITION_COLUMNS if c in (args.show or [])]
     columns = [enumerate_partitions(args.n)] + [_map_partitions(_PARTITION_COLUMNS[c], args.n) for c in header[1:]]
     _emit(args, _Table(header, columns, args.n), lambda: _table(zip(*columns), header))
@@ -332,8 +359,9 @@ def _cmd_qcount(args) -> None:
     lam = _parse_partition(args.partition)
     if args.q is not None:
         require_prime_power(args.q)
+    _bounded_n("qcount", lam.n, QCOUNT_MAX_N)
     poly = q_multinomial(lam)
-    rec = {"partition": lam, "poly": poly.to_json(), "pretty": poly.pretty("q")}
+    rec = {"partition": lam, "poly": poly, "pretty": poly.pretty("q")}
     lines = [f"q-multinomial for {lam}: {rec['pretty']}"]
     if args.q is not None:
         rec["q"] = args.q
@@ -346,8 +374,13 @@ def _cmd_cosets(args) -> None:
     require_at_least(args.j, 0, "--j")
     families = [Family(args.family)] if args.family else list(Family)
     # a partition's rows are each family at each of its depths: the same block of specs for all
-    specs = [SubgroupSpec(fam, j, args.q, args.d) for fam in families for j in range(args.j + 1 if fam.is_pro_p else 1)]
-    parts = enumerate_partitions(_table_n("cosets", args.n))
+    depths = [range(args.j + 1 if fam.is_pro_p else 1) for fam in families]
+    require_prime_power(args.q)
+    require_at_least(args.d, 1, "d")
+    parts = enumerate_partitions(_bounded_n("cosets", args.n))
+    deepest = max(map(len, depths)) - 1  # --j, or 0 for K0 or I0 alone
+    _bounded_counts("cosets", args.n, deepest, args.q, args.d, len(parts) * sum(map(len, depths)))
+    specs = [SubgroupSpec(fam, depth, args.q, args.d) for fam, js in zip(families, depths) for depth in js]
     counts = list(zip(*count_columns(parts, specs)))  # per partition, its count under each spec
     tokens, js = zip(*[(spec.family.token, spec.depth) for spec in specs])
     block = _Table(("family", "depth", "q", "d"), [tokens, js, [args.q] * len(js), [args.d] * len(js)])
@@ -363,13 +396,16 @@ def _cmd_cosets(args) -> None:
 def _cmd_germ_dimpoly(args) -> None:
     cmap = _read_map(args.infile)
     fam = Family(args.family)
+    require_prime_power(args.q)
+    require_at_least(args.d, 1, "d")
+    _bounded_counts("germ dimpoly", cmap.n, 0, args.q, args.d, len(cmap.support()))  # one count per support partition
     dp = dimension_polynomial(cmap, fam, args.q, args.d)
     rec = {
         "n": cmap.n,
         "family": fam.token,
         "q": args.q,
         "d": args.d,
-        "poly": dp.poly.to_json(),
+        "poly": dp.poly,
         "pretty": dp.poly.pretty_ascending("X"),
         "degree": dp.degree,
         "formal_degree": dp.formal_degree,
@@ -379,7 +415,7 @@ def _cmd_germ_dimpoly(args) -> None:
 
 
 def _map_json(cmap: CoefficientMap) -> dict:
-    """cmap's `CoefficientMap.to_json` record, its entries as a _Table."""
+    """cmap's JSON record, the wire form `CoefficientMap.from_json` reads, its entries as a _Table."""
     return {"n": cmap.n, "entries": _pairs(cmap.items())}
 
 
@@ -397,7 +433,7 @@ def _cmd_germ_lj(args) -> None:
     require_at_least(args.d, 1, "--d")
     cmap = _read_map(args.infile)
     if cmap.n % args.d != 0:
-        raise UsageError(f"map is on partitions of {cmap.n}, not divisible by d = {args.d}")
+        raise ValueError(f"map is on partitions of {cmap.n}, not divisible by d = {args.d}")
     _emit(args, _map_json(lj_transfer(cmap, cmap.n // args.d, args.d)), None)
 
 
@@ -414,9 +450,7 @@ SOLVE_MAX_N = 12
 
 def _cmd_germ_solve(args) -> None:
     data = _read_map(args.infile)  # multiplicities share the coefficient-map schema
-    if data.n > SOLVE_MAX_N:
-        raise UsageError(f"germ solve supports n <= {SOLVE_MAX_N}, got n = {data.n}")
-    M = closed_form_multiplicity_matrix(data.n, args.q)
+    M = closed_form_multiplicity_matrix(_bounded_n("germ solve", data.n, SOLVE_MAX_N), args.q)
     mults = {lam: data.value(lam) for lam in M}  # the rows of M: every partition of n, in canonical order
     _emit(args, _map_json(solve_from_multiplicities(mults, M)), None)
 
@@ -498,13 +532,14 @@ def _cmd_oracle(args) -> None:
 
     _emit(args, report, text)
     if not report["pass"]:
-        raise CheckFailure(f"oracle check {args.check} failed for n={args.n}, q={args.q}")
+        raise oracle.OracleConsistencyError(f"oracle check {args.check} failed for n={args.n}, q={args.q}")
 
 
 def _cmd_gl2(args) -> None:
     records, classes = [], gl2.catalog(args.q)  # refuses a bad --q before a bad --j
     require_at_least(args.j, 0, "--j")
     specs = [SubgroupSpec(fam, args.j, args.q, args.d) for fam in _PRO_P_CHAINS]
+    _bounded_counts("gl2 table", 2, args.j, args.q, args.d, (len(classes) + 2) * len(specs))  # with two mod-p rows
     for label, c in classes:
         a, b = gl2.ab_coefficients(c)
         dims = {}
@@ -514,9 +549,9 @@ def _cmd_gl2(args) -> None:
         records.append({"label": label, "a": a, "b": b, "j": args.j, "dims": dims})
     if args.modp:
         if args.d != 1:
-            raise UsageError("mod-p supersingular rows require d = 1")
+            raise ValueError("mod-p supersingular rows require d = 1")
         if require_prime(args.q, "--q") == 2:
-            raise UsageError(f"mod-p supersingular data requires an odd prime --q, got {args.q}")
+            raise ValueError(f"mod-p supersingular data requires an odd prime --q, got {args.q}")
         for twist in (True, False):
             label = "modp-supersingular(" + ("twist" if twist else "non-twist") + ")"
             a, b, a_prime = gl2.modp_supersingular_coefficients(twist)
@@ -585,7 +620,7 @@ def build_parser() -> "argparse.ArgumentParser":
 
     class _Parser(argparse.ArgumentParser):
         def error(self, message):
-            raise UsageError(message)
+            raise ValueError(message)
 
     parser = _Parser(prog="germkit", description="exact combinatorics of germ expansions")
     groups = {(): parser.add_subparsers(required=True)}
@@ -676,10 +711,10 @@ def main(argv=None) -> int:
         return 0
     except BrokenPipeError:  # the reader closed stdout
         return 1
-    except (CheckFailure, ArithmeticError, PositivityError) as exc:  # OracleConsistencyError is an ArithmeticError
+    except (ArithmeticError, PositivityError) as exc:  # OracleConsistencyError is an ArithmeticError
         print(f"germkit: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, ValueError) as exc:  # OracleBoundError is a ValueError
+    except ValueError as exc:  # every refusal, OracleBoundError among them
         print(f"germkit: error: {exc}", file=sys.stderr)
         return 1
     finally:

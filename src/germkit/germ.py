@@ -132,12 +132,6 @@ class CoefficientMap:
     def scale(self, k: int) -> "CoefficientMap":
         return CoefficientMap(self.n, {lam: k * v for lam, v in self._entries.items()})
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "entries": [{"partition": lam.to_json(), "value": v} for lam, v in self.items()],
-        }
-
     @classmethod
     def from_json(cls, data) -> "CoefficientMap":
         if not isinstance(data, dict) or "n" not in data or "entries" not in data:

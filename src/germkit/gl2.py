@@ -17,7 +17,10 @@ A Speh class and its essentially square-integrable partner share
 b_speh + b_ess = dim sigma, but the split of b between them is
 undetermined when the inducing datum has dimension > 1.  So the pair is
 built only from an explicit split (`speh_ess_pair`), both parts
-positive; no split is ever invented.
+positive.  The catalog's two rows "speh(2; b=1)" and "ess-sq-int(2; b=3)"
+use the split 1 + 3 of dim sigma = 4, chosen for illustration: the
+theory does not determine it, and their b and dimensions hold for that
+split only.
 
 Mod-p supersingular data (p odd, d = 1) is quarantined in its own
 operation: the coefficient-map theory above assumes the coefficient

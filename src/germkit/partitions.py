@@ -84,9 +84,6 @@ class Partition(tuple):
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self)) + ")"
 
-    def to_json(self) -> list[int]:
-        return list(self)
-
     @classmethod
     def from_json(cls, data) -> "Partition":
         # JSON true/false decode to bool, a subclass of int, so test the exact type

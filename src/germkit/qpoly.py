@@ -151,9 +151,6 @@ class QPoly(tuple):
             pieces.append(sign + body)
         return sep.join(pieces)
 
-    def to_json(self) -> list[int]:
-        return list(self)
-
 
 def q_int(m: int) -> QPoly:
     """[m]_q = 1 + q + ... + q^(m-1), for m >= 1."""

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -17,7 +18,7 @@ from germkit.cli import main
 from germkit.cosets import PRIME_CHECK_BOUND, Family, SubgroupSpec, count_at_depth
 from germkit.germ import CoefficientMap, closed_form_multiplicity_matrix, forward_multiplicities
 from germkit.partitions import Partition, d_of, dual, enumerate_partitions
-from germkit.qpoly import q_multinomial
+from germkit.qpoly import QPoly, q_multinomial
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -183,7 +184,7 @@ class TestCosetsCommand:
                 code, out, _ = run(capsys, "cosets", "--n", str(n), "--q", str(q), "--j", str(j), *only, "--json")
                 assert code == 0
                 expected = [
-                    (lam.to_json(), fam.token, depth, count_at_depth(lam, SubgroupSpec(fam, depth, q, 1)))
+                    (list(lam), fam.token, depth, count_at_depth(lam, SubgroupSpec(fam, depth, q, 1)))
                     for lam in enumerate_partitions(n)
                     for fam in fams
                     for depth in (range(j + 1) if fam.is_pro_p else [0])
@@ -299,15 +300,17 @@ def _tables(draw):
 _TABLES = _tables() | _tables().map(lambda t: {"n": len(t), "entries": t}) | st.lists(_tables(), max_size=3)
 
 
-# Partitions, which the writer prints as the arrays of their parts, as json.dumps prints any tuple.
+# Partitions and QPolys, which the writer prints as the arrays of their parts and coefficients, as json.dumps prints
+# any tuple; the zero QPoly() is the empty array.
 _PARTITIONS = st.integers(1, 8).flatmap(lambda n: st.sampled_from(enumerate_partitions(n)))
+_QPOLYS = st.lists(st.integers(-3, 3) | st.integers(10**20, 10**40), max_size=5).map(QPoly)
 _INT_LISTS = st.lists(st.integers(-3, 10), min_size=1, max_size=4)
 
 
 @st.composite
 def _partition_tables(draw):
-    """A table with an all-Partition column and a column of partitions and int lists, among other kinds."""
-    kinds = [_PARTITIONS, _PARTITIONS | _INT_LISTS] + draw(st.lists(st.sampled_from(_CELL_KINDS), max_size=2))
+    """A table with an all-Partition column, a column of partitions and int lists and one of QPolys, among other kinds."""
+    kinds = [_PARTITIONS, _PARTITIONS | _INT_LISTS, _QPOLYS] + draw(st.lists(st.sampled_from(_CELL_KINDS), max_size=2))
     keys = draw(st.lists(_TEXT, min_size=len(kinds), max_size=len(kinds), unique=True))
     size = draw(st.integers(0, 12))
     return [{k: draw(cell) for k, cell in zip(keys, kinds)} for _ in range(size)]
@@ -315,8 +318,8 @@ def _partition_tables(draw):
 
 _JSON_VALUES_WITH_PARTITIONS = (
     st.recursive(
-        _LEAVES | _PARTITIONS,
-        lambda kids: st.lists(kids, max_size=5) | st.lists(_PARTITIONS | _INT_LISTS, max_size=5)
+        _LEAVES | _PARTITIONS | _QPOLYS,
+        lambda kids: st.lists(kids, max_size=5) | st.lists(_PARTITIONS | _QPOLYS | _INT_LISTS, max_size=5)
         | st.dictionaries(_TEXT, kids, max_size=5),
         max_leaves=30,
     )
@@ -335,7 +338,7 @@ def _column_tables(draw):
     """(keys, columns): a table held as one list of cells per key, one kind of cell per column."""
     keys = draw(_KEYS)
     size = draw(st.integers(0, 12))
-    kinds = _CELL_KINDS + [_PARTITIONS, _WIDE_PARTITIONS, _HUGE_PARTITIONS | _PARTITIONS]
+    kinds = _CELL_KINDS + [_PARTITIONS, _WIDE_PARTITIONS, _HUGE_PARTITIONS | _PARTITIONS, _QPOLYS]
     return keys, [draw(st.lists(draw(st.sampled_from(kinds)), min_size=size, max_size=size)) for _ in keys]
 
 
@@ -344,6 +347,10 @@ class _Parts(tuple):
 
 
 class _SubPartition(Partition):
+    __slots__ = ()
+
+
+class _SubQPoly(QPoly):
     __slots__ = ()
 
 
@@ -404,6 +411,7 @@ class TestJsonWriter:
     @given(_JSON_VALUES_WITH_PARTITIONS)
     @example([{"p": Partition([2, 1]), "m": Partition([3])}] * 5 + [{"p": Partition([1, 1, 1]), "m": [3, 0]}])
     @example({"a": Partition([1]), "b": [Partition([4, 4, 2]), [1, 2], Partition([5])]})
+    @example({"poly": QPoly(), "p": [QPoly([0, 1]), QPoly(), QPoly([-1, 0, 2])]})
     def test_writes_partitions_as_json_dumps_writes(self, value):
         assert with_int_digits_unlimited(lambda: cli._json_text(value)) == json.dumps(value, indent=2)
 
@@ -431,7 +439,7 @@ class TestJsonWriter:
         parts = [Partition([10**6]), Partition([2, 1])]
         assert cli._json_text(cli._Table(["p"], [parts])) == json.dumps([{"p": [10**6]}, {"p": [2, 1]}], indent=2)
 
-    _OTHER_TUPLES = [(2, 1), _Parts((2, 1)), _SubPartition([2, 1])]
+    _OTHER_TUPLES = [(2, 1), _Parts((2, 1)), _SubPartition([2, 1]), _SubQPoly([2, 1]), _SubQPoly()]
 
     @pytest.mark.parametrize("other", _OTHER_TUPLES)
     @pytest.mark.parametrize("place", [lambda x: x, lambda x: {"a": [Partition([2, 1]), x]},
@@ -466,7 +474,7 @@ class TestJsonWriter:
         maps = {"{antichain}": (20, antichain), "{full12}": (12, full12), "{odd}": (4, [(Partition([3, 1]), 1)]),
                 "{zero}": (3, [])}
         for name, (n, items) in maps.items():
-            entries = [{"partition": lam.to_json(), "value": v} for lam, v in items]
+            entries = [{"partition": list(lam), "value": v} for lam, v in items]
             (tmp_path / name).write_text(json.dumps({"n": n, "entries": entries}))
         assert_round_trips(capsys, [str(tmp_path / a) if a in maps else a for a in argv])
 
@@ -474,7 +482,7 @@ class TestJsonWriter:
     def test_dimpoly_records_round_trip_at_n14(self, capsys, tmp_path, family):
         path = tmp_path / "full14.json"
         parts = enumerate_partitions(14)
-        entries = [{"partition": lam.to_json(), "value": (-1) ** i * (i + 1)} for i, lam in enumerate(parts)]
+        entries = [{"partition": list(lam), "value": (-1) ** i * (i + 1)} for i, lam in enumerate(parts)]
         path.write_text(json.dumps({"n": 14, "entries": entries}))  # every partition of 14 in the support
         assert_round_trips(capsys, ["germ", "dimpoly", "--in", str(path), "--family", family, "--q", "3", "--json"])
 
@@ -623,7 +631,7 @@ def parsed(capsys, parse, argv):
     """The namespace parse(argv) gives, or the error or exit it raises."""
     try:
         return vars(parse(list(argv)))
-    except cli.UsageError as exc:
+    except ValueError as exc:
         return "usage", str(exc)
     except SystemExit as exc:
         return "exit", exc.code, capsys.readouterr()
@@ -789,7 +797,7 @@ class TestGermRoundTrips:
             c = CoefficientMap(n, {lam: rng.randint(-9, 9) for lam in enumerate_partitions(n)})
             m = forward_multiplicities(c, closed_form_multiplicity_matrix(n, q))
             m_file = tmp_path / f"mult{n}.json"
-            m_file.write_text(json.dumps(CoefficientMap(n, m).to_json()))
+            m_file.write_text(cli._json_text(cli._map_json(CoefficientMap(n, m))))
             code, out, err = run(capsys, "germ", "solve", "--in", str(m_file), "--q", str(q))
             assert (code, err) == (0, "")
             assert CoefficientMap.from_json(json.loads(out)) == c
@@ -857,6 +865,15 @@ _REPEATED = '{"n": 2, "entries": [{"partition": [2], "value": 1}, {"partition": 
             '{"partition": [1, 1], "value": 1}]}'
 
 
+def _ends(n):
+    """A map on the partitions of n with entries at (n) and (1^n), whose counts are the smallest and the largest."""
+    return json.dumps({"n": n, "entries": [{"partition": [n], "value": 1}, {"partition": [1] * n, "value": 1}]})
+
+
+_OVER = f"supports counts of up to {cli.COUNT_MAX_BITS} bits each and {cli.TOTAL_MAX_BITS} in all, but this asks for"
+_DIMPOLY = ["germ", "dimpoly", "--in", "{file}", "--family"]
+
+
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "partitions", "--n", "4", "--bogus")
@@ -894,11 +911,29 @@ class TestExitCodes:
             (["partitions", "--n", "3", "--out", ""], None, "cannot write : [Errno 2] "),
             *(([*command, "--n", n], None, f"{command[0]} supports n <= {cli.TABLE_MAX_N}, got n = {n}")
               for command in (["partitions", "--show", "d"], ["cosets", "--q", "2", "--j", "3"]) for n in ("31", "90")),
+            (["qcount", "--partition", "201"], None, f"qcount supports n <= {cli.QCOUNT_MAX_N}, got n = 201"),
+            (["qcount", "--partition", ",".join(["1"] * 300), "--q", "2"], None, "qcount supports n <= 200, got n = 300"),
+            (["qcount", "--partition", "201", "--q", "6"], None, "q must be a prime power >= 2, got 6"),
+            (["cosets", "--n", "3", "--q", "2", "--j", "8000"], None, f"cosets {_OVER} 72015 counts of up to 24009 bits"),
+            (["cosets", "--n", "3", "--q", "2", "--d", "10000000"], None, f"{_OVER} 15 counts of up to 60000003 bits"),
+            (["cosets", "--n", "30", "--q", "3", "--j", "3"], None, f"{_OVER} 78456 counts of up to 4380 bits"),
+            (["cosets", "--n", "31", "--q", "6", "--j", "8000"], None, "q must be a prime power >= 2, got 6"),
+            (["cosets", "--n", "31", "--q", "2", "--d", "0"], None, "d must be >= 1, got 0"),
+            (["gl2", "table", "--q", "3", "--j", "100000"], None, f"gl2 table {_OVER} 39 counts of up to 200006 bits"),
+            (["gl2", "table", "--q", "3", "--d", "10000000", "--modp"], None, f"{_OVER} 39 counts of up to 40000002 bits"),
+            ([*_DIMPOLY, "K", "--q", "49", "--d", "3"], _ends(300), f"germ dimpoly {_OVER} 2 counts of up to 1614900 bits"),
+            ([*_DIMPOLY, "I0", "--q", "2"], _ends(8000), f"{_OVER} 2 counts of up to 64000000 bits"),
+            ([*_DIMPOLY, "K", "--q", "6", "--d", "3"], _ends(300), "q must be a prime power >= 2, got 6"),
+            ([*_DIMPOLY, "K", "--q", "49", "--d", "0"], _ends(300), "d must be >= 1, got 0"),
         ],
         ids=["qcount-partition", "in-not-json", "lj-odd-n", "entries-int", "entries-null", "entries-str", "entries-object",
              "whittaker-repeated", "solve-repeated",
              *(f"oracle-{check}-n{n}" for check in ("cosets", "jordan", "ximatrix") for n in ("-1", "0")), "out-empty",
-             *(f"{command}-n{n}-over-bound" for command in ("partitions", "cosets") for n in ("31", "90"))],
+             *(f"{command}-n{n}-over-bound" for command in ("partitions", "cosets") for n in ("31", "90")),
+             "qcount-n201-over-bound", "qcount-n300-over-bound", "qcount-q-before-n", "cosets-j8000-count-bits",
+             "cosets-d1e7-count-bits", "cosets-n30-q3-total-bits", "cosets-q-before-n-and-bits", "cosets-d-before-n",
+             "gl2-j100000-count-bits", "gl2-d1e7-count-bits", "dimpoly-n300-count-bits", "dimpoly-n8000-count-bits",
+             "dimpoly-q-before-bits", "dimpoly-d-before-bits"],
     )
     def test_bad_input_is_exit_1_with_one_line(self, capsys, tmp_path, argv, content, message):
         infile = tmp_path / "in.json"
@@ -1175,3 +1210,70 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, "--json")
         assert code == 1
         assert out == "" and "unrecognized arguments: --json" in err
+
+
+class TestSizeBounds:
+    """`qcount` bounds n, and `cosets`, `gl2 table` and `germ dimpoly` the size of their counts, before computing any."""
+
+    def test_refusals_come_before_any_count(self, capsys, monkeypatch, tmp_path, within_budget):
+        def unreachable(*args):
+            raise AssertionError("a count was computed before the bound refused it")
+
+        for name in ("count_columns", "dimension_polynomial", "q_multinomial"):
+            monkeypatch.setattr(cli, name, unreachable)
+        monkeypatch.setattr(cli.gl2, "chain_dim_formula", unreachable)
+        ends = tmp_path / "ends.json"
+        ends.write_text(_ends(8000))
+        for argv in (["qcount", "--partition", "100000", "--q", "2"], ["cosets", "--n", "3", "--q", "2", "--j", "10000000"],
+                     ["cosets", "--n", "30", "--q", "2", "--d", "10000000"], ["gl2", "table", "--q", "3", "--j", str(10**9)],
+                     ["gl2", "table", "--q", "3", "--d", str(10**10)],
+                     ["germ", "dimpoly", "--in", str(ends), "--family", "K", "--q", "49", "--d", "100"]):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            within_budget(time.perf_counter() - start, 0.1)
+            assert (code, out) == (1, "") and err.startswith("germkit: error: ") and err.count("\n") == 1, argv
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_the_bound_covers_every_count(self, capsys, monkeypatch, q):
+        # with the per-count bound one bit below the largest count printed, the command is refused, and the
+        # refusal names as many counts as the command prints; the bound is within a factor of 3 of the count
+        cases = [["cosets", "--n", str(n), "--q", str(q), "--d", str(d), "--j", str(j), "--json"]
+                 for n in range(1, 8) for d in (1, 2) for j in (0, 2)]
+        cases += [["gl2", "table", "--q", str(q), "--d", "1", "--j", str(j), "--json"] + (["--modp"] if q == 3 else [])
+                  for j in (0, 2)]
+        for argv in cases:
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            record = json.loads(out)
+            if argv[0] == "cosets":
+                counts = [r["count"] for r in record]
+            else:
+                counts = [abs(v) for r in record["rows"] for v in r["dims"].values() if v is not None]
+            largest = max(counts).bit_length()
+            with monkeypatch.context() as m:
+                m.setattr(cli, "COUNT_MAX_BITS", largest - 1)
+                code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, ""), argv
+            asked, bits = map(int, re.fullmatch(r"germkit: error: .* this asks for (\d+) counts of up to (\d+) bits\n",
+                                                err).groups())
+            assert largest <= bits <= 3 * largest
+            if argv[0] == "cosets":
+                assert asked == len(counts)
+            else:  # three chain columns per row, and two mod-p rows counted with --modp or not
+                assert asked == 3 * len(record["rows"]) + (0 if "--modp" in argv else 6)
+
+    def test_the_largest_benchmark_inputs_pass(self, capsys, tmp_path):
+        # the largest input of each kind of benchmark job the bounds could refuse, and the case TABLE_MAX_N was set at
+        full14 = tmp_path / "full14.json"
+        full14.write_text(json.dumps({"n": 14, "entries": [{"partition": list(lam), "value": (-1) ** i * (i + 1)}
+                                                           for i, lam in enumerate(enumerate_partitions(14))]}))
+        cases = [["cosets", "--n", "10", "--q", "9", "--j", "3", "--json"], ["cosets", "--n", "30", "--q", "2", "--j", "3"],
+                 ["gl2", "table", "--q", "19", "--j", "3", "--modp", "--json"],
+                 ["qcount", "--partition", "14", "--q", "32", "--json"],
+                 ["qcount", "--partition", ",".join(["1"] * 14), "--q", "32", "--json"],
+                 ["partitions", "--n", "20", "--show", "d", "--show", "dual", "--json"]]
+        cases += [["germ", "dimpoly", "--in", str(full14), "--family", fam.token, "--q", "9", "--d", "3", "--json"]
+                  for fam in Family]
+        for argv in cases:
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv

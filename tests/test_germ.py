@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import pickle
 import random
@@ -90,7 +91,7 @@ class TestCoefficientMap:
 
     def test_json_round_trip(self):
         c = steinberg()
-        data = c.to_json()
+        data = json.loads(cli._json_text(cli._map_json(c)))
         assert data == {
             "n": 2,
             "entries": [

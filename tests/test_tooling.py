@@ -9,6 +9,9 @@
 - The ledgers of public names that only tests reach (LIBRARY_ONLY) and of
   defaulted parameters that only tests set (CALLER_UNSET).
 - One refusal rule: only `oracle._charge` raises OracleBoundError.
+- One exit-code rule: every exception class of the package is a ValueError
+  (exit 1) or an ArithmeticError (exit 2), and `cli.main` maps them by
+  family, naming only PositivityError, the one ValueError that exits 2.
 - One JSON writer: no module calls json.dump or json.dumps.
 - The CLI reads its commands from its own table: no module reads a private
   attribute of argparse or of a parser.
@@ -16,6 +19,7 @@
 
 import argparse
 import ast
+import builtins
 import importlib
 import json
 import os
@@ -246,6 +250,22 @@ def test_oracle_bound_error_is_raised_only_by_charge():
     # one refusal rule for every oracle stream: a new stream is charged through oracle._charge
     sites = {(path.name, fn) for path in SRC.glob("*.py") for fn in _sites(ast.parse(path.read_text()), "OracleBoundError")}
     assert sites == {("oracle.py", "_charge")}
+
+
+def test_exit_codes_follow_the_exception_family():
+    # a new exception class needs no handler of its own: its family decides the exit code
+    defined = {}
+    for path in SRC.glob("*.py"):
+        module = importlib.import_module(f"germkit.{path.stem}" if path.stem != "__init__" else "germkit")
+        defined |= {name: obj for name, obj in vars(module).items() if isinstance(obj, type)
+                    and issubclass(obj, BaseException) and obj.__module__ == module.__name__}
+    assert {"OracleBoundError", "OracleConsistencyError", "PositivityError"} <= set(defined)
+    assert [name for name, cls in defined.items() if not issubclass(cls, (ValueError, ArithmeticError))] == []
+    main = next(node for node in ast.parse((SRC / "cli.py").read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    named = {node.id for handler in ast.walk(main) if isinstance(handler, ast.ExceptHandler)
+             for node in ast.walk(handler.type) if isinstance(node, ast.Name)}
+    assert {name for name in named if not hasattr(builtins, name)} == {"PositivityError"}
 
 
 def test_count_columns_is_the_one_coset_count_kernel():
