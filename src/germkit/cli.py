@@ -11,7 +11,10 @@ invariant violation, the PositivityError of `germ whittaker`.
 `qcount` takes n <= QCOUNT_MAX_N, and `partitions` and `cosets`
 n <= TABLE_MAX_N.  `cosets`, `gl2 table` and `germ dimpoly` bound the
 bits of each count and of all their counts from (n, j, q, d) before
-computing any (`_bounded_counts`).
+computing any (`_bounded_counts`).  `qcount --q` bounds the bits of its
+value by QCOUNT_MAX_BITS from (lam, q) before building the polynomial,
+and `germ induce` the combinations of support entries its fold walks by
+INDUCE_MAX_COMBOS once the maps are read.
 
 The oracle enumeration cap defaults to 10**7 streamed elements and can
 be overridden with the GERMKIT_ORACLE_CAP environment variable.  It
@@ -53,6 +56,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 import types
@@ -317,6 +321,13 @@ TABLE_MAX_N = 30
 # Python 3.11, the partition (200) takes 1.1 s, (1^200) 0.7 s and 57 MB, and (1^300) 2.7 s and 191 MB.
 QCOUNT_MAX_N = 200
 
+# `qcount --q` prints [n; lam]_q at q, which is below 2^n * q^deg, deg = (n^2 - sum of m^2 over the parts m) / 2
+# ([k]_q < 2q^(k-1)); evaluating and printing it take time quadratic in its bits.  On a 2-vCPU Xeon, Python 3.11,
+# past the 0.7 s its polynomial takes, (1^200) is evaluated and printed in 0.02 s at --q 2 (20,100 bits by this
+# bound), 0.12 s at 2^8 (159,400) and 0.28 s at 2^13 (258,900); without the bound the whole command took 1.8 s
+# at 2^32 and 4.0 s at 2^62.
+QCOUNT_MAX_BITS = 2**18
+
 
 def _bounded_n(command: str, n: int, bound: int = TABLE_MAX_N) -> int:
     """n, if `command` supports n <= bound; a one-line refusal otherwise."""
@@ -359,7 +370,12 @@ def _cmd_qcount(args) -> None:
     lam = _parse_partition(args.partition)
     if args.q is not None:
         require_prime_power(args.q)
-    _bounded_n("qcount", lam.n, QCOUNT_MAX_N)
+    n = _bounded_n("qcount", lam.n, QCOUNT_MAX_N)
+    if args.q is not None:  # integer arithmetic only: the value is never computed above the bound
+        bits = n + (n * n - sum(m * m for m in lam)) // 2 * (args.q - 1).bit_length()
+        if bits > QCOUNT_MAX_BITS:
+            raise ValueError(f"qcount supports values of up to {QCOUNT_MAX_BITS} bits, "
+                             f"but this asks for one of up to {bits} bits")
     poly = q_multinomial(lam)
     rec = {"partition": lam, "poly": poly, "pretty": poly.pretty("q")}
     lines = [f"q-multinomial for {lam}: {rec['pretty']}"]
@@ -425,8 +441,21 @@ def _pairs(items) -> _Table:
     return _Table(("partition", "value"), list(zip(*items)) or [(), ()])
 
 
+# `germ induce` folds the maps one at a time, over every pair of an entry so far and an entry of the next map: at
+# most about twice the product of the support sizes when each has two entries or more.  On a 2-vCPU Xeon, Python
+# 3.11, the benchmark's largest (six full maps of n = 5, 7^6 = 117,649) takes 0.01 s, two full maps of n = 20
+# (627^2 = 393,129) 0.8 s and of n = 30 and 12 (431,508) 1.0 s; without the bound, three full maps of n = 20 took
+# 38.2 s and two of n = 25 7.3 s.
+INDUCE_MAX_COMBOS = 2**19
+
+
 def _cmd_germ_induce(args) -> None:
-    _emit(args, _map_json(induce_maps([_read_map(p) for p in args.infile])), None)
+    maps = [_read_map(p) for p in args.infile]
+    combos = math.prod(len(m.support()) for m in maps)
+    if combos > INDUCE_MAX_COMBOS:
+        raise ValueError(f"germ induce supports up to {INDUCE_MAX_COMBOS} combinations of support entries, "
+                         f"but these maps have {combos}")
+    _emit(args, _map_json(induce_maps(maps)), None)
 
 
 def _cmd_germ_lj(args) -> None:
@@ -444,8 +473,8 @@ def _cmd_germ_jl(args) -> None:
 
 # The closed form's cost grows with n and not with q: on a 2-vCPU Xeon,
 # Python 3.11, a cold build takes about 0.05 s at n = 9, 0.1 s at
-# n = 10, 0.2 s at n = 11 and 0.45 s at n = 12.
-SOLVE_MAX_N = 12
+# n = 10, 0.2-0.3 s at n = 12, 0.4 s at n = 13 and 0.9-1.0 s at n = 14.
+SOLVE_MAX_N = 14
 
 
 def _cmd_germ_solve(args) -> None:
@@ -540,26 +569,22 @@ def _cmd_gl2(args) -> None:
     require_at_least(args.j, 0, "--j")
     specs = [SubgroupSpec(fam, args.j, args.q, args.d) for fam in _PRO_P_CHAINS]
     _bounded_counts("gl2 table", 2, args.j, args.q, args.d, (len(classes) + 2) * len(specs))  # with two mod-p rows
+    # dim at a chain member is a + f * b: each column's factor f is read once for the whole table
+    factors = [(spec.family.token, gl2.chain_factor(spec)) for spec in specs]
     for label, c in classes:
         a, b = gl2.ab_coefficients(c)
-        dims = {}
-        for spec in specs:
-            value = gl2.chain_dim_formula(a, b, spec)
-            dims[spec.family.token] = value if value >= 0 else None  # below the class's validity threshold
+        dims = {token: value if (value := a + f * b) >= 0 else None for token, f in factors}  # None: below threshold
         records.append({"label": label, "a": a, "b": b, "j": args.j, "dims": dims})
     if args.modp:
         if args.d != 1:
             raise ValueError("mod-p supersingular rows require d = 1")
         if require_prime(args.q, "--q") == 2:
             raise ValueError(f"mod-p supersingular data requires an odd prime --q, got {args.q}")
+        (_, f_half), (_, f_k), _ = factors  # at d = 1, t = q = p: the chain formulas with a' in place of a on K
         for twist in (True, False):
             label = "modp-supersingular(" + ("twist" if twist else "non-twist") + ")"
             a, b, a_prime = gl2.modp_supersingular_coefficients(twist)
-            dims = {
-                "Ihalf": gl2.modp_supersingular_dims(twist, Family.PRO_P_IWAHORI_HALF, args.j, args.q),
-                "K": gl2.modp_supersingular_dims(twist, Family.VERTEX_CONGRUENCE, args.j, args.q),
-                "I": None,
-            }
+            dims = {"Ihalf": a + f_half * b, "K": a_prime + f_k * b, "I": None}
             records.append({"label": label, "a": a, "b": b, "a_prime": a_prime, "j": args.j, "dims": dims})
 
     def text():

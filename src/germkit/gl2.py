@@ -11,7 +11,11 @@ dimensions at each pro-p chain member SubgroupSpec(family, j, q, d):
 
 valid for j >= 0 for the cataloged classes (supercuspidal classes of
 positive level excepted: their formulas go negative below the level,
-which is exactly the depth where invariants first appear).
+which is exactly the depth where invariants first appear).  The one
+formula is `chain_dim_formula(a, b, spec)` = a + f b, where
+`chain_factor(spec)` is the multiplier f of b at the member: a table at
+one (j, q, d) reads its three factors once and fills every row from
+them.  `catalog(q)` is built once per q and process.
 
 A Speh class and its essentially square-integrable partner share
 b_speh + b_ess = dim sigma, but the split of b between them is
@@ -30,6 +34,7 @@ dimension formulas only and are not coefficient maps.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .cosets import Family, SubgroupSpec, require_prime, require_prime_power
@@ -100,15 +105,20 @@ def ab_coefficients(c: CoefficientMap) -> tuple[int, int]:
     return c.value(_TWO), c.value(_ONE_ONE)
 
 
-def chain_dim_formula(a: int, b: int, spec: SubgroupSpec) -> int:
-    """Raw value of the chain formula at spec's member (may be negative below the validity threshold)."""
+def chain_factor(spec: SubgroupSpec) -> int:
+    """The multiplier of b at spec's member: 2 t^j on the I-half chain, (t+1) t^j on K and 2t t^j on I."""
     if not isinstance(spec, SubgroupSpec):
         raise ValueError(f"a chain formula needs a SubgroupSpec, got {spec!r}")
     family, t = spec.family, spec.residue_size
     if not family.is_pro_p:
         raise ValueError(f"chain formulas exist for the pro-p families only, got {family.token}")
     factor = {Family.PRO_P_IWAHORI_HALF: 2, Family.VERTEX_CONGRUENCE: t + 1}.get(family, 2 * t)  # I: 2t
-    return a + factor * b * t**spec.depth
+    return factor * t**spec.depth
+
+
+def chain_dim_formula(a: int, b: int, spec: SubgroupSpec) -> int:
+    """Raw value of the chain formula at spec's member (may be negative below the validity threshold)."""
+    return a + chain_factor(spec) * b
 
 
 def dim_invariants(c: CoefficientMap, spec: SubgroupSpec) -> int:
@@ -163,7 +173,14 @@ _FIXED = (
 def catalog(q: int) -> list[tuple[str, CoefficientMap]]:
     """Labeled classes with concrete parameters, as (label, map), for tables and cross-checks.
 
-    Only the supercuspidal entries depend on q.
+    Only the supercuspidal entries depend on q.  Built once per q; each
+    call returns a fresh list, so no caller can change what the next reads.
     """
+    return list(_catalog(q))
+
+
+@functools.lru_cache(maxsize=64, typed=True)  # typed: 3.0 is not served the entries of 3, it is refused
+def _catalog(q: int) -> tuple[tuple[str, CoefficientMap], ...]:
+    """The memo behind `catalog`; a tuple, so no caller can edit it.  A bad q raises, and nothing is kept."""
     levels = (Fraction(1, 2), 1, Fraction(3, 2))
-    return [*_FIXED, *((f"supercuspidal(level {level})", supercuspidal(level, q)) for level in levels)]
+    return (*_FIXED, *((f"supercuspidal(level {level})", supercuspidal(level, q)) for level in levels))

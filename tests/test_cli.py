@@ -13,10 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from germkit import cli, cosets, oracle
+from germkit import cli, cosets, gl2, oracle
 from germkit.cli import main
 from germkit.cosets import PRIME_CHECK_BOUND, Family, SubgroupSpec, count_at_depth
-from germkit.germ import CoefficientMap, closed_form_multiplicity_matrix, forward_multiplicities
+from germkit.germ import CoefficientMap, closed_form_multiplicity_matrix, dim_fixed, forward_multiplicities
 from germkit.partitions import Partition, d_of, dual, enumerate_partitions
 from germkit.qpoly import QPoly, q_multinomial
 
@@ -238,6 +238,31 @@ class TestCosetsCommand:
         assert code == 0
         assert base_counts == []
         assert sorted(tables, key=str) == [(6, 2), (6, None)]
+
+
+class TestGl2Command:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+    def test_cells_equal_the_germ_machinery(self, capsys, q):
+        # each pro-p cell is dim_fixed of the class's map at that chain member, null exactly where it is negative,
+        # and each mod-p cell (q an odd prime, d = 1) is modp_supersingular_dims
+        classes = gl2.catalog(q)
+        for d in (1, 2):
+            modp = d == 1 and q in (3, 5, 7)
+            for j in range(4):
+                code, out, err = run(capsys, "gl2", "table", "--q", str(q), "--d", str(d), "--j", str(j), "--json",
+                                     *(["--modp"] if modp else []))
+                assert (code, err) == (0, "")
+                rows = json.loads(out)["rows"]
+                assert [r["label"] for r in rows[:len(classes)]] == [label for label, _ in classes]
+                assert len(rows) == len(classes) + (2 if modp else 0)
+                for row, (_, cmap) in zip(rows, classes):
+                    for fam in cosets._PRO_P_CHAINS:
+                        value = dim_fixed(cmap, SubgroupSpec(fam, j, q, d))
+                        assert row["dims"][fam.token] == (value if value >= 0 else None), (q, d, j, row["label"])
+                for row, twist in zip(rows[len(classes):], (True, False)):
+                    assert row["dims"] == {"Ihalf": gl2.modp_supersingular_dims(twist, Family.PRO_P_IWAHORI_HALF, j, q),
+                                           "K": gl2.modp_supersingular_dims(twist, Family.VERTEX_CONGRUENCE, j, q),
+                                           "I": None}
 
 
 class TestDeterminism:
@@ -870,6 +895,12 @@ def _ends(n):
     return json.dumps({"n": n, "entries": [{"partition": [n], "value": 1}, {"partition": [1] * n, "value": 1}]})
 
 
+def _full(n):
+    """A map on the partitions of n with every partition in its support."""
+    return json.dumps({"n": n, "entries": [{"partition": list(lam), "value": (-1) ** i * (i + 1)}
+                                           for i, lam in enumerate(enumerate_partitions(n))]})
+
+
 _OVER = f"supports counts of up to {cli.COUNT_MAX_BITS} bits each and {cli.TOTAL_MAX_BITS} in all, but this asks for"
 _DIMPOLY = ["germ", "dimpoly", "--in", "{file}", "--family"]
 
@@ -914,6 +945,12 @@ class TestExitCodes:
             (["qcount", "--partition", "201"], None, f"qcount supports n <= {cli.QCOUNT_MAX_N}, got n = 201"),
             (["qcount", "--partition", ",".join(["1"] * 300), "--q", "2"], None, "qcount supports n <= 200, got n = 300"),
             (["qcount", "--partition", "201", "--q", "6"], None, "q must be a prime power >= 2, got 6"),
+            (["qcount", "--partition", ONES_200, "--q", "16384"], None,
+             f"qcount supports values of up to {cli.QCOUNT_MAX_BITS} bits, but this asks for one of up to 278800 bits"),
+            (["qcount", "--partition", ",".join(["1"] * 300), "--q", str(2**62)], None, "supports n <= 200, got n = 300"),
+            (["germ", "induce", "--in", "{file}", "--in", "{file}", "--in", "{file}"], _full(20),
+             f"germ induce supports up to {cli.INDUCE_MAX_COMBOS} combinations of support entries, "
+             "but these maps have 246491883"),
             (["cosets", "--n", "3", "--q", "2", "--j", "8000"], None, f"cosets {_OVER} 72015 counts of up to 24009 bits"),
             (["cosets", "--n", "3", "--q", "2", "--d", "10000000"], None, f"{_OVER} 15 counts of up to 60000003 bits"),
             (["cosets", "--n", "30", "--q", "3", "--j", "3"], None, f"{_OVER} 78456 counts of up to 4380 bits"),
@@ -930,7 +967,8 @@ class TestExitCodes:
              "whittaker-repeated", "solve-repeated",
              *(f"oracle-{check}-n{n}" for check in ("cosets", "jordan", "ximatrix") for n in ("-1", "0")), "out-empty",
              *(f"{command}-n{n}-over-bound" for command in ("partitions", "cosets") for n in ("31", "90")),
-             "qcount-n201-over-bound", "qcount-n300-over-bound", "qcount-q-before-n", "cosets-j8000-count-bits",
+             "qcount-n201-over-bound", "qcount-n300-over-bound", "qcount-q-before-n", "qcount-q2e14-value-bits",
+             "qcount-n-before-value-bits", "induce-three-full20-combos", "cosets-j8000-count-bits",
              "cosets-d1e7-count-bits", "cosets-n30-q3-total-bits", "cosets-q-before-n-and-bits", "cosets-d-before-n",
              "gl2-j100000-count-bits", "gl2-d1e7-count-bits", "dimpoly-n300-count-bits", "dimpoly-n8000-count-bits",
              "dimpoly-q-before-bits", "dimpoly-d-before-bits"],
@@ -1075,12 +1113,12 @@ class TestExitCodes:
         assert err == "germkit: error: q must be a prime power >= 2, got 6\n"
 
     def test_solve_refuses_n_above_its_bound(self, capsys, tmp_path):
-        big = tmp_path / "n13.json"
-        big.write_text(json.dumps({"n": 13, "entries": [{"partition": [13], "value": 1}]}))
+        big = tmp_path / "n15.json"
+        big.write_text(json.dumps({"n": 15, "entries": [{"partition": [15], "value": 1}]}))
         code, out, err = run(capsys, "germ", "solve", "--in", str(big), "--q", "4")
         assert (code, out) == (1, "")
-        assert err == f"germkit: error: germ solve supports n <= {cli.SOLVE_MAX_N}, got n = 13\n"
-        assert cli.SOLVE_MAX_N == 12
+        assert err == f"germkit: error: germ solve supports n <= {cli.SOLVE_MAX_N}, got n = 15\n"
+        assert cli.SOLVE_MAX_N == 14
 
     def test_gl2_table_rejects_negative_depth(self, capsys):
         # named as cosets names it; a bad --q is still reported first
@@ -1213,21 +1251,25 @@ class TestExitCodes:
 
 
 class TestSizeBounds:
-    """`qcount` bounds n, and `cosets`, `gl2 table` and `germ dimpoly` the size of their counts, before computing any."""
+    """`qcount` bounds n and its value, `cosets`, `gl2 table` and `germ dimpoly` the size of their counts, and
+    `germ induce` its combinations, before computing any."""
 
     def test_refusals_come_before_any_count(self, capsys, monkeypatch, tmp_path, within_budget):
         def unreachable(*args):
             raise AssertionError("a count was computed before the bound refused it")
 
-        for name in ("count_columns", "dimension_polynomial", "q_multinomial"):
+        for name in ("count_columns", "dimension_polynomial", "q_multinomial", "induce_maps"):
             monkeypatch.setattr(cli, name, unreachable)
-        monkeypatch.setattr(cli.gl2, "chain_dim_formula", unreachable)
-        ends = tmp_path / "ends.json"
+        for name in ("chain_dim_formula", "chain_factor"):  # `gl2 table` reads one chain factor per column
+            monkeypatch.setattr(cli.gl2, name, unreachable)
+        ends, full20 = tmp_path / "ends.json", tmp_path / "full20.json"
         ends.write_text(_ends(8000))
+        full20.write_text(_full(20))
         for argv in (["qcount", "--partition", "100000", "--q", "2"], ["cosets", "--n", "3", "--q", "2", "--j", "10000000"],
                      ["cosets", "--n", "30", "--q", "2", "--d", "10000000"], ["gl2", "table", "--q", "3", "--j", str(10**9)],
                      ["gl2", "table", "--q", "3", "--d", str(10**10)],
-                     ["germ", "dimpoly", "--in", str(ends), "--family", "K", "--q", "49", "--d", "100"]):
+                     ["germ", "dimpoly", "--in", str(ends), "--family", "K", "--q", "49", "--d", "100"],
+                     ["qcount", "--partition", ONES_200, "--q", str(2**62)], ["germ", "induce", *["--in", str(full20)] * 3]):
             start = time.perf_counter()
             code, out, err = run(capsys, *argv)
             within_budget(time.perf_counter() - start, 0.1)
@@ -1262,6 +1304,20 @@ class TestSizeBounds:
             else:  # three chain columns per row, and two mod-p rows counted with --modp or not
                 assert asked == 3 * len(record["rows"]) + (0 if "--modp" in argv else 6)
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 9, 32, 125])
+    def test_the_qcount_bound_covers_the_value(self, capsys, monkeypatch, q):
+        # with the bound one bit below the value printed, the value is refused; the bound is at most n + 2 * its bits
+        for lam in ("1", "2,1", "3,2,2,1", "1,1,1,1,1,1,1,1", "5,5,4", "14"):
+            code, out, err = run(capsys, "qcount", "--partition", lam, "--q", str(q), "--json")
+            assert (code, err) == (0, "")
+            bits = json.loads(out)["value"].bit_length()
+            with monkeypatch.context() as m:
+                m.setattr(cli, "QCOUNT_MAX_BITS", bits - 1)
+                code, out, err = run(capsys, "qcount", "--partition", lam, "--q", str(q), "--json")
+            assert (code, out) == (1, ""), lam
+            bound = int(re.fullmatch(r"germkit: error: .* this asks for one of up to (\d+) bits\n", err).group(1))
+            assert bits <= bound <= sum(map(int, lam.split(","))) + 2 * bits
+
     def test_the_largest_benchmark_inputs_pass(self, capsys, tmp_path):
         # the largest input of each kind of benchmark job the bounds could refuse, and the case TABLE_MAX_N was set at
         full14 = tmp_path / "full14.json"
@@ -1274,6 +1330,9 @@ class TestSizeBounds:
                  ["partitions", "--n", "20", "--show", "d", "--show", "dual", "--json"]]
         cases += [["germ", "dimpoly", "--in", str(full14), "--family", fam.token, "--q", "9", "--d", "3", "--json"]
                   for fam in Family]
+        full5 = tmp_path / "full5.json"
+        full5.write_text(_full(5))
+        cases.append(["germ", "induce", *["--in", str(full5)] * 6])  # 7^6 combinations
         for argv in cases:
             code, out, err = run(capsys, *argv)
             assert (code, err) == (0, ""), argv

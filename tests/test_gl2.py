@@ -11,6 +11,7 @@ from germkit.gl2 import (
     ab_coefficients,
     catalog,
     chain_dim_formula,
+    chain_factor,
     dim_invariants,
     finite_dim,
     modp_supersingular_dims,
@@ -97,6 +98,16 @@ class TestDimInvariants:
         with pytest.raises(ValueError):
             chain_dim_formula(0, 1, SubgroupSpec(Family.VERTEX_CONGRUENCE, -1, 2, 1))
 
+    @pytest.mark.parametrize("q, d", [(2, 1), (3, 1), (4, 1), (3, 2), (2, 3)])
+    def test_chain_factor_is_the_multiplier_of_b(self, q, d):
+        t = q**d
+        for j in range(5):
+            factors = [chain_factor(SubgroupSpec(fam, j, q, d)) for fam in CHAINS]
+            assert factors == [2 * t**j, (t + 1) * t**j, 2 * t * t**j]
+            for fam, factor in zip(CHAINS, factors):
+                for a, b in ((0, 1), (-1, 1), (5, 0), (-6, 3)):
+                    assert chain_dim_formula(a, b, SubgroupSpec(fam, j, q, d)) == a + factor * b
+
     def test_consistency_with_germ_machinery(self):
         for _, cmap in catalog(3):
             a, b = ab_coefficients(cmap)
@@ -109,9 +120,11 @@ class TestDimInvariants:
         pro_p = {fam for fam in Family if fam.is_pro_p}
         assert pro_p == {Family.PRO_P_IWAHORI_HALF, Family.VERTEX_CONGRUENCE, Family.IWAHORI_CONGRUENCE}
         for fam in set(Family) - pro_p:
-            with pytest.raises(ValueError) as info:
-                chain_dim_formula(1, 0, SubgroupSpec(fam, 0, 3, 1))
-            assert str(info.value) == f"chain formulas exist for the pro-p families only, got {fam.token}"
+            for call in (lambda: chain_dim_formula(1, 0, SubgroupSpec(fam, 0, 3, 1)),
+                         lambda: chain_factor(SubgroupSpec(fam, 0, 3, 1))):
+                with pytest.raises(ValueError) as info:
+                    call()
+                assert str(info.value) == f"chain formulas exist for the pro-p families only, got {fam.token}"
 
     def test_a_family_that_is_not_a_family_is_a_value_error(self):
         for call in (lambda: chain_dim_formula(1, 1, SubgroupSpec("K", 0, 2, 1)),
@@ -123,7 +136,8 @@ class TestDimInvariants:
     def test_a_value_that_is_not_a_spec_is_a_value_error(self, spec):
         # a tuple of the right fields is not a chain member either
         message = rf"^a chain formula needs a SubgroupSpec, got {re.escape(repr(spec))}$"
-        for call in (lambda: chain_dim_formula(1, 1, spec), lambda: dim_invariants(STEINBERG, spec)):
+        for call in (lambda: chain_dim_formula(1, 1, spec), lambda: chain_factor(spec),
+                     lambda: dim_invariants(STEINBERG, spec)):
             with pytest.raises(ValueError, match=message):
                 call()
 
@@ -190,3 +204,20 @@ class TestSpehPairs:
         assert len(labels) == len(set(labels)) == 11
         assert all(isinstance(c, CoefficientMap) and c.n == 2 for _, c in entries)
         assert [c for _, c in catalog(5)][:8] == [c for _, c in entries][:8]  # only the supercuspidals read q
+
+    def test_catalog_is_a_fresh_list_per_call(self):
+        # built once per q, but no caller's edit of the list it gets reaches the next caller
+        expected = catalog(7)
+        first = catalog(7)
+        assert first == expected and first is not expected
+        first[0] = ("edited", STEINBERG)
+        first.append(("appended", STEINBERG))
+        del first[1]
+        assert catalog(7) == expected
+        assert catalog(7)[0][0] == "trivial" and len(catalog(7)) == 11
+
+    def test_catalog_refuses_a_bad_q_on_every_call(self):
+        catalog(3)
+        for q in (6, 6, 3.0, True):  # a refusal is not kept, and 3.0 is not served the entries of 3
+            with pytest.raises(ValueError):
+                catalog(q)
