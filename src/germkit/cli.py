@@ -8,13 +8,18 @@ written), and for stdout closed by the reader; 2 for an ArithmeticError
 division in a closed form) and for the one ValueError that is an
 invariant violation, the PositivityError of `germ whittaker`.
 
-`qcount` takes n <= QCOUNT_MAX_N, and `partitions` and `cosets`
+A q is tested for being a prime power only up to
+`cosets.PRIME_POWER_MAX_BITS` bits, and argv is read under the
+interpreter's int-string digit limit, which is lifted only for the
+output.  `qcount` takes n <= QCOUNT_MAX_N, and `partitions` and `cosets`
 n <= TABLE_MAX_N.  `cosets`, `gl2 table` and `germ dimpoly` bound the
 bits of each count and of all their counts from (n, j, q, d) before
-computing any (`_bounded_counts`).  `qcount --q` bounds the bits of its
-value by QCOUNT_MAX_BITS from (lam, q) before building the polynomial,
-and `germ induce` the combinations of support entries its fold walks by
-INDUCE_MAX_COMBOS once the maps are read.
+computing any (`_bounded_counts`, which at n = 1 counts the bits of t),
+and `germ solve` those of its matrix at q from (n, q) before evaluating
+it.  `qcount --q` bounds the bits of its value by QCOUNT_MAX_BITS from
+(lam, q) before building the polynomial, and `germ induce` the
+combinations of support entries its fold walks by INDUCE_MAX_COMBOS once
+the maps are read.
 
 The oracle enumeration cap defaults to 10**7 streamed elements and can
 be overridden with the GERMKIT_ORACLE_CAP environment variable.  It
@@ -29,7 +34,7 @@ an invariant violation.  `--check ximatrix` passes only where the oracle
 matrix also equals the Hall-polynomial closed form.
 
 `germ solve` streams nothing and ignores the cap.  It reads the closed
-form, built once per n and process as polynomials in q, at any prime
+form, built once per n and process as polynomials in q, at a prime
 power q, for n <= SOLVE_MAX_N.
 
 Each command is declared once, in `_COMMANDS`: its function, help line
@@ -337,7 +342,8 @@ def _bounded_n(command: str, n: int, bound: int = TABLE_MAX_N) -> int:
 
 
 # A count of `cosets`, `gl2 table` or `germ dimpoly` at depth j is at most [n]_t! * t^(d_lam * (j + 1)), t = q^d,
-# with [n]_t! < 2^n * t^(n(n-1)/2) and d_lam <= n(n-1)/2; `_bounded_counts` bounds its bits so.  Computing and
+# with [n]_t! < 2^n * t^(n(n-1)/2) and d_lam <= n(n-1)/2; `_bounded_counts` bounds its bits so, counting at n = 1,
+# where every count is 1, the bits of t^(j + 1), which `count_columns` builds all the same.  Computing and
 # printing a count takes time quadratic in its bits, and all of them memory linear in their total.  On a
 # 2-vCPU Xeon, Python 3.11, at the bounds: `cosets --n 3 --q 2 --j 1800 --d 3 --json` (16,215 counts of up to
 # 16,221 bits) takes 1.2 s and 118 MB, `cosets --n 30 --q 2 --j 4 --json` (95,268 of up to 2,640) 0.6 s and
@@ -351,9 +357,10 @@ TOTAL_MAX_BITS = 2**28
 def _bounded_counts(command: str, n: int, j: int, q: int, d: int, counts: int) -> None:
     """A one-line refusal unless `counts` counts on the partitions of n at depth <= j, t = q^d, are within the bounds.
 
-    q >= 2 and d >= 1 are checked before.  Integer arithmetic only: t itself is never computed.
+    At j = -1 the bound is that on [n]_t! alone.  q >= 2 and d >= 1 are
+    checked before.  Integer arithmetic only: t itself is never computed.
     """
-    bits = n + n * (n - 1) // 2 * (j + 2) * d * (q - 1).bit_length()  # (q - 1).bit_length() >= log2(q)
+    bits = n + max(n * (n - 1) // 2, 1) * (j + 2) * d * (q - 1).bit_length()  # (q - 1).bit_length() >= log2(q)
     if bits > COUNT_MAX_BITS or counts * bits > TOTAL_MAX_BITS:
         raise ValueError(f"{command} supports counts of up to {COUNT_MAX_BITS} bits each and {TOTAL_MAX_BITS} in all, "
                          f"but this asks for {counts} counts of up to {bits} bits")
@@ -479,7 +486,11 @@ SOLVE_MAX_N = 14
 
 def _cmd_germ_solve(args) -> None:
     data = _read_map(args.infile)  # multiplicities share the coefficient-map schema
-    M = closed_form_multiplicity_matrix(_bounded_n("germ solve", data.n, SOLVE_MAX_N), args.q)
+    n = _bounded_n("germ solve", data.n, SOLVE_MAX_N)
+    require_prime_power(args.q)
+    # an entry of M at q is at most [n; mu]_q < 2^n * q^(d_mu), below the bound on [n]_q! (depth -1, d = 1)
+    _bounded_counts("germ solve", n, -1, args.q, 1, len(enumerate_partitions(n)) ** 2)
+    M = closed_form_multiplicity_matrix(n, args.q)
     mults = {lam: data.value(lam) for lam in M}  # the rows of M: every partition of n, in canonical order
     _emit(args, _map_json(solve_from_multiplicities(mults, M)), None)
 
@@ -569,22 +580,22 @@ def _cmd_gl2(args) -> None:
     require_at_least(args.j, 0, "--j")
     specs = [SubgroupSpec(fam, args.j, args.q, args.d) for fam in _PRO_P_CHAINS]
     _bounded_counts("gl2 table", 2, args.j, args.q, args.d, (len(classes) + 2) * len(specs))  # with two mod-p rows
-    # dim at a chain member is a + f * b: each column's factor f is read once for the whole table
-    factors = [(spec.family.token, gl2.chain_factor(spec)) for spec in specs]
+    # a cell is a * c((2)) + b * c((1,1)) as dim_fixed sums it, None below the threshold; counts read once per table
+    columns = list(zip([spec.family.token for spec in specs], count_columns(enumerate_partitions(2), specs)))
     for label, c in classes:
         a, b = gl2.ab_coefficients(c)
-        dims = {token: value if (value := a + f * b) >= 0 else None for token, f in factors}  # None: below threshold
+        dims = {token: value if (value := a * two + b * one_one) >= 0 else None for token, (two, one_one) in columns}
         records.append({"label": label, "a": a, "b": b, "j": args.j, "dims": dims})
     if args.modp:
         if args.d != 1:
             raise ValueError("mod-p supersingular rows require d = 1")
         if require_prime(args.q, "--q") == 2:
             raise ValueError(f"mod-p supersingular data requires an odd prime --q, got {args.q}")
-        (_, f_half), (_, f_k), _ = factors  # at d = 1, t = q = p: the chain formulas with a' in place of a on K
+        (_, half), (_, k), _ = columns  # at d = 1, t = q = p: the chain formulas with a' in place of a on K
         for twist in (True, False):
             label = "modp-supersingular(" + ("twist" if twist else "non-twist") + ")"
             a, b, a_prime = gl2.modp_supersingular_coefficients(twist)
-            dims = {"Ihalf": a + f_half * b, "K": a_prime + f_k * b, "I": None}
+            dims = {"Ihalf": a * half[0] + b * half[1], "K": a_prime * k[0] + b * k[1], "I": None}
             records.append({"label": label, "a": a, "b": b, "a_prime": a_prime, "j": args.j, "dims": dims})
 
     def text():
@@ -726,12 +737,13 @@ def _parse(argv: list):
 
 
 def main(argv=None) -> int:
-    # exact values are printed in full, past the interpreter's 4,300-digit default
+    # exact values are printed in full, past the interpreter's 4,300-digit default; argv is read within it, so a
+    # longer int is refused as any bad int is, before its conversion takes time quadratic in its digits
     limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
         if limit is not None:
             sys.set_int_max_str_digits(0)
-        args = _parse(sys.argv[1:] if argv is None else argv)
         args.func(args)
         return 0
     except BrokenPipeError:  # the reader closed stdout

@@ -4,6 +4,8 @@ Every finite-length class for GL_2 over a division algebra with residue
 field of size t = q^d is its coefficient map on the partitions of 2, the
 pair (a, b) = (c((2)), c((1,1))), and has closed-form fixed-vector
 dimensions at each pro-p chain member SubgroupSpec(family, j, q, d):
+a c_(2) + b c_(1,1), the sum `germ.dim_fixed` takes, with c_lam the
+member's count of P_lam-cosets from `cosets.count_columns`.  That is
 
     I-half chain:  a + 2 b t^j
     K chain:       a + (t+1) b t^j
@@ -11,11 +13,9 @@ dimensions at each pro-p chain member SubgroupSpec(family, j, q, d):
 
 valid for j >= 0 for the cataloged classes (supercuspidal classes of
 positive level excepted: their formulas go negative below the level,
-which is exactly the depth where invariants first appear).  The one
-formula is `chain_dim_formula(a, b, spec)` = a + f b, where
-`chain_factor(spec)` is the multiplier f of b at the member: a table at
-one (j, q, d) reads its three factors once and fills every row from
-them.  `catalog(q)` is built once per q and process.
+which is exactly the depth where invariants first appear).
+`dim_invariants` refuses a negative value.  `catalog(q)` is built once
+per q and process.
 
 A Speh class and its essentially square-integrable partner share
 b_speh + b_ess = dim sigma, but the split of b between them is
@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .cosets import Family, SubgroupSpec, require_prime, require_prime_power
+from .cosets import Family, SubgroupSpec, count_columns, require_prime, require_prime_power
 from .germ import CoefficientMap
 from .partitions import Partition, require_at_least, require_int
 
@@ -105,29 +105,19 @@ def ab_coefficients(c: CoefficientMap) -> tuple[int, int]:
     return c.value(_TWO), c.value(_ONE_ONE)
 
 
-def chain_factor(spec: SubgroupSpec) -> int:
-    """The multiplier of b at spec's member: 2 t^j on the I-half chain, (t+1) t^j on K and 2t t^j on I."""
-    if not isinstance(spec, SubgroupSpec):
-        raise ValueError(f"a chain formula needs a SubgroupSpec, got {spec!r}")
-    family, t = spec.family, spec.residue_size
-    if not family.is_pro_p:
-        raise ValueError(f"chain formulas exist for the pro-p families only, got {family.token}")
-    factor = {Family.PRO_P_IWAHORI_HALF: 2, Family.VERTEX_CONGRUENCE: t + 1}.get(family, 2 * t)  # I: 2t
-    return factor * t**spec.depth
-
-
-def chain_dim_formula(a: int, b: int, spec: SubgroupSpec) -> int:
-    """Raw value of the chain formula at spec's member (may be negative below the validity threshold)."""
-    return a + chain_factor(spec) * b
-
-
 def dim_invariants(c: CoefficientMap, spec: SubgroupSpec) -> int:
     """Fixed-vector dimension of the class c at spec's member of its pro-p chain.
 
     A negative formula value means the depth is below the class's
     validity threshold, which is an error rather than a dimension.
     """
-    value = chain_dim_formula(*ab_coefficients(c), spec)
+    a, b = ab_coefficients(c)
+    if not isinstance(spec, SubgroupSpec):
+        raise ValueError(f"a chain formula needs a SubgroupSpec, got {spec!r}")
+    if not spec.family.is_pro_p:
+        raise ValueError(f"chain formulas exist for the pro-p families only, got {spec.family.token}")
+    two, one_one = count_columns([_TWO, _ONE_ONE], [spec])[0]
+    value = a * two + b * one_one
     if value < 0:
         raise ValueError(
             f"chain formula gives {value} < 0 at depth {spec.depth}: below the validity threshold of {c!r}"
@@ -144,7 +134,8 @@ def modp_supersingular_dims(twist_of_pi0: bool, family: Family, j: int, p: int) 
     """Supersingular fixed-vector dimensions in coefficient characteristic p (p odd, j >= 0).
 
     I-half chain: a + 2b p^j; K chain: a' + (p+1) b p^j, the chain
-    formulas at t = p with a' in place of a on the K chain.
+    formulas at t = p with a' in place of a on the K chain: b times the
+    count of (1,1)-cosets, plus a or a' times that of (2), which is 1.
     """
     if require_prime(p, "p") == 2:
         raise ValueError(f"mod-p supersingular data requires an odd prime p, got {p}")
@@ -154,7 +145,7 @@ def modp_supersingular_dims(twist_of_pi0: bool, family: Family, j: int, p: int) 
             f"mod-p supersingular dimensions are tabulated for the I-half and K chains only, got {family.token}"
         )
     a, b, a_prime = modp_supersingular_coefficients(twist_of_pi0)
-    return chain_dim_formula(a_prime if family is Family.VERTEX_CONGRUENCE else a, b, spec)
+    return (a_prime if family is Family.VERTEX_CONGRUENCE else a) + b * count_columns([_ONE_ONE], [spec])[0][0]
 
 
 _SPEH, _ESS = speh_ess_pair(2, 4, 1)

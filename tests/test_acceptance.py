@@ -22,7 +22,7 @@ from germkit.germ import (
     solve_from_multiplicities,
     whittaker_dims,
 )
-from germkit.gl2 import ab_coefficients, catalog, chain_dim_formula, modp_supersingular_dims
+from germkit.gl2 import STEINBERG, ab_coefficients, catalog, dim_invariants, modp_supersingular_dims, principal_series
 from germkit.oracle import flag_orbit_count, multiplicity_matrix
 from germkit.partitions import (
     Partition,
@@ -119,17 +119,20 @@ def test_criterion_04_solve_round_trip():
 
 def test_criterion_05_gl2_catalog_consistency():
     """Chain formulas equal the generic machinery for every concrete class, (q,d) grid, j <= 4."""
-    assert chain_dim_formula(-1, 1, SubgroupSpec(Family.VERTEX_CONGRUENCE, 0, 3, 1)) == 3
-    assert chain_dim_formula(0, 2, SubgroupSpec(Family.IWAHORI_CONGRUENCE, 1, 2, 1)) == 16
+    assert dim_invariants(STEINBERG, SubgroupSpec(Family.VERTEX_CONGRUENCE, 0, 3, 1)) == 3
+    assert dim_invariants(principal_series(2), SubgroupSpec(Family.IWAHORI_CONGRUENCE, 1, 2, 1)) == 16
     checked = 0
     for q in (2, 3, 5):
         for d in (1, 2):
+            t = q**d
+            # the multiplier of b by hand: 2 t^j on the I-half chain, (t+1) t^j on K and 2t t^j on I
+            factors = dict(zip(PRO_P, (2, t + 1, 2 * t)))
             for _, cmap in catalog(q):
                 a, b = ab_coefficients(cmap)
                 for fam in PRO_P:
                     for j in range(5):
                         spec = SubgroupSpec(fam, j, q, d)
-                        assert chain_dim_formula(a, b, spec) == dim_fixed(cmap, spec)
+                        assert a + factors[fam] * t**j * b == dim_fixed(cmap, spec)
                         checked += 1
     print(f"ACCEPTANCE 5: PASS - GL_2 catalog consistent with the germ machinery ({checked} identities)")
 

@@ -399,6 +399,8 @@ def assert_round_trips(capsys, argv):
 
 
 ONES_200 = ",".join(["1"] * 200)  # q_multinomial((1^200)) at q = 2 has about 6,000 digits
+# 8,025 bits with no prime factor below 43, so the prime-power test would search a root for every exponent
+WIDE_Q = str(47 * 53**1400)
 
 
 class TestJsonWriter:
@@ -962,6 +964,17 @@ class TestExitCodes:
             ([*_DIMPOLY, "I0", "--q", "2"], _ends(8000), f"{_OVER} 2 counts of up to 64000000 bits"),
             ([*_DIMPOLY, "K", "--q", "6", "--d", "3"], _ends(300), "q must be a prime power >= 2, got 6"),
             ([*_DIMPOLY, "K", "--q", "49", "--d", "0"], _ends(300), "d must be >= 1, got 0"),
+            (["qcount", "--partition", "1,1", "--q", WIDE_Q], None,
+             f"cannot test a number of 8025 bits for being a prime power: the test stops at {cosets.PRIME_POWER_MAX_BITS} bits"),
+            (["germ", "solve", "--in", "{file}", "--q", WIDE_Q], _full(12), "cannot test a number of 8025 bits"),
+            (["qcount", "--partition", "1", "--q", "7" * 400000], None, "argument --q: invalid int value: '7777"),
+            (["cosets", "--n", "1", "--q", "3", "--d", "30000000"], None, f"cosets {_OVER} 5 counts of up to 120000001 bits"),
+            (["cosets", "--n", "1", "--q", "1024", "--d", "10000", "--j", "300"], None,
+             f"{_OVER} 905 counts of up to 30200001 bits"),
+            ([*_DIMPOLY, "I", "--q", "3", "--d", "30000000"], _full(1), f"{_OVER} 1 counts of up to 120000001 bits"),
+            (["germ", "solve", "--in", "{file}", "--q", str(2**1000)], _full(14),
+             f"germ solve {_OVER} 18225 counts of up to 91014 bits"),
+            (["germ", "solve", "--in", "{file}", "--q", "6"], _full(14), "q must be a prime power >= 2, got 6"),
         ],
         ids=["qcount-partition", "in-not-json", "lj-odd-n", "entries-int", "entries-null", "entries-str", "entries-object",
              "whittaker-repeated", "solve-repeated",
@@ -971,7 +984,10 @@ class TestExitCodes:
              "qcount-n-before-value-bits", "induce-three-full20-combos", "cosets-j8000-count-bits",
              "cosets-d1e7-count-bits", "cosets-n30-q3-total-bits", "cosets-q-before-n-and-bits", "cosets-d-before-n",
              "gl2-j100000-count-bits", "gl2-d1e7-count-bits", "dimpoly-n300-count-bits", "dimpoly-n8000-count-bits",
-             "dimpoly-q-before-bits", "dimpoly-d-before-bits"],
+             "dimpoly-q-before-bits", "dimpoly-d-before-bits", "qcount-q8025-prime-power-bits",
+             "solve-q8025-prime-power-bits", "qcount-q400000-digits", "cosets-n1-d3e7-count-bits",
+             "cosets-n1-j300-count-bits", "dimpoly-n1-d3e7-count-bits", "solve-n14-q2e1000-count-bits",
+             "solve-q-before-bits"],
     )
     def test_bad_input_is_exit_1_with_one_line(self, capsys, tmp_path, argv, content, message):
         infile = tmp_path / "in.json"
@@ -1251,25 +1267,37 @@ class TestExitCodes:
 
 
 class TestSizeBounds:
-    """`qcount` bounds n and its value, `cosets`, `gl2 table` and `germ dimpoly` the size of their counts, and
-    `germ induce` its combinations, before computing any."""
+    """`qcount` bounds n and its value, `cosets`, `gl2 table` and `germ dimpoly` the size of their counts, `germ solve`
+    that of its matrix, `germ induce` its combinations, and every command the size of q, before computing any."""
 
     def test_refusals_come_before_any_count(self, capsys, monkeypatch, tmp_path, within_budget):
         def unreachable(*args):
             raise AssertionError("a count was computed before the bound refused it")
 
-        for name in ("count_columns", "dimension_polynomial", "q_multinomial", "induce_maps"):
+        for name in ("count_columns", "dimension_polynomial", "q_multinomial", "induce_maps",
+                     "closed_form_multiplicity_matrix"):
             monkeypatch.setattr(cli, name, unreachable)
-        for name in ("chain_dim_formula", "chain_factor"):  # `gl2 table` reads one chain factor per column
-            monkeypatch.setattr(cli.gl2, name, unreachable)
-        ends, full20 = tmp_path / "ends.json", tmp_path / "full20.json"
+        # require_prime_power runs before these bounds (a bad q is refused before a bad n), so its work is made
+        # unreachable: the root search and the primality test that follow its small-prime division
+        for name in ("_root", "is_prime"):
+            monkeypatch.setattr(cosets, name, unreachable)
+        ends, full20, one, full14 = (tmp_path / f"{name}.json" for name in ("ends", "full20", "one", "full14"))
         ends.write_text(_ends(8000))
         full20.write_text(_full(20))
+        one.write_text(_full(1))
+        full14.write_text(_full(14))
         for argv in (["qcount", "--partition", "100000", "--q", "2"], ["cosets", "--n", "3", "--q", "2", "--j", "10000000"],
                      ["cosets", "--n", "30", "--q", "2", "--d", "10000000"], ["gl2", "table", "--q", "3", "--j", str(10**9)],
                      ["gl2", "table", "--q", "3", "--d", str(10**10)],
                      ["germ", "dimpoly", "--in", str(ends), "--family", "K", "--q", "49", "--d", "100"],
-                     ["qcount", "--partition", ONES_200, "--q", str(2**62)], ["germ", "induce", *["--in", str(full20)] * 3]):
+                     ["qcount", "--partition", ONES_200, "--q", str(2**62)], ["germ", "induce", *["--in", str(full20)] * 3],
+                     ["qcount", "--partition", "1,1", "--q", WIDE_Q], ["cosets", "--n", "2", "--q", WIDE_Q],
+                     ["gl2", "table", "--q", WIDE_Q], ["germ", "solve", "--in", str(full14), "--q", WIDE_Q],
+                     ["qcount", "--partition", "1,1", "--q", str(2**14000)], ["qcount", "--partition", "1", "--q", "7" * 400000],
+                     ["cosets", "--n", "1", "--q", "3", "--d", "30000000"],
+                     ["cosets", "--n", "1", "--q", "1024", "--d", "10000", "--j", "300"],
+                     ["germ", "dimpoly", "--in", str(one), "--family", "I", "--q", "3", "--d", "30000000"],
+                     ["germ", "solve", "--in", str(full14), "--q", str(2**1000)]):
             start = time.perf_counter()
             code, out, err = run(capsys, *argv)
             within_budget(time.perf_counter() - start, 0.1)
@@ -1278,7 +1306,8 @@ class TestSizeBounds:
     @pytest.mark.parametrize("q", [2, 3, 4, 9])
     def test_the_bound_covers_every_count(self, capsys, monkeypatch, q):
         # with the per-count bound one bit below the largest count printed, the command is refused, and the
-        # refusal names as many counts as the command prints; the bound is within a factor of 3 of the count
+        # refusal names as many counts as the command prints; the bound is within a factor of 3 of the count, or at
+        # n = 1, where every count is 1, of t^(j + 1), the largest integer the count builds
         cases = [["cosets", "--n", str(n), "--q", str(q), "--d", str(d), "--j", str(j), "--json"]
                  for n in range(1, 8) for d in (1, 2) for j in (0, 2)]
         cases += [["gl2", "table", "--q", str(q), "--d", "1", "--j", str(j), "--json"] + (["--modp"] if q == 3 else [])
@@ -1292,6 +1321,8 @@ class TestSizeBounds:
             else:
                 counts = [abs(v) for r in record["rows"] for v in r["dims"].values() if v is not None]
             largest = max(counts).bit_length()
+            if argv[:3] == ["cosets", "--n", "1"]:
+                largest = max(largest, (q ** (int(argv[6]) * (int(argv[8]) + 1))).bit_length())
             with monkeypatch.context() as m:
                 m.setattr(cli, "COUNT_MAX_BITS", largest - 1)
                 code, out, err = run(capsys, *argv)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from germkit import cosets
 from germkit.cosets import (
     PRIME_CHECK_BOUND,
+    PRIME_POWER_MAX_BITS,
     Family,
     SubgroupSpec,
     base_count,
@@ -53,6 +54,12 @@ class TestSpecValidation:
         assert is_prime(10**18 + 3) and is_prime_power((2**61 - 1) ** 3)
         with pytest.raises(ValueError, match=f"stops below {PRIME_CHECK_BOUND}"):
             is_prime_power(2**89 - 1)
+        # the size of q is refused before any division: at the bound a power of 2 is still read
+        assert PRIME_POWER_MAX_BITS == 2**11 and is_prime_power(2**2047) and not is_prime_power(2**2047 - 2)
+        message = r"^cannot test a number of 2049 bits for being a prime power: the test stops at 2048 bits$"
+        for q in (2**2048, 2**2048 + 1):
+            with pytest.raises(ValueError, match=message):
+                is_prime_power(q)
 
     def test_depth_zero_only_families(self):
         SubgroupSpec(Family.VERTEX_MAX, 0, 2, 1)

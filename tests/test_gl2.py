@@ -3,15 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from germkit.cosets import Family, SubgroupSpec
+from germkit.cosets import Family, SubgroupSpec, count_columns
 from germkit.germ import CoefficientMap, dim_fixed, jl_transfer
 from germkit.gl2 import (
     CUSPIDAL_STEINBERG,
     STEINBERG,
     ab_coefficients,
     catalog,
-    chain_dim_formula,
-    chain_factor,
     dim_invariants,
     finite_dim,
     modp_supersingular_dims,
@@ -27,6 +25,11 @@ def P(*parts):
 
 
 CHAINS = (Family.PRO_P_IWAHORI_HALF, Family.VERTEX_CONGRUENCE, Family.IWAHORI_CONGRUENCE)
+
+
+def chain_factor(family, j, t):
+    """The multiplier of b at a chain member by hand: 2 t^j on the I-half chain, (t+1) t^j on K and 2t t^j on I."""
+    return dict(zip(CHAINS, (2, t + 1, 2 * t)))[family] * t**j
 
 
 class TestABCoefficients:
@@ -94,19 +97,21 @@ class TestDimInvariants:
 
     def test_chain_formula_validation(self):
         with pytest.raises(ValueError):
-            chain_dim_formula(0, 1, SubgroupSpec(Family.VERTEX_MAX, 0, 2, 1))
+            dim_invariants(principal_series(1), SubgroupSpec(Family.VERTEX_MAX, 0, 2, 1))
         with pytest.raises(ValueError):
-            chain_dim_formula(0, 1, SubgroupSpec(Family.VERTEX_CONGRUENCE, -1, 2, 1))
+            dim_invariants(principal_series(1), SubgroupSpec(Family.VERTEX_CONGRUENCE, -1, 2, 1))
 
     @pytest.mark.parametrize("q, d", [(2, 1), (3, 1), (4, 1), (3, 2), (2, 3)])
     def test_chain_factor_is_the_multiplier_of_b(self, q, d):
+        # the kernel's (1,1) column is the hand-written factor and its (2) column is 1, so a dimension is a + factor * b
         t = q**d
         for j in range(5):
-            factors = [chain_factor(SubgroupSpec(fam, j, q, d)) for fam in CHAINS]
-            assert factors == [2 * t**j, (t + 1) * t**j, 2 * t * t**j]
-            for fam, factor in zip(CHAINS, factors):
+            specs = [SubgroupSpec(fam, j, q, d) for fam in CHAINS]
+            factors = [chain_factor(fam, j, t) for fam in CHAINS]
+            assert count_columns([P(2), P(1, 1)], specs) == [[1, factor] for factor in factors]
+            for spec, factor in zip(specs, factors):
                 for a, b in ((0, 1), (-1, 1), (5, 0), (-6, 3)):
-                    assert chain_dim_formula(a, b, SubgroupSpec(fam, j, q, d)) == a + factor * b
+                    assert dim_invariants(CoefficientMap(2, {P(2): a, P(1, 1): b}), spec) == a + factor * b
 
     def test_consistency_with_germ_machinery(self):
         for _, cmap in catalog(3):
@@ -114,32 +119,31 @@ class TestDimInvariants:
             for fam in CHAINS:
                 for j in range(4):
                     spec = SubgroupSpec(fam, j, 3, 1)
-                    assert chain_dim_formula(a, b, spec) == dim_fixed(cmap, spec)
+                    value = a + chain_factor(fam, j, 3) * b
+                    assert dim_fixed(cmap, spec) == value
+                    if value < 0:
+                        with pytest.raises(ValueError, match=rf"^chain formula gives {value} < 0 at depth {j}: "):
+                            dim_invariants(cmap, spec)
+                    else:
+                        assert dim_invariants(cmap, spec) == value
 
     def test_chain_formula_only_on_pro_p_families(self):
         pro_p = {fam for fam in Family if fam.is_pro_p}
         assert pro_p == {Family.PRO_P_IWAHORI_HALF, Family.VERTEX_CONGRUENCE, Family.IWAHORI_CONGRUENCE}
         for fam in set(Family) - pro_p:
-            for call in (lambda: chain_dim_formula(1, 0, SubgroupSpec(fam, 0, 3, 1)),
-                         lambda: chain_factor(SubgroupSpec(fam, 0, 3, 1))):
-                with pytest.raises(ValueError) as info:
-                    call()
-                assert str(info.value) == f"chain formulas exist for the pro-p families only, got {fam.token}"
+            with pytest.raises(ValueError) as info:
+                dim_invariants(finite_dim(1), SubgroupSpec(fam, 0, 3, 1))
+            assert str(info.value) == f"chain formulas exist for the pro-p families only, got {fam.token}"
 
     def test_a_family_that_is_not_a_family_is_a_value_error(self):
-        for call in (lambda: chain_dim_formula(1, 1, SubgroupSpec("K", 0, 2, 1)),
-                     lambda: dim_invariants(STEINBERG, SubgroupSpec("K", 0, 2, 1))):
-            with pytest.raises(ValueError, match=r"^family must be a Family, got 'K'$"):
-                call()
+        with pytest.raises(ValueError, match=r"^family must be a Family, got 'K'$"):
+            dim_invariants(STEINBERG, SubgroupSpec("K", 0, 2, 1))
 
     @pytest.mark.parametrize("spec", [None, "K", Family.VERTEX_CONGRUENCE, (Family.VERTEX_CONGRUENCE, 0, 2, 1)])
     def test_a_value_that_is_not_a_spec_is_a_value_error(self, spec):
         # a tuple of the right fields is not a chain member either
-        message = rf"^a chain formula needs a SubgroupSpec, got {re.escape(repr(spec))}$"
-        for call in (lambda: chain_dim_formula(1, 1, spec), lambda: chain_factor(spec),
-                     lambda: dim_invariants(STEINBERG, spec)):
-            with pytest.raises(ValueError, match=message):
-                call()
+        with pytest.raises(ValueError, match=rf"^a chain formula needs a SubgroupSpec, got {re.escape(repr(spec))}$"):
+            dim_invariants(STEINBERG, spec)
 
 
 class TestModP:

@@ -422,9 +422,9 @@ def _integer_entry_points():
         ("PrincipalSeries dim_sigma", gl2.principal_series, 2),
         ("SpehPair dim_pi2", lambda x: gl2.speh_ess_pair(x, 4, 1), 2),
         ("ab_coefficients q", lambda x: gl2.ab_coefficients(gl2.supercuspidal(1, x)), 3),
-        ("chain_dim_formula j", lambda x: gl2.chain_dim_formula(-1, 1, cosets.SubgroupSpec(K, x, 3, 1)), 2),
-        ("chain_dim_formula q", lambda x: gl2.chain_dim_formula(-1, 1, cosets.SubgroupSpec(K, 0, x, 1)), 3),
-        ("chain_dim_formula d", lambda x: gl2.chain_dim_formula(-1, 1, cosets.SubgroupSpec(K, 0, 3, x)), 2),
+        ("chain_dim_formula j", lambda x: gl2.dim_invariants(steinberg, cosets.SubgroupSpec(K, x, 3, 1)), 2),
+        ("chain_dim_formula q", lambda x: gl2.dim_invariants(steinberg, cosets.SubgroupSpec(K, 0, x, 1)), 3),
+        ("chain_dim_formula d", lambda x: gl2.dim_invariants(steinberg, cosets.SubgroupSpec(K, 0, 3, x)), 2),
         ("modp_supersingular_dims j", lambda x: gl2.modp_supersingular_dims(True, Ihalf, x, 3), 2),
         ("modp_supersingular_dims p", lambda x: gl2.modp_supersingular_dims(True, Ihalf, 0, x), 3),
         ("speh_ess_pair dim_sigma", lambda x: gl2.speh_ess_pair(2, x, 1), 2),

@@ -278,7 +278,7 @@ def test_count_columns_is_the_one_coset_count_kernel():
 
 
 def test_the_chain_formulas_read_a_spec():
-    # a caller hands chain_dim_formula and dim_invariants one chain member; gl2 builds one only for its mod-p rows
+    # a caller hands dim_invariants one chain member; gl2 builds one only for its mod-p rows
     assert _sites(ast.parse((SRC / "gl2.py").read_text()), "SubgroupSpec") == ["modp_supersingular_dims"]
 
 
