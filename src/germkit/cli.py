@@ -9,17 +9,20 @@ division in a closed form) and for the one ValueError that is an
 invariant violation, the PositivityError of `germ whittaker`.
 
 A q is tested for being a prime power only up to
-`cosets.PRIME_POWER_MAX_BITS` bits, and argv is read under the
-interpreter's int-string digit limit, which is lifted only for the
-output.  `qcount` takes n <= QCOUNT_MAX_N, and `partitions` and `cosets`
-n <= TABLE_MAX_N.  `cosets`, `gl2 table` and `germ dimpoly` bound the
-bits of each count and of all their counts from (n, j, q, d) before
-computing any (`_bounded_counts`, which at n = 1 counts the bits of t),
-and `germ solve` those of its matrix at q from (n, q) before evaluating
-it.  `qcount --q` bounds the bits of its value by QCOUNT_MAX_BITS from
-(lam, q) before building the polynomial, and `germ induce` the
-combinations of support entries its fold walks by INDUCE_MAX_COMBOS once
-the maps are read.
+`cosets.PRIME_POWER_MAX_BITS` bits.  An argv token of more than
+ARGV_MAX_CHARS characters is refused before any is read, and argv and
+every `--in` file are read under the interpreter's int-string digit
+limit, which is lifted only for the output.  `qcount` takes
+n <= QCOUNT_MAX_N, and `partitions` and `cosets` n <= TABLE_MAX_N.
+`cosets`, `gl2 table` and `germ dimpoly` bound the bits of each count
+and of all their counts from (n, j, q, d) before computing any
+(`_bounded_counts`; at n = 1, where every count is one bit, it counts
+the bits of t^(j + 1), which the kernel builds, and so also bounds the
+number of rows), and `germ solve` those of its matrix at q from (n, q)
+before evaluating it.  `qcount --q` bounds the bits of its value by
+QCOUNT_MAX_BITS from (lam, q) before building the polynomial, and
+`germ induce` the combinations of support entries its fold walks by
+INDUCE_MAX_COMBOS once the maps are read.
 
 The oracle enumeration cap defaults to 10**7 streamed elements and can
 be overridden with the GERMKIT_ORACLE_CAP environment variable.  It
@@ -102,7 +105,22 @@ def _oracle_cap() -> int:
     return require_at_least(cap, 1, "GERMKIT_ORACLE_CAP")
 
 
+# the int-string digit limit that `main` found and reads argv under, and `_read_map` its files; None outside `main`
+# and where the interpreter has no limit
+_read_digits = None
+
+
+def _set_digits(limit):
+    """The interpreter's int-string digit limit, set to `limit` (0: none) unless that is None, which changes nothing."""
+    if limit is None:
+        return None
+    found = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    return found
+
+
 def _read_map(path: str) -> CoefficientMap:
+    lifted = _set_digits(_read_digits)
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -110,8 +128,12 @@ def _read_map(path: str) -> CoefficientMap:
         raise ValueError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}")
+    except ValueError:  # json refuses an int past the limit before converting it, in time quadratic in its digits
+        raise ValueError(f"{path} holds an integer of more than {sys.get_int_max_str_digits()} digits")
     except RecursionError:
         raise ValueError(f"{path} is nested too deeply to read")
+    finally:
+        _set_digits(lifted)
     return CoefficientMap.from_json(data)
 
 
@@ -333,6 +355,11 @@ QCOUNT_MAX_N = 200
 # at 2^32 and 4.0 s at 2^62.
 QCOUNT_MAX_BITS = 2**18
 
+# argparse quotes a value it refuses whole, and so do the refusals of a `--partition`, so `_parse` refuses a longer
+# token before reading any; no token of a valid argv is this long: an int option reads at most the interpreter's
+# default 4,300 digits, a partition of n <= QCOUNT_MAX_N needs fewer characters, and a Linux path has at most 4,096
+ARGV_MAX_CHARS = 4300
+
 
 def _bounded_n(command: str, n: int, bound: int = TABLE_MAX_N) -> int:
     """n, if `command` supports n <= bound; a one-line refusal otherwise."""
@@ -343,8 +370,10 @@ def _bounded_n(command: str, n: int, bound: int = TABLE_MAX_N) -> int:
 
 # A count of `cosets`, `gl2 table` or `germ dimpoly` at depth j is at most [n]_t! * t^(d_lam * (j + 1)), t = q^d,
 # with [n]_t! < 2^n * t^(n(n-1)/2) and d_lam <= n(n-1)/2; `_bounded_counts` bounds its bits so, counting at n = 1,
-# where every count is 1, the bits of t^(j + 1), which `count_columns` builds all the same.  Computing and
-# printing a count takes time quadratic in its bits, and all of them memory linear in their total.  On a
+# where every count is 1, the bits of t^(j + 1).  That n = 1 term does two things: it bounds t^(j + 1), which
+# `count_columns` builds all the same, and, as every n = 1 count has one bit, it is what bounds the number of rows
+# (without it, `cosets --n 1 --q 2 --j 50000000` would pass both bounds with 1.5 * 10^8 specs to build).  Computing
+# and printing a count takes time quadratic in its bits, and all of them memory linear in their total.  On a
 # 2-vCPU Xeon, Python 3.11, at the bounds: `cosets --n 3 --q 2 --j 1800 --d 3 --json` (16,215 counts of up to
 # 16,221 bits) takes 1.2 s and 118 MB, `cosets --n 30 --q 2 --j 4 --json` (95,268 of up to 2,640) 0.6 s and
 # 177 MB, and `germ dimpoly` on all 5,604 partitions of 30 at --q 49 --d 3 (up to 15,690) 0.16 s.  Without
@@ -727,8 +756,13 @@ def _plain_parse(path: tuple, argv: list):
 def _parse(argv: list):
     """argv read by `_plain_parse` if its first one or two tokens name a command and it can, else by the tree.
 
-    Only help and refusals reach the tree, so their text is argparse's.
+    Only help and refusals reach the tree, so their text is argparse's.  A token of more than ARGV_MAX_CHARS
+    characters is refused first, in one line that names its option and its length.
     """
+    for before, token in zip([None, *argv], argv):
+        if type(token) is str and len(token) > ARGV_MAX_CHARS:
+            what = f"argument {before}: a value" if type(before) is str and before.startswith("-") else "a token"
+            raise ValueError(f"{what} of {len(token)} characters is over the {ARGV_MAX_CHARS} allowed")
     path = tuple(argv[:1])
     if path not in _PLAIN:  # a group and its command
         path = tuple(argv[:2])
@@ -737,12 +771,14 @@ def _parse(argv: list):
 
 
 def main(argv=None) -> int:
-    # exact values are printed in full, past the interpreter's 4,300-digit default; argv is read within it, so a
-    # longer int is refused as any bad int is, before its conversion takes time quadratic in its digits
+    # exact values are printed in full, past the interpreter's 4,300-digit default; argv and map files are read
+    # within it, so a longer int is refused before its conversion takes time quadratic in its digits
+    global _read_digits
     limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
         if limit is not None:
+            _read_digits = limit
             sys.set_int_max_str_digits(0)
         args.func(args)
         return 0
@@ -755,8 +791,8 @@ def main(argv=None) -> int:
         print(f"germkit: error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        _read_digits = None
+        _set_digits(limit)
 
 
 if __name__ == "__main__":

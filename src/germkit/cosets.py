@@ -10,16 +10,16 @@ chains between them:
     Ihalf   pro-p Iwahori chain I_{j+1/2}
     I       Iwahori congruence chain I_{1+j}
 
-Each pro-p family has a base count at depth 0, a polynomial in t; moving
-one congruence step deeper multiplies the count of P_lam-cosets by
-t^(d_lam).  That law is proved only for the five families above, and
-every count here is a family's own.  A SubgroupSpec is one chain member:
-`count_columns` (partitions of any n, one column per spec) is the one
-place that builds a factorial table or applies the law, to a family's
-base count, which tests check against the polynomial `base_count` at t.
-`cosets`, `germ dimpoly` and `gl2 table`, whose n = 2 chain dimensions
-are sums of its counts, read every count they print from it.
-`count_at_depth` is its one-partition, one-spec entry.
+Every family's count of P_lam-cosets at depth j is one formula,
+[n; lam]_s * t^(d_lam * (j + e)), the s-multinomial [n]_s!/prod [lam_i]_s!
+([k]_s = 1 + s + ... + s^(k-1)) with s = 0 on K0, t on K and 1 on I0, Ihalf
+and I, and e = 1 on I alone.  Its factor t^(d_lam * j), the depth law, is
+proved only for the five families above.  A SubgroupSpec is one chain
+member: `count_columns` (partitions of any n, one column per spec) is the
+one place that evaluates the formula, which tests check against the
+polynomial `base_count` at t.  `cosets`, `germ dimpoly` and `gl2 table`,
+whose n = 2 chain dimensions are sums of its counts, read every count they
+print from it.  `count_at_depth` is its one-partition, one-spec entry.
 Other Moy-Prasad subgroups are not served, since no single t-scaling
 fits them: at nu = lam = (2,1) and q = 2, the groups G_(nu,0+) and
 G_(nu,1) at the facet of type nu give 4 and 10.
@@ -200,18 +200,18 @@ def base_count(lam: Partition, family: Family) -> QPoly:
     raise ValueError(f"unsupported family {family!r}")
 
 
-def _factorials(n: int, t: int | None) -> list[int]:
-    """[k]_t! for k = 0..n, from [k]_t = t * [k-1]_t + 1, or k! when t is None."""
-    steps = range(1, n + 1) if t is None else accumulate(repeat(t, n - 1), lambda m, t: m * t + 1, initial=1)
+def _factorials(n: int, s: int) -> list[int]:
+    """[k]_s! for k = 0..n, from [k]_s = s * [k-1]_s + 1: k! at s = 1."""
+    steps = accumulate(repeat(s, n - 1), lambda m, s: m * s + 1, initial=1)
     return list(accumulate(steps, operator.mul, initial=1))
 
 
 def count_columns(lams, specs) -> list[list[int]]:
     """The exact count of each partition in lams (of any n, in the given order) under each spec: one column per spec.
 
-    Each table of [k]_t! (for K) or k! is built, and each partition divided by it with the remainder checked, once per
-    call: I0, Ihalf and I share the multinomial n!/prod(lam_i!).  A column is its family's base count times
-    t^(d_lam * depth), the one place the depth law is applied; I's base count carries one more factor t^(d_lam).
+    A column is [n; lam]_s * t^(d_lam * steps): s = 0 on K0 ([n; lam]_0 = 1, no table), t on K and 1 on I0, Ihalf and
+    I, which share one table; steps = depth, plus 1 on I.  Each table of [k]_s! is built, and each partition divided by
+    it with the remainder checked, once per call, and the one multiplication by t^(d_lam * steps) applies the depth law.
     A spec that is not a SubgroupSpec is a ValueError, and a remainder an ArithmeticError.
     """
     for spec in specs:
@@ -220,22 +220,19 @@ def count_columns(lams, specs) -> list[list[int]]:
     lams = list(map(require_partition, lams, repeat("a coset count")))
     if not lams:
         return [[] for _ in specs]
-    ns, ds, quotients, columns = list(map(sum, lams)), None, {}, []  # quotients: the table's t (None for k!) -> counts
+    ns, ds, quotients, columns = list(map(sum, lams)), None, {0: [1] * len(lams)}, []  # quotients: s -> counts
     for spec in specs:
         family, t = spec.family, spec.residue_size
-        if family is Family.VERTEX_MAX:
-            columns.append([1] * len(lams))
-            continue
-        key = t if family is Family.VERTEX_CONGRUENCE else None
-        if key not in quotients:
-            fact = _factorials(max(ns), key)
+        s = 0 if family is Family.VERTEX_MAX else t if family is Family.VERTEX_CONGRUENCE else 1
+        if s not in quotients:
+            fact = _factorials(max(ns), s)
             products = map(math.prod, map(map, repeat(fact.__getitem__), lams))
             counts, rests = zip(*map(divmod, map(fact.__getitem__, ns), products))
             if any(rests):
                 lam = lams[next(i for i, rest in enumerate(rests) if rest)]
                 raise ArithmeticError(f"inexact division in the {family.token} coset count of {lam} at t = {t}")
-            quotients[key] = list(counts)
-        counts, steps = quotients[key], spec.depth + (family is Family.IWAHORI_CONGRUENCE)
+            quotients[s] = list(counts)
+        counts, steps = quotients[s], spec.depth + (family is Family.IWAHORI_CONGRUENCE)
         if steps:  # t^(d_lam * steps) = (t^steps)^(d_lam)
             ds = ds or list(map(d_of, lams))
             counts = list(map(operator.mul, counts, map(pow, repeat(t**steps), ds)))

@@ -237,7 +237,7 @@ class TestCosetsCommand:
         code, _, _ = run(capsys, "cosets", "--n", "6", "--q", "2", "--j", "3")
         assert code == 0
         assert base_counts == []
-        assert sorted(tables, key=str) == [(6, 2), (6, None)]
+        assert sorted(tables, key=str) == [(6, 1), (6, 2)]
 
 
 class TestGl2Command:
@@ -903,6 +903,13 @@ def _full(n):
                                            for i, lam in enumerate(enumerate_partitions(n))]})
 
 
+def _long_value(digits):
+    """A map on the partitions of 2 whose value at (1,1) has `digits` digits, all 9."""
+    return f'{{"n": 2, "entries": [{{"partition": [2], "value": 1}}, {{"partition": [1, 1], "value": {"9" * digits}}}]}}'
+
+
+# the int-string digit limit that tests run under, which `main` reads argv and map files under
+_INT_DIGITS = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
 _OVER = f"supports counts of up to {cli.COUNT_MAX_BITS} bits each and {cli.TOTAL_MAX_BITS} in all, but this asks for"
 _DIMPOLY = ["germ", "dimpoly", "--in", "{file}", "--family"]
 
@@ -967,7 +974,8 @@ class TestExitCodes:
             (["qcount", "--partition", "1,1", "--q", WIDE_Q], None,
              f"cannot test a number of 8025 bits for being a prime power: the test stops at {cosets.PRIME_POWER_MAX_BITS} bits"),
             (["germ", "solve", "--in", "{file}", "--q", WIDE_Q], _full(12), "cannot test a number of 8025 bits"),
-            (["qcount", "--partition", "1", "--q", "7" * 400000], None, "argument --q: invalid int value: '7777"),
+            (["qcount", "--partition", "1", "--q", "7" * 400000], None,
+             f"argument --q: a value of 400000 characters is over the {cli.ARGV_MAX_CHARS} allowed"),
             (["cosets", "--n", "1", "--q", "3", "--d", "30000000"], None, f"cosets {_OVER} 5 counts of up to 120000001 bits"),
             (["cosets", "--n", "1", "--q", "1024", "--d", "10000", "--j", "300"], None,
              f"{_OVER} 905 counts of up to 30200001 bits"),
@@ -975,6 +983,9 @@ class TestExitCodes:
             (["germ", "solve", "--in", "{file}", "--q", str(2**1000)], _full(14),
              f"germ solve {_OVER} 18225 counts of up to 91014 bits"),
             (["germ", "solve", "--in", "{file}", "--q", "6"], _full(14), "q must be a prime power >= 2, got 6"),
+            pytest.param(["germ", "jl", "--in", "{file}", "--d", "2"], _long_value(300000),
+                         f"in.json holds an integer of more than {_INT_DIGITS} digits",
+                         marks=pytest.mark.skipif(_INT_DIGITS is None, reason="no int-string limit")),
         ],
         ids=["qcount-partition", "in-not-json", "lj-odd-n", "entries-int", "entries-null", "entries-str", "entries-object",
              "whittaker-repeated", "solve-repeated",
@@ -987,7 +998,7 @@ class TestExitCodes:
              "dimpoly-q-before-bits", "dimpoly-d-before-bits", "qcount-q8025-prime-power-bits",
              "solve-q8025-prime-power-bits", "qcount-q400000-digits", "cosets-n1-d3e7-count-bits",
              "cosets-n1-j300-count-bits", "dimpoly-n1-d3e7-count-bits", "solve-n14-q2e1000-count-bits",
-             "solve-q-before-bits"],
+             "solve-q-before-bits", "jl-300000-digit-value"],
     )
     def test_bad_input_is_exit_1_with_one_line(self, capsys, tmp_path, argv, content, message):
         infile = tmp_path / "in.json"
@@ -1297,11 +1308,45 @@ class TestSizeBounds:
                      ["cosets", "--n", "1", "--q", "3", "--d", "30000000"],
                      ["cosets", "--n", "1", "--q", "1024", "--d", "10000", "--j", "300"],
                      ["germ", "dimpoly", "--in", str(one), "--family", "I", "--q", "3", "--d", "30000000"],
-                     ["germ", "solve", "--in", str(full14), "--q", str(2**1000)]):
+                     ["germ", "solve", "--in", str(full14), "--q", str(2**1000)],
+                     ["cosets", "--n", "1", "--q", "2", "--j", "10000000"]):
             start = time.perf_counter()
             code, out, err = run(capsys, *argv)
             within_budget(time.perf_counter() - start, 0.1)
             assert (code, out) == (1, "") and err.startswith("germkit: error: ") and err.count("\n") == 1, argv
+
+    def test_a_long_token_or_map_integer_is_refused_in_one_short_line(self, capsys, tmp_path, within_budget):
+        # the refused token or file is named, never quoted: argparse and the partition refusals used to echo it whole
+        long = tmp_path / "long.json"
+        long.write_text(_long_value(300000))
+        cases = [(["qcount", "--partition", "1", "--q", "7" * 400000], "argument --q: a value of 400000 characters"),
+                 (["cosets", "--n", "3", "--q", "2", "--j", "9" * 5000], "argument --j: a value of 5000 characters"),
+                 (["qcount", "--partition", "7" * 400000], "argument --partition: a value of 400000 characters"),
+                 (["7" * 5000, "--n", "3"], "a token of 5000 characters")]
+        if _INT_DIGITS is not None:
+            cases += [(["germ", "jl", "--in", str(long), "--d", "2"], f"{long} holds an integer of more than"),
+                      (["germ", "dimpoly", "--in", str(long), "--family", "K", "--q", "3"], f"{long} holds an integer")]
+        for argv, message in cases:
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            within_budget(time.perf_counter() - start, 0.1)
+            assert (code, out) == (1, "") and err.startswith(f"germkit: error: {message}") and err.count("\n") == 1
+            assert len(err.encode()) < 200, argv
+
+    def test_a_refused_token_at_the_length_bound_keeps_its_text(self, capsys):
+        token = "x" * cli.ARGV_MAX_CHARS
+        assert run(capsys, "cosets", "--n", "3", "--q", "2", "--j", token) == (
+            1, "", f"germkit: error: argument --j: invalid int value: '{token}'\n")
+
+    @pytest.mark.skipif(_INT_DIGITS is None, reason="no int-string limit to lift")
+    def test_map_integers_are_read_under_the_limit_and_printed_past_it(self, capsys, tmp_path):
+        # a value at the limit is read, and the coefficient (t + 1) * value of one more digit printed, the limit
+        # lifted again after the read
+        path = tmp_path / "limit.json"
+        path.write_text(_long_value(_INT_DIGITS))
+        code, out, err = run(capsys, "germ", "dimpoly", "--in", str(path), "--family", "K", "--q", "3", "--json")
+        assert (code, err) == (0, "") and sys.get_int_max_str_digits() == _INT_DIGITS
+        assert with_int_digits_unlimited(lambda: json.loads(out))["poly"] == [1, 4 * (10**_INT_DIGITS - 1)]
 
     @pytest.mark.parametrize("q", [2, 3, 4, 9])
     def test_the_bound_covers_every_count(self, capsys, monkeypatch, q):

@@ -193,6 +193,16 @@ class TestCountAtDepth:
         assert count_at_depth(P(1, 1), SubgroupSpec(Family.VERTEX_MAX, 0, 2, 1)) == 1
         assert count_at_depth(P(1, 1), SubgroupSpec(Family.IWAHORI, 0, 2, 1)) == 2
 
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 7, 8, 9])
+    def test_every_family_is_one_s_multinomial(self, t):
+        # at depth 0 each column is [n; lam]_s * t^(d_lam * e): s = 0 on K0, t on K and 1 on I0, Ihalf and I, e = 1 on I
+        lams = [lam for n in range(1, 11) for lam in enumerate_partitions(n)]
+        s_e = {Family.VERTEX_MAX: (0, 0), Family.VERTEX_CONGRUENCE: (t, 0), Family.IWAHORI: (1, 0),
+               Family.PRO_P_IWAHORI_HALF: (1, 0), Family.IWAHORI_CONGRUENCE: (1, 1)}
+        columns = count_columns(lams, [SubgroupSpec(fam, 0, t, 1) for fam in s_e])
+        for (s, e), column in zip(s_e.values(), columns):
+            assert column == [q_multinomial(lam).eval_at(s) * t ** (d_of(lam) * e) for lam in lams]
+
     @pytest.mark.parametrize("q,d", [(2, 1), (3, 2), (4, 1)])
     def test_equals_the_base_polynomial_at_t_up_to_8(self, q, d):
         # the Horner value of base_count times t^(d_lam * j), one depth at a time or every depth up to j
@@ -253,12 +263,12 @@ class TestCountAtDepth:
             tables.clear()
             lams = enumerate_partitions(n)
             assert count_columns(lams, specs) == [column for spec in specs for column in count_columns(lams, [spec])]
-            assert tables[:2] == [(n, q**d), (n, None)]
+            assert tables[:2] == [(n, q**d), (n, 1)]
         # partitions of several n in no canonical order: the columns of one call per partition, side by side
         lams = [P(2, 1), P(5), P(1), P(3, 3, 1), P(2, 2), P(1, 1, 1, 1, 1, 1, 1, 1)]
         tables.clear()
         columns = count_columns(lams, specs)
-        assert tables == [(8, q**d), (8, None)]
+        assert tables == [(8, q**d), (8, 1)]
         assert columns == [list(row) for row in zip(*[[col[0] for col in count_columns([lam], specs)] for lam in lams])]
 
     def test_one_column_per_spec_of_mixed_depths(self):

@@ -15,6 +15,8 @@
 - One JSON writer: no module calls json.dump or json.dumps.
 - The CLI reads its commands from its own table: no module reads a private
   attribute of argparse or of a parser.
+- The README states each bound constant once, beside its value, and that
+  value is the constant's.
 """
 
 import argparse
@@ -23,6 +25,7 @@ import builtins
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -303,3 +306,20 @@ def test_no_module_reads_a_private_argparse_attribute():
             elif isinstance(node, ast.ImportFrom) and node.module == "argparse":
                 reads |= {(path.name, alias.name) for alias in node.names if alias.name.startswith("_")}
     assert reads == set()
+
+
+_README_BOUNDS = {"cli": ["TABLE_MAX_N", "QCOUNT_MAX_N", "QCOUNT_MAX_BITS", "INDUCE_MAX_COMBOS", "COUNT_MAX_BITS",
+                          "TOTAL_MAX_BITS", "SOLVE_MAX_N", "ARGV_MAX_CHARS"],
+                  "cosets": ["PRIME_CHECK_BOUND", "PRIME_POWER_MAX_BITS"]}
+
+
+def test_the_readme_states_each_bound_once_with_its_value():
+    # each quoted constant reads "`module.NAME` = value", the value an integer (with commas) or a power of 2
+    readme = (ROOT / "README.md").read_text()
+    named = re.findall(r"`(cli|cosets)\.([A-Z][A-Z0-9_]*)`", readme)
+    pairs = re.findall(r"`(cli|cosets)\.([A-Z][A-Z0-9_]*)`\s+=\s+(2\^\d+|\d[\d,]*\d|\d)", readme)
+    assert sorted(named) == sorted((module, name) for module, names in _README_BOUNDS.items() for name in names)
+    assert [(module, name) for module, name, _ in pairs] == named
+    for module, name, text in pairs:
+        value = 2 ** int(text[2:]) if text.startswith("2^") else int(text.replace(",", ""))
+        assert value == getattr(importlib.import_module(f"germkit.{module}"), name), (module, name, text)
